@@ -234,11 +234,16 @@ def read_pointset_csv(path) -> PointSet:
     for key in ("method", "delta", "domain_halfwidth", "seed"):
         if key not in meta:
             raise DataError(f"{path}: missing {key} metadata")
-    kl = [(int(rec["k"]), int(rec["l"])) for rec in csv.DictReader(rows)]
-    return from_indices(
-        Method(meta["method"]),
-        float(meta["delta"]),
-        float(meta["domain_halfwidth"]),
-        np.array(kl, dtype=np.int64).reshape(-1, 2),
-        seed=int(meta["seed"]) if meta["seed"] else None,
-    )
+    try:
+        kl = [(int(rec["k"]), int(rec["l"])) for rec in csv.DictReader(rows)]
+        return from_indices(
+            Method(meta["method"]),
+            float(meta["delta"]),
+            float(meta["domain_halfwidth"]),
+            np.array(kl, dtype=np.int64).reshape(-1, 2),
+            seed=int(meta["seed"]) if meta["seed"] else None,
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        # a missing column, a short row, an unknown method, a non-numeric
+        # field, or indices the point set rejects (ConfigError is a ValueError)
+        raise DataError(f"{path}: corrupt point-set CSV: {e!r}") from e

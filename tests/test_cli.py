@@ -206,5 +206,25 @@ def test_exit_code_data_errors(tmp_path, capsys):
     assert main(["stats", "--points", str(empty), "--signal", "zero",
                  "--out", str(tmp_path / "s.csv")]) == 3
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 3
+    # a cache whose header lacks a key
+    fields = tmp_path / "fields"
+    assert main(["simulate", "--L", "1", "--delta", "2^-3", "--T", "1", "--signal", "zero",
+                 "--seeds", "0", "--out", str(fields)]) == 0
+    cache = next(fields.glob("*.wfield"))
+    header, _, payload = cache.read_bytes().partition(b"\n")
+    meta = json.loads(header)
+    del meta["n_axis"]
+    cache.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+    assert main(["detect", "--fields", str(fields), "--out", str(tmp_path / "p")]) == 3
+    # a point-set CSV with an unknown method
+    points = tmp_path / "points"
+    points.mkdir()
+    (points / "bad.csv").write_text(
+        "# method=BOGUS\n# delta=0.25\n# domain_halfwidth=1.0\n# seed=0\n"
+        "re,im,k,l,method,delta,seed\n"
+    )
+    assert main(["stats", "--points", str(points), "--signal", "zero",
+                 "--out", str(tmp_path / "s2.csv")]) == 3
     err = capsys.readouterr().err
     assert "data error" in err
+    assert "Traceback" not in err

@@ -379,3 +379,9 @@ def test_pointset_csv_requires_metadata(tmp_path):
     path.write_text("re,im,k,l,method,delta,seed\n")
     with pytest.raises(DataError):
         read_pointset_csv(path)
+    meta = "# method={}\n# delta=0.25\n# domain_halfwidth=1.0\n# seed=3\n"
+    rows = "re,im,k,l,method,delta,seed\n0.0,0.0,{},4,AMN,0.25,3\n"
+    for method, k in (("BOGUS", "4"), ("AMN", "four"), ("AMN", "4.5")):
+        path.write_text(meta.format(method) + rows.format(k))
+        with pytest.raises(DataError):
+            read_pointset_csv(path)

@@ -1,10 +1,12 @@
 """Field synthesis: noise statistics, oracle agreement, continuous evaluation."""
 
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from bargzeros import (
     ConfigError,
@@ -25,6 +27,7 @@ from bargzeros import (
     write_field,
     zero_noise,
 )
+from bargzeros import simulate
 
 ZERO = SignalModel(SignalKind.ZERO)
 
@@ -120,11 +123,57 @@ def test_synthesis_matches_definition():
 
 
 def test_fast_path_matches_direct_sum():
-    g = make_grid(L=2, delta=2.0 ** -5, T=6)
-    noise = draw_noise(g, sigma=1.0, seed=11)
-    fast = synthesize_field(noise, ZERO, g, fast=True).values
-    slow = synthesize_field(noise, ZERO, g, fast=False).values
-    assert np.abs(fast - slow).max() < 1e-13 * np.abs(slow).max()
+    # n=129 is 5 row blocks; n=769 is 25, the last one a single row
+    for g in (make_grid(L=2, delta=2.0 ** -5, T=6), make_grid(L=3, delta=2.0 ** -7, T=6)):
+        noise = draw_noise(g, sigma=1.0, seed=11)
+        fast = synthesize_field(noise, ZERO, g, fast=True).values
+        slow = synthesize_field(noise, ZERO, g, fast=False).values
+        assert np.abs(fast - slow).max() < 1e-13 * np.abs(slow).max()
+
+
+def serial_chirp_field(noise, signal, grid):
+    # the single-threaded Bluestein loop over 128-row blocks, with the
+    # quadratic phase applied to the whole array afterwards; the threaded
+    # synthesis must reproduce it bit for bit
+    a = FieldSource(noise, signal, grid).samples
+    m_half, n, h = grid.t_over_delta, grid.n_axis, grid.half_n
+    idx = np.arange(-h, h + 1)
+    d2 = grid.delta * grid.delta
+    phi = window(grid.delta * np.arange(-m_half, m_half + 1))
+    lead = noise.s_half - m_half - h
+    windows = np.lib.stride_tricks.sliding_window_view(a, 2 * m_half + 1)[lead : lead + n]
+    p = 2 * m_half + 1
+    nfft = scipy.fft.next_fast_len(p + n - 1)
+    q, r = np.arange(p), np.arange(n)
+    u_chirp = np.exp(1j * (d2 * (q * q - 2.0 * h * q)))
+    front = np.exp(1j * (d2 * (r * r - 2.0 * m_half * r + 2.0 * m_half * h)))
+    v = np.zeros(nfft, dtype=np.complex128)
+    v[:n] = np.exp(-1j * (d2 * (r * r)))
+    tneg = np.arange(-(p - 1), 0)
+    v[nfft - (p - 1) :] = np.exp(-1j * (d2 * (tneg * tneg)))
+    v_hat = scipy.fft.fft(v)
+    inner = np.empty((n, n), dtype=np.complex128)
+    for i0 in range(0, n, 128):
+        i1 = min(i0 + 128, n)
+        u = (windows[i0:i1] * phi) * u_chirp
+        conv = scipy.fft.ifft(scipy.fft.fft(u, nfft, axis=1) * v_hat, axis=1)
+        inner[i0:i1] = front * conv[:, :n]
+    return np.exp((1j * d2) * np.outer(idx, idx.astype(np.float64))) * inner
+
+
+@pytest.mark.parametrize(
+    "L, delta", [(3, 2.0 ** -7), (1, 2.0 ** -3)], ids=["n769-ragged", "n17-one-block"]
+)
+def test_threaded_synthesis_is_bit_identical_to_serial_loop(L, delta, monkeypatch):
+    g = make_grid(L=L, delta=delta, T=6)
+    noise = draw_noise(g, sigma=1.0, seed=5)
+    sig = model_for(SignalKind.HERMITE1, 2.0)
+    ref = serial_chirp_field(noise, sig, g)
+    # the process's CPU budget, then one worker, then more workers than cores
+    for cpus in (simulate._cpu_budget(), 1, 5):
+        monkeypatch.setattr(simulate, "_cpu_budget", lambda c=cpus: c)
+        got = synthesize_field(noise, sig, g).values
+        assert np.array_equal(got.view(np.float64), ref.view(np.float64))
 
 
 def test_zero_noise_gauss_matches_closed_form():
@@ -380,3 +429,10 @@ def test_cache_rejects_corruption(tmp_path):
     garbage.write_bytes(b"not json\n" + blob)
     with pytest.raises(DataError):
         read_field(garbage)
+    header, _, payload = blob.partition(b"\n")
+    meta = json.loads(header)
+    del meta["n_axis"]
+    keyless = tmp_path / "keyless.wfield"
+    keyless.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+    with pytest.raises(DataError):
+        read_field(keyless)
