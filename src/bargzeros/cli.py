@@ -6,7 +6,7 @@ Four subcommands mirror the experiment pipeline:
 * ``detect``     — run AMN/MGN/ST over a dyadic resolution ladder built by
   subsampling the cached fields (never by re-simulation);
 * ``stats``      — aggregate intensity and count-error estimators over the
-  detection CSVs;
+  detection CSVs, refusing any that record a different signal;
 * ``consistency``— match coarse detections against the high-resolution
   proxy and tabulate failure probabilities.
 
@@ -58,6 +58,11 @@ def spacing_token(delta: float) -> str:
         e = int(exp)
         return f"2m{-e}" if e < 0 else f"2p{e}"
     return repr(delta).replace(".", "p").replace("-", "m")
+
+
+def _signal_token(model) -> str:
+    """File-name token for a signal model, e.g. ``gauss_A1``."""
+    return f"{model.kind.value}_A{model.A:g}"
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -142,7 +147,7 @@ def cmd_simulate(args) -> int:
         "margin": margin, "signal": model.descriptor(), "precision": precision,
     }
     h = config_hash(cfg)
-    token = f"{model.kind.value}_A{model.A:g}_d{spacing_token(delta)}"
+    token = f"{_signal_token(model)}_d{spacing_token(delta)}"
     files = []
     for seed in seeds:
         noise = draw_noise(grid, sigma, seed)
@@ -207,6 +212,11 @@ def cmd_detect(args) -> int:
         cfg = {"cmd": "detect", "source": path.name, "target": W,
                "methods": ",".join(methods), "levels": ",".join(map(str, levels))}
         h = config_hash(cfg)
+        meta = {"config": h, "source": path.name}
+        sig = "x"
+        if field.source is not None:
+            sig = _signal_token(field.source.signal)
+            meta["signal"] = field.source.signal.descriptor()
         for j, fld in _ladder(field, max(levels)).items():
             if j not in levels:
                 continue
@@ -214,8 +224,8 @@ def cmd_detect(args) -> int:
                 ps = _DETECTORS[name](fld, W)
                 token = spacing_token(fld.grid.delta)
                 seed = "x" if ps.seed is None else ps.seed
-                csv_path = out / f"points_{name}_d{token}_s{seed}.csv"
-                det.write_pointset_csv(ps, csv_path, meta={"config": h, "source": path.name})
+                csv_path = out / f"points_{name}_{sig}_d{token}_s{seed}.csv"
+                det.write_pointset_csv(ps, csv_path, meta=meta)
                 n_csv += 1
     print(f"wrote {n_csv} point-set CSV(s) to {out}")
     return 0
@@ -236,7 +246,12 @@ def cmd_stats(args) -> int:
         raise DataError(f"no point-set CSVs in {points_dir}")
     groups: dict[tuple[str, float], list] = {}
     for p in paths:
-        ps = det.read_pointset_csv(p)
+        meta: dict[str, str] = {}
+        ps = det.read_pointset_csv(p, meta=meta)
+        if meta.get("signal", model.descriptor()) != model.descriptor():
+            raise ConfigError(
+                f"{p} holds detections of signal {meta['signal']!r}, not {model.descriptor()!r}"
+            )
         groups.setdefault((ps.method.value, ps.delta), []).append(ps)
 
     cfg = {"cmd": "stats", "signal": model.descriptor(), "sigma": sigma,

@@ -181,7 +181,8 @@ def raw_threshold(field: WeightedField, target_halfwidth: float, quantile: float
     Returns every target-box point whose weighted magnitude falls below
     the given quantile of the box's magnitudes.  Useful for eyeballing how
     much structure survives naive thresholding; makes no separation
-    promise.
+    promise, and tags its output ``Method.RAW`` so it is never mistaken for
+    a sieved ST detection.
     """
     if not 0.0 < quantile < 1.0:
         raise ConfigError(f"quantile must be in (0, 1), got {quantile}")
@@ -190,7 +191,7 @@ def raw_threshold(field: WeightedField, target_halfwidth: float, quantile: float
     Gc = field.magnitudes[sl, sl]
     keep = Gc <= np.quantile(Gc, quantile)
     return from_indices(
-        Method.ST, g.delta, target_halfwidth, np.argwhere(keep), seed=field.seed
+        Method.RAW, g.delta, target_halfwidth, np.argwhere(keep), seed=field.seed
     )
 
 
@@ -219,8 +220,12 @@ def write_pointset_csv(ps: PointSet, path, meta: dict | None = None) -> None:
             )
 
 
-def read_pointset_csv(path) -> PointSet:
-    meta: dict[str, str] = {}
+def read_pointset_csv(path, meta: dict | None = None) -> PointSet:
+    """Read a point set written by :func:`write_pointset_csv`; ``meta``,
+    when given, receives every ``# key=value`` line, caller metadata
+    included."""
+    if meta is None:
+        meta = {}
     rows = []
     with open(path, newline="") as fh:
         for line in fh:

@@ -128,7 +128,7 @@ class Method(enum.Enum):
     AMN = "AMN"
     MGN = "MGN"
     ST = "ST"
-    TRUE_PROXY = "TRUE_PROXY"
+    RAW = "RAW"  # unsieved diagnostic thresholding
 
 
 @dataclass(frozen=True)

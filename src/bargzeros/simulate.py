@@ -276,25 +276,47 @@ def _chirp_columns(windows, phi, m_half, d2, idx):
     return out
 
 
+def _evaluate_lattice(source: FieldSource, xs, ys) -> np.ndarray:
+    """The weighted transform at every ``xs[j] + 1j*ys[i]``, as ``out[i, j]``.
+
+    Uses the separable form ``V(x, y) = exp(-1j*x*y)
+    * sum_s [a_s * phi(t_s - x)] * exp(2j*y*t_s)`` with ``t_s = delta*s``:
+    one ``(nx, S)`` matrix of windowed samples (zero outside each ``x``'s
+    window) times one ``(S, ny)`` matrix of exponentials, so a tensor grid
+    costs ``nx + ny`` exponential vectors instead of ``nx * ny``.
+    """
+    g = source.grid
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    lim = g.L + g.margin * g.delta
+    for axis in (xs, ys):
+        bad = np.abs(axis) > lim
+        if bad.any():
+            raise DomainError(
+                f"coordinate {axis[bad][0]} outside the stored domain (halfwidth {lim})"
+            )
+    d = source.noise.delta
+    # per-x window index ranges, as |t_s - x| <= T with a rounding guard
+    lo = np.ceil((xs - g.T) / d - 1e-12).astype(np.int64)
+    hi = np.floor((xs + g.T) / d + 1e-12).astype(np.int64)
+    s0, s1 = lo.min(), hi.max()
+    t = d * np.arange(s0, s1 + 1)
+    a = source.samples[s0 + source.noise.s_half : s1 + source.noise.s_half + 1]
+    weighted = a * window(t - xs[:, None])
+    for row, first, last in zip(weighted, lo - s0, hi - s0):
+        row[:first] = 0.0
+        row[last + 1 :] = 0.0
+    sums = weighted @ np.exp(2j * np.outer(t, ys))
+    return np.exp(-1j * np.outer(ys, xs)) * sums.T
+
+
 def evaluate_continuous(source: FieldSource, z: complex) -> complex:
     """Evaluate the weighted transform of the realization at any point.
 
     At stored grid points this reproduces the synthesized values (up to
     rounding); elsewhere it extends the same finite sum continuously.
     """
-    g = source.grid
-    lim = g.L + g.margin * g.delta
-    x, y = z.real, z.imag
-    if abs(x) > lim or abs(y) > lim:
-        raise DomainError(f"{z} outside the stored domain (halfwidth {lim})")
-    d = source.noise.delta
-    lo = math.ceil((x - g.T) / d - 1e-12)
-    hi = math.floor((x + g.T) / d + 1e-12)
-    s = np.arange(lo, hi + 1)
-    a = source.samples[s + source.noise.s_half]
-    t = d * s
-    val = np.sum(a * window(t - x) * np.exp(2j * y * t))
-    return complex(np.exp(-1j * x * y) * val)
+    return complex(_evaluate_lattice(source, [z.real], [z.imag])[0, 0])
 
 
 def refine_zero(
@@ -305,28 +327,27 @@ def refine_zero(
 ) -> tuple[complex, float]:
     """Minimise the weighted magnitude over nested square searches.
 
-    Each pass scans a 9x9 grid over the square of the current radius
-    centred at the best point so far, then shrinks the radius fourfold;
-    ``levels`` extra passes follow the initial one.  The returned minimum
-    is non-increasing in ``levels`` because every finer grid contains its
-    own centre.
+    Each pass evaluates a 9x9 grid over the square of the current radius
+    centred at the best point so far, as one separable lattice sum, then
+    shrinks the radius fourfold; ``levels`` extra passes follow the
+    initial one.  A pass moves to its first minimum in row-major order
+    (``dy`` outer, ``dx`` inner), and only if that is strictly below the
+    best magnitude so far.  The returned minimum is non-increasing in
+    ``levels`` because every finer grid contains its own centre.
     """
     if radius < source.grid.delta:
         raise ConfigError(f"radius {radius} below grid spacing {source.grid.delta}")
     if levels < 0:
         raise ConfigError("levels must be >= 0")
-    centre = z0
     best, best_mag = z0, abs(evaluate_continuous(source, z0))
     r = radius
     for _ in range(levels + 1):
         offs = np.linspace(-r, r, 9)
-        for dy in offs:
-            for dx in offs:
-                p = complex(centre.real + dx, centre.imag + dy)
-                mag = abs(evaluate_continuous(source, p))
-                if mag < best_mag:
-                    best, best_mag = p, mag
-        centre = best
+        xs, ys = best.real + offs, best.imag + offs
+        mags = np.abs(_evaluate_lattice(source, xs, ys))
+        i, j = np.unravel_index(np.argmin(mags), mags.shape)
+        if mags[i, j] < best_mag:
+            best, best_mag = complex(xs[j], ys[i]), float(mags[i, j])
         r /= 4.0
     return best, best_mag
 

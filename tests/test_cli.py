@@ -99,14 +99,42 @@ def test_detect_emits_per_level_pointsets(pipeline):
     _, _, points = pipeline
     names = sorted(p.name for p in points.glob("*.csv"))
     expect = sorted(
-        f"points_{m}_d{tok}_s{s}.csv"
+        f"points_{m}_zero_A0_d{tok}_s{s}.csv"
         for m in ("amn", "st")
         for tok in ("2m4", "2m3")
         for s in (0, 1, 2)
     )
     assert names == expect
-    ps = read_pointset_csv(points / "points_amn_d2m4_s0.csv")
+    ps = read_pointset_csv(points / "points_amn_zero_A0_d2m4_s0.csv")
     assert ps.delta == 2.0 ** -4 and ps.domain_halfwidth == 1.0 and ps.seed == 0
+
+
+def test_detect_keeps_signals_apart(tmp_path, capsys):
+    fields, points = tmp_path / "fields", tmp_path / "points"
+    for signal in ("zero", "gauss:A=1"):
+        assert main([
+            "simulate", "--L", "2", "--delta", "2^-4", "--T", "2",
+            "--signal", signal, "--seeds", "0", "--out", str(fields),
+        ]) == 0
+    assert main([
+        "detect", "--fields", str(fields), "--methods", "amn,st",
+        "--target", "1.0", "--out", str(points),
+    ]) == 0
+    printed = capsys.readouterr().out
+    written = sorted(p.name for p in points.glob("*.csv"))
+    assert f"wrote {len(written)} point-set CSV(s)" in printed
+    assert written == sorted(
+        f"points_{m}_{sig}_d2m4_s0.csv" for m in ("amn", "st") for sig in ("gauss_A1", "zero_A0")
+    )
+    meta = {}
+    read_pointset_csv(points / "points_amn_gauss_A1_d2m4_s0.csv", meta=meta)
+    assert meta["signal"] == "gauss:A=1.0"
+    # stats over the mixed directory refuses the other signal's detections
+    assert main([
+        "stats", "--points", str(points), "--signal", "zero",
+        "--boxes", "1", "--out", str(tmp_path / "stats.csv"),
+    ]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_pipeline_rerun_is_byte_identical(pipeline, tmp_path):

@@ -337,6 +337,18 @@ def test_raw_threshold_keeps_quantile_fraction():
         raw_threshold(f, 1.0, 1.0)
 
 
+def test_raw_threshold_tag_survives_csv_round_trip(tmp_path):
+    g = make_grid(L=1, delta=D16, T=6)
+    f = synthesize_field(draw_noise(g, 1.0, 2), ZERO_SIGNAL, g)
+    ps = raw_threshold(f, 1.0, 0.25)
+    assert ps.method is Method.RAW
+    path = tmp_path / "raw.csv"
+    write_pointset_csv(ps, path)
+    back = read_pointset_csv(path)
+    assert back.method is Method.RAW
+    assert _same_pointset(ps, back)
+
+
 # ---------------------------------------------------------------------------
 # CSV round trip
 

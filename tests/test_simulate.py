@@ -15,6 +15,7 @@ from bargzeros import (
     FieldSource,
     SignalKind,
     SignalModel,
+    amn,
     draw_noise,
     evaluate_continuous,
     make_grid,
@@ -367,6 +368,84 @@ def test_refine_zero_validates_arguments():
         refine_zero(src, 0j, radius=0.01, levels=1)  # below grid spacing
     with pytest.raises(ConfigError):
         refine_zero(src, 0j, radius=0.1, levels=-1)
+
+
+def scalar_evaluate(source, z):
+    """Per-point reference: the windowed sum for a single ``z``, summed
+    directly (the pre-lattice ``evaluate_continuous`` body)."""
+    g = source.grid
+    lim = g.L + g.margin * g.delta
+    x, y = z.real, z.imag
+    if abs(x) > lim or abs(y) > lim:
+        raise DomainError(f"{z} outside the stored domain (halfwidth {lim})")
+    d = source.noise.delta
+    lo = math.ceil((x - g.T) / d - 1e-12)
+    hi = math.floor((x + g.T) / d + 1e-12)
+    s = np.arange(lo, hi + 1)
+    a = source.samples[s + source.noise.s_half]
+    t = d * s
+    val = np.sum(a * window(t - x) * np.exp(2j * y * t))
+    return complex(np.exp(-1j * x * y) * val)
+
+
+def scalar_refine(source, z0, radius, levels):
+    """Reference search: one scalar evaluation per candidate, taking any
+    strictly smaller magnitude in row-major order (``dy`` outer)."""
+    centre = z0
+    best, best_mag = z0, abs(scalar_evaluate(source, z0))
+    r = radius
+    for _ in range(levels + 1):
+        offs = np.linspace(-r, r, 9)
+        for dy in offs:
+            for dx in offs:
+                p = complex(centre.real + dx, centre.imag + dy)
+                mag = abs(scalar_evaluate(source, p))
+                if mag < best_mag:
+                    best, best_mag = p, mag
+        centre = best
+        r /= 4.0
+    return best, best_mag
+
+
+@pytest.mark.parametrize("T, spread", [(6, 0.1), (1, 0.5)], ids=["T6", "T1-wide"])
+def test_lattice_matches_per_point_sum(T, spread):
+    # with a short window the x values' windows overlap only partly, so a
+    # sample summed outside its own point's window would show
+    g = make_grid(L=2, delta=2.0 ** -5, T=T)
+    src = FieldSource(draw_noise(g, 1.0, 4), model_for(SignalKind.GAUSS, 1.0), g)
+    rng = np.random.default_rng(5)
+    # off-grid centre, uneven spacing so no point sits on the lattice
+    xs = 0.3 + np.sort(rng.uniform(-spread, spread, 9))
+    ys = -0.7 + np.sort(rng.uniform(-spread, spread, 9))
+    got = simulate._evaluate_lattice(src, xs, ys)
+    want = np.array([[scalar_evaluate(src, complex(x, y)) for x in xs] for y in ys])
+    assert got.shape == (9, 9)
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-13 * scale
+    assert abs(evaluate_continuous(src, complex(xs[2], ys[7])) - want[7, 2]) <= 1e-13 * scale
+
+
+def test_refine_matches_per_point_search():
+    g = make_grid(L=3, delta=2.0 ** -5, T=6)
+    radius, levels = 2.0 * g.delta, 4
+    checked = 0
+    for seed in (0, 1):
+        f = synthesize_field(draw_noise(g, 1.0, seed), ZERO, g)
+        for p in amn(f, 2.0).points:
+            loc, mag = refine_zero(f.source, complex(p), radius, levels)
+            ref_loc, ref_mag = scalar_refine(f.source, complex(p), radius, levels)
+            assert loc == ref_loc
+            assert abs(mag - ref_mag) <= 1e-9 * ref_mag
+            checked += 1
+    assert checked >= 4
+
+
+def test_refine_search_square_crossing_domain_raises():
+    src = _hermite_source()  # stored domain is [-1, 1]^2
+    with pytest.raises(DomainError):
+        refine_zero(src, 0.99 + 0.5j, radius=0.05, levels=1)
+    with pytest.raises(DomainError):
+        simulate._evaluate_lattice(src, [0.0, 0.5], [0.2, -1.01])
 
 
 # ---------------------------------------------------------------------------
