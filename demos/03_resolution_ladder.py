@@ -14,14 +14,13 @@ Takes a minute or two.
 from bargzeros import (
     SignalKind,
     SignalModel,
+    aggregate_failure_table,
     amn,
     draw_noise,
-    failure_rate,
-    greedy_match,
+    ladder_rows,
     make_grid,
     mgn,
     st,
-    subsample,
     synthesize_field,
 )
 
@@ -35,22 +34,15 @@ grid = make_grid(L=L, delta=DELTA_HI, T=6)
 signal = SignalModel(SignalKind.ZERO)
 detectors = {"amn": amn, "mgn": mgn, "st": st}
 
-bits = {}
+rows = []
 for seed in range(REALIZATIONS):
     field = synthesize_field(draw_noise(grid, 1.0, seed), signal, grid)
-    proxy = amn(field, TARGET)
-    coarse = field
-    for _ in range(LEVELS):
-        coarse = subsample(coarse)
-        d_lo = coarse.grid.delta
-        for name, detect in detectors.items():
-            match = greedy_match(proxy, detect(coarse, TARGET), d_lo)
-            bits.setdefault((d_lo, name), []).append(match.certificate)
+    rows += ladder_rows(field, TARGET, range(1, LEVELS + 1), detectors, amn)
+deltas, methods, table = aggregate_failure_table(rows)
 
 print(f"proxy: amn at spacing {DELTA_HI}, R = {REALIZATIONS} realizations\n")
-print(f"{'spacing':>10}  " + "  ".join(f"{m:>6}" for m in detectors))
-deltas = sorted({d for d, _ in bits}, reverse=True)
+print(f"{'spacing':>10}  " + "  ".join(f"{m.lower():>6}" for m in methods))
 for d in deltas:
-    row = "  ".join(f"{failure_rate(bits[(d, m)]):6.3f}" for m in detectors)
+    row = "  ".join(f"{table[(d, m)]:6.3f}" for m in methods)
     print(f"{d:>10}  {row}")
 print("\nzero rows mean every run was certified against the fine-grid proxy.")

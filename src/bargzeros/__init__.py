@@ -52,12 +52,12 @@ from .detect import (
 from .stats import (
     StatRow,
     count_error_estimator,
-    count_error_summary,
     count_in_box,
     covariance_probe,
     expected_count,
     intensity_estimator,
     rho1,
+    summary_rows,
     variance_benchmark,
     write_stats_csv,
 )
@@ -65,9 +65,9 @@ from .consistency import (
     ConsistencyRow,
     MatchResult,
     aggregate_failure_table,
-    certificate,
     failure_rate,
     greedy_match,
+    ladder_rows,
     wasserstein_within,
     write_consistency_csv,
 )
@@ -113,20 +113,20 @@ __all__ = [
     "write_pointset_csv",
     "StatRow",
     "count_error_estimator",
-    "count_error_summary",
     "count_in_box",
     "covariance_probe",
     "expected_count",
     "intensity_estimator",
     "rho1",
+    "summary_rows",
     "variance_benchmark",
     "write_stats_csv",
     "ConsistencyRow",
     "MatchResult",
     "aggregate_failure_table",
-    "certificate",
     "failure_rate",
     "greedy_match",
+    "ladder_rows",
     "wasserstein_within",
     "write_consistency_csv",
 ]

@@ -31,8 +31,9 @@ from pathlib import Path
 from . import consistency as cons
 from . import detect as det
 from . import stats as st_mod
+from ._table import write_table
 from .errors import ConfigError, DataError
-from .grid import Method, make_grid, subsample
+from .grid import ladder, make_grid
 from .signal import parse_signal
 from .simulate import draw_noise, read_field, synthesize_field, write_field
 
@@ -121,6 +122,23 @@ def _require(val, key: str):
     return val
 
 
+def _manifest_runs(path: Path) -> dict:
+    """Simulate runs recorded in a cache directory, keyed by config hash."""
+    if not path.exists():
+        return {}
+    try:
+        doc = json.loads(path.read_text())
+        if "hash" in doc:  # the single-run layout of earlier versions
+            doc = {"runs": {doc.pop("hash"): doc}}
+        runs = doc["runs"]
+        if all(isinstance(r["seeds"], list) and isinstance(r["files"], list)
+               for r in runs.values()):
+            return runs
+    except (ValueError, TypeError, KeyError, AttributeError):
+        pass
+    raise DataError(f"{path} is not a simulate manifest")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -133,8 +151,6 @@ def cmd_simulate(args) -> int:
     margin = _setting(args, config, "margin", default=0, parse=int)
     signal_text = _require(_setting(args, config, "signal"), "signal")
     seeds = _require(_setting(args, config, "seeds", parse=parse_seeds), "seeds")
-    if isinstance(seeds, str):
-        seeds = parse_seeds(seeds)
     precision = _setting(args, config, "precision", default="complex128")
 
     grid = make_grid(L=L, delta=delta, T=T, margin=margin)
@@ -147,6 +163,8 @@ def cmd_simulate(args) -> int:
         "margin": margin, "signal": model.descriptor(), "precision": precision,
     }
     h = config_hash(cfg)
+    manifest = out / "manifest.json"
+    runs = _manifest_runs(manifest)
     token = f"{_signal_token(model)}_d{spacing_token(delta)}"
     files = []
     for seed in seeds:
@@ -155,8 +173,10 @@ def cmd_simulate(args) -> int:
         path = out / f"field_{token}_s{seed}.wfield"
         write_field(fld, path, precision=precision)
         files.append(path.name)
-    manifest = {"config": cfg, "hash": h, "seeds": seeds, "files": files}
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    run = runs.setdefault(h, {"config": cfg, "seeds": [], "files": []})
+    run["seeds"] = list(dict.fromkeys(run["seeds"] + seeds))
+    run["files"] = list(dict.fromkeys(run["files"] + files))
+    manifest.write_text(json.dumps({"runs": runs}, sort_keys=True, indent=1) + "\n")
     print(f"wrote {len(files)} field cache(s) to {out} (config {h})")
     return 0
 
@@ -168,8 +188,18 @@ def _iter_fields(fields_dir):
     return paths
 
 
-def _parse_methods(text: str):
-    names = [tok.strip().lower() for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, parse, what: str) -> list:
+    try:
+        out = [parse(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"cannot parse {what} {text!r}") from None
+    if not out:
+        raise ConfigError(f"no {what} in {text!r}")
+    return out
+
+
+def _parse_methods(text: str) -> list[str]:
+    names = _parse_list(text, lambda tok: tok.strip().lower(), "methods")
     bad = [n for n in names if n not in _DETECTORS]
     if bad:
         raise ConfigError(f"unknown method(s) {bad}; choose from {sorted(_DETECTORS)}")
@@ -177,23 +207,10 @@ def _parse_methods(text: str):
 
 
 def _parse_levels(text: str) -> list[int]:
-    try:
-        levels = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot parse levels {text!r}") from None
+    levels = _parse_list(text, int, "levels")
     if any(j < 0 for j in levels):
         raise ConfigError("subsampling levels must be >= 0")
     return levels
-
-
-def _ladder(field, max_level: int):
-    """Fields at successively doubled spacing, by subsampling only."""
-    out = {0: field}
-    cur = field
-    for j in range(1, max_level + 1):
-        cur = subsample(cur)
-        out[j] = cur
-    return out
 
 
 def cmd_detect(args) -> int:
@@ -217,7 +234,7 @@ def cmd_detect(args) -> int:
         if field.source is not None:
             sig = _signal_token(field.source.signal)
             meta["signal"] = field.source.signal.descriptor()
-        for j, fld in _ladder(field, max(levels)).items():
+        for j, fld in ladder(field, max(levels)).items():
             if j not in levels:
                 continue
             for name in methods:
@@ -236,7 +253,7 @@ def cmd_stats(args) -> int:
     points_dir = _require(_setting(args, config, "points"), "points")
     signal_text = _require(_setting(args, config, "signal"), "signal")
     sigma = _setting(args, config, "sigma", default=1.0, parse=float)
-    boxes = [float(tok) for tok in str(_setting(args, config, "boxes", default="1,2,3")).split(",")]
+    boxes = _parse_list(_setting(args, config, "boxes", default="1,2,3"), float, "boxes")
     out = _require(_setting(args, config, "out"), "out")
 
     model = parse_signal(signal_text, sigma=sigma)
@@ -258,24 +275,8 @@ def cmd_stats(args) -> int:
            "boxes": ",".join(map(str, boxes))}
     h = config_hash(cfg)
     rows = []
-    for (method, delta), sets in sorted(groups.items()):
-        step = min(delta, 1.0 / 64.0)
-        for w in boxes:
-            for est_name, fn in (
-                ("intensity", lambda ps: st_mod.intensity_estimator(ps, w)),
-                ("count_error",
-                 lambda ps: st_mod.count_error_estimator(ps, model, sigma, w, step=step)),
-            ):
-                vals = [fn(ps) for ps in sets]
-                n = len(vals)
-                mean = sum(vals) / n
-                var = sum((v - mean) ** 2 for v in vals) / (n - 1) if n > 1 else 0.0
-                std = math.sqrt(var)
-                rows.append(st_mod.StatRow(
-                    estimator=f"{est_name}[{method}]", signal=model.descriptor(),
-                    A=model.A, sigma=sigma, delta=delta, halfwidth=w, R=n,
-                    mean=mean, std=std, se=std / math.sqrt(n),
-                ))
+    for (_, delta), sets in sorted(groups.items()):
+        rows += st_mod.summary_rows(sets, model, sigma, boxes, step=min(delta, 1.0 / 64.0))
     st_mod.write_stats_csv(rows, out, meta={"config": h})
     for r in rows:
         print(f"{r.estimator:22s} delta={r.delta:<10g} box={r.halfwidth:g} "
@@ -297,24 +298,12 @@ def cmd_consistency(args) -> int:
     if 0 in levels:
         raise ConfigError("consistency levels start at 1 (level 0 is the proxy itself)")
 
+    detectors = {name: _DETECTORS[name] for name in methods}
     rows = []
     for path in _iter_fields(fields_dir):
         field = read_field(path)
-        W = field.grid.L - 1.0
-        z_hi = _DETECTORS[proxy_name](field, W)
-        ladder = _ladder(field, max(levels))
-        for j in levels:
-            fld = ladder[j]
-            for name in methods:
-                z_lo = _DETECTORS[name](fld, W)
-                match = cons.greedy_match(z_hi, z_lo, fld.grid.delta)
-                rows.append(cons.ConsistencyRow(
-                    seed=field.seed, method=name.upper(),
-                    delta_hi=field.grid.delta, delta_lo=fld.grid.delta,
-                    n_hi=len(z_hi), n_lo=len(z_lo),
-                    certificate=match.certificate,
-                    max_distortion=match.max_distortion,
-                ))
+        rows += cons.ladder_rows(field, field.grid.L - 1.0, levels, detectors,
+                                 _DETECTORS[proxy_name])
     cfg = {"cmd": "consistency", "proxy": proxy_name,
            "methods": ",".join(methods), "levels": ",".join(map(str, levels))}
     h = config_hash(cfg)
@@ -322,12 +311,9 @@ def cmd_consistency(args) -> int:
 
     deltas, names, table = cons.aggregate_failure_table(rows)
     agg_path = out.with_name(out.stem + "_aggregate" + out.suffix)
-    with open(agg_path, "w", newline="") as fh:
-        fh.write(f"# config={h}\n")
-        fh.write("delta," + ",".join(names) + "\n")
-        for d in deltas:
-            cells = [f"{table.get((d, m), float('nan')):.4f}" for m in names]
-            fh.write(f"{d!r}," + ",".join(cells) + "\n")
+    write_table(agg_path, ["delta", *names],
+                ([d, *(f"{table.get((d, m), float('nan')):.4f}" for m in names)] for d in deltas),
+                meta={"config": h}, lineterminator="\n")
     print("failure probability p(delta, method):")
     print("  delta      " + "  ".join(f"{m:>6s}" for m in names))
     for d in deltas:

@@ -15,15 +15,15 @@ construction from below and serves as its oracle in tests.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from ._table import write_records
 from .errors import ConfigError
-from .grid import PointSet
+from .grid import PointSet, ladder
 
 
 @dataclass(frozen=True)
@@ -116,22 +116,6 @@ def _certificate_bit(matched_lo, unmatched_hi, z_lo: PointSet, collar: float) ->
     return 0 if all(p in used for p in inner.tolist()) else 1
 
 
-def certificate(
-    match: MatchResult,
-    z_hi: PointSet,
-    z_lo: PointSet,
-    L: float,
-    delta_lo: float,
-) -> int:
-    """Certificate bit for a match over the target box ``Omega_{L-1}``.
-
-    0 when every proxy zero was matched and every detection inside
-    ``Omega_{(L-1) - 2*delta_lo}`` is in the image of the matching.
-    """
-    collar = (L - 1.0) - 2.0 * delta_lo
-    return _certificate_bit(match.matched_lo, match.unmatched_hi, z_lo, collar)
-
-
 def failure_rate(certificates) -> float:
     """Mean certificate bit over realizations."""
     certs = list(certificates)
@@ -199,22 +183,34 @@ class ConsistencyRow:
     max_distortion: float
 
 
-_CONSISTENCY_COLUMNS = [
-    "seed", "method", "delta_hi", "delta_lo", "n_hi", "n_lo", "certificate", "max_distortion",
-]
-
-
 def write_consistency_csv(rows: list[ConsistencyRow], path, meta: dict | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        for key, val in (meta or {}).items():
-            fh.write(f"# {key}={val}\n")
-        writer = csv.writer(fh)
-        writer.writerow(_CONSISTENCY_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                ["" if r.seed is None else r.seed, r.method, repr(r.delta_hi),
-                 repr(r.delta_lo), r.n_hi, r.n_lo, r.certificate, repr(r.max_distortion)]
-            )
+    write_records(path, ConsistencyRow, rows, meta)
+
+
+def ladder_rows(field, target: float, levels, detectors: dict, proxy) -> list[ConsistencyRow]:
+    """Certify each detector at each subsampling level against the proxy.
+
+    ``proxy(field, target)`` at level 0 is the ground truth; for every
+    level in ``levels`` (each >= 1) and every ``name -> detector`` in
+    ``detectors``, the detections on the subsampled field are greedily
+    matched against it, one row per (level, method) in that order.
+    """
+    z_hi = proxy(field, target)
+    rungs = ladder(field, max(levels))
+    rows = []
+    for j in levels:
+        fld = rungs[j]
+        for name, detect in detectors.items():
+            z_lo = detect(fld, target)
+            match = greedy_match(z_hi, z_lo, fld.grid.delta)
+            rows.append(ConsistencyRow(
+                seed=field.seed, method=name.upper(),
+                delta_hi=field.grid.delta, delta_lo=fld.grid.delta,
+                n_hi=len(z_hi), n_lo=len(z_lo),
+                certificate=match.certificate,
+                max_distortion=match.max_distortion,
+            ))
+    return rows
 
 
 def aggregate_failure_table(rows: list[ConsistencyRow]):

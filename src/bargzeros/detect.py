@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import csv
 import cmath
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import BoundaryError, ConfigError, DataError
-from .grid import Method, PointSet, from_indices
+from ._table import write_table
+from .grid import Method, PointSet
 from .simulate import WeightedField
 
 #: the 16 index offsets with sup-norm exactly 2
@@ -91,9 +93,7 @@ def amn_select(field: WeightedField, target_halfwidth: float) -> PointSet:
     for p, q in _RING2:
         ring = G[lo + p : lo + p + 2 * w + 1, lo + q : lo + q + 2 * w + 1]
         np.logical_and(keep, ring >= bar, out=keep)
-    return from_indices(
-        Method.AMN, g.delta, target_halfwidth, np.argwhere(keep), seed=field.seed
-    )
+    return PointSet(Method.AMN, g.delta, target_halfwidth, np.argwhere(keep), seed=field.seed)
 
 
 def sieve(candidates: PointSet, field: WeightedField) -> PointSet:
@@ -125,14 +125,7 @@ def sieve(candidates: PointSet, field: WeightedField) -> PointSet:
             np.abs(kl[:, 0] - kl[i, 0]), np.abs(kl[:, 1] - kl[i, 1])
         )
         alive &= cheb > 4
-    out = from_indices(
-        candidates.method,
-        candidates.delta,
-        candidates.domain_halfwidth,
-        kl[kept],
-        seed=candidates.seed,
-    )
-    return out
+    return replace(candidates, kl=kl[kept])
 
 
 def _check_separated(ps: PointSet, what: str) -> PointSet:
@@ -158,9 +151,7 @@ def mgn(field: WeightedField, target_halfwidth: float) -> PointSet:
     for p, q in _RING1:
         ngb = G[lo + p : lo + p + 2 * w + 1, lo + q : lo + q + 2 * w + 1]
         np.logical_and(keep, Gc <= ngb, out=keep)
-    return from_indices(
-        Method.MGN, g.delta, target_halfwidth, np.argwhere(keep), seed=field.seed
-    )
+    return PointSet(Method.MGN, g.delta, target_halfwidth, np.argwhere(keep), seed=field.seed)
 
 
 def st(field: WeightedField, target_halfwidth: float) -> PointSet:
@@ -169,9 +160,7 @@ def st(field: WeightedField, target_halfwidth: float) -> PointSet:
     g = field.grid
     w, lo, sl = _target_slices(field, target_halfwidth, rings=1)
     keep = field.magnitudes[sl, sl] <= 2.0 * g.delta
-    cands = from_indices(
-        Method.ST, g.delta, target_halfwidth, np.argwhere(keep), seed=field.seed
-    )
+    cands = PointSet(Method.ST, g.delta, target_halfwidth, np.argwhere(keep), seed=field.seed)
     return _check_separated(sieve(cands, field), "st")
 
 
@@ -190,9 +179,7 @@ def raw_threshold(field: WeightedField, target_halfwidth: float, quantile: float
     w, lo, sl = _target_slices(field, target_halfwidth, rings=0)
     Gc = field.magnitudes[sl, sl]
     keep = Gc <= np.quantile(Gc, quantile)
-    return from_indices(
-        Method.RAW, g.delta, target_halfwidth, np.argwhere(keep), seed=field.seed
-    )
+    return PointSet(Method.RAW, g.delta, target_halfwidth, np.argwhere(keep), seed=field.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +191,11 @@ _CSV_COLUMNS = ["re", "im", "k", "l", "method", "delta", "seed"]
 def write_pointset_csv(ps: PointSet, path, meta: dict | None = None) -> None:
     """Write one point per row; leading comment lines carry the set's
     provenance (so empty sets round-trip too) plus any caller metadata."""
-    with open(path, "w", newline="") as fh:
-        for key, val in (meta or {}).items():
-            fh.write(f"# {key}={val}\n")
-        fh.write(f"# method={ps.method.value}\n")
-        fh.write(f"# delta={ps.delta!r}\n")
-        fh.write(f"# domain_halfwidth={ps.domain_halfwidth!r}\n")
-        fh.write(f"# seed={'' if ps.seed is None else ps.seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        seed = "" if ps.seed is None else ps.seed
-        for (k, l), z in zip(ps.kl, ps.points):
-            writer.writerow(
-                [repr(z.real), repr(z.imag), k, l, ps.method.value, repr(ps.delta), seed]
-            )
+    own = {"method": ps.method.value, "delta": ps.delta,
+           "domain_halfwidth": ps.domain_halfwidth, "seed": ps.seed}
+    rows = ((z.real, z.imag, k, l, ps.method.value, ps.delta, ps.seed)
+            for (k, l), z in zip(ps.kl, ps.points))
+    write_table(path, _CSV_COLUMNS, rows, meta={**(meta or {}), **own})
 
 
 def read_pointset_csv(path, meta: dict | None = None) -> PointSet:
@@ -241,7 +219,7 @@ def read_pointset_csv(path, meta: dict | None = None) -> PointSet:
             raise DataError(f"{path}: missing {key} metadata")
     try:
         kl = [(int(rec["k"]), int(rec["l"])) for rec in csv.DictReader(rows)]
-        return from_indices(
+        return PointSet(
             Method(meta["method"]),
             float(meta["delta"]),
             float(meta["domain_halfwidth"]),

@@ -190,16 +190,6 @@ class PointSet:
         return replace(self, kl=self.kl[keep])
 
 
-def from_indices(
-    method: Method,
-    delta: float,
-    domain_halfwidth: float,
-    kl: np.ndarray,
-    seed: int | None = None,
-) -> PointSet:
-    return PointSet(method=method, delta=delta, domain_halfwidth=domain_halfwidth, kl=kl, seed=seed)
-
-
 def subsample(field: "WeightedField") -> "WeightedField":
     """Keep every second sample along each axis (spacing doubles).
 
@@ -221,3 +211,12 @@ def subsample(field: "WeightedField") -> "WeightedField":
         raise SubsampleError(f"grid not subsamplable: {e}") from e
     values = np.ascontiguousarray(field.values[::2, ::2])
     return WeightedField(grid=sub, values=values, source=field.source)
+
+
+def ladder(field: "WeightedField", max_level: int) -> dict[int, "WeightedField"]:
+    """Level ``j`` -> the field at spacing ``2**j * delta``, for ``j`` up to
+    ``max_level``, by repeated :func:`subsample` only."""
+    out = {0: field}
+    for j in range(1, max_level + 1):
+        out[j] = subsample(out[j - 1])
+    return out

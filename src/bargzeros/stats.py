@@ -14,14 +14,14 @@ statistic aggregated in the experiment reports.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import write_records
 from .errors import ConfigError
-from .grid import PointSet, _int_ratio
+from .grid import PointSet
 from .signal import SignalModel, bargmann_closed_form, bargmann_derivative
 from .simulate import WeightedField
 
@@ -77,13 +77,9 @@ def expected_count(
 
 def count_in_box(points: PointSet, halfwidth: float) -> int:
     """Number of points in the closed centred box (exact index test)."""
-    w = _int_ratio(points.domain_halfwidth, points.delta, "domain_halfwidth/delta")
-    r = _int_ratio(halfwidth, points.delta, "halfwidth/delta")
-    if r > w:
+    if halfwidth > points.domain_halfwidth:
         raise ConfigError("box exceeds the point set's domain")
-    kl = points.kl
-    inside = (np.abs(kl[:, 0] - w) <= r) & (np.abs(kl[:, 1] - w) <= r)
-    return int(inside.sum())
+    return len(points.restrict(halfwidth))
 
 
 def intensity_estimator(points: PointSet, halfwidth: float) -> float:
@@ -107,27 +103,6 @@ def count_error_estimator(
     area = (2.0 * halfwidth) ** 2
     expect = expected_count(signal, sigma, halfwidth, step=step)
     return (count_in_box(points, halfwidth) - expect) / area
-
-
-def count_error_summary(
-    point_sets: list[PointSet],
-    signal: SignalModel,
-    sigma: float,
-    halfwidths: list[float],
-    step: float | None = None,
-):
-    """Mean/std/standard-error of the count error over realizations, per
-    nested box.  Returns a list of ``(halfwidth, mean, std, se)`` tuples."""
-    if not point_sets:
-        raise ConfigError("need at least one realization")
-    rows = []
-    for w in halfwidths:
-        vals = np.array(
-            [count_error_estimator(ps, signal, sigma, w, step=step) for ps in point_sets]
-        )
-        std = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-        rows.append((w, float(vals.mean()), std, std / math.sqrt(len(vals))))
-    return rows
 
 
 def variance_benchmark(area: float = _OMEGA6_AREA) -> float:
@@ -176,17 +151,44 @@ class StatRow:
     se: float
 
 
-_STAT_COLUMNS = ["estimator", "signal", "A", "sigma", "delta", "halfwidth", "R", "mean", "std", "se"]
+def summary_rows(
+    point_sets: list[PointSet],
+    signal: SignalModel,
+    sigma: float,
+    boxes: list[float],
+    step: float | None = None,
+) -> list[StatRow]:
+    """Intensity and count-error summaries of one method at one spacing.
+
+    Per box, one ``intensity`` row and one ``count_error`` row give the
+    mean, sample std and standard error of the estimators over the point
+    sets; each set is counted once and the expected count is integrated
+    once per box.
+    """
+    if not point_sets:
+        raise ConfigError("need at least one realization")
+    method, delta = point_sets[0].method, point_sets[0].delta
+    if any((ps.method, ps.delta) != (method, delta) for ps in point_sets):
+        raise ConfigError("summary rows need point sets of one method and spacing")
+    rows = []
+    for w in boxes:
+        if w <= 0:
+            raise ConfigError("halfwidth must be positive")
+        area = (2.0 * w) ** 2
+        counts = [count_in_box(ps, w) for ps in point_sets]
+        expect = expected_count(signal, sigma, w, step=step)
+        for name, vals in (("intensity", [c / area for c in counts]),
+                           ("count_error", [(c - expect) / area for c in counts])):
+            n = len(vals)
+            mean = sum(vals) / n
+            std = math.sqrt(sum((v - mean) ** 2 for v in vals) / (n - 1) if n > 1 else 0.0)
+            rows.append(StatRow(
+                estimator=f"{name}[{method.value}]", signal=signal.descriptor(),
+                A=signal.A, sigma=sigma, delta=delta, halfwidth=w, R=n,
+                mean=mean, std=std, se=std / math.sqrt(n),
+            ))
+    return rows
 
 
 def write_stats_csv(rows: list[StatRow], path, meta: dict | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        for key, val in (meta or {}).items():
-            fh.write(f"# {key}={val}\n")
-        writer = csv.writer(fh)
-        writer.writerow(_STAT_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [r.estimator, r.signal, repr(r.A), repr(r.sigma), repr(r.delta),
-                 repr(r.halfwidth), r.R, repr(r.mean), repr(r.std), repr(r.se)]
-            )
+    write_records(path, StatRow, rows, meta)

@@ -37,6 +37,7 @@ from bargzeros import (
     greedy_match,
     intensity_estimator,
     intensity_scale,
+    ladder_rows,
     make_grid,
     mgn,
     model_for,
@@ -237,14 +238,8 @@ def ladder_runs():
         noise = synthesize_field(draw_noise(g, SIGMA, seed), ZERO, g)
         for tag, vals in (("zero", noise.values), ("gauss1", noise.values + mean_gauss)):
             f_hi = WeightedField(grid=g, values=vals)
-            proxy = amn(f_hi, 2.0)
-            f_lo = f_hi
-            for _ in range(3):
-                f_lo = subsample(f_lo)
-                d_lo = f_lo.grid.delta
-                for name, detect in DETECTORS.items():
-                    match = greedy_match(proxy, detect(f_lo, 2.0), d_lo)
-                    bits.setdefault((tag, name, d_lo), []).append(match.certificate)
+            for r in ladder_rows(f_hi, 2.0, [1, 2, 3], DETECTORS, amn):
+                bits.setdefault((tag, r.method.lower(), r.delta_lo), []).append(r.certificate)
     return {key: failure_rate(vals) for key, vals in bits.items()}
 
 

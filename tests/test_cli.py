@@ -87,12 +87,26 @@ def test_simulate_writes_manifest_and_caches(pipeline):
     assert [p.name for p in caches] == [
         f"field_zero_A0_d2m4_s{s}.wfield" for s in (0, 1, 2)
     ]
-    manifest = json.loads((fields / "manifest.json").read_text())
-    assert manifest["seeds"] == [0, 1, 2]
-    assert sorted(manifest["files"]) == [p.name for p in caches]
+    runs = json.loads((fields / "manifest.json").read_text())["runs"]
+    ((h, run),) = runs.items()
+    assert h == config_hash(run["config"])
+    assert run["seeds"] == [0, 1, 2]
+    assert sorted(run["files"]) == [p.name for p in caches]
     back = read_field(caches[0])
     assert back.grid.L == 2 and back.grid.delta == 2.0 ** -4
     assert back.seed == 0
+
+
+def test_simulate_keeps_a_single_run_manifest(tmp_path):
+    # a manifest in the one-run layout of earlier versions becomes one entry
+    fields = tmp_path / "fields"
+    fields.mkdir()
+    old = {"config": {"cmd": "simulate"}, "seeds": [0], "files": ["old.wfield"]}
+    (fields / "manifest.json").write_text(json.dumps({**old, "hash": "abc"}))
+    assert main(["simulate", "--L", "1", "--delta", "2^-3", "--T", "1", "--signal", "zero",
+                 "--seeds", "0", "--out", str(fields)]) == 0
+    runs = json.loads((fields / "manifest.json").read_text())["runs"]
+    assert len(runs) == 2 and runs["abc"] == old
 
 
 def test_detect_emits_per_level_pointsets(pipeline):
@@ -126,6 +140,11 @@ def test_detect_keeps_signals_apart(tmp_path, capsys):
     assert written == sorted(
         f"points_{m}_{sig}_d2m4_s0.csv" for m in ("amn", "st") for sig in ("gauss_A1", "zero_A0")
     )
+    # the second simulate run joins the first in the manifest
+    runs = json.loads((fields / "manifest.json").read_text())["runs"]
+    assert sorted(f for run in runs.values() for f in run["files"]) == [
+        "field_gauss_A1_d2m4_s0.wfield", "field_zero_A0_d2m4_s0.wfield"
+    ]
     meta = {}
     read_pointset_csv(points / "points_amn_gauss_A1_d2m4_s0.csv", meta=meta)
     assert meta["signal"] == "gauss:A=1.0"
@@ -223,6 +242,14 @@ def test_exit_code_config_errors(tmp_path, capsys):
     # consistency level 0 is the proxy itself
     assert main(["consistency", "--fields", str(tmp_path / "f"), "--levels", "0",
                  "--out", str(tmp_path / "c.csv")]) == 2
+    # an empty method or level list
+    assert main(["detect", "--fields", str(tmp_path / "f"), "--methods", ",",
+                 "--out", str(tmp_path / "p")]) == 2
+    assert main(["detect", "--fields", str(tmp_path / "f"), "--levels", ",",
+                 "--out", str(tmp_path / "p")]) == 2
+    # a box halfwidth that is not a number
+    assert main(["stats", "--points", str(tmp_path / "f"), "--signal", "zero",
+                 "--boxes", "1,x", "--out", str(tmp_path / "s.csv")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
 
@@ -238,6 +265,13 @@ def test_exit_code_data_errors(tmp_path, capsys):
     fields = tmp_path / "fields"
     assert main(["simulate", "--L", "1", "--delta", "2^-3", "--T", "1", "--signal", "zero",
                  "--seeds", "0", "--out", str(fields)]) == 0
+    # a manifest that is not one refuses a further simulate run
+    manifest = fields / "manifest.json"
+    good = manifest.read_text()
+    manifest.write_text("[1, 2]\n")
+    assert main(["simulate", "--L", "1", "--delta", "2^-3", "--T", "1", "--signal", "zero",
+                 "--seeds", "1", "--out", str(fields)]) == 3
+    manifest.write_text(good)
     cache = next(fields.glob("*.wfield"))
     header, _, payload = cache.read_bytes().partition(b"\n")
     meta = json.loads(header)

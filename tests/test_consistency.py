@@ -9,14 +9,23 @@ from bargzeros import (
     ConfigError,
     ConsistencyRow,
     Method,
+    SignalKind,
+    SignalModel,
     aggregate_failure_table,
-    certificate,
+    amn,
+    draw_noise,
     failure_rate,
     greedy_match,
+    ladder_rows,
+    make_grid,
+    mgn,
+    st,
+    subsample,
+    synthesize_field,
     wasserstein_within,
     write_consistency_csv,
 )
-from bargzeros.grid import from_indices
+from bargzeros.grid import PointSet
 
 D = 0.25  # low-resolution spacing used by the hand traces
 
@@ -28,7 +37,7 @@ def pts(*zs, delta=D, hw=2.0, method=Method.AMN):
         [[round(z.real / delta) + w, round(z.imag / delta) + w] for z in map(complex, zs)],
         dtype=np.int64,
     ).reshape(-1, 2)
-    return from_indices(method, delta, hw, kl, seed=None)
+    return PointSet(method, delta, hw, kl, seed=None)
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +107,11 @@ def test_certificate_extra_detection_straddles_collar():
     m_out = greedy_match(hi, boundary, D)
     assert m_in.certificate == 1
     assert m_out.certificate == 0
-    # the standalone recomputation agrees (target hw = L - 1)
-    assert certificate(m_in, hi, inside, L=3.0, delta_lo=D) == 1
-    assert certificate(m_out, hi, boundary, L=3.0, delta_lo=D) == 0
 
 
 def test_certificate_unmatched_proxy_zero():
     m = greedy_match(pts(0, 1.0), pts(0), D)
     assert m.certificate == 1
-    assert certificate(m, pts(0, 1.0), pts(0), L=3.0, delta_lo=D) == 1
 
 
 def test_failure_rate():
@@ -164,12 +169,39 @@ def test_greedy_failure_oracle_success():
     lo=hst.sets(hst.tuples(hst.integers(0, 16), hst.integers(0, 16)), max_size=20),
 )
 def test_greedy_success_implies_oracle_success(hi, lo):
-    z_hi = from_indices(Method.AMN, D, 2.0, np.array(sorted(hi), dtype=np.int64).reshape(-1, 2), seed=None)
-    z_lo = from_indices(Method.AMN, D, 2.0, np.array(sorted(lo), dtype=np.int64).reshape(-1, 2), seed=None)
+    z_hi = PointSet(Method.AMN, D, 2.0, np.array(sorted(hi), dtype=np.int64).reshape(-1, 2), seed=None)
+    z_lo = PointSet(Method.AMN, D, 2.0, np.array(sorted(lo), dtype=np.int64).reshape(-1, 2), seed=None)
     m = greedy_match(z_hi, z_lo, D)
     if m.certificate == 0:
         # same collar box as the greedy certificate: Omega_{hw - 2*delta}
         assert wasserstein_within(z_hi, z_lo, L=2.0, theta=2 * D, bound=2 * D) == 1
+
+
+# ---------------------------------------------------------------------------
+# the subsampling ladder
+
+
+def test_ladder_rows_match_per_level_loop():
+    g = make_grid(L=2, delta=2.0**-5, T=6)
+    detectors = {"amn": amn, "mgn": mgn, "st": st}
+    proxy_sizes = []
+    for seed in (0, 1):
+        field = synthesize_field(draw_noise(g, 1.0, seed), SignalModel(SignalKind.ZERO), g)
+        # the per-level loop the CLI and the acceptance fixture ran before
+        proxy = amn(field, 1.0)
+        want, f_lo = [], field
+        for _ in range(2):
+            f_lo = subsample(f_lo)
+            for name, detect in detectors.items():
+                z_lo = detect(f_lo, 1.0)
+                m = greedy_match(proxy, z_lo, f_lo.grid.delta)
+                want.append(ConsistencyRow(
+                    seed, name.upper(), g.delta, f_lo.grid.delta, len(proxy), len(z_lo),
+                    m.certificate, m.max_distortion,
+                ))
+        assert ladder_rows(field, 1.0, [1, 2], detectors, amn) == want
+        proxy_sizes.append(len(proxy))
+    assert max(proxy_sizes) > 0
 
 
 # ---------------------------------------------------------------------------

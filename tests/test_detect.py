@@ -1,6 +1,7 @@
 """Detectors: margins, selection, sieving, and their documented failure modes."""
 
 import cmath
+import csv
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from bargzeros import (
     synthesize_field,
     write_pointset_csv,
 )
-from bargzeros.grid import from_indices
+from bargzeros.grid import PointSet
 from bargzeros.signal import SignalKind, SignalModel
 
 from conftest import synthetic_field
@@ -174,7 +175,7 @@ def test_sieve_hand_trace():
     # candidates at 0, delta, 10*delta with magnitudes 0.1, 0.5, 0.3:
     # keep 0 (minimal), drop delta (within 4 steps), keep 10*delta
     g, f = _field_with_magnitudes({(16, 16): 0.1, (17, 16): 0.5, (26, 16): 0.3})
-    cands = from_indices(
+    cands = PointSet(
         Method.AMN, g.delta, 1.0, np.array([[16, 16], [17, 16], [26, 16]]), seed=None
     )
     kept = sieve(cands, f)
@@ -183,13 +184,13 @@ def test_sieve_hand_trace():
 
 def test_sieve_singleton():
     g, f = _field_with_magnitudes({(16, 16): 0.2})
-    cands = from_indices(Method.ST, g.delta, 1.0, np.array([[16, 16]]), seed=None)
+    cands = PointSet(Method.ST, g.delta, 1.0, np.array([[16, 16]]), seed=None)
     assert list(map(complex, sieve(cands, f).points)) == [0j]
 
 
 def test_sieve_empty():
     g, f = _field_with_magnitudes({})
-    cands = from_indices(Method.ST, g.delta, 1.0, np.empty((0, 2), dtype=np.int64), seed=None)
+    cands = PointSet(Method.ST, g.delta, 1.0, np.empty((0, 2), dtype=np.int64), seed=None)
     assert len(sieve(cands, f)) == 0
 
 
@@ -200,7 +201,7 @@ def test_sieve_cluster_keeps_unique_minimum():
     for i, (k, l) in enumerate((k, l) for k in (8, 9, 10) for l in (8, 9, 10)):
         entries[(k, l)] = mags[i] / 10.0
     g, f = _field_with_magnitudes(entries)
-    cands = from_indices(
+    cands = PointSet(
         Method.AMN, g.delta, 1.0, np.array(sorted(entries)), seed=None
     )
     kept = sieve(cands, f)
@@ -211,7 +212,7 @@ def test_sieve_cluster_keeps_unique_minimum():
 
 def test_sieve_tie_breaks_by_row_major_index():
     g, f = _field_with_magnitudes({(7, 6): 0.5, (7, 9): 0.5})
-    cands = from_indices(Method.AMN, g.delta, 1.0, np.array([[7, 9], [7, 6]]), seed=None)
+    cands = PointSet(Method.AMN, g.delta, 1.0, np.array([[7, 9], [7, 6]]), seed=None)
     kept = sieve(cands, f)
     assert [tuple(r) for r in kept.kl] == [(7, 6)]
 
@@ -228,7 +229,7 @@ def test_sieve_separation_and_maximality(idx, seed):
     rng = np.random.default_rng(seed)
     vals = rng.uniform(0.1, 1.0, (17, 17)).astype(np.complex128)
     f = WeightedField(grid=g, values=vals)
-    cands = from_indices(Method.AMN, g.delta, 1.0, np.array(sorted(idx)), seed=None)
+    cands = PointSet(Method.AMN, g.delta, 1.0, np.array(sorted(idx)), seed=None)
     kept = sieve(cands, f)
     kept_set = {tuple(r) for r in kept.kl}
     assert kept_set <= set(idx)
@@ -347,6 +348,12 @@ def test_raw_threshold_tag_survives_csv_round_trip(tmp_path):
     back = read_pointset_csv(path)
     assert back.method is Method.RAW
     assert _same_pointset(ps, back)
+    # the coordinate columns hold plain float literals of the exact points
+    with open(path, newline="") as fh:
+        recs = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert len(recs) == len(ps) > 0
+    got = [complex(float(r["re"]), float(r["im"])) for r in recs]
+    assert got == ps.points.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as hst
 
 from bargzeros import ConfigError, SubsampleError, make_grid, subsample
-from bargzeros.grid import GridSpec, Method, from_indices
+from bargzeros.grid import GridSpec, Method, PointSet
 from conftest import synthetic_field
 
 
@@ -118,21 +118,21 @@ def test_subsample_stops_at_coarsest_spacing():
 
 
 def test_pointset_sorted_and_bounded():
-    ps = from_indices(Method.AMN, 0.25, 1.0, np.array([[3, 2], [0, 0], [3, 1]]))
+    ps = PointSet(Method.AMN, 0.25, 1.0, np.array([[3, 2], [0, 0], [3, 1]]))
     assert ps.kl.tolist() == [[0, 0], [3, 1], [3, 2]]
     assert ps.points[0] == complex(-1, -1)
     with pytest.raises(ConfigError):
-        from_indices(Method.AMN, 0.25, 1.0, np.array([[9, 0]]))  # outside box
+        PointSet(Method.AMN, 0.25, 1.0, np.array([[9, 0]]))  # outside box
 
 
 def test_pointset_min_separation():
-    ps = from_indices(Method.ST, 0.25, 2.0, np.array([[0, 0], [5, 0], [5, 6]]))
+    ps = PointSet(Method.ST, 0.25, 2.0, np.array([[0, 0], [5, 0], [5, 6]]))
     assert ps.min_separation() == 5
-    assert len(from_indices(Method.ST, 0.25, 2.0, np.zeros((0, 2)))) == 0
+    assert len(PointSet(Method.ST, 0.25, 2.0, np.zeros((0, 2)))) == 0
 
 
 def test_pointset_restrict():
-    ps = from_indices(Method.MGN, 0.5, 2.0, np.array([[4, 4], [0, 0], [6, 4]]))
+    ps = PointSet(Method.MGN, 0.5, 2.0, np.array([[4, 4], [0, 0], [6, 4]]))
     inner = ps.restrict(1.0)
     assert inner.points.tolist() == [0j, (1 + 0j)]
 

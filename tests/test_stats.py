@@ -12,7 +12,6 @@ from bargzeros import (
     StatRow,
     WeightedField,
     count_error_estimator,
-    count_error_summary,
     count_in_box,
     covariance_probe,
     expected_count,
@@ -20,10 +19,11 @@ from bargzeros import (
     make_grid,
     model_for,
     rho1,
+    summary_rows,
     variance_benchmark,
     write_stats_csv,
 )
-from bargzeros.grid import from_indices
+from bargzeros.grid import PointSet
 from bargzeros.signal import SignalKind, SignalModel
 
 ZERO = SignalModel(SignalKind.ZERO)
@@ -130,7 +130,7 @@ def test_expected_count_validation():
 def _toy_points():
     # domain halfwidth 2 at spacing 1/4: indices 0..16, centre at (8, 8)
     kl = np.array([[8, 8], [10, 8], [16, 16]])
-    return from_indices(Method.AMN, 0.25, 2.0, kl, seed=1)
+    return PointSet(Method.AMN, 0.25, 2.0, kl, seed=1)
 
 
 def test_count_in_box():
@@ -160,18 +160,27 @@ def test_count_error_estimator():
     assert count_error_estimator(ps, ZERO, 1.0, 1.0) == pytest.approx(want, rel=1e-9)
 
 
-def test_count_error_summary():
+def test_summary_rows():
     a = _toy_points()
-    b = from_indices(Method.AMN, 0.25, 2.0, np.array([[8, 8]]), seed=2)
-    rows = count_error_summary([a, b], ZERO, 1.0, [1.0])
-    (w, mean, std, se) = rows[0]
-    vals = [count_error_estimator(p, ZERO, 1.0, 1.0) for p in (a, b)]
-    assert w == 1.0
-    assert mean == pytest.approx(np.mean(vals))
-    assert std == pytest.approx(np.std(vals, ddof=1))
-    assert se == pytest.approx(std / math.sqrt(2))
+    b = PointSet(Method.AMN, 0.25, 2.0, np.array([[8, 8]]), seed=2)
+    rows = summary_rows([a, b], ZERO, 1.0, [1.0, 2.0])
+    assert [(r.estimator, r.halfwidth) for r in rows] == [
+        ("intensity[AMN]", 1.0), ("count_error[AMN]", 1.0),
+        ("intensity[AMN]", 2.0), ("count_error[AMN]", 2.0),
+    ]
+    for r in rows:
+        if r.estimator.startswith("intensity"):
+            vals = [intensity_estimator(p, r.halfwidth) for p in (a, b)]
+        else:
+            vals = [count_error_estimator(p, ZERO, 1.0, r.halfwidth) for p in (a, b)]
+        assert (r.signal, r.delta, r.R) == ("zero", 0.25, 2)
+        assert r.mean == pytest.approx(np.mean(vals), rel=1e-12)
+        assert r.std == pytest.approx(np.std(vals, ddof=1), rel=1e-12)
+        assert r.se == pytest.approx(r.std / math.sqrt(2), rel=1e-12)
     with pytest.raises(ConfigError):
-        count_error_summary([], ZERO, 1.0, [1.0])
+        summary_rows([], ZERO, 1.0, [1.0])
+    with pytest.raises(ConfigError):  # one method and spacing per summary
+        summary_rows([a, PointSet(Method.MGN, 0.25, 2.0, np.array([[8, 8]]))], ZERO, 1.0, [1.0])
 
 
 # ---------------------------------------------------------------------------
