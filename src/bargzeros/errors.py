@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: configuration-type errors
-(bad parameters, geometry that cannot hold the requested computation)
-exit with 2, data errors (missing or corrupt input files) with 3.
+(bad parameters, geometry that cannot hold the requested computation,
+such as a box too close to the grid edge or a subsampling ladder deeper
+than the grid allows) exit with 2, data errors (missing or corrupt input
+files) with 3.
 """
 
 
@@ -18,7 +20,7 @@ class DomainError(ValueError):
     """A point lies outside the domain covered by the available data."""
 
 
-class SubsampleError(ValueError):
+class SubsampleError(ConfigError):
     """A grid cannot be subsampled (axis count or margin not divisible)."""
 
 

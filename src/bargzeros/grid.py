@@ -153,6 +153,8 @@ class PointSet:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        if not self.delta > 0:
+            raise ConfigError(f"delta must be positive, got {self.delta}")
         kl = np.asarray(self.kl, dtype=np.int64).reshape(-1, 2)
         w = _int_ratio(self.domain_halfwidth, self.delta, "domain_halfwidth/delta")
         if kl.size and (kl.min() < 0 or kl.max() > 2 * w):

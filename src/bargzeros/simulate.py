@@ -360,10 +360,11 @@ def refine_zero(
 # noise, so a cache round-trip restores continuous re-evaluation too.
 
 _MAGIC = "wfield-v1"
+_PRECISIONS = ("complex64", "complex128")
 
 
 def write_field(field: WeightedField, path, precision: str = "complex128") -> None:
-    if precision not in ("complex64", "complex128"):
+    if precision not in _PRECISIONS:
         raise ConfigError(f"precision must be complex64 or complex128, got {precision!r}")
     g = field.grid
     src = field.source
@@ -403,6 +404,8 @@ def read_field(path) -> WeightedField:
         n = header["n_axis"]
         if n != grid.n_axis:
             raise DataError(f"{path}: header axis count {n} inconsistent with grid")
+        if header["precision"] not in _PRECISIONS:
+            raise DataError(f"{path}: unknown precision {header['precision']!r}")
         values = np.frombuffer(raw, dtype=header["precision"])
         if values.size != n * n:
             raise DataError(f"{path}: payload size {values.size} != {n}*{n}")

@@ -1,8 +1,12 @@
 """Command-line driver: parsing units, pipeline smoke, exit codes."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from bargzeros import ConfigError, read_field, read_pointset_csv
 from bargzeros.cli import (
@@ -250,8 +254,15 @@ def test_exit_code_config_errors(tmp_path, capsys):
     # a box halfwidth that is not a number
     assert main(["stats", "--points", str(tmp_path / "f"), "--signal", "zero",
                  "--boxes", "1,x", "--out", str(tmp_path / "s.csv")]) == 2
+    # a subsampling ladder deeper than the grid allows (SubsampleError)
+    fields = tmp_path / "fields"
+    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--T", "1", "--signal", "zero",
+                 "--seeds", "0", "--out", str(fields)]) == 0
+    assert main(["detect", "--fields", str(fields), "--levels", "9",
+                 "--out", str(tmp_path / "p")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    assert "not subsamplable" in err
 
 
 def test_exit_code_data_errors(tmp_path, capsys):
@@ -290,3 +301,106 @@ def test_exit_code_data_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "data error" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# corrupted inputs: every byte edit ends in an exit code, never a traceback
+
+
+@pytest.fixture(scope="module")
+def clean_inputs(tmp_path_factory):
+    """One small field cache and one AMN point-set CSV detected on it."""
+    root = tmp_path_factory.mktemp("clean")
+    assert main(["simulate", "--L", "2", "--delta", "2^-3", "--T", "1", "--signal", "zero",
+                 "--seeds", "0", "--out", str(root / "fields")]) == 0
+    assert main(["detect", "--fields", str(root / "fields"), "--methods", "amn",
+                 "--out", str(root / "points")]) == 0
+    (cache,) = (root / "fields").glob("*.wfield")
+    (points,) = (root / "points").glob("*.csv")
+    return cache, points
+
+
+# One edit per example: a byte flipped (XOR with a non-zero mask), the file
+# cut short, or one byte inserted.  Positions favour the first 256 bytes,
+# where the cache header and the CSV metadata live.  A single edit cannot
+# turn a header number into one large enough to make the reader allocate
+# more than a few MB (a written-out exponent needs two).
+_EDITS = hst.tuples(
+    hst.sampled_from(["flip", "truncate", "insert"]),
+    hst.one_of(hst.integers(0, 255), hst.integers(0, 2 ** 20)),
+    hst.integers(1, 255),
+)
+
+
+def _edit(data: bytes, edit) -> bytes:
+    kind, pos, byte = edit
+    if kind == "flip":
+        pos %= len(data)
+        return data[:pos] + bytes([data[pos] ^ byte]) + data[pos + 1 :]
+    if kind == "truncate":
+        return data[: pos % len(data)]
+    pos %= len(data) + 1
+    return data[:pos] + bytes([byte]) + data[pos:]
+
+
+def _run_on(tmp, name: str, data: bytes, argv) -> int:
+    src = tmp / "in"
+    src.mkdir(parents=True)
+    (src / name).write_bytes(data)
+    return main([*argv, str(src), "--out", str(tmp / "out")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(edit=_EDITS)
+def test_corrupt_field_cache_exits_cleanly(clean_inputs, edit):
+    # a flip inside the payload can leave a well-formed cache (finite
+    # values), which detect then accepts; everything else is refused
+    with tempfile.TemporaryDirectory() as d:
+        rc = _run_on(Path(d), "field.wfield", _edit(clean_inputs[0].read_bytes(), edit),
+                     ["detect", "--fields"])
+    assert rc in (0, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edit=_EDITS)
+def test_corrupt_pointset_csv_exits_cleanly(clean_inputs, edit):
+    # an edited digit can leave a readable set (another index, seed, or a
+    # box halfwidth that is still a multiple of delta), which stats accepts
+    with tempfile.TemporaryDirectory() as d:
+        rc = _run_on(Path(d), "points.csv", _edit(clean_inputs[1].read_bytes(), edit),
+                     ["stats", "--signal", "zero", "--boxes", "1", "--points"])
+    assert rc in (0, 2, 3)
+
+
+@pytest.mark.parametrize("edit", [
+    ("truncate", 10, 1),     # inside the cache header
+    ("truncate", 600, 1),    # inside the payload
+    ("flip", 3, 0x20),       # the header's JSON
+    ("insert", 600, 0x41),   # payload no longer whole elements
+])
+def test_corrupt_field_cache_is_refused(tmp_path, clean_inputs, edit):
+    assert _run_on(tmp_path, "field.wfield", _edit(clean_inputs[0].read_bytes(), edit),
+                   ["detect", "--fields"]) == 3
+
+
+@pytest.mark.parametrize("edit", [
+    ("truncate", 5, 1),      # inside the metadata
+    ("flip", 1, 0x80),       # not UTF-8 any more
+    ("insert", 0, 0xFF),
+])
+def test_corrupt_pointset_csv_is_refused(tmp_path, clean_inputs, edit):
+    assert _run_on(tmp_path, "points.csv", _edit(clean_inputs[1].read_bytes(), edit),
+                   ["stats", "--signal", "zero", "--boxes", "1", "--points"]) in (2, 3)
+
+
+def test_corrupt_headers_found_by_fuzzing_are_refused(tmp_path, clean_inputs):
+    cache, points = (p.read_bytes() for p in clean_inputs)
+    # a precision NumPy would parse as some other dtype string
+    bad_cache = cache.replace(b'"complex128"', b'",complex128"', 1)
+    assert bad_cache != cache
+    assert _run_on(tmp_path / "a", "field.wfield", bad_cache, ["detect", "--fields"]) == 3
+    # a spacing that reads as zero
+    bad_points = points.replace(b"delta=0.125", b"delta=0.e125", 1)
+    assert bad_points != points
+    assert _run_on(tmp_path / "b", "points.csv", bad_points,
+                   ["stats", "--signal", "zero", "--boxes", "1", "--points"]) == 3

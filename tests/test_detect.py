@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from bargzeros import (
     BoundaryError,
@@ -28,8 +29,8 @@ from bargzeros import (
     synthesize_field,
     write_pointset_csv,
 )
-from bargzeros.grid import PointSet
-from bargzeros.signal import SignalKind, SignalModel
+from bargzeros.grid import PointSet, ladder
+from bargzeros.signal import SignalKind, SignalModel, parse_signal
 
 from conftest import synthetic_field
 
@@ -138,6 +139,99 @@ def test_amn_select_matches_brute_force():
                     brute.append((k - off, l - off))
         got = amn_select(f, target)
         assert [tuple(r) for r in got.kl] == brute
+
+
+def _offset_loop_amn_select(field, target):
+    """Selection oracle: one full-box comparison per ring offset against
+    the full-box margin, as the detector computed it before it was blocked."""
+    g = field.grid
+    w = g.index_halfwidth(target)
+    lo = g.half_n - w
+    sl = slice(lo, lo + 2 * w + 1)
+    G, V = field.magnitudes, field.values
+    Gc = G[sl, sl]
+    phase = np.exp(0.5 * g.delta * (2j * g.axis()[sl] + g.delta))[None, :]
+    eta = np.maximum(Gc, 0.75 * np.abs(phase * V[lo + 1 : lo + 2 * w + 2, sl] - V[sl, sl]))
+    bar = Gc + eta
+    keep = np.ones(Gc.shape, dtype=bool)
+    for p in range(-2, 3):
+        for q in range(-2, 3):
+            if max(abs(p), abs(q)) == 2:
+                ring = G[lo + p : lo + p + 2 * w + 1, lo + q : lo + q + 2 * w + 1]
+                keep &= ring >= bar
+    return np.argwhere(keep)
+
+
+def _offset_loop_mgn(field, target):
+    """MGN oracle: one full-box comparison per immediate neighbour."""
+    g = field.grid
+    w = g.index_halfwidth(target)
+    lo = g.half_n - w
+    G = field.magnitudes
+    Gc = G[lo : lo + 2 * w + 1, lo : lo + 2 * w + 1]
+    keep = np.ones(Gc.shape, dtype=bool)
+    for p in (-1, 0, 1):
+        for q in (-1, 0, 1):
+            if (p, q) != (0, 0):
+                keep &= Gc <= G[lo + p : lo + p + 2 * w + 1, lo + q : lo + q + 2 * w + 1]
+    return np.argwhere(keep)
+
+
+def _assert_matches_offset_loops(field, target):
+    assert np.array_equal(amn_select(field, target).kl, _offset_loop_amn_select(field, target))
+    assert np.array_equal(mgn(field, target).kl, _offset_loop_mgn(field, target))
+
+
+@pytest.mark.parametrize("seed, signal", [(0, "zero"), (1, "gauss:A=1")])
+def test_blocked_selection_matches_offset_loops_on_ladder(seed, signal):
+    # 513 target rows at level 0, so the last row block holds one row;
+    # every level down to spacing 1/2 is checked
+    g = make_grid(L=3, delta=2.0 ** -7, T=6)
+    f = synthesize_field(draw_noise(g, 1.0, seed), parse_signal(signal), g)
+    assert 2 * g.index_halfwidth(2.0) + 1 == 513
+    for fld in ladder(f, 6).values():
+        _assert_matches_offset_loops(fld, 2.0)
+
+
+def test_blocked_selection_on_a_one_point_box():
+    g = make_grid(L=1, delta=D16, T=6)
+    for f in (synthetic_field(g, lambda z: z),
+              synthesize_field(draw_noise(g, 1.0, 4), ZERO_SIGNAL, g)):
+        _assert_matches_offset_loops(f, 0.0)
+    assert [tuple(r) for r in amn_select(synthetic_field(g, lambda z: z), 0.0).kl] == [(0, 0)]
+
+
+def test_amn_select_keeps_exact_ties():
+    # centre 1 with equal inner neighbours, so the margin is the centre
+    # magnitude and the bar is exactly 2: a ring of 2s passes (ring == 2*Gc
+    # == Gc + eta), one ring sample just below 2 fails
+    g = make_grid(L=1, delta=2.0 ** -2, T=1)
+    vals = np.full((g.n_axis, g.n_axis), 2.0 + 0j)
+    c = g.half_n
+    vals[c - 1 : c + 2, c - 1 : c + 2] = 1.0
+    f = WeightedField(grid=g, values=vals.copy())
+    assert amn_margin(f, c, c) == 1.0
+    assert [tuple(r) for r in amn_select(f, 0.0).kl] == [(0, 0)]
+    _assert_matches_offset_loops(f, 0.0)
+    vals[c + 2, c - 1] = np.nextafter(2.0, 0.0)
+    f = WeightedField(grid=g, values=vals)
+    assert len(amn_select(f, 0.0)) == 0
+    _assert_matches_offset_loops(f, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    re=hnp.arrays(np.int64, (13, 13), elements=hst.integers(0, 3)),
+    im=hnp.arrays(np.int64, (13, 13), elements=hst.integers(0, 1)),
+    real=hst.booleans(),
+)
+def test_blocked_selection_matches_offset_loops_with_ties(re, im, real):
+    # few distinct magnitudes, so rings tie with each other, with 2*Gc and
+    # (where the inner neighbours match the centre) with Gc + eta
+    g = make_grid(L=1.5, delta=2.0 ** -2, T=1)
+    f = WeightedField(grid=g, values=re + (0 if real else 1j) * im)
+    for w in range(5):
+        _assert_matches_offset_loops(f, w * g.delta)
 
 
 def test_amn_requires_two_rings():
