@@ -13,6 +13,7 @@ point only enters when a point's coordinates are materialised.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -40,7 +41,8 @@ class GridSpec:
     """Geometry of a square grid: half-width ``L``, spacing ``delta``,
     window truncation half-length ``T``, plus ``margin`` extra rings of
     samples beyond ``L`` (used by detectors that compare against
-    neighbours of boundary points).
+    neighbours of boundary points).  ``T`` is at most the largest value at
+    which ``exp(-T**2)`` is still nonzero in float64 (about 27.3).
     """
 
     L: float
@@ -57,6 +59,12 @@ class GridSpec:
             raise ConfigError(f"L must be >= 1, got {self.L}")
         if self.T <= 0:
             raise ConfigError(f"T must be positive, got {self.T}")
+        if not math.exp(-self.T * self.T) > 0.0:
+            # past this T the window's far ends are exactly 0.0 in float64,
+            # so a larger T only lengthens the noise vector (2*T/delta
+            # samples); the bound also caps what a cache header can make
+            # read_field allocate
+            raise ConfigError(f"T = {self.T} is so large that the window exp(-T^2) underflows")
         if self.margin < 0 or self.margin != int(self.margin):
             raise ConfigError(f"margin must be a non-negative integer, got {self.margin}")
         _int_ratio(self.L, self.delta, "L/delta")
@@ -196,8 +204,9 @@ def subsample(field: "WeightedField") -> "WeightedField":
     """Keep every second sample along each axis (spacing doubles).
 
     The lower-left corner sample is preserved, and kept values are carried
-    over bit-exactly — nothing is recomputed.  The field's margin must be
-    even so the retained samples again form ``margin/2`` complete rings.
+    over bit-exactly — nothing is recomputed, not even magnitudes the field
+    has already computed.  The field's margin must be even so the retained
+    samples again form ``margin/2`` complete rings.
     """
     from .simulate import WeightedField
 
@@ -212,7 +221,14 @@ def subsample(field: "WeightedField") -> "WeightedField":
     except ConfigError as e:
         raise SubsampleError(f"grid not subsamplable: {e}") from e
     values = np.ascontiguousarray(field.values[::2, ::2])
-    return WeightedField(grid=sub, values=values, source=field.source)
+    out = WeightedField(grid=sub, values=values, source=field.source)
+    mags = field.__dict__.get("magnitudes")  # where cached_property keeps them
+    if mags is not None:
+        # np.abs is elementwise, so these are the bits out.magnitudes would get
+        mags = np.ascontiguousarray(mags[::2, ::2])
+        mags.setflags(write=False)
+        out.__dict__["magnitudes"] = mags
+    return out
 
 
 def ladder(field: "WeightedField", max_level: int) -> dict[int, "WeightedField"]:

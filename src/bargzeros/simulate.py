@@ -20,10 +20,18 @@ is a chirp-Z transform in ``ll``, so the fast path evaluates it per column
 with Bluestein's algorithm; the direct evaluation is kept as the reference
 implementation.  The fast path runs its row blocks on one thread per CPU
 the process may use; its output bits do not depend on the CPU count.
+
+Everything in the fast path that depends on the grid alone is built once
+per grid and kept for the last two grids used (the synthesis plan): the
+Bluestein chirps and a table ``exp(1j*delta^2*j)`` for ``j = 0 ...
+half_n^2``, from which each row's quadratic phase is read bit-identically.
+The table takes ``(half_n^2 + 1) * 16`` bytes, 9.4 MB at n=1537 and
+0.6 MB at n=385.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -179,8 +187,6 @@ def synthesize_field(
     a = source.samples
     m_half = grid.t_over_delta
     n = grid.n_axis
-    # signed indices and the quadratic phase shared by both code paths
-    idx = np.arange(-grid.half_n, grid.half_n + 1)
     d2 = grid.delta * grid.delta
 
     phi = window(grid.delta * np.arange(-m_half, m_half + 1))
@@ -191,8 +197,9 @@ def synthesize_field(
     ]
 
     if fast:
-        values = _chirp_columns(windows, phi, m_half, d2, idx)
+        values = _chirp_columns(windows, phi, m_half, d2, n)
     else:
+        idx = np.arange(-grid.half_n, grid.half_n + 1)
         m = np.arange(-m_half, m_half + 1)
         phase = np.exp((2j * d2) * np.outer(m, idx))
         inner = (windows * phi) @ phase
@@ -205,6 +212,10 @@ def synthesize_field(
 #: buffer per thread raised peak memory by a quarter at n=1537)
 _BLOCK_ROWS = 32
 
+#: grids whose synthesis plan is kept, so a caller alternating between a
+#: fine grid and one other grid rebuilds neither
+_PLAN_GRIDS = 2
+
 
 def _cpu_budget() -> int:
     try:
@@ -213,24 +224,15 @@ def _cpu_budget() -> int:
         return os.cpu_count() or 1
 
 
-def _chirp_columns(windows, phi, m_half, d2, idx):
-    """The whole field ``exp(1j*d2*kk*ll) * sum_m b[kk, m] * exp(2j*d2*m*ll)``.
+@functools.lru_cache(maxsize=_PLAN_GRIDS)
+def _plan(n: int, m_half: int, d2: float):
+    """The arrays of :func:`_chirp_columns` that depend on the grid alone.
 
-    Bluestein's identity ``2*q*r = q^2 + r^2 - (r-q)^2`` (after shifting
-    ``m`` and ``ll`` to start at zero) turns each column into one linear
-    convolution, evaluated with zero-padded FFTs.  The chirp angles are
-    assembled as ``d2 * integer`` products rather than as repeated powers
-    of a unit complex number: for dyadic spacing those products are exact
-    in floating point, which keeps this path within ~1e-14 of the direct
-    sum even for long columns (a generic chirp-Z routine loses several
-    digits there by amplifying the angle rounding of its ratio argument).
-
-    Row blocks are independent, so they are spread over one thread per
-    available CPU (NumPy and pocketfft release the GIL).  A block's rows
-    go through the same operations, in the same operand order, whichever
-    thread runs it, so the output bits do not depend on the CPU count.
+    Returns the input chirp ``u_chirp``, the output chirp ``front``, the
+    transformed lag chirp ``v_hat`` and the phase table
+    ``tab[j] = exp(1j*d2*j)`` for ``j = 0 ... half_n**2``.  All are
+    read-only, since every caller on the grid shares them.
     """
-    n = idx.size
     half_n = n // 2
     p = 2 * m_half + 1
     nfft = scipy.fft.next_fast_len(p + n - 1)
@@ -245,7 +247,71 @@ def _chirp_columns(windows, phi, m_half, d2, idx):
     tneg = np.arange(-(p - 1), 0)
     v[nfft - (p - 1) :] = np.exp(-1j * (d2 * (tneg * tneg)))
     v_hat = scipy.fft.fft(v)
-    ll = idx.astype(np.float64)
+    # the same expression as the direct phase, on the same float products
+    tab = np.exp((1j * d2) * np.arange(half_n * half_n + 1, dtype=np.float64))
+    for a in (u_chirp, front, v_hat, tab):
+        a.setflags(write=False)
+    return u_chirp, front, v_hat, tab
+
+
+def _phase_rows(tab, kks, half_n, out) -> None:
+    """Write ``exp(1j*d2*kk*ll)`` for each ``kk`` in ``kks`` into ``out``.
+
+    The row of ``kk > 0`` at ``ll >= 0`` is ``tab[0 : kk*half_n + 1 : kk]``,
+    a strided view, and at ``ll < 0`` the reversed conjugate of that view;
+    a row of ``kk < 0`` is the conjugate of the row of ``|kk|``.  This is
+    bitwise the direct phase because ``kk*ll*d2`` is formed from the same
+    exact integer product and NumPy's complex ``exp`` satisfies
+    ``exp(-1j*y) == conj(exp(1j*y))`` bitwise.  A zero product, ``+0.0``
+    or ``-0.0``, gives the argument ``(+-0.0) + 0.0j`` there, so its phase
+    is ``tab[0]`` with a positive zero imaginary part and must not be
+    conjugated.
+    """
+    h = half_n
+    for row, kk in zip(out, kks):
+        a = abs(int(kk))
+        if a == 0:
+            row[:] = tab[0]
+        elif kk > 0:
+            row[h:] = tab[: a * h + 1 : a]
+            np.conjugate(tab[a * h : 0 : -a], out=row[:h])
+        else:
+            np.conjugate(tab[: a * h + 1 : a], out=row[h:])
+            row[:h] = tab[a * h : 0 : -a]
+            row[h] = tab[0]
+
+
+def _chirp_columns(windows, phi, m_half, d2, n):
+    """The whole field ``exp(1j*d2*kk*ll) * sum_m b[kk, m] * exp(2j*d2*m*ll)``.
+
+    Bluestein's identity ``2*q*r = q^2 + r^2 - (r-q)^2`` (after shifting
+    ``m`` and ``ll`` to start at zero) turns each column into one linear
+    convolution, evaluated with zero-padded FFTs.  The chirp angles are
+    assembled as ``d2 * integer`` products rather than as repeated powers
+    of a unit complex number: for dyadic spacing those products are exact
+    in floating point, which keeps this path within ~1e-14 of the direct
+    sum even for long columns (a generic chirp-Z routine loses several
+    digits there by amplifying the angle rounding of its ratio argument).
+
+    The chirps, the transformed lag chirp and the phase table come from
+    the per-grid plan (:func:`_plan`), built once for the last
+    ``_PLAN_GRIDS`` grids.  ``kk*ll`` is an integer in ``[-half_n**2,
+    half_n**2]``, so each row's quadratic phase is read from the table
+    ``exp(1j*d2*j)``, ``j = 0 ... half_n**2`` (see :func:`_phase_rows`)
+    instead of computing ``n*n`` complex exponentials per field.  The
+    table takes ``(half_n**2 + 1) * 16`` bytes: 9.4 MB at n=1537 and
+    0.6 MB at n=385, for each of the two grids kept.
+
+    Row blocks are independent, so they are spread over one thread per
+    available CPU (NumPy and pocketfft release the GIL).  A block's rows
+    go through the same operations, in the same operand order, whichever
+    thread runs it, so the output bits do not depend on the CPU count.
+    """
+    u_chirp, front, v_hat, tab = _plan(n, m_half, d2)
+    half_n = n // 2
+    p = 2 * m_half + 1
+    nfft = v_hat.size
+    idx = np.arange(-half_n, half_n + 1)
     out = np.empty((n, n), dtype=np.complex128)
     starts = range(0, n, _BLOCK_ROWS)
     workers = min(_cpu_budget(), len(starts))
@@ -253,8 +319,9 @@ def _chirp_columns(windows, phi, m_half, d2, idx):
     # allocated here, not in the workers: worker-side allocation measured
     # about 5 MB more peak memory at n=1537
     bufs = [np.empty((_BLOCK_ROWS, nfft), dtype=np.complex128) for _ in range(workers)]
+    phases = [np.empty((_BLOCK_ROWS, n), dtype=np.complex128) for _ in range(workers)]
 
-    def run(first: int, buf: np.ndarray) -> None:
+    def run(first: int, buf: np.ndarray, phase: np.ndarray) -> None:
         # every product keeps the operand order of the serial reference in
         # the tests: NumPy's SIMD complex multiply is not bitwise commutative
         for i0 in starts[first::workers]:
@@ -268,11 +335,12 @@ def _chirp_columns(windows, phi, m_half, d2, idx):
             conv = scipy.fft.ifft(u, axis=1, overwrite_x=True)
             o = out[i0:i1]
             np.multiply(front, conv[:, :n], out=o)
-            phase = (1j * d2) * np.outer(idx[i0:i1], ll)
-            np.multiply(np.exp(phase, out=phase), o, out=o)
+            ph = phase[: i1 - i0]
+            _phase_rows(tab, idx[i0:i1], half_n, ph)
+            np.multiply(ph, o, out=o)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(workers), bufs))  # re-raises a worker's error
+        list(pool.map(run, range(workers), bufs, phases))  # re-raises a worker's error
     return out
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from bargzeros import ConfigError, read_field, read_pointset_csv
+from bargzeros import ConfigError, DataError, read_field, read_pointset_csv
 from bargzeros.cli import (
     config_hash,
     main,
@@ -239,6 +239,11 @@ def test_exit_code_config_errors(tmp_path, capsys):
         "simulate", "--L", "4", "--delta", "0.3", "--signal", "zero",
         "--seeds", "0", "--out", str(tmp_path / "x"),
     ]) == 2
+    # a window half-length at which exp(-T^2) underflows
+    assert main([
+        "simulate", "--L", "2", "--delta", "2^-4", "--T", "30", "--signal", "zero",
+        "--seeds", "0", "--out", str(tmp_path / "x"),
+    ]) == 2
     # unknown detector
     (tmp_path / "f").mkdir()
     assert main(["detect", "--fields", str(tmp_path / "f"), "--methods", "foo",
@@ -286,6 +291,12 @@ def test_exit_code_data_errors(tmp_path, capsys):
     cache = next(fields.glob("*.wfield"))
     header, _, payload = cache.read_bytes().partition(b"\n")
     meta = json.loads(header)
+    # an edited window half-length is refused before any noise is drawn
+    for T in (4096.0, 1e9):
+        cache.write_bytes(json.dumps({**meta, "T": T}).encode() + b"\n" + payload)
+        with pytest.raises(DataError, match="underflows"):
+            read_field(cache)
+        assert main(["detect", "--fields", str(fields), "--out", str(tmp_path / "p")]) == 3
     del meta["n_axis"]
     cache.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
     assert main(["detect", "--fields", str(fields), "--out", str(tmp_path / "p")]) == 3

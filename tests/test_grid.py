@@ -32,11 +32,21 @@ def test_point_count_is_odd_and_symmetric():
         dict(L=4, delta=0.75, T=6),       # delta > 1/2
         dict(L=0.5, delta=0.25, T=6),     # L < 1
         dict(L=4, delta=0.25, T=6, margin=-1),
+        dict(L=4, delta=0.25, T=4096.0),  # exp(-T^2) underflows to 0.0
+        dict(L=4, delta=0.25, T=1e9),
+        dict(L=4, delta=0.25, T=float("nan")),
     ],
 )
 def test_bad_configurations_rejected(kwargs):
     with pytest.raises(ConfigError):
         make_grid(**kwargs)
+
+
+def test_window_half_length_bound_is_the_float64_underflow():
+    # exp(-27.25**2) is a subnormal float64, exp(-27.5**2) is 0.0
+    assert make_grid(L=1, delta=0.25, T=27.25).t_over_delta == 109
+    with pytest.raises(ConfigError, match="underflows"):
+        make_grid(L=1, delta=0.25, T=27.5)
 
 
 def test_nondyadic_but_integer_ratio_is_fine():
@@ -90,6 +100,25 @@ def test_subsample_preserves_corner_and_values_bitwise():
     # identical bit patterns, not merely equal values
     kept = np.ascontiguousarray(f.values[::2, ::2])
     assert np.array_equiv(s.values.view(np.uint64), kept.view(np.uint64))
+
+
+def test_subsample_carries_computed_magnitudes():
+    g = make_grid(L=4, delta=2.0 ** -7, T=2)
+    rng = np.random.default_rng(1)
+    vals = rng.standard_normal((g.n_axis, g.n_axis)) + 1j * rng.standard_normal(
+        (g.n_axis, g.n_axis)
+    )
+    from bargzeros import WeightedField
+
+    f = WeightedField(grid=g, values=vals)
+    lazy = subsample(f)  # the finer magnitudes were never touched
+    assert "magnitudes" not in lazy.__dict__
+    f.magnitudes
+    s = subsample(f)
+    carried = s.__dict__["magnitudes"]
+    assert not carried.flags.writeable and carried.flags.c_contiguous
+    assert carried.tobytes() == np.abs(s.values).tobytes()
+    assert lazy.magnitudes.tobytes() == carried.tobytes()
 
 
 def test_double_subsample_is_factor_four():

@@ -163,18 +163,40 @@ def serial_chirp_field(noise, signal, grid):
 
 
 @pytest.mark.parametrize(
-    "L, delta", [(3, 2.0 ** -7), (1, 2.0 ** -3)], ids=["n769-ragged", "n17-one-block"]
+    "L, delta",
+    [(3, 2.0 ** -7), (1, 2.0 ** -3), (1.5, 0.0125)],
+    ids=["n769-ragged", "n17-one-block", "n241-non-dyadic"],
 )
 def test_threaded_synthesis_is_bit_identical_to_serial_loop(L, delta, monkeypatch):
+    # the non-dyadic spacing makes the d2*j phase arguments inexact; the
+    # all-zero field shows the signed zeros of the phase on the kk=0 row and
+    # the ll=0 column, which a noisy field's nonzero values absorb
     g = make_grid(L=L, delta=delta, T=6)
-    noise = draw_noise(g, sigma=1.0, seed=5)
-    sig = model_for(SignalKind.HERMITE1, 2.0)
-    ref = serial_chirp_field(noise, sig, g)
-    # the process's CPU budget, then one worker, then more workers than cores
-    for cpus in (simulate._cpu_budget(), 1, 5):
-        monkeypatch.setattr(simulate, "_cpu_budget", lambda c=cpus: c)
-        got = synthesize_field(noise, sig, g).values
-        assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+    cases = [
+        (draw_noise(g, sigma=1.0, seed=5), model_for(SignalKind.HERMITE1, 2.0)),
+        (zero_noise(g), ZERO),
+    ]
+    for noise, sig in cases:
+        ref = serial_chirp_field(noise, sig, g)
+        # the process's CPU budget, then one worker, then more workers than cores
+        for cpus in (simulate._cpu_budget(), 1, 5):
+            monkeypatch.setattr(simulate, "_cpu_budget", lambda c=cpus: c)
+            got = synthesize_field(noise, sig, g).values
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_plan_cache_rotation_keeps_bits():
+    # one grid more than the plan cache holds, in rotation, so every
+    # synthesis after the first round rebuilds an evicted plan; the grids
+    # share n and pairwise share delta or T, so a plan looked up under an
+    # incomplete key would give a wrong field
+    grids = [make_grid(L=1, delta=2.0 ** -3, T=2), make_grid(L=2, delta=2.0 ** -2, T=2),
+             make_grid(L=1, delta=2.0 ** -3, T=1)]
+    assert len(grids) == simulate._PLAN_GRIDS + 1
+    noises = {g: draw_noise(g, sigma=1.0, seed=2) for g in grids}
+    first = {g: serial_chirp_field(noises[g], ZERO, g).tobytes() for g in grids}
+    for g in grids * 3:
+        assert synthesize_field(noises[g], ZERO, g).values.tobytes() == first[g]
 
 
 def test_zero_noise_gauss_matches_closed_form():
