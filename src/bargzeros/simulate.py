@@ -15,18 +15,24 @@ indices, the stored value is
     V[k, l] = exp(1j*delta^2*kk*ll)
               * sum_{m=-M}^{M} a[kk+m] * phi(delta*m) * exp(2j*m*ll*delta^2)
 
-with ``M = T/delta`` and ``a_s = w_s + delta*f1(delta*s)``.  The inner sum
-is a chirp-Z transform in ``ll``, so the fast path evaluates it per column
-with Bluestein's algorithm; the direct evaluation is kept as the reference
-implementation.  The fast path runs its row blocks on one thread per CPU
-the process may use; its output bits do not depend on the CPU count.
+with ``M = T/delta`` and ``a_s = w_s + delta*f1(delta*s)``.  Column ``ll``
+of the inner sum correlates the samples with the modulated window
+``phi(delta*m) * exp(2j*m*ll*delta^2)``, so the fast path computes it as
+one inverse FFT of the samples' spectrum times the window's.  The window's
+spectrum is a Gaussian bump (its time-frequency area is small), so only a
+band of bins enters the product: 69 of 4620 at n=1537, T=6; below T=6 the
+cut window's sidelobes make it every bin.  The direct evaluation is kept
+as the reference implementation.  The fast path runs its column blocks on
+one thread per CPU the process may use; its output bits do not depend on
+the CPU count.
 
 Everything in the fast path that depends on the grid alone is built once
-per grid and kept for the last two grids used (the synthesis plan): the
-Bluestein chirps and a table ``exp(1j*delta^2*j)`` for ``j = 0 ...
-half_n^2``, from which each row's quadratic phase is read bit-identically.
-The table takes ``(half_n^2 + 1) * 16`` bytes, 9.4 MB at n=1537 and
-0.6 MB at n=385.
+per grid and kept for the last two grids used (the synthesis plan): each
+column's band of the window spectrum, ``n * B * 16`` bytes for ``B`` bins
+(1.7 MB at n=1537, T=6; ``B`` is ``nfft``, about ``n + 2*M``, below T=6),
+and a table ``exp(1j*delta^2*j)`` for ``j = 0 ... half_n^2``, from which
+each column's quadratic phase is read bit-identically, ``(half_n^2 + 1) *
+16`` bytes (9.4 MB at n=1537, 0.6 MB at n=385).
 """
 
 from __future__ import annotations
@@ -172,8 +178,8 @@ def synthesize_field(
 ) -> WeightedField:
     """Synthesize the weighted field for one noise realization.
 
-    ``fast=True`` evaluates the per-column sum with a chirp-Z transform;
-    ``fast=False`` uses the direct phase-matrix product, which serves as
+    ``fast=True`` synthesizes each column as one banded inverse FFT of the
+    samples' spectrum (:func:`_spectral_columns`); ``fast=False`` uses the direct phase-matrix product, which serves as
     the reference implementation.
     """
     if noise.delta != grid.delta:
@@ -187,18 +193,17 @@ def synthesize_field(
     a = source.samples
     m_half = grid.t_over_delta
     n = grid.n_axis
-    d2 = grid.delta * grid.delta
-
-    phi = window(grid.delta * np.arange(-m_half, m_half + 1))
-    # row kk of the sliding window is a[s_half+kk-M : s_half+kk+M+1]
+    # row kk of the field reads a[s_half+kk-M : s_half+kk+M+1]
     lead = noise.s_half - m_half - grid.half_n
-    windows = np.lib.stride_tricks.sliding_window_view(a, 2 * m_half + 1)[
-        lead : lead + n
-    ]
 
     if fast:
-        values = _chirp_columns(windows, phi, m_half, d2, n)
+        values = _spectral_columns(a[lead : lead + n + 2 * m_half], m_half, grid.delta, n)
     else:
+        d2 = grid.delta * grid.delta
+        phi = window(grid.delta * np.arange(-m_half, m_half + 1))
+        windows = np.lib.stride_tricks.sliding_window_view(a, 2 * m_half + 1)[
+            lead : lead + n
+        ]
         idx = np.arange(-grid.half_n, grid.half_n + 1)
         m = np.arange(-m_half, m_half + 1)
         phase = np.exp((2j * d2) * np.outer(m, idx))
@@ -207,14 +212,19 @@ def synthesize_field(
     return WeightedField(grid=grid, values=values, source=source)
 
 
-#: rows per chirp-Z block; each worker thread owns one (_BLOCK_ROWS, nfft)
-#: buffer, so this bounds the per-thread working set (128-row blocks with a
-#: buffer per thread raised peak memory by a quarter at n=1537)
-_BLOCK_ROWS = 32
+#: columns per synthesis block; each worker thread owns one (_BLOCK_COLS,
+#: nfft) buffer, so this bounds the per-thread working set (2.4 MB at
+#: n=1537)
+_BLOCK_COLS = 32
 
 #: grids whose synthesis plan is kept, so a caller alternating between a
 #: fine grid and one other grid rebuilds neither
 _PLAN_GRIDS = 2
+
+#: share of a column's spectral energy its band may leave out: the dropped
+#: bins then move a value by about sqrt(2**-100) ~ 1e-15 of its size, the
+#: order of the rounding already there
+_BAND_TAIL = 2.0**-100
 
 
 def _cpu_budget() -> int:
@@ -224,34 +234,76 @@ def _cpu_budget() -> int:
         return os.cpu_count() or 1
 
 
-@functools.lru_cache(maxsize=_PLAN_GRIDS)
-def _plan(n: int, m_half: int, d2: float):
-    """The arrays of :func:`_chirp_columns` that depend on the grid alone.
+def _band_width(phi: np.ndarray, delta: float, nfft: int) -> int:
+    """Bins kept per column: the fewest ``2*h + 1`` (at most ``nfft``) whose
+    complement holds at most ``_BAND_TAIL`` of any column's energy.
 
-    Returns the input chirp ``u_chirp``, the output chirp ``front``, the
-    transformed lag chirp ``v_hat`` and the phase table
-    ``tab[j] = exp(1j*d2*j)`` for ``j = 0 ... half_n**2``.  All are
-    read-only, since every caller on the grid shares them.
+    A column's spectrum samples the window's DTFT ``W(omega)`` at bin steps
+    from an off-grid centre, so a band of ``2*h + 1`` bins drops, on each
+    side, one bin at each distance of at least ``h + 1/2, h + 3/2, ...``.
+    ``|W|`` is at most the untruncated window's DTFT, a periodised Gaussian,
+    plus ``2*phi(T + delta) / sin(omega/2)`` for the samples cut at ``|t| =
+    T`` (Abel summation); both fall with the distance.  A column's energy is
+    ``nfft * sum(phi**2)`` (Parseval).  Below T=6 the cut dominates and the
+    band is every bin.  The bound is analytic because a computed spectrum's
+    rounding floor, about 1e-16 of its peak, lies above the tail it would
+    measure.
+    """
+    omega = (2.0 * math.pi / nfft) * (np.arange((nfft + 1) // 2) + 0.5)
+    gauss = sum(np.exp(-(((omega + 2.0 * math.pi * j) / (2.0 * delta)) ** 2)) for j in (-1, 0, 1))
+    t_cut = delta * (phi.size // 2 + 1)
+    cut = 2.0 * _WINDOW_NORM * math.exp(-t_cut * t_cut) / np.sin(omega / 2.0)
+    bound = (math.sqrt(2.0) / delta) * gauss + cut
+    # tail[h]: the bound on the bins outside a band of 2*h + 1
+    tail = 2.0 * np.cumsum((bound**2)[::-1])[::-1]
+    fits = np.flatnonzero(tail <= _BAND_TAIL * nfft * np.dot(phi, phi))
+    return nfft if fits.size == 0 else min(2 * int(fits[0]) + 1, nfft)
+
+
+def _band_bins(first: np.ndarray, width: int, nfft: int) -> np.ndarray:
+    """Row ``c`` holds the ``width`` bins from ``first[c]`` on, mod ``nfft``."""
+    return (first[:, None] + np.arange(width)) % nfft
+
+
+@functools.lru_cache(maxsize=_PLAN_GRIDS)
+def _plan(n: int, m_half: int, delta: float):
+    """The arrays of :func:`_spectral_columns` that depend on the grid alone.
+
+    Returns ``nfft``; ``spec``, whose row ``c`` holds column ``ll = c -
+    half_n``'s window spectrum ``G_ll[k] = sum_q g_ll[q - M] *
+    exp(2j*pi*k*q/nfft)``, ``g_ll[m] = phi(delta*m) * exp(2j*delta**2*m*ll)``,
+    on the band (:func:`_band_width`) of bins from ``first[c]`` on, mod
+    ``nfft``, centred on the bump at bin ``-delta**2*ll*nfft/pi``; and the
+    phase table ``tab[j] = exp(1j*delta**2*j)`` for ``j = 0 ... half_n**2``.
+    All are read-only, since every caller on the grid shares them.
     """
     half_n = n // 2
     p = 2 * m_half + 1
-    nfft = scipy.fft.next_fast_len(p + n - 1)
-    q = np.arange(p)
-    r = np.arange(n)
-    u_chirp = np.exp(1j * (d2 * (q * q - 2.0 * half_n * q)))
-    front = np.exp(1j * (d2 * (r * r - 2.0 * m_half * r + 2.0 * m_half * half_n)))
-    # circular layout of the lag chirp: lag t = r - q lives in [-(p-1), n-1],
-    # negative lags wrap to the tail of the length-nfft buffer
-    v = np.zeros(nfft, dtype=np.complex128)
-    v[:n] = np.exp(-1j * (d2 * (r * r)))
-    tneg = np.arange(-(p - 1), 0)
-    v[nfft - (p - 1) :] = np.exp(-1j * (d2 * (tneg * tneg)))
-    v_hat = scipy.fft.fft(v)
+    nfft = scipy.fft.next_fast_len(n + p - 1)
+    d2 = delta * delta
+    m = np.arange(-m_half, m_half + 1)
+    phi = window(delta * m)
+    width = _band_width(phi, delta, nfft)
+    ll = np.arange(-half_n, half_n + 1)
+    first = (np.rint(ll * (-d2 * nfft / math.pi)).astype(np.int64) - width // 2) % nfft
+    spec = np.empty((n, width), dtype=np.complex128)
+    buf = np.empty((_BLOCK_COLS, nfft), dtype=np.complex128)
+    # exp(2j*d2*m*ll) for the columns ll0 + c of a block is the block's first
+    # column times a fixed ramp in c: a few ulp off the direct exponential,
+    # for one exponential per window sample instead of one per product
+    ramp = np.exp((2j * d2) * np.outer(np.arange(_BLOCK_COLS), m))
+    for j0 in range(0, n, _BLOCK_COLS):
+        j1 = min(j0 + _BLOCK_COLS, n)
+        g = buf[: j1 - j0]
+        np.multiply(phi * np.exp((2j * d2) * (ll[j0] * m)), ramp[: j1 - j0], out=g[:, :p])
+        g[:, p:] = 0
+        g = scipy.fft.ifft(g, axis=1, norm="forward", overwrite_x=True)
+        spec[j0:j1] = np.take_along_axis(g, _band_bins(first[j0:j1], width, nfft), axis=1)
     # the same expression as the direct phase, on the same float products
     tab = np.exp((1j * d2) * np.arange(half_n * half_n + 1, dtype=np.float64))
-    for a in (u_chirp, front, v_hat, tab):
+    for a in (first, spec, tab):
         a.setflags(write=False)
-    return u_chirp, front, v_hat, tab
+    return nfft, first, spec, tab
 
 
 def _phase_rows(tab, kks, half_n, out) -> None:
@@ -281,63 +333,52 @@ def _phase_rows(tab, kks, half_n, out) -> None:
             row[h] = tab[0]
 
 
-def _chirp_columns(windows, phi, m_half, d2, n):
-    """The whole field ``exp(1j*d2*kk*ll) * sum_m b[kk, m] * exp(2j*d2*m*ll)``.
+def _spectral_columns(alpha, m_half, delta, n):
+    """The whole field ``exp(1j*d2*kk*ll) * sum_m alpha[i + M + m] * g_ll[m]``.
 
-    Bluestein's identity ``2*q*r = q^2 + r^2 - (r-q)^2`` (after shifting
-    ``m`` and ``ll`` to start at zero) turns each column into one linear
-    convolution, evaluated with zero-padded FFTs.  The chirp angles are
-    assembled as ``d2 * integer`` products rather than as repeated powers
-    of a unit complex number: for dyadic spacing those products are exact
-    in floating point, which keeps this path within ~1e-14 of the direct
-    sum even for long columns (a generic chirp-Z routine loses several
-    digits there by amplifying the angle rounding of its ratio argument).
+    Row ``i`` (``kk = i - half_n``) of column ``ll`` is the correlation of
+    ``alpha`` (``n + 2*M`` samples) with the column's modulated window, so
+    with ``A = fft(alpha, nfft)`` the column is ``ifft(A * G_ll)[:n]``;
+    ``nfft >= n + 2*M`` keeps the circular correlation from wrapping.  The
+    per-grid plan (:func:`_plan`) holds ``G_ll`` on its band only, so a
+    block of columns is one scatter of ``A[band] * G[band]`` into a zeroed
+    buffer and one inverse FFT.  The quadratic phase is symmetric in
+    ``kk`` and ``ll``, so a block's phase rows come from the table like
+    rows do (:func:`_phase_rows`), and the block is written transposed.
 
-    The chirps, the transformed lag chirp and the phase table come from
-    the per-grid plan (:func:`_plan`), built once for the last
-    ``_PLAN_GRIDS`` grids.  ``kk*ll`` is an integer in ``[-half_n**2,
-    half_n**2]``, so each row's quadratic phase is read from the table
-    ``exp(1j*d2*j)``, ``j = 0 ... half_n**2`` (see :func:`_phase_rows`)
-    instead of computing ``n*n`` complex exponentials per field.  The
-    table takes ``(half_n**2 + 1) * 16`` bytes: 9.4 MB at n=1537 and
-    0.6 MB at n=385, for each of the two grids kept.
-
-    Row blocks are independent, so they are spread over one thread per
-    available CPU (NumPy and pocketfft release the GIL).  A block's rows
+    Column blocks are independent, so they are spread over one thread per
+    available CPU (NumPy and pocketfft release the GIL).  A block's columns
     go through the same operations, in the same operand order, whichever
     thread runs it, so the output bits do not depend on the CPU count.
     """
-    u_chirp, front, v_hat, tab = _plan(n, m_half, d2)
+    nfft, first, spec, tab = _plan(n, m_half, delta)
     half_n = n // 2
-    p = 2 * m_half + 1
-    nfft = v_hat.size
+    width = spec.shape[1]
+    a_hat = scipy.fft.fft(alpha, nfft)
     idx = np.arange(-half_n, half_n + 1)
     out = np.empty((n, n), dtype=np.complex128)
-    starts = range(0, n, _BLOCK_ROWS)
+    starts = range(0, n, _BLOCK_COLS)
     workers = min(_cpu_budget(), len(starts))
 
     # allocated here, not in the workers: worker-side allocation measured
     # about 5 MB more peak memory at n=1537
-    bufs = [np.empty((_BLOCK_ROWS, nfft), dtype=np.complex128) for _ in range(workers)]
-    phases = [np.empty((_BLOCK_ROWS, n), dtype=np.complex128) for _ in range(workers)]
+    bufs = [np.empty((_BLOCK_COLS, nfft), dtype=np.complex128) for _ in range(workers)]
+    phases = [np.empty((_BLOCK_COLS, n), dtype=np.complex128) for _ in range(workers)]
 
-    def run(first: int, buf: np.ndarray, phase: np.ndarray) -> None:
+    def run(first_block: int, buf: np.ndarray, phase: np.ndarray) -> None:
         # every product keeps the operand order of the serial reference in
         # the tests: NumPy's SIMD complex multiply is not bitwise commutative
-        for i0 in starts[first::workers]:
-            i1 = min(i0 + _BLOCK_ROWS, n)
-            u = buf[: i1 - i0]
-            np.multiply(windows[i0:i1], phi, out=u[:, :p])
-            u[:, :p] *= u_chirp
-            u[:, p:] = 0
-            u = scipy.fft.fft(u, axis=1, overwrite_x=True)
-            u *= v_hat
-            conv = scipy.fft.ifft(u, axis=1, overwrite_x=True)
-            o = out[i0:i1]
-            np.multiply(front, conv[:, :n], out=o)
-            ph = phase[: i1 - i0]
-            _phase_rows(tab, idx[i0:i1], half_n, ph)
-            np.multiply(ph, o, out=o)
+        for j0 in starts[first_block::workers]:
+            j1 = min(j0 + _BLOCK_COLS, n)
+            bins = _band_bins(first[j0:j1], width, nfft)
+            u = buf[: j1 - j0]
+            u[:] = 0
+            np.put_along_axis(u, bins, a_hat[bins] * spec[j0:j1], axis=1)
+            cols = scipy.fft.ifft(u, axis=1, overwrite_x=True)
+            ph = phase[: j1 - j0]
+            _phase_rows(tab, idx[j0:j1], half_n, ph)
+            np.multiply(ph, cols[:, :n], out=ph)
+            out[:, j0:j1] = ph.T
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run, range(workers), bufs, phases))  # re-raises a worker's error
@@ -448,11 +489,13 @@ def write_field(field: WeightedField, path, precision: str = "complex128") -> No
         "precision": precision,
         "n_axis": g.n_axis,
     }
-    payload = np.ascontiguousarray(field.values.astype(precision))
+    # one conversion at most (none for a complex128 field), written through
+    # the buffer protocol without a bytes copy
+    payload = np.ascontiguousarray(field.values, dtype=precision)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode())
         fh.write(b"\n")
-        fh.write(payload.tobytes(order="C"))
+        fh.write(payload)
 
 
 def read_field(path) -> WeightedField:
@@ -490,5 +533,5 @@ def read_field(path) -> WeightedField:
         # is not whole elements, or values the grid or signal reject
         # (ConfigError is a ValueError)
         raise DataError(f"{path}: corrupt field cache: {e!r}") from e
-    values = values.reshape(n, n).astype(np.complex128)
+    values = values.reshape(n, n).astype(np.complex128, copy=False)
     return WeightedField(grid=grid, values=values, source=source)

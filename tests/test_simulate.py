@@ -124,41 +124,70 @@ def test_synthesis_matches_definition():
 
 
 def test_fast_path_matches_direct_sum():
-    # n=129 is 5 row blocks; n=769 is 25, the last one a single row
-    for g in (make_grid(L=2, delta=2.0 ** -5, T=6), make_grid(L=3, delta=2.0 ** -7, T=6)):
+    # n=129 is 5 column blocks; n=769 is 25, the last one a single column;
+    # T=2 keeps every bin of the window spectrum, and the non-dyadic
+    # spacing makes the phase arguments inexact
+    for g in (
+        make_grid(L=2, delta=2.0 ** -5, T=6),
+        make_grid(L=3, delta=2.0 ** -7, T=6),
+        make_grid(L=2, delta=2.0 ** -5, T=2),
+        make_grid(L=1.5, delta=0.0125, T=6),
+    ):
         noise = draw_noise(g, sigma=1.0, seed=11)
         fast = synthesize_field(noise, ZERO, g, fast=True).values
         slow = synthesize_field(noise, ZERO, g, fast=False).values
         assert np.abs(fast - slow).max() < 1e-13 * np.abs(slow).max()
 
 
-def serial_chirp_field(noise, signal, grid):
-    # the single-threaded Bluestein loop over 128-row blocks, with the
-    # quadratic phase applied to the whole array afterwards; the threaded
+def test_plan_band_is_narrow_only_for_a_long_window():
+    # at T=6 the window spectrum is a Gaussian bump of a few dozen bins; at
+    # T=1 the cut window's sidelobes spread it over every bin
+    g = make_grid(L=3, delta=2.0 ** -7, T=6)
+    nfft, first, spec, _ = simulate._plan(g.n_axis, g.t_over_delta, g.delta)
+    assert spec.shape[0] == first.size == g.n_axis
+    assert spec.shape[1] < 0.05 * nfft
+    # the kept band holds the column's spectrum: the modulated window's
+    # DFT, evaluated directly, on the band's bins
+    m = np.arange(-g.t_over_delta, g.t_over_delta + 1)
+    for c in (0, g.half_n, g.n_axis - 1):
+        ll = c - g.half_n
+        col = window(g.delta * m) * np.exp((2j * g.delta**2) * (ll * m))
+        full = scipy.fft.ifft(col, nfft, norm="forward")
+        bins = (first[c] + np.arange(spec.shape[1])) % nfft
+        assert np.abs(spec[c] - full[bins]).max() < 1e-13 * np.abs(full).max()
+        assert np.linalg.norm(np.delete(full, bins)) < 1e-14 * np.linalg.norm(full)
+    g1 = make_grid(L=1, delta=2.0 ** -4, T=1)
+    nfft1, _, spec1, _ = simulate._plan(g1.n_axis, g1.t_over_delta, g1.delta)
+    assert spec1.shape[1] == nfft1
+
+
+def serial_column_field(noise, signal, grid):
+    # the spectral synthesis one column at a time: the samples' spectrum,
+    # each column's modulated window (its block's first column times the
+    # in-block ramp, as in the plan) and its spectrum's band, one inverse
+    # FFT, then the quadratic phase on the whole array; the threaded
     # synthesis must reproduce it bit for bit
     a = FieldSource(noise, signal, grid).samples
     m_half, n, h = grid.t_over_delta, grid.n_axis, grid.half_n
-    idx = np.arange(-h, h + 1)
     d2 = grid.delta * grid.delta
-    phi = window(grid.delta * np.arange(-m_half, m_half + 1))
-    lead = noise.s_half - m_half - h
-    windows = np.lib.stride_tricks.sliding_window_view(a, 2 * m_half + 1)[lead : lead + n]
     p = 2 * m_half + 1
-    nfft = scipy.fft.next_fast_len(p + n - 1)
-    q, r = np.arange(p), np.arange(n)
-    u_chirp = np.exp(1j * (d2 * (q * q - 2.0 * h * q)))
-    front = np.exp(1j * (d2 * (r * r - 2.0 * m_half * r + 2.0 * m_half * h)))
-    v = np.zeros(nfft, dtype=np.complex128)
-    v[:n] = np.exp(-1j * (d2 * (r * r)))
-    tneg = np.arange(-(p - 1), 0)
-    v[nfft - (p - 1) :] = np.exp(-1j * (d2 * (tneg * tneg)))
-    v_hat = scipy.fft.fft(v)
+    nfft = scipy.fft.next_fast_len(n + p - 1)
+    m = np.arange(-m_half, m_half + 1)
+    phi = window(grid.delta * m)
+    width = simulate._band_width(phi, grid.delta, nfft)
+    lead = noise.s_half - m_half - h
+    a_hat = scipy.fft.fft(a[lead : lead + n + p - 1], nfft)
+    blk = simulate._BLOCK_COLS
     inner = np.empty((n, n), dtype=np.complex128)
-    for i0 in range(0, n, 128):
-        i1 = min(i0 + 128, n)
-        u = (windows[i0:i1] * phi) * u_chirp
-        conv = scipy.fft.ifft(scipy.fft.fft(u, nfft, axis=1) * v_hat, axis=1)
-        inner[i0:i1] = front * conv[:, :n]
+    for c in range(n):
+        ll = c - h
+        g = (phi * np.exp((2j * d2) * ((ll - c % blk) * m))) * np.exp((2j * d2) * (c % blk * m))
+        spec = scipy.fft.ifft(g, nfft, norm="forward")
+        bins = (int(np.rint(ll * (-d2 * nfft / math.pi))) - width // 2 + np.arange(width)) % nfft
+        u = np.zeros(nfft, dtype=np.complex128)
+        u[bins] = a_hat[bins] * spec[bins]
+        inner[:, c] = scipy.fft.ifft(u)[:n]
+    idx = np.arange(-h, h + 1)
     return np.exp((1j * d2) * np.outer(idx, idx.astype(np.float64))) * inner
 
 
@@ -177,7 +206,7 @@ def test_threaded_synthesis_is_bit_identical_to_serial_loop(L, delta, monkeypatc
         (zero_noise(g), ZERO),
     ]
     for noise, sig in cases:
-        ref = serial_chirp_field(noise, sig, g)
+        ref = serial_column_field(noise, sig, g)
         # the process's CPU budget, then one worker, then more workers than cores
         for cpus in (simulate._cpu_budget(), 1, 5):
             monkeypatch.setattr(simulate, "_cpu_budget", lambda c=cpus: c)
@@ -194,7 +223,7 @@ def test_plan_cache_rotation_keeps_bits():
              make_grid(L=1, delta=2.0 ** -3, T=1)]
     assert len(grids) == simulate._PLAN_GRIDS + 1
     noises = {g: draw_noise(g, sigma=1.0, seed=2) for g in grids}
-    first = {g: serial_chirp_field(noises[g], ZERO, g).tobytes() for g in grids}
+    first = {g: serial_column_field(noises[g], ZERO, g).tobytes() for g in grids}
     for g in grids * 3:
         assert synthesize_field(noises[g], ZERO, g).values.tobytes() == first[g]
 
