@@ -75,10 +75,7 @@ def parse_seeds(text: str) -> list[int]:
         if hi < lo:
             raise ConfigError(f"empty seed range {text!r}")
         return list(range(lo, hi + 1))
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot parse seeds {text!r}") from None
+    return _parse_list(text, int, "seeds")
 
 
 def read_config_file(path) -> dict[str, str]:

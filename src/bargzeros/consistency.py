@@ -42,10 +42,6 @@ class MatchResult:
     max_distortion: float
     delta_lo: float
 
-    def phi(self) -> dict[complex, complex]:
-        """The matching as a mapping."""
-        return dict(zip(self.matched_hi.tolist(), self.matched_lo.tolist()))
-
 
 def _sup_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise sup-norm distances between two complex vectors."""
@@ -96,8 +92,10 @@ def greedy_match(z_hi: PointSet, z_lo: PointSet, delta_lo: float) -> MatchResult
         if len(matched_hi)
         else 0.0
     )
-    collar = z_lo.domain_halfwidth - 2.0 * delta_lo
-    cert = _certificate_bit(matched_lo, unmatched, z_lo, collar)
+    # certified: every proxy zero matched, every detection inside the
+    # collar used by the pairing
+    inner = _collar_mask(z_lo, z_lo.domain_halfwidth - 2.0 * delta_lo)
+    cert = int(len(unmatched) > 0 or not taken[inner].all())
     return MatchResult(
         matched_hi=matched_hi,
         matched_lo=matched_lo,
@@ -106,14 +104,6 @@ def greedy_match(z_hi: PointSet, z_lo: PointSet, delta_lo: float) -> MatchResult
         max_distortion=max_dist,
         delta_lo=delta_lo,
     )
-
-
-def _certificate_bit(matched_lo, unmatched_hi, z_lo: PointSet, collar: float) -> int:
-    if len(unmatched_hi):
-        return 1
-    used = set(matched_lo.tolist())
-    inner = z_lo.points[_collar_mask(z_lo, collar)]
-    return 0 if all(p in used for p in inner.tolist()) else 1
 
 
 def failure_rate(certificates) -> float:

@@ -17,22 +17,21 @@ indices, the stored value is
 
 with ``M = T/delta`` and ``a_s = w_s + delta*f1(delta*s)``.  Column ``ll``
 of the inner sum correlates the samples with the modulated window
-``phi(delta*m) * exp(2j*m*ll*delta^2)``, so the fast path computes it as
-one inverse FFT of the samples' spectrum times the window's.  The window's
-spectrum is a Gaussian bump (its time-frequency area is small), so only a
-band of bins enters the product: 69 of 4620 at n=1537, T=6; below T=6 the
-cut window's sidelobes make it every bin.  The direct evaluation is kept
-as the reference implementation.  The fast path runs its column blocks on
-one thread per CPU the process may use; its output bits do not depend on
-the CPU count.
+``phi(delta*m) * exp(2j*m*ll*delta^2)``, so :func:`synthesize_field`
+computes it as one inverse FFT of the samples' spectrum times the
+window's.  The window's spectrum is a Gaussian bump (its time-frequency
+area is small), so only a band of bins enters the product: 69 of 4620 at
+n=1537, T=6; below T=6 the cut window's sidelobes make it every bin.  The
+direct sum, :func:`_direct_field`, is kept as the reference
+implementation.  Synthesis runs its column blocks on one thread per CPU
+the process may use; its output bits do not depend on the CPU count.
 
-Everything in the fast path that depends on the grid alone is built once
+Everything synthesis needs that depends on the grid alone is built once
 per grid and kept for the last two grids used (the synthesis plan): each
 column's band of the window spectrum, ``n * B * 16`` bytes for ``B`` bins
-(1.7 MB at n=1537, T=6; ``B`` is ``nfft``, about ``n + 2*M``, below T=6),
-and a table ``exp(1j*delta^2*j)`` for ``j = 0 ... half_n^2``, from which
-each column's quadratic phase is read bit-identically, ``(half_n^2 + 1) *
-16`` bytes (9.4 MB at n=1537, 0.6 MB at n=385).
+(``B`` is ``nfft``, about ``n + 2*M``, below T=6), and the in-block phase
+ramp, ``n * _BLOCK_COLS * 16`` bytes: ``n * (B + _BLOCK_COLS) * 16``
+bytes in all, 2.5 MB at n=1537, T=6.
 """
 
 from __future__ import annotations
@@ -170,17 +169,11 @@ class WeightedField:
         return self.source.noise.seed if self.source is not None else None
 
 
-def synthesize_field(
-    noise: NoiseDraw,
-    signal: SignalModel,
-    grid: GridSpec,
-    fast: bool = True,
-) -> WeightedField:
+def synthesize_field(noise: NoiseDraw, signal: SignalModel, grid: GridSpec) -> WeightedField:
     """Synthesize the weighted field for one noise realization.
 
-    ``fast=True`` synthesizes each column as one banded inverse FFT of the
-    samples' spectrum (:func:`_spectral_columns`); ``fast=False`` uses the direct phase-matrix product, which serves as
-    the reference implementation.
+    Each column is one banded inverse FFT of the samples' spectrum
+    (:func:`_spectral_columns`); :func:`_direct_field` is the reference.
     """
     if noise.delta != grid.delta:
         raise ConfigError(
@@ -190,25 +183,32 @@ def synthesize_field(
         raise ConfigError("noise vector too short for this grid")
 
     source = FieldSource(noise=noise, signal=signal, grid=grid)
-    a = source.samples
     m_half = grid.t_over_delta
     n = grid.n_axis
     # row kk of the field reads a[s_half+kk-M : s_half+kk+M+1]
     lead = noise.s_half - m_half - grid.half_n
+    alpha = source.samples[lead : lead + n + 2 * m_half]
+    return WeightedField(grid=grid, values=_spectral_columns(alpha, m_half, grid.delta, n),
+                         source=source)
 
-    if fast:
-        values = _spectral_columns(a[lead : lead + n + 2 * m_half], m_half, grid.delta, n)
-    else:
-        d2 = grid.delta * grid.delta
-        phi = window(grid.delta * np.arange(-m_half, m_half + 1))
-        windows = np.lib.stride_tricks.sliding_window_view(a, 2 * m_half + 1)[
-            lead : lead + n
-        ]
-        idx = np.arange(-grid.half_n, grid.half_n + 1)
-        m = np.arange(-m_half, m_half + 1)
-        phase = np.exp((2j * d2) * np.outer(m, idx))
-        inner = (windows * phi) @ phase
-        values = np.exp((1j * d2) * np.outer(idx, idx.astype(np.float64))) * inner
+
+def _direct_field(noise: NoiseDraw, signal: SignalModel, grid: GridSpec) -> WeightedField:
+    """The field as the direct phase-matrix product: the reference
+    implementation of :func:`synthesize_field`, for the noise vectors it
+    accepts."""
+    source = FieldSource(noise=noise, signal=signal, grid=grid)
+    m_half = grid.t_over_delta
+    lead = noise.s_half - m_half - grid.half_n
+    d2 = grid.delta * grid.delta
+    phi = window(grid.delta * np.arange(-m_half, m_half + 1))
+    windows = np.lib.stride_tricks.sliding_window_view(source.samples, 2 * m_half + 1)[
+        lead : lead + grid.n_axis
+    ]
+    idx = np.arange(-grid.half_n, grid.half_n + 1)
+    m = np.arange(-m_half, m_half + 1)
+    phase = np.exp((2j * d2) * np.outer(m, idx))
+    inner = (windows * phi) @ phase
+    values = np.exp((1j * d2) * np.outer(idx, idx.astype(np.float64))) * inner
     return WeightedField(grid=grid, values=values, source=source)
 
 
@@ -274,8 +274,10 @@ def _plan(n: int, m_half: int, delta: float):
     exp(2j*pi*k*q/nfft)``, ``g_ll[m] = phi(delta*m) * exp(2j*delta**2*m*ll)``,
     on the band (:func:`_band_width`) of bins from ``first[c]`` on, mod
     ``nfft``, centred on the bump at bin ``-delta**2*ll*nfft/pi``; and the
-    phase table ``tab[j] = exp(1j*delta**2*j)`` for ``j = 0 ... half_n**2``.
-    All are read-only, since every caller on the grid shares them.
+    phase ramp ``ramp[c, i] = exp(1j*delta**2*c*kk)``, ``kk = i - half_n``,
+    for the in-block columns ``c < _BLOCK_COLS``.  ``spec`` and ``ramp``
+    take ``n * (B + _BLOCK_COLS) * 16`` bytes.  All are read-only, since
+    every caller on the grid shares them.
     """
     half_n = n // 2
     p = 2 * m_half + 1
@@ -289,48 +291,22 @@ def _plan(n: int, m_half: int, delta: float):
     spec = np.empty((n, width), dtype=np.complex128)
     buf = np.empty((_BLOCK_COLS, nfft), dtype=np.complex128)
     # exp(2j*d2*m*ll) for the columns ll0 + c of a block is the block's first
-    # column times a fixed ramp in c: a few ulp off the direct exponential,
-    # for one exponential per window sample instead of one per product
-    ramp = np.exp((2j * d2) * np.outer(np.arange(_BLOCK_COLS), m))
+    # column times a fixed ramp in c, and so is the phase exp(1j*d2*kk*ll):
+    # a few ulp off the direct exponential, for one exponential per sample
+    # of a column instead of one per product
+    cols = np.arange(_BLOCK_COLS)
+    window_ramp = np.exp((2j * d2) * np.outer(cols, m))
+    ramp = np.exp((1j * d2) * np.outer(cols, ll))
     for j0 in range(0, n, _BLOCK_COLS):
         j1 = min(j0 + _BLOCK_COLS, n)
         g = buf[: j1 - j0]
-        np.multiply(phi * np.exp((2j * d2) * (ll[j0] * m)), ramp[: j1 - j0], out=g[:, :p])
+        np.multiply(phi * np.exp((2j * d2) * (ll[j0] * m)), window_ramp[: j1 - j0], out=g[:, :p])
         g[:, p:] = 0
         g = scipy.fft.ifft(g, axis=1, norm="forward", overwrite_x=True)
         spec[j0:j1] = np.take_along_axis(g, _band_bins(first[j0:j1], width, nfft), axis=1)
-    # the same expression as the direct phase, on the same float products
-    tab = np.exp((1j * d2) * np.arange(half_n * half_n + 1, dtype=np.float64))
-    for a in (first, spec, tab):
+    for a in (first, spec, ramp):
         a.setflags(write=False)
-    return nfft, first, spec, tab
-
-
-def _phase_rows(tab, kks, half_n, out) -> None:
-    """Write ``exp(1j*d2*kk*ll)`` for each ``kk`` in ``kks`` into ``out``.
-
-    The row of ``kk > 0`` at ``ll >= 0`` is ``tab[0 : kk*half_n + 1 : kk]``,
-    a strided view, and at ``ll < 0`` the reversed conjugate of that view;
-    a row of ``kk < 0`` is the conjugate of the row of ``|kk|``.  This is
-    bitwise the direct phase because ``kk*ll*d2`` is formed from the same
-    exact integer product and NumPy's complex ``exp`` satisfies
-    ``exp(-1j*y) == conj(exp(1j*y))`` bitwise.  A zero product, ``+0.0``
-    or ``-0.0``, gives the argument ``(+-0.0) + 0.0j`` there, so its phase
-    is ``tab[0]`` with a positive zero imaginary part and must not be
-    conjugated.
-    """
-    h = half_n
-    for row, kk in zip(out, kks):
-        a = abs(int(kk))
-        if a == 0:
-            row[:] = tab[0]
-        elif kk > 0:
-            row[h:] = tab[: a * h + 1 : a]
-            np.conjugate(tab[a * h : 0 : -a], out=row[:h])
-        else:
-            np.conjugate(tab[: a * h + 1 : a], out=row[h:])
-            row[:h] = tab[a * h : 0 : -a]
-            row[h] = tab[0]
+    return nfft, first, spec, ramp
 
 
 def _spectral_columns(alpha, m_half, delta, n):
@@ -343,17 +319,19 @@ def _spectral_columns(alpha, m_half, delta, n):
     per-grid plan (:func:`_plan`) holds ``G_ll`` on its band only, so a
     block of columns is one scatter of ``A[band] * G[band]`` into a zeroed
     buffer and one inverse FFT.  The quadratic phase is symmetric in
-    ``kk`` and ``ll``, so a block's phase rows come from the table like
-    rows do (:func:`_phase_rows`), and the block is written transposed.
+    ``kk`` and ``ll``, so a block's phase is laid out like its columns
+    are, as rows: the block's first row ``exp(1j*d2*ll0*kk)`` times the
+    plan's ramp; the block is then written transposed.
 
     Column blocks are independent, so they are spread over one thread per
     available CPU (NumPy and pocketfft release the GIL).  A block's columns
     go through the same operations, in the same operand order, whichever
     thread runs it, so the output bits do not depend on the CPU count.
     """
-    nfft, first, spec, tab = _plan(n, m_half, delta)
+    nfft, first, spec, ramp = _plan(n, m_half, delta)
     half_n = n // 2
     width = spec.shape[1]
+    d2 = delta * delta
     a_hat = scipy.fft.fft(alpha, nfft)
     idx = np.arange(-half_n, half_n + 1)
     out = np.empty((n, n), dtype=np.complex128)
@@ -376,7 +354,7 @@ def _spectral_columns(alpha, m_half, delta, n):
             np.put_along_axis(u, bins, a_hat[bins] * spec[j0:j1], axis=1)
             cols = scipy.fft.ifft(u, axis=1, overwrite_x=True)
             ph = phase[: j1 - j0]
-            _phase_rows(tab, idx[j0:j1], half_n, ph)
+            np.multiply(np.exp((1j * d2) * (idx[j0] * idx)), ramp[: j1 - j0], out=ph)
             np.multiply(ph, cols[:, :n], out=ph)
             out[:, j0:j1] = ph.T
 

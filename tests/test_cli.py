@@ -45,6 +45,8 @@ def test_parse_seeds():
         parse_seeds("3..1")
     with pytest.raises(ConfigError):
         parse_seeds("a,b")
+    with pytest.raises(ConfigError):
+        parse_seeds(" , ")
 
 
 def test_read_config_file(tmp_path):
@@ -244,6 +246,17 @@ def test_exit_code_config_errors(tmp_path, capsys):
         "simulate", "--L", "2", "--delta", "2^-4", "--T", "30", "--signal", "zero",
         "--seeds", "0", "--out", str(tmp_path / "x"),
     ]) == 2
+    # an empty seed list, from a flag (argparse exits 2) or a config file,
+    # writes no cache and records no run
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero",
+              "--seeds", ",", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "seeds.cfg"
+    cfg.write_text("seeds = , \n")
+    assert main(["simulate", "--config", str(cfg), "--L", "2", "--delta", "2^-4",
+                 "--signal", "zero", "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x" / "manifest.json").exists()
     # unknown detector
     (tmp_path / "f").mkdir()
     assert main(["detect", "--fields", str(tmp_path / "f"), "--methods", "foo",

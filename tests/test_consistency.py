@@ -46,7 +46,7 @@ def pts(*zs, delta=D, hw=2.0, method=Method.AMN):
 
 def test_greedy_single_pair():
     m = greedy_match(pts(0), pts(D), D)
-    assert m.phi() == {0j: complex(D, 0)}
+    assert (m.matched_hi.tolist(), m.matched_lo.tolist()) == ([0j], [complex(D, 0)])
     assert len(m.unmatched_hi) == 0
     assert m.max_distortion == pytest.approx(D)
     assert m.certificate == 0
@@ -56,7 +56,7 @@ def test_greedy_exhausts_candidates():
     # the single detection goes to the first proxy zero; the second proxy
     # zero finds nothing left within 2*delta
     m = greedy_match(pts(0, 3 * D), pts(D), D)
-    assert m.phi() == {0j: complex(D, 0)}
+    assert (m.matched_hi.tolist(), m.matched_lo.tolist()) == ([0j], [complex(D, 0)])
     assert list(m.unmatched_hi) == [complex(3 * D, 0)]
     assert m.certificate == 1
 
@@ -70,7 +70,7 @@ def test_greedy_empty_proxy():
 
 def test_greedy_prefers_closest_detection():
     m = greedy_match(pts(0), pts(-2 * D, D), D)
-    assert m.phi() == {0j: complex(D, 0)}
+    assert (m.matched_hi.tolist(), m.matched_lo.tolist()) == ([0j], [complex(D, 0)])
 
 
 def test_greedy_identical_sets_certify():

@@ -118,8 +118,8 @@ def test_synthesis_matches_definition():
     sig = model_for(SignalKind.HERMITE1, 2.0)
     expected = naive_field(noise, sig, g)
     scale = np.abs(expected).max()
-    for fast in (True, False):
-        got = synthesize_field(noise, sig, g, fast=fast).values
+    for synthesize in (synthesize_field, simulate._direct_field):
+        got = synthesize(noise, sig, g).values
         assert np.abs(got - expected).max() < 1e-13 * scale
 
 
@@ -134,8 +134,8 @@ def test_fast_path_matches_direct_sum():
         make_grid(L=1.5, delta=0.0125, T=6),
     ):
         noise = draw_noise(g, sigma=1.0, seed=11)
-        fast = synthesize_field(noise, ZERO, g, fast=True).values
-        slow = synthesize_field(noise, ZERO, g, fast=False).values
+        fast = synthesize_field(noise, ZERO, g).values
+        slow = simulate._direct_field(noise, ZERO, g).values
         assert np.abs(fast - slow).max() < 1e-13 * np.abs(slow).max()
 
 
@@ -161,12 +161,23 @@ def test_plan_band_is_narrow_only_for_a_long_window():
     assert spec1.shape[1] == nfft1
 
 
+def test_plan_memory_is_the_band_and_one_block_ramp():
+    # the plan holds each column's band of the window spectrum and an
+    # in-block phase ramp, nothing that grows like n**2
+    g = make_grid(L=3, delta=2.0 ** -7, T=6)
+    n = g.n_axis
+    plan = simulate._plan(n, g.t_over_delta, g.delta)
+    width = plan[2].shape[1]
+    held = sum(a.nbytes for a in plan if isinstance(a, np.ndarray))
+    assert held <= 16 * n * (width + 2 * simulate._BLOCK_COLS)
+
+
 def serial_column_field(noise, signal, grid):
     # the spectral synthesis one column at a time: the samples' spectrum,
-    # each column's modulated window (its block's first column times the
-    # in-block ramp, as in the plan) and its spectrum's band, one inverse
-    # FFT, then the quadratic phase on the whole array; the threaded
-    # synthesis must reproduce it bit for bit
+    # each column's modulated window and quadratic phase (each its block's
+    # first column times the in-block ramp, as in the plan), the window
+    # spectrum's band, one inverse FFT; the threaded synthesis must
+    # reproduce it bit for bit
     a = FieldSource(noise, signal, grid).samples
     m_half, n, h = grid.t_over_delta, grid.n_axis, grid.half_n
     d2 = grid.delta * grid.delta
@@ -178,17 +189,18 @@ def serial_column_field(noise, signal, grid):
     lead = noise.s_half - m_half - h
     a_hat = scipy.fft.fft(a[lead : lead + n + p - 1], nfft)
     blk = simulate._BLOCK_COLS
-    inner = np.empty((n, n), dtype=np.complex128)
+    idx = np.arange(-h, h + 1)
+    out = np.empty((n, n), dtype=np.complex128)
     for c in range(n):
-        ll = c - h
-        g = (phi * np.exp((2j * d2) * ((ll - c % blk) * m))) * np.exp((2j * d2) * (c % blk * m))
+        ll, ll0 = c - h, c - h - c % blk
+        g = (phi * np.exp((2j * d2) * (ll0 * m))) * np.exp((2j * d2) * (c % blk * m))
         spec = scipy.fft.ifft(g, nfft, norm="forward")
         bins = (int(np.rint(ll * (-d2 * nfft / math.pi))) - width // 2 + np.arange(width)) % nfft
         u = np.zeros(nfft, dtype=np.complex128)
         u[bins] = a_hat[bins] * spec[bins]
-        inner[:, c] = scipy.fft.ifft(u)[:n]
-    idx = np.arange(-h, h + 1)
-    return np.exp((1j * d2) * np.outer(idx, idx.astype(np.float64))) * inner
+        phase = np.exp((1j * d2) * (ll0 * idx)) * np.exp((1j * d2) * (c % blk * idx))
+        out[:, c] = phase * scipy.fft.ifft(u)[:n]
+    return out
 
 
 @pytest.mark.parametrize(
@@ -197,9 +209,9 @@ def serial_column_field(noise, signal, grid):
     ids=["n769-ragged", "n17-one-block", "n241-non-dyadic"],
 )
 def test_threaded_synthesis_is_bit_identical_to_serial_loop(L, delta, monkeypatch):
-    # the non-dyadic spacing makes the d2*j phase arguments inexact; the
-    # all-zero field shows the signed zeros of the phase on the kk=0 row and
-    # the ll=0 column, which a noisy field's nonzero values absorb
+    # the non-dyadic spacing makes the phase arguments inexact; the
+    # all-zero field shows the signed zeros of every product, which a noisy
+    # field's nonzero values absorb
     g = make_grid(L=L, delta=delta, T=6)
     cases = [
         (draw_noise(g, sigma=1.0, seed=5), model_for(SignalKind.HERMITE1, 2.0)),
