@@ -35,7 +35,7 @@ from ._table import write_table
 from .errors import ConfigError, DataError
 from .grid import ladder, make_grid
 from .signal import parse_signal
-from .simulate import draw_noise, read_field, synthesize_field, write_field
+from .simulate import _PRECISIONS, draw_noise, read_field, synthesize_field, write_field
 
 _DETECTORS = {"amn": det.amn, "mgn": det.mgn, "st": det.st}
 
@@ -102,15 +102,17 @@ def config_hash(mapping: dict) -> str:
 
 
 def _setting(args, config: dict[str, str], key: str, default=None, parse=None):
-    """Command-line flag > config-file entry > default."""
+    """Command-line flag > config-file entry > default; ``parse`` reads the
+    text of a flag and of a config entry alike."""
     val = getattr(args, key, None)
     if val is None:
-        val = config.get(key)
-        if val is not None and parse is not None:
-            val = parse(val)
-    if val is None:
-        val = default
-    return val
+        val = config.get(key, default)
+    if val is None or parse is None:
+        return val
+    try:
+        return parse(val)
+    except ValueError as e:  # ConfigError included
+        raise ConfigError(f"{key}: {e}") from None
 
 
 def _require(val, key: str):
@@ -149,6 +151,8 @@ def cmd_simulate(args) -> int:
     signal_text = _require(_setting(args, config, "signal"), "signal")
     seeds = _require(_setting(args, config, "seeds", parse=parse_seeds), "seeds")
     precision = _setting(args, config, "precision", default="complex128")
+    if precision not in _PRECISIONS:
+        raise ConfigError(f"precision must be one of {', '.join(_PRECISIONS)}, got {precision!r}")
 
     grid = make_grid(L=L, delta=delta, T=T, margin=margin)
     model = parse_signal(signal_text, sigma=sigma)
@@ -332,14 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="draw seeded field realizations into a cache dir")
     sim.add_argument("--config", help="key = value file; flags override it")
-    sim.add_argument("--L", type=float)
-    sim.add_argument("--delta", type=parse_spacing, help="grid spacing, e.g. 2^-6")
-    sim.add_argument("--T", type=float)
-    sim.add_argument("--sigma", type=float)
-    sim.add_argument("--margin", type=int)
+    sim.add_argument("--L")
+    sim.add_argument("--delta", help="grid spacing, e.g. 2^-6")
+    sim.add_argument("--T")
+    sim.add_argument("--sigma")
+    sim.add_argument("--margin")
     sim.add_argument("--signal", help="zero | gauss:A=<a> | hermite1:A=<a>")
-    sim.add_argument("--seeds", type=parse_seeds, help="e.g. 0..99 or 3,5,8")
-    sim.add_argument("--precision", choices=["complex64", "complex128"])
+    sim.add_argument("--seeds", help="e.g. 0..99 or 3,5,8")
+    sim.add_argument("--precision", help="complex128 (default) or complex64")
     sim.add_argument("--out")
     sim.set_defaults(fn=cmd_simulate)
 
@@ -348,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     dt.add_argument("--fields", help="directory of .wfield caches")
     dt.add_argument("--methods", help="comma list from amn,mgn,st")
     dt.add_argument("--levels", help="subsampling levels, e.g. 0,1,2")
-    dt.add_argument("--target", type=float, help="target box halfwidth (default L-1)")
+    dt.add_argument("--target", help="target box halfwidth (default L-1)")
     dt.add_argument("--out")
     dt.set_defaults(fn=cmd_detect)
 
@@ -356,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     stc.add_argument("--config")
     stc.add_argument("--points", help="directory of point-set CSVs")
     stc.add_argument("--signal")
-    stc.add_argument("--sigma", type=float)
+    stc.add_argument("--sigma")
     stc.add_argument("--boxes", help="comma list of box halfwidths")
     stc.add_argument("--out")
     stc.set_defaults(fn=cmd_stats)

@@ -1,6 +1,7 @@
 """Zero-set detectors on weighted-field grids: AMN, MGN, and ST.
 
-All three compare the weighted magnitude ``G = |values|``:
+All three compare the weighted magnitude ``G = |values|``, taken only of
+the samples each reads (no field-sized magnitude array is kept):
 
 * AMN selects points whose whole sup-norm ``2*delta`` ring (16 lattice
   points) beats the centre by an adaptive margin, then sieves to a maximal
@@ -9,9 +10,10 @@ All three compare the weighted magnitude ``G = |values|``:
 * ST thresholds ``G <= 2*delta`` and sieves.
 
 AMN and MGN compare each point with the minimum of its ring or window,
-built as separable running minima over row blocks of the target box: the
-16-sample ring is a 5-wide minimum on rows +-2 and a 3-tall minimum on
-columns +-2, the 3x3 window two 3-sample minima.  A minimum is exact, so
+built as separable running minima over row blocks of the target box (one
+``np.abs`` per block, rings included): the 16-sample ring is a 5-wide
+minimum on rows +-2 and a 3-tall minimum on columns +-2, the 3x3 window
+two 3-sample minima.  A minimum is exact, so
 these tests select the same points as one comparison per neighbour.  The
 AMN margin ``eta >= G`` makes ``ring >= 2*G`` a necessary condition, also
 in floating point, and the margin is evaluated only where it holds (a
@@ -55,12 +57,13 @@ def _target_slices(field: WeightedField, target_halfwidth: float, rings: int):
     return w, lo, slice(lo, lo + 2 * w + 1)
 
 
-def _blocks(G: np.ndarray, lo: int, m: int, pad: int):
-    """Row blocks of the ``m x m`` box of ``G`` at ``(lo, lo)``: yields each
-    block's first box row and its samples with ``pad`` surrounding rings."""
+def _blocks(V: np.ndarray, lo: int, m: int, pad: int):
+    """Row blocks of the ``m x m`` box of ``V`` at ``(lo, lo)``: yields each
+    block's first box row and the magnitudes of its samples with ``pad``
+    surrounding rings."""
     for r0 in range(0, m, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, m)
-        yield r0, G[lo + r0 - pad : lo + r1 + pad, lo - pad : lo + m + pad]
+        yield r0, np.abs(V[lo + r0 - pad : lo + r1 + pad, lo - pad : lo + m + pad])
 
 
 def _run_min(a: np.ndarray, width: int, axis: int) -> np.ndarray:
@@ -127,7 +130,7 @@ def amn_select(field: WeightedField, target_halfwidth: float) -> PointSet:
     w, lo, _ = _target_slices(field, target_halfwidth, rings=2)
     m = 2 * w + 1
     kls, ring_mins = [], []
-    for r0, rows in _blocks(field.magnitudes, lo, m, 2):
+    for r0, rows in _blocks(field.values, lo, m, 2):
         edge = _run_min(rows, 5, axis=1)  # ring rows -2 and +2
         side = _run_min(rows[1:-1], 3, axis=0)  # ring columns -2 and +2
         ring = np.minimum(edge[:-4], edge[4:])
@@ -138,7 +141,7 @@ def amn_select(field: WeightedField, target_halfwidth: float) -> PointSet:
         ring_mins.append(ring[passed])
     kl = np.concatenate(kls)
     k, l = (kl + lo).T
-    keep = np.concatenate(ring_mins) >= field.magnitudes[k, l] + _margins(field, k, l)
+    keep = np.concatenate(ring_mins) >= np.abs(field.values[k, l]) + _margins(field, k, l)
     return PointSet(Method.AMN, g.delta, target_halfwidth, kl[keep], seed=field.seed)
 
 
@@ -158,7 +161,7 @@ def sieve(candidates: PointSet, field: WeightedField) -> PointSet:
     w = g.index_halfwidth(candidates.domain_halfwidth)
     off = g.half_n - w
     kl = candidates.kl
-    mags = field.magnitudes[kl[:, 0] + off, kl[:, 1] + off]
+    mags = np.abs(field.values[kl[:, 0] + off, kl[:, 1] + off])
 
     order = np.lexsort((kl[:, 1], kl[:, 0], mags))
     alive = np.ones(n, dtype=bool)
@@ -193,7 +196,7 @@ def mgn(field: WeightedField, target_halfwidth: float) -> PointSet:
     g = field.grid
     w, lo, _ = _target_slices(field, target_halfwidth, rings=1)
     kls = []
-    for r0, rows in _blocks(field.magnitudes, lo, 2 * w + 1, 1):
+    for r0, rows in _blocks(field.values, lo, 2 * w + 1, 1):
         window_min = _run_min(_run_min(rows, 3, axis=0), 3, axis=1)
         kls.append(_hits(rows[1:-1, 1:-1] <= window_min, r0))
     return PointSet(Method.MGN, g.delta, target_halfwidth, np.concatenate(kls), seed=field.seed)
@@ -204,7 +207,7 @@ def st(field: WeightedField, target_halfwidth: float) -> PointSet:
     the same sieve as AMN.  Not scale invariant."""
     g = field.grid
     w, lo, sl = _target_slices(field, target_halfwidth, rings=1)
-    keep = field.magnitudes[sl, sl] <= 2.0 * g.delta
+    keep = np.abs(field.values[sl, sl]) <= 2.0 * g.delta
     cands = PointSet(Method.ST, g.delta, target_halfwidth, _hits(keep), seed=field.seed)
     return _check_separated(sieve(cands, field), "st")
 
@@ -222,7 +225,7 @@ def raw_threshold(field: WeightedField, target_halfwidth: float, quantile: float
         raise ConfigError(f"quantile must be in (0, 1), got {quantile}")
     g = field.grid
     w, lo, sl = _target_slices(field, target_halfwidth, rings=0)
-    Gc = field.magnitudes[sl, sl]
+    Gc = np.abs(field.values[sl, sl])
     keep = Gc <= np.quantile(Gc, quantile)
     return PointSet(Method.RAW, g.delta, target_halfwidth, _hits(keep), seed=field.seed)
 

@@ -30,6 +30,8 @@ _RATIO_TOL = 1e-9
 
 def _int_ratio(num: float, den: float, what: str) -> int:
     ratio = num / den
+    if not math.isfinite(ratio):
+        raise ConfigError(f"{what} = {num}/{den} is not finite")
     n = round(ratio)
     if abs(ratio - n) > _RATIO_TOL:
         raise ConfigError(f"{what} = {num}/{den} = {ratio} is not an integer")
@@ -65,7 +67,7 @@ class GridSpec:
             # samples); the bound also caps what a cache header can make
             # read_field allocate
             raise ConfigError(f"T = {self.T} is so large that the window exp(-T^2) underflows")
-        if self.margin < 0 or self.margin != int(self.margin):
+        if not 0 <= self.margin < math.inf or self.margin != int(self.margin):
             raise ConfigError(f"margin must be a non-negative integer, got {self.margin}")
         _int_ratio(self.L, self.delta, "L/delta")
         _int_ratio(self.T, self.delta, "T/delta")
@@ -204,9 +206,8 @@ def subsample(field: "WeightedField") -> "WeightedField":
     """Keep every second sample along each axis (spacing doubles).
 
     The lower-left corner sample is preserved, and kept values are carried
-    over bit-exactly — nothing is recomputed, not even magnitudes the field
-    has already computed.  The field's margin must be even so the retained
-    samples again form ``margin/2`` complete rings.
+    over bit-exactly; nothing is recomputed.  The field's margin must be
+    even so the retained samples again form ``margin/2`` complete rings.
     """
     from .simulate import WeightedField
 
@@ -221,14 +222,7 @@ def subsample(field: "WeightedField") -> "WeightedField":
     except ConfigError as e:
         raise SubsampleError(f"grid not subsamplable: {e}") from e
     values = np.ascontiguousarray(field.values[::2, ::2])
-    out = WeightedField(grid=sub, values=values, source=field.source)
-    mags = field.__dict__.get("magnitudes")  # where cached_property keeps them
-    if mags is not None:
-        # np.abs is elementwise, so these are the bits out.magnitudes would get
-        mags = np.ascontiguousarray(mags[::2, ::2])
-        mags.setflags(write=False)
-        out.__dict__["magnitudes"] = mags
-    return out
+    return WeightedField(grid=sub, values=values, source=field.source)
 
 
 def ladder(field: "WeightedField", max_level: int) -> dict[int, "WeightedField"]:

@@ -38,8 +38,8 @@ class SignalModel:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
         if self.kind is SignalKind.ZERO and self.coefficient != 0:
             object.__setattr__(self, "coefficient", 0j)
         object.__setattr__(self, "coefficient", complex(self.coefficient))

@@ -98,8 +98,8 @@ def draw_noise(grid: GridSpec, sigma: float, seed: int) -> NoiseDraw:
     Per-sample variance is ``sigma^2 * delta * sqrt(pi/2)``, split evenly
     between the real and imaginary parts.
     """
-    if sigma <= 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be positive and finite, got {sigma}")
     n = _noise_length(grid)
     rng = np.random.default_rng(seed)
     scale = sigma * math.sqrt(grid.delta * math.sqrt(math.pi / 2.0) / 2.0)
@@ -138,10 +138,11 @@ class FieldSource:
 class WeightedField:
     """Samples of the weighted transform on a grid.
 
-    ``values[k, l]`` is the weighted value at ``grid.point_of(k, l)``.
-    When ``source`` is present the same realization can be evaluated at
-    arbitrary points (``evaluate_continuous``) and zeros can be refined
-    off-grid (``refine_zero``).
+    ``values[k, l]`` is the weighted value at ``grid.point_of(k, l)``;
+    nothing derived from them is cached.  When ``source`` is present the
+    same realization can be evaluated at arbitrary points
+    (``evaluate_continuous``) and zeros can be refined off-grid
+    (``refine_zero``).
     """
 
     grid: GridSpec
@@ -157,12 +158,6 @@ class WeightedField:
             raise DataError("field contains non-finite values")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    @cached_property
-    def magnitudes(self) -> np.ndarray:
-        m = np.abs(self.values)
-        m.setflags(write=False)
-        return m
 
     @property
     def seed(self) -> int | None:

@@ -38,8 +38,8 @@ _DEFAULT_STEP = 1.0 / 64.0
 
 def rho1(signal: SignalModel, sigma: float, zeta):
     """First intensity of the zero set at ``zeta`` (scalar or array)."""
-    if sigma <= 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be positive and finite, got {sigma}")
     zeta = np.asarray(zeta, dtype=np.complex128)
     f1 = np.asarray(bargmann_closed_form(signal, zeta))
     df1 = np.asarray(bargmann_derivative(signal, zeta))

@@ -246,17 +246,28 @@ def test_exit_code_config_errors(tmp_path, capsys):
         "simulate", "--L", "2", "--delta", "2^-4", "--T", "30", "--signal", "zero",
         "--seeds", "0", "--out", str(tmp_path / "x"),
     ]) == 2
-    # an empty seed list, from a flag (argparse exits 2) or a config file,
-    # writes no cache and records no run
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero",
-              "--seeds", ",", "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
+    # an empty seed list, from a flag or a config file, writes no cache
+    # and records no run
+    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero",
+                 "--seeds", ",", "--out", str(tmp_path / "x")]) == 2
     cfg = tmp_path / "seeds.cfg"
     cfg.write_text("seeds = , \n")
     assert main(["simulate", "--config", str(cfg), "--L", "2", "--delta", "2^-4",
                  "--signal", "zero", "--out", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x" / "manifest.json").exists()
+    # flag text and config-file text go through the same parsers: a number
+    # or spacing that does not parse, or a non-finite one, is a config error
+    for text in ("L = abc", "L = 2\nmargin = 1.5"):
+        cfg.write_text(text + "\n")
+        assert main(["simulate", "--config", str(cfg), "--delta", "2^-4",
+                     "--signal", "zero", "--seeds", "0", "--out", str(tmp_path / "x")]) == 2
+    for flags in (["--L", "2", "--delta", "2^-x"], ["--L", "2", "--delta", "nan"],
+                  ["--L", "nan", "--delta", "2^-4"], ["--L", "inf", "--delta", "2^-4"],
+                  ["--L", "2", "--delta", "2^-4", "--sigma", "nan"],
+                  ["--L", "2", "--delta", "2^-4", "--precision", "complex32"]):
+        assert main(["simulate", *flags, "--signal", "zero", "--seeds", "0",
+                     "--out", str(tmp_path / "x")]) == 2
+    assert not list((tmp_path / "x").glob("*"))
     # unknown detector
     (tmp_path / "f").mkdir()
     assert main(["detect", "--fields", str(tmp_path / "f"), "--methods", "foo",
@@ -278,9 +289,19 @@ def test_exit_code_config_errors(tmp_path, capsys):
                  "--seeds", "0", "--out", str(fields)]) == 0
     assert main(["detect", "--fields", str(fields), "--levels", "9",
                  "--out", str(tmp_path / "p")]) == 2
+    # a non-finite target box or noise level
+    assert main(["detect", "--fields", str(fields), "--target", "nan",
+                 "--out", str(tmp_path / "p")]) == 2
+    assert main(["detect", "--fields", str(fields), "--out", str(tmp_path / "p")]) == 0
+    assert main(["stats", "--points", str(tmp_path / "p"), "--signal", "zero",
+                 "--sigma", "nan", "--out", str(tmp_path / "s.csv")]) == 2
+    assert not (tmp_path / "s.csv").exists()
     err = capsys.readouterr().err
     assert "config error" in err
     assert "not subsamplable" in err
+    assert "L: could not convert string to float: 'abc'" in err
+    assert "margin: invalid literal for int() with base 10: '1.5'" in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_data_errors(tmp_path, capsys):
@@ -423,6 +444,11 @@ def test_corrupt_headers_found_by_fuzzing_are_refused(tmp_path, clean_inputs):
     bad_cache = cache.replace(b'"complex128"', b'",complex128"', 1)
     assert bad_cache != cache
     assert _run_on(tmp_path / "a", "field.wfield", bad_cache, ["detect", "--fields"]) == 3
+    # a non-finite grid half-width, margin or noise level
+    for i, old in enumerate((b'"L": 2.0', b'"margin": 0', b'"sigma": 1.0')):
+        edited = cache.replace(old, old.split(b":")[0] + b": Infinity", 1)
+        assert edited != cache
+        assert _run_on(tmp_path / f"inf{i}", "field.wfield", edited, ["detect", "--fields"]) == 3
     # a spacing that reads as zero
     bad_points = points.replace(b"delta=0.125", b"delta=0.e125", 1)
     assert bad_points != points

@@ -148,7 +148,7 @@ def _offset_loop_amn_select(field, target):
     w = g.index_halfwidth(target)
     lo = g.half_n - w
     sl = slice(lo, lo + 2 * w + 1)
-    G, V = field.magnitudes, field.values
+    G, V = np.abs(field.values), field.values
     Gc = G[sl, sl]
     phase = np.exp(0.5 * g.delta * (2j * g.axis()[sl] + g.delta))[None, :]
     eta = np.maximum(Gc, 0.75 * np.abs(phase * V[lo + 1 : lo + 2 * w + 2, sl] - V[sl, sl]))
@@ -167,7 +167,7 @@ def _offset_loop_mgn(field, target):
     g = field.grid
     w = g.index_halfwidth(target)
     lo = g.half_n - w
-    G = field.magnitudes
+    G = np.abs(field.values)
     Gc = G[lo : lo + 2 * w + 1, lo : lo + 2 * w + 1]
     keep = np.ones(Gc.shape, dtype=bool)
     for p in (-1, 0, 1):
@@ -195,8 +195,11 @@ def test_blocked_selection_matches_offset_loops_on_ladder(seed, signal):
 
 def test_blocked_selection_on_a_one_point_box():
     g = make_grid(L=1, delta=D16, T=6)
-    for f in (synthetic_field(g, lambda z: z),
-              synthesize_field(draw_noise(g, 1.0, 4), ZERO_SIGNAL, g)):
+    noise = synthesize_field(draw_noise(g, 1.0, 4), ZERO_SIGNAL, g)
+    _assert_matches_offset_loops(synthetic_field(g, lambda z: z), 0.0)
+    # the noise field and its subsampled levels 1-3 (the deepest that keeps
+    # two rings around the centre)
+    for f in ladder(noise, 3).values():
         _assert_matches_offset_loops(f, 0.0)
     assert [tuple(r) for r in amn_select(synthetic_field(g, lambda z: z), 0.0).kl] == [(0, 0)]
 

@@ -102,25 +102,6 @@ def test_subsample_preserves_corner_and_values_bitwise():
     assert np.array_equiv(s.values.view(np.uint64), kept.view(np.uint64))
 
 
-def test_subsample_carries_computed_magnitudes():
-    g = make_grid(L=4, delta=2.0 ** -7, T=2)
-    rng = np.random.default_rng(1)
-    vals = rng.standard_normal((g.n_axis, g.n_axis)) + 1j * rng.standard_normal(
-        (g.n_axis, g.n_axis)
-    )
-    from bargzeros import WeightedField
-
-    f = WeightedField(grid=g, values=vals)
-    lazy = subsample(f)  # the finer magnitudes were never touched
-    assert "magnitudes" not in lazy.__dict__
-    f.magnitudes
-    s = subsample(f)
-    carried = s.__dict__["magnitudes"]
-    assert not carried.flags.writeable and carried.flags.c_contiguous
-    assert carried.tobytes() == np.abs(s.values).tobytes()
-    assert lazy.magnitudes.tobytes() == carried.tobytes()
-
-
 def test_double_subsample_is_factor_four():
     g = make_grid(L=1, delta=0.125, T=1)  # 17x17
     f = synthetic_field(g, lambda z: z + 2)
