@@ -17,21 +17,27 @@ indices, the stored value is
 
 with ``M = T/delta`` and ``a_s = w_s + delta*f1(delta*s)``.  Column ``ll``
 of the inner sum correlates the samples with the modulated window
-``phi(delta*m) * exp(2j*m*ll*delta^2)``, so :func:`synthesize_field`
-computes it as one inverse FFT of the samples' spectrum times the
-window's.  The window's spectrum is a Gaussian bump (its time-frequency
-area is small), so only a band of bins enters the product: 69 of 4620 at
-n=1537, T=6; below T=6 the cut window's sidelobes make it every bin.  The
-direct sum, :func:`_direct_field`, is kept as the reference
-implementation.  Synthesis runs its column blocks on one thread per CPU
-the process may use; its output bits do not depend on the CPU count.
+``phi(delta*m) * exp(2j*m*ll*delta^2)``, so it is the inverse FFT of the
+samples' spectrum times the window's.  The window's spectrum is a Gaussian
+bump (its time-frequency area is small), so only a band of bins enters the
+product: 69 of 4620 at n=1537, T=6; below T=6 the cut window's sidelobes
+make it every bin.  Of that inverse FFT's outputs only the column's ``n``
+are kept, so :func:`synthesize_field` evaluates each column as a chirp
+z-transform (Bluestein) of its band, whose length is about ``n + B`` for
+``B`` bins (1620 at n=1537, T=6) where the inverse FFT's is about ``n +
+2*M`` (4620).  The direct sum, :func:`_direct_field`, is kept as the
+reference implementation.  Synthesis runs its column blocks on one thread
+per CPU the process may use; its output bits do not depend on the CPU
+count.
 
 Everything synthesis needs that depends on the grid alone is built once
 per grid and kept for the last two grids used (the synthesis plan): each
-column's band of the window spectrum, ``n * B * 16`` bytes for ``B`` bins
-(``B`` is ``nfft``, about ``n + 2*M``, below T=6), and the in-block phase
-ramp, ``n * _BLOCK_COLS * 16`` bytes: ``n * (B + _BLOCK_COLS) * 16``
-bytes in all, 2.5 MB at n=1537, T=6.
+column's band of the window spectrum, ``n * B * 16`` bytes (``B`` is
+``nfft``, about ``n + 2*M``, below T=6), the in-block phase ramp, ``n *
+_BLOCK_COLS * 16`` bytes, and the chirp z-transform's kernel: about ``n *
+(B + _BLOCK_COLS) * 16`` bytes in all, 2.5 MB at n=1537, T=6.  Below T=6
+the chirp z-transform's length exceeds ``n + nfft``, so there it is slower
+than one inverse FFT of length ``nfft`` per column would be.
 """
 
 from __future__ import annotations
@@ -154,7 +160,12 @@ class WeightedField:
         n = self.grid.n_axis
         if v.shape != (n, n):
             raise ConfigError(f"values shape {v.shape} does not match grid {(n, n)}")
-        if not np.isfinite(v).all():
+        # a non-finite element makes the sum inf or NaN, so the elementwise
+        # test runs only on the rare array whose sum is not finite (some
+        # have no non-finite element: the sum of two 1e308 overflows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = v.sum()
+        if not np.isfinite(total) and not np.isfinite(v).all():
             raise DataError("field contains non-finite values")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -167,8 +178,9 @@ class WeightedField:
 def synthesize_field(noise: NoiseDraw, signal: SignalModel, grid: GridSpec) -> WeightedField:
     """Synthesize the weighted field for one noise realization.
 
-    Each column is one banded inverse FFT of the samples' spectrum
-    (:func:`_spectral_columns`); :func:`_direct_field` is the reference.
+    Each column is one chirp z-transform of its band of the samples'
+    spectrum (:func:`_spectral_columns`); :func:`_direct_field` is the
+    reference.
     """
     if noise.delta != grid.delta:
         raise ConfigError(
@@ -208,8 +220,8 @@ def _direct_field(noise: NoiseDraw, signal: SignalModel, grid: GridSpec) -> Weig
 
 
 #: columns per synthesis block; each worker thread owns one (_BLOCK_COLS,
-#: nfft) buffer, so this bounds the per-thread working set (2.4 MB at
-#: n=1537)
+#: K) transform buffer and one (_BLOCK_COLS, n) phase buffer, so this
+#: bounds the per-thread working set (1.6 MB at n=1537)
 _BLOCK_COLS = 32
 
 #: grids whose synthesis plan is kept, so a caller alternating between a
@@ -260,19 +272,33 @@ def _band_bins(first: np.ndarray, width: int, nfft: int) -> np.ndarray:
     return (first[:, None] + np.arange(width)) % nfft
 
 
+def _chirp(q2: np.ndarray, nfft: int) -> np.ndarray:
+    """``exp(1j*pi*q2/nfft)`` for integers ``q2``, reduced mod ``2*nfft``
+    before the float multiply: ``pi*q2/nfft`` itself reaches about 1e4 rad,
+    whose rounding alone would move a value by about 1e-12 of its size."""
+    return np.exp(1j * ((math.pi / nfft) * (q2 % (2 * nfft))))
+
+
 @functools.lru_cache(maxsize=_PLAN_GRIDS)
 def _plan(n: int, m_half: int, delta: float):
     """The arrays of :func:`_spectral_columns` that depend on the grid alone.
 
-    Returns ``nfft``; ``spec``, whose row ``c`` holds column ``ll = c -
-    half_n``'s window spectrum ``G_ll[k] = sum_q g_ll[q - M] *
-    exp(2j*pi*k*q/nfft)``, ``g_ll[m] = phi(delta*m) * exp(2j*delta**2*m*ll)``,
-    on the band (:func:`_band_width`) of bins from ``first[c]`` on, mod
-    ``nfft``, centred on the bump at bin ``-delta**2*ll*nfft/pi``; and the
-    phase ramp ``ramp[c, i] = exp(1j*delta**2*c*kk)``, ``kk = i - half_n``,
-    for the in-block columns ``c < _BLOCK_COLS``.  ``spec`` and ``ramp``
-    take ``n * (B + _BLOCK_COLS) * 16`` bytes.  All are read-only, since
-    every caller on the grid shares them.
+    Returns ``nfft``; ``first`` and ``offset``; ``spec``, whose row ``c``
+    holds column ``ll = c - half_n``'s window spectrum ``G_ll[k] = sum_q
+    g_ll[q - M] * exp(2j*pi*k*q/nfft)``, ``g_ll[m] = phi(delta*m) *
+    exp(2j*delta**2*m*ll)``, on the band (:func:`_band_width`) of bins ``k_j
+    = first[c] + j`` mod ``nfft``, centred on the bump at bin
+    ``-delta**2*ll*nfft/pi``, times the input chirp ``W**((offset[c] +
+    j)**2/2)``, ``W = exp(2j*pi/nfft)``; the chirp-z kernel
+    ``fft(W**(-k**2/2)) / nfft`` over ``k = 1 - B' .. n - 1``, wrapped
+    into its length ``K``; and the phase ramp ``ramp[c, i] =
+    exp(1j*delta**2*c*kk)``, ``kk = i - half_n``, for the in-block columns
+    ``c < _BLOCK_COLS``.  ``offset[c]`` is ``first[c]`` less that of the
+    last column of ``c``'s block, mod ``nfft``; ``B'`` is the band width
+    plus the largest offset, and ``K >= n + B' - 1`` the next 5-smooth
+    length, so the convolution does not wrap.  ``spec`` and ``ramp`` take
+    ``n * (B + _BLOCK_COLS) * 16`` bytes.  All are read-only, since every
+    caller on the grid shares them.
     """
     half_n = n // 2
     p = 2 * m_half + 1
@@ -283,6 +309,15 @@ def _plan(n: int, m_half: int, delta: float):
     width = _band_width(phi, delta, nfft)
     ll = np.arange(-half_n, half_n + 1)
     first = (np.rint(ll * (-d2 * nfft / math.pi)).astype(np.int64) - width // 2) % nfft
+    block_last = np.minimum((np.arange(n) // _BLOCK_COLS + 1) * _BLOCK_COLS, n) - 1
+    offset = (first - first[block_last]) % nfft
+    span = width + int(offset.max())
+    chirp = _chirp(np.arange(span) ** 2, nfft)
+    k = np.arange(1 - span, n)
+    nconv = scipy.fft.next_fast_len(n + span - 1, real=True)
+    kernel = np.zeros(nconv, dtype=np.complex128)
+    kernel[k % nconv] = _chirp(-k * k, nfft)
+    kernel = scipy.fft.fft(kernel) / nfft
     spec = np.empty((n, width), dtype=np.complex128)
     buf = np.empty((_BLOCK_COLS, nfft), dtype=np.complex128)
     # exp(2j*d2*m*ll) for the columns ll0 + c of a block is the block's first
@@ -298,10 +333,11 @@ def _plan(n: int, m_half: int, delta: float):
         np.multiply(phi * np.exp((2j * d2) * (ll[j0] * m)), window_ramp[: j1 - j0], out=g[:, :p])
         g[:, p:] = 0
         g = scipy.fft.ifft(g, axis=1, norm="forward", overwrite_x=True)
-        spec[j0:j1] = np.take_along_axis(g, _band_bins(first[j0:j1], width, nfft), axis=1)
-    for a in (first, spec, ramp):
+        np.multiply(np.take_along_axis(g, _band_bins(first[j0:j1], width, nfft), axis=1),
+                    chirp[offset[j0:j1, None] + np.arange(width)], out=spec[j0:j1])
+    for a in (first, offset, spec, kernel, ramp):
         a.setflags(write=False)
-    return nfft, first, spec, ramp
+    return nfft, first, offset, spec, kernel, ramp
 
 
 def _spectral_columns(alpha, m_half, delta, n):
@@ -310,32 +346,45 @@ def _spectral_columns(alpha, m_half, delta, n):
     Row ``i`` (``kk = i - half_n``) of column ``ll`` is the correlation of
     ``alpha`` (``n + 2*M`` samples) with the column's modulated window, so
     with ``A = fft(alpha, nfft)`` the column is ``ifft(A * G_ll)[:n]``;
-    ``nfft >= n + 2*M`` keeps the circular correlation from wrapping.  The
-    per-grid plan (:func:`_plan`) holds ``G_ll`` on its band only, so a
-    block of columns is one scatter of ``A[band] * G[band]`` into a zeroed
-    buffer and one inverse FFT.  The quadratic phase is symmetric in
-    ``kk`` and ``ll``, so a block's phase is laid out like its columns
-    are, as rows: the block's first row ``exp(1j*d2*ll0*kk)`` times the
-    plan's ramp; the block is then written transposed.
+    ``nfft >= n + 2*M`` keeps the circular correlation from wrapping.  Only
+    the band of ``B`` bins from ``first[c]`` holds ``G_ll``, and only ``n``
+    outputs are kept, so each column is evaluated as a chirp z-transform
+    (Bluestein) of its band rather than as a length-``nfft`` inverse FFT.
+    With ``f`` the first bin of the last column of the block and ``o =
+    offset[c]``, ``k_j = f + o + j`` mod ``nfft``, and ``(o + j)*i = ((o +
+    j)**2 + i**2 - (i - o - j)**2) / 2`` turns the column into
+
+        y[i] = W**(f*i + i**2/2) * ((x * W**((o + j)**2/2)) conv W**(-k**2/2))[i] / nfft
+
+    for ``x_j = A[k_j] * G_ll[k_j]`` placed at ``o + j``: one FFT, one
+    product with the plan's kernel and one inverse FFT of length ``K``,
+    about ``n + B``, in place of ``nfft``, about ``n + 2*M``.  The plan
+    (:func:`_plan`) holds ``G_ll`` with its input chirp on the band.  The
+    output chirp depends on the block, not the column, so it joins the
+    quadratic phase: that phase is symmetric in ``kk`` and ``ll``, so a
+    block's phase is laid out like its columns are, as rows: the block's
+    first row ``exp(1j*d2*ll0*kk) * W**(f*i + i**2/2)`` times the plan's
+    ramp; the block is then written transposed.
 
     Column blocks are independent, so they are spread over one thread per
     available CPU (NumPy and pocketfft release the GIL).  A block's columns
     go through the same operations, in the same operand order, whichever
     thread runs it, so the output bits do not depend on the CPU count.
     """
-    nfft, first, spec, ramp = _plan(n, m_half, delta)
+    nfft, first, offset, spec, kernel, ramp = _plan(n, m_half, delta)
     half_n = n // 2
     width = spec.shape[1]
     d2 = delta * delta
     a_hat = scipy.fft.fft(alpha, nfft)
     idx = np.arange(-half_n, half_n + 1)
+    rows = np.arange(n)
     out = np.empty((n, n), dtype=np.complex128)
     starts = range(0, n, _BLOCK_COLS)
     workers = min(_cpu_budget(), len(starts))
 
     # allocated here, not in the workers: worker-side allocation measured
     # about 5 MB more peak memory at n=1537
-    bufs = [np.empty((_BLOCK_COLS, nfft), dtype=np.complex128) for _ in range(workers)]
+    bufs = [np.empty((_BLOCK_COLS, kernel.size), dtype=np.complex128) for _ in range(workers)]
     phases = [np.empty((_BLOCK_COLS, n), dtype=np.complex128) for _ in range(workers)]
 
     def run(first_block: int, buf: np.ndarray, phase: np.ndarray) -> None:
@@ -343,13 +392,16 @@ def _spectral_columns(alpha, m_half, delta, n):
         # the tests: NumPy's SIMD complex multiply is not bitwise commutative
         for j0 in starts[first_block::workers]:
             j1 = min(j0 + _BLOCK_COLS, n)
-            bins = _band_bins(first[j0:j1], width, nfft)
             u = buf[: j1 - j0]
             u[:] = 0
-            np.put_along_axis(u, bins, a_hat[bins] * spec[j0:j1], axis=1)
+            band = a_hat[_band_bins(first[j0:j1], width, nfft)] * spec[j0:j1]
+            np.put_along_axis(u, offset[j0:j1, None] + np.arange(width), band, axis=1)
+            u = scipy.fft.fft(u, axis=1, overwrite_x=True)
+            np.multiply(u, kernel, out=u)
             cols = scipy.fft.ifft(u, axis=1, overwrite_x=True)
+            angle = (math.pi / nfft) * (rows * (rows + 2 * first[j1 - 1]) % (2 * nfft))
             ph = phase[: j1 - j0]
-            np.multiply(np.exp((1j * d2) * (idx[j0] * idx)), ramp[: j1 - j0], out=ph)
+            np.multiply(np.exp(1j * (d2 * (idx[j0] * idx) + angle)), ramp[: j1 - j0], out=ph)
             np.multiply(ph, cols[:, :n], out=ph)
             out[:, j0:j1] = ph.T
 
@@ -372,7 +424,7 @@ def _evaluate_lattice(source: FieldSource, xs, ys) -> np.ndarray:
     ys = np.asarray(ys, dtype=np.float64)
     lim = g.L + g.margin * g.delta
     for axis in (xs, ys):
-        bad = np.abs(axis) > lim
+        bad = ~(np.abs(axis) <= lim)  # NaN too
         if bad.any():
             raise DomainError(
                 f"coordinate {axis[bad][0]} outside the stored domain (halfwidth {lim})"
@@ -417,7 +469,7 @@ def refine_zero(
     best magnitude so far.  The returned minimum is non-increasing in
     ``levels`` because every finer grid contains its own centre.
     """
-    if radius < source.grid.delta:
+    if not radius >= source.grid.delta:
         raise ConfigError(f"radius {radius} below grid spacing {source.grid.delta}")
     if levels < 0:
         raise ConfigError("levels must be >= 0")

@@ -61,13 +61,13 @@ def expected_count(
     signals, so the step should resolve ``1/A``; the default 1/64 matches
     the coarsest experiment resolution.
     """
-    if halfwidth < 0:
-        raise ConfigError("halfwidth must be non-negative")
+    if not (halfwidth >= 0 and math.isfinite(halfwidth)):
+        raise ConfigError(f"halfwidth must be finite and non-negative, got {halfwidth}")
+    h = _DEFAULT_STEP if step is None else step
+    if not (h > 0 and math.isfinite(h)):
+        raise ConfigError(f"quadrature step must be positive and finite, got {h}")
     if halfwidth == 0:
         return 0.0
-    h = _DEFAULT_STEP if step is None else step
-    if h <= 0:
-        raise ConfigError(f"quadrature step must be positive, got {h}")
     n = max(1, round(2.0 * halfwidth / h))
     h = 2.0 * halfwidth / n
     mid = -halfwidth + h * (np.arange(n) + 0.5)

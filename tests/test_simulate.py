@@ -143,22 +143,49 @@ def test_plan_band_is_narrow_only_for_a_long_window():
     # at T=6 the window spectrum is a Gaussian bump of a few dozen bins; at
     # T=1 the cut window's sidelobes spread it over every bin
     g = make_grid(L=3, delta=2.0 ** -7, T=6)
-    nfft, first, spec, _ = simulate._plan(g.n_axis, g.t_over_delta, g.delta)
-    assert spec.shape[0] == first.size == g.n_axis
+    nfft, first, offset, spec, _, _ = simulate._plan(g.n_axis, g.t_over_delta, g.delta)
+    assert spec.shape[0] == first.size == offset.size == g.n_axis
     assert spec.shape[1] < 0.05 * nfft
-    # the kept band holds the column's spectrum: the modulated window's
-    # DFT, evaluated directly, on the band's bins
+    # the kept band holds the column's spectrum, the modulated window's DFT
+    # evaluated directly, on the band's bins, times the input chirp
     m = np.arange(-g.t_over_delta, g.t_over_delta + 1)
     for c in (0, g.half_n, g.n_axis - 1):
         ll = c - g.half_n
         col = window(g.delta * m) * np.exp((2j * g.delta**2) * (ll * m))
         full = scipy.fft.ifft(col, nfft, norm="forward")
+        j = offset[c] + np.arange(spec.shape[1])
         bins = (first[c] + np.arange(spec.shape[1])) % nfft
-        assert np.abs(spec[c] - full[bins]).max() < 1e-13 * np.abs(full).max()
+        chirp = np.exp(1j * math.pi * (j * j % (2 * nfft)) / nfft)
+        assert np.abs(spec[c] - full[bins] * chirp).max() < 1e-13 * np.abs(full).max()
         assert np.linalg.norm(np.delete(full, bins)) < 1e-14 * np.linalg.norm(full)
     g1 = make_grid(L=1, delta=2.0 ** -4, T=1)
-    nfft1, _, spec1, _ = simulate._plan(g1.n_axis, g1.t_over_delta, g1.delta)
+    nfft1, _, _, spec1, _, _ = simulate._plan(g1.n_axis, g1.t_over_delta, g1.delta)
     assert spec1.shape[1] == nfft1
+
+
+def _is_5_smooth(k):
+    for f in (2, 3, 5):
+        while k % f == 0:
+            k //= f
+    return k == 1
+
+
+def test_plan_convolution_is_short_and_does_not_wrap():
+    # the chirp-z convolution of a column's offset band with the kernel
+    # must not wrap onto the n kept outputs, and at T=6 it is a small
+    # fraction of the inverse FFT it replaces
+    for g in (make_grid(L=3, delta=2.0 ** -6, T=6), make_grid(L=3, delta=2.0 ** -7, T=6),
+              make_grid(L=1.5, delta=0.0125, T=6), make_grid(L=2, delta=2.0 ** -5, T=2)):
+        n = g.n_axis
+        nfft, _, offset, spec, kernel, _ = simulate._plan(n, g.t_over_delta, g.delta)
+        k = kernel.size
+        assert _is_5_smooth(k)
+        assert k >= n + spec.shape[1] + offset.max() - 1
+        # offsets are taken from each block's last column
+        last = np.minimum(np.arange(0, n, simulate._BLOCK_COLS) + simulate._BLOCK_COLS, n) - 1
+        assert (offset[last] == 0).all()
+        if g.T == 6:
+            assert k < nfft / 2
 
 
 def test_plan_memory_is_the_band_and_one_block_ramp():
@@ -167,17 +194,19 @@ def test_plan_memory_is_the_band_and_one_block_ramp():
     g = make_grid(L=3, delta=2.0 ** -7, T=6)
     n = g.n_axis
     plan = simulate._plan(n, g.t_over_delta, g.delta)
-    width = plan[2].shape[1]
+    width = plan[3].shape[1]
     held = sum(a.nbytes for a in plan if isinstance(a, np.ndarray))
     assert held <= 16 * n * (width + 2 * simulate._BLOCK_COLS)
 
 
 def serial_column_field(noise, signal, grid):
-    # the spectral synthesis one column at a time: the samples' spectrum,
+    # the spectral synthesis one column at a time: the samples' spectrum;
     # each column's modulated window and quadratic phase (each its block's
-    # first column times the in-block ramp, as in the plan), the window
-    # spectrum's band, one inverse FFT; the threaded synthesis must
-    # reproduce it bit for bit
+    # first column times the in-block ramp, as in the plan); the window
+    # spectrum's band, offset from the band of the block's last column;
+    # then a chirp z-transform of the band to the n kept outputs: input
+    # chirp, one FFT, the kernel, one inverse FFT, output chirp.  The
+    # threaded synthesis must reproduce it bit for bit
     a = FieldSource(noise, signal, grid).samples
     m_half, n, h = grid.t_over_delta, grid.n_axis, grid.half_n
     d2 = grid.delta * grid.delta
@@ -190,16 +219,30 @@ def serial_column_field(noise, signal, grid):
     a_hat = scipy.fft.fft(a[lead : lead + n + p - 1], nfft)
     blk = simulate._BLOCK_COLS
     idx = np.arange(-h, h + 1)
+    first = [(int(np.rint(ll * (-d2 * nfft / math.pi))) - width // 2) % nfft for ll in idx]
+    last = [min(c - c % blk + blk, n) - 1 for c in range(n)]
+    offset = [(first[c] - first[last[c]]) % nfft for c in range(n)]
+    span = width + max(offset)
+    nconv = scipy.fft.next_fast_len(n + span - 1, real=True)
+    k = np.arange(1 - span, n)
+    kernel = np.zeros(nconv, dtype=np.complex128)
+    kernel[k % nconv] = np.exp(1j * ((math.pi / nfft) * (-k * k % (2 * nfft))))
+    kernel = scipy.fft.fft(kernel) / nfft
+    rows = np.arange(n)
     out = np.empty((n, n), dtype=np.complex128)
     for c in range(n):
-        ll, ll0 = c - h, c - h - c % blk
+        ll0 = c - h - c % blk
         g = (phi * np.exp((2j * d2) * (ll0 * m))) * np.exp((2j * d2) * (c % blk * m))
         spec = scipy.fft.ifft(g, nfft, norm="forward")
-        bins = (int(np.rint(ll * (-d2 * nfft / math.pi))) - width // 2 + np.arange(width)) % nfft
-        u = np.zeros(nfft, dtype=np.complex128)
-        u[bins] = a_hat[bins] * spec[bins]
-        phase = np.exp((1j * d2) * (ll0 * idx)) * np.exp((1j * d2) * (c % blk * idx))
-        out[:, c] = phase * scipy.fft.ifft(u)[:n]
+        j = offset[c] + np.arange(width)
+        bins = (first[c] + np.arange(width)) % nfft
+        chirp_in = np.exp(1j * ((math.pi / nfft) * (j * j % (2 * nfft))))
+        u = np.zeros(nconv, dtype=np.complex128)
+        u[j] = a_hat[bins] * (spec[bins] * chirp_in)
+        conv = scipy.fft.ifft(scipy.fft.fft(u) * kernel)
+        chirp_out = (math.pi / nfft) * (rows * (rows + 2 * first[last[c]]) % (2 * nfft))
+        phase = np.exp(1j * (d2 * (ll0 * idx) + chirp_out)) * np.exp((1j * d2) * (c % blk * idx))
+        out[:, c] = phase * conv[:n]
     return out
 
 
@@ -268,6 +311,27 @@ def test_zero_noise_hermite_matches_closed_form():
     assert abs(abs(f.values[k1]) - 1.0) < 1e-6
 
 
+def test_field_rejects_non_finite_values():
+    # the finiteness test looks at the sum first, so it must still catch a
+    # NaN that only an imaginary part holds, and an inf/-inf pair (whose sum
+    # is NaN), and must accept finite values whose sum overflows
+    g = make_grid(L=1, delta=0.25, T=1)
+    n = g.n_axis
+    for bad in (complex(0, math.nan), complex(math.inf, 0)):
+        v = np.zeros((n, n), dtype=np.complex128)
+        v[n // 2, 1] = bad
+        with pytest.raises(DataError):
+            simulate.WeightedField(grid=g, values=v)
+    v = np.zeros((n, n), dtype=np.complex128)
+    v[0, 0], v[-1, -1] = math.inf, -math.inf
+    with pytest.raises(DataError):
+        simulate.WeightedField(grid=g, values=v)
+    v[0, 0], v[-1, -1] = 1e308, 1e308
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(v.sum())
+    simulate.WeightedField(grid=g, values=v)
+
+
 def test_synthesis_rejects_mismatched_noise():
     g16 = make_grid(L=1, delta=2.0 ** -4, T=1)
     g8 = make_grid(L=1, delta=2.0 ** -3, T=1)
@@ -320,6 +384,10 @@ def test_continuous_outside_domain():
         evaluate_continuous(f.source, 1.5 + 0j)
     with pytest.raises(DomainError):
         evaluate_continuous(f.source, -2j)
+    # NaN fails every comparison, so it must not pass the domain test
+    for z in (complex(0, math.nan), complex(math.nan, 0), complex(math.inf, 0)):
+        with pytest.raises(DomainError):
+            evaluate_continuous(f.source, z)
 
 
 def test_continuous_closed_form_off_grid():
@@ -431,6 +499,10 @@ def test_refine_zero_validates_arguments():
         refine_zero(src, 0j, radius=0.01, levels=1)  # below grid spacing
     with pytest.raises(ConfigError):
         refine_zero(src, 0j, radius=0.1, levels=-1)
+    with pytest.raises(ConfigError):
+        refine_zero(src, 0j, radius=math.nan, levels=1)
+    with pytest.raises(DomainError):
+        refine_zero(src, complex(math.nan, 0), radius=0.1, levels=1)
 
 
 def scalar_evaluate(source, z):

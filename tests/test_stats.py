@@ -121,6 +121,12 @@ def test_expected_count_validation():
         expected_count(ZERO, 1.0, -1.0)
     with pytest.raises(ConfigError):
         expected_count(ZERO, 1.0, 1.0, step=0.0)
+    # non-finite sizes, which once ended in ValueError or OverflowError from
+    # round(), or (step=inf) in a silent one-point rule
+    for halfwidth, step in ((math.nan, None), (math.inf, None), (1.0, math.nan),
+                            (1.0, math.inf), (0.0, math.nan)):
+        with pytest.raises(ConfigError):
+            expected_count(ZERO, 1.0, halfwidth, step=step)
 
 
 # ---------------------------------------------------------------------------
