@@ -40,7 +40,6 @@ from .simulate import (
 )
 from .detect import (
     amn,
-    amn_margin,
     amn_select,
     mgn,
     raw_threshold,
@@ -63,7 +62,6 @@ from .stats import (
 )
 from .consistency import (
     ConsistencyRow,
-    MatchResult,
     aggregate_failure_table,
     failure_rate,
     greedy_match,
@@ -103,7 +101,6 @@ __all__ = [
     "write_field",
     "zero_noise",
     "amn",
-    "amn_margin",
     "amn_select",
     "mgn",
     "raw_threshold",
@@ -122,7 +119,6 @@ __all__ = [
     "variance_benchmark",
     "write_stats_csv",
     "ConsistencyRow",
-    "MatchResult",
     "aggregate_failure_table",
     "failure_rate",
     "greedy_match",

@@ -167,13 +167,15 @@ def cmd_simulate(args) -> int:
     manifest = out / "manifest.json"
     runs = _manifest_runs(manifest)
     token = f"{_signal_token(model)}_d{spacing_token(delta)}"
-    files = []
-    for seed in seeds:
-        noise = draw_noise(grid, sigma, seed)
-        fld = synthesize_field(noise, model, grid)
-        path = out / f"field_{token}_s{seed}.wfield"
-        write_field(fld, path, precision=precision)
-        files.append(path.name)
+    files = [f"field_{token}_s{seed}.wfield" for seed in seeds]
+    owners = {name: k for k, run in runs.items() if k != h for name in run["files"]}
+    for name in files:
+        if name in owners:
+            raise ConfigError(f"{out / name} belongs to simulate config {owners[name]!r}, "
+                              f"not {h!r}; write this config to another directory")
+    for seed, name in zip(seeds, files):
+        fld = synthesize_field(draw_noise(grid, sigma, seed), model, grid)
+        write_field(fld, out / name, precision=precision)
     run = runs.setdefault(h, {"config": cfg, "seeds": [], "files": []})
     run["seeds"] = list(dict.fromkeys(run["seeds"] + seeds))
     run["files"] = list(dict.fromkeys(run["files"] + files))
@@ -223,7 +225,7 @@ def cmd_detect(args) -> int:
     fields_dir = _require(_setting(args, config, "fields"), "fields")
     target = _setting(args, config, "target", parse=float)
 
-    n_csv = 0
+    pending = {}  # every CSV to write, checked before the first is written
     for path in _iter_fields(fields_dir):
         field = read_field(path)
         W = target if target is not None else field.grid.L - 1.0
@@ -243,9 +245,17 @@ def cmd_detect(args) -> int:
                 token = spacing_token(fld.grid.delta)
                 seed = "x" if ps.seed is None else ps.seed
                 csv_path = out / f"points_{name}_{sig}_d{token}_s{seed}.csv"
-                det.write_pointset_csv(ps, csv_path, meta=meta)
-                n_csv += 1
-    print(f"wrote {n_csv} point-set CSV(s) to {out}")
+                prior = pending[csv_path][1] if csv_path in pending else {}
+                if not prior and csv_path.exists():
+                    det.read_pointset_csv(csv_path, meta=prior)
+                if prior and prior.get("config") != h:
+                    raise ConfigError(f"{csv_path} holds detections of config "
+                                      f"{prior.get('config')!r}, not {h!r}; "
+                                      "write this config to another directory")
+                pending[csv_path] = (ps, meta)
+    for csv_path, (ps, meta) in pending.items():
+        det.write_pointset_csv(ps, csv_path, meta=meta)
+    print(f"wrote {len(pending)} point-set CSV(s) to {out}")
     return 0
 
 

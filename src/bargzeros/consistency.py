@@ -140,7 +140,7 @@ def wasserstein_within(
         return int(not inner.any())
     if len(v) == 0:
         return 0
-    adj = (_sup_dist(u, v) <= bound + 1e-12).astype(np.int8)
+    adj = _sup_dist(u, v) <= bound + 1e-12
     if not _saturates(adj, rows=True):
         return 0
     adj_inner = adj[:, inner]
@@ -150,10 +150,12 @@ def wasserstein_within(
 
 
 def _saturates(adj: np.ndarray, rows: bool) -> bool:
-    """Does a maximum matching of the biadjacency matrix saturate the rows
-    (or columns)?"""
+    """Does a maximum matching of the boolean biadjacency matrix saturate
+    the rows (or columns)?  (Its CSR form is built from the true entries.)"""
     want = adj.shape[0] if rows else adj.shape[1]
-    graph = csr_array(adj)
+    _, cols = np.nonzero(adj)
+    indptr = np.concatenate(([0], np.cumsum(adj.sum(axis=1))))
+    graph = csr_array((np.ones(cols.size, dtype=np.int8), cols, indptr), shape=adj.shape)
     match = maximum_bipartite_matching(graph, perm_type="column")
     return int((match != -1).sum()) == want
 

@@ -9,15 +9,12 @@ the samples each reads (no field-sized magnitude array is kept):
 * MGN keeps points minimal among their 8 immediate neighbours;
 * ST thresholds ``G <= 2*delta`` and sieves.
 
-AMN and MGN compare each point with the minimum of its ring or window,
-built as separable running minima over row blocks of the target box (one
-``np.abs`` per block, rings included): the 16-sample ring is a 5-wide
-minimum on rows +-2 and a 3-tall minimum on columns +-2, the 3x3 window
-two 3-sample minima.  A minimum is exact, so
-these tests select the same points as one comparison per neighbour.  The
-AMN margin ``eta >= G`` makes ``ring >= 2*G`` a necessary condition, also
-in floating point, and the margin is evaluated only where it holds (a
-handful of points per box on pure-noise fields).
+AMN and MGN screen each row block of the target box (one ``np.abs`` per
+block, rings included) with one necessary comparison per point: AMN's
+``2*G <=`` the ring sample two rows down, MGN's ``G <=`` both row
+neighbours.  The few survivors gather their other neighbours from the
+same block magnitudes for the exact test, so the selected points are those
+of one comparison per neighbour.
 
 Detectors never skip boundary points silently: a target box whose ring or
 right-neighbour samples fall outside the stored grid raises
@@ -37,10 +34,14 @@ from ._table import write_table
 from .grid import Method, PointSet
 from .simulate import WeightedField
 
-#: target-box rows per ring-minimum block; each block's filter temporaries
-#: are a few (block rows, box width) float arrays instead of full-box ones
-#: (at n=1537, 64 rows measured faster than 16, 32, 128, 256 or one block)
-_BLOCK_ROWS = 64
+#: target-box rows per screened block, so that temporaries are a few (block
+#: rows, box width) arrays (at n=1537, 128 beat 32 and 64 and tied 256)
+_BLOCK_ROWS = 128
+
+#: (row, column) offsets of the 16 samples of the sup-norm ``2*delta`` ring
+_RING = np.array([(p, q) for p in range(-2, 3) for q in range(-2, 3) if max(abs(p), abs(q)) == 2])
+#: the 6 immediate neighbours that MGN's row screen leaves out
+_OFF_ROW = np.array([(p, q) for p in (-1, 1) for q in (-1, 0, 1)])
 
 
 def _target_slices(field: WeightedField, target_halfwidth: float, rings: int):
@@ -66,26 +67,21 @@ def _blocks(V: np.ndarray, lo: int, m: int, pad: int):
         yield r0, np.abs(V[lo + r0 - pad : lo + r1 + pad, lo - pad : lo + m + pad])
 
 
-def _run_min(a: np.ndarray, width: int, axis: int) -> np.ndarray:
-    """Minimum over each run of ``width`` consecutive samples along ``axis``
-    (valid part only, so that axis shrinks by ``width - 1``), by doubling:
-    a run of 3 takes two ``np.minimum`` passes, a run of 5 three."""
-    lead = (slice(None),) * axis
-    span = 1
-    while span < width:
-        step = min(span, width - span)
-        n = a.shape[axis] - step
-        a = np.minimum(a[lead + (slice(0, n),)], a[lead + (slice(step, step + n),)])
-        span += step
-    return a
-
-
-def _hits(mask: np.ndarray, first_row: int = 0) -> np.ndarray:
+def _hits(mask: np.ndarray) -> np.ndarray:
     """``(row, column)`` indices of the true entries of a 2-D mask, in
-    row-major order, with rows counted from ``first_row`` (``np.argwhere``
-    on 2-D input is many times slower)."""
-    i, j = np.divmod(np.flatnonzero(mask), mask.shape[1])
-    return np.stack((i + first_row, j), axis=1)
+    row-major order (``np.argwhere`` on 2-D input is many times slower)."""
+    return np.stack(np.divmod(np.flatnonzero(mask), mask.shape[1]), axis=1)
+
+
+def _survivors(rows: np.ndarray, screen: np.ndarray, pad: int, offsets: np.ndarray, r0: int):
+    """Box indices (rows from ``r0``) of the block points passing ``screen``,
+    their magnitudes, and the least of their neighbours' at ``offsets``, all
+    read from ``rows``: the block's magnitudes with ``pad`` surrounding rings."""
+    i, j = np.divmod(np.flatnonzero(screen), screen.shape[1])
+    G = rows.ravel()
+    at = (i + pad) * rows.shape[1] + j + pad
+    near = G[at[:, None] + offsets @ (rows.shape[1], 1)].min(axis=1)
+    return np.stack((i + r0, j), axis=1), G[at], near
 
 
 def _margins(field: WeightedField, k: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -105,39 +101,25 @@ def _margins(field: WeightedField, k: np.ndarray, l: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(v0), 0.75 * np.abs(phase * V[k + 1, l] - v0))
 
 
-def amn_margin(field: WeightedField, k: int, l: int) -> float:
-    """Adaptive comparison margin at grid index ``(k, l)``: the one-point
-    case of the margin that :func:`amn_select` evaluates."""
-    n = field.grid.n_axis
-    if not (0 <= k < n and 0 <= l < n):
-        raise BoundaryError(f"index ({k}, {l}) outside stored grid")
-    if k + 1 >= n:
-        raise BoundaryError(f"margin at ({k}, {l}) needs the right neighbour sample")
-    return float(_margins(field, np.array([k]), np.array([l]))[0])
-
-
 def amn_select(field: WeightedField, target_halfwidth: float) -> PointSet:
     """Unsieved AMN candidates: every point of the target box whose full
     2-ring dominates it by the adaptive margin.
 
-    Each row block takes the minimum over the 16 ring samples as a 5-wide
-    minimum on rows +-2 and a 3-tall minimum on columns +-2.  Since the
-    margin is at least the centre magnitude ``Gc``, a point can pass only
-    if that ring minimum is at least ``2*Gc`` (exactly, in floating
-    point), so the margin is evaluated only at the few points that do.
+    The margin is at least the centre magnitude ``Gc``, so ``ring >= 2*Gc``
+    is necessary (exactly, in floating point), and so is ``2*Gc <=`` the
+    ring sample two rows down, since the ring minimum is one of its 16
+    samples.  Only points passing that one comparison (a few dozen of
+    1,050,625 in box 2 of a pure-noise n=1537 field) gather the whole ring,
+    and only those with ``ring >= 2*Gc`` evaluate the margin.
     """
     g = field.grid
     w, lo, _ = _target_slices(field, target_halfwidth, rings=2)
-    m = 2 * w + 1
     kls, ring_mins = [], []
-    for r0, rows in _blocks(field.values, lo, m, 2):
-        edge = _run_min(rows, 5, axis=1)  # ring rows -2 and +2
-        side = _run_min(rows[1:-1], 3, axis=0)  # ring columns -2 and +2
-        ring = np.minimum(edge[:-4], edge[4:])
-        np.minimum(ring, side[:, :-4], out=ring)
-        np.minimum(ring, side[:, 4:], out=ring)
-        passed = ring >= 2.0 * rows[2:-2, 2:-2]
-        kls.append(_hits(passed, r0))
+    for r0, rows in _blocks(field.values, lo, 2 * w + 1, 2):
+        screen = 2.0 * rows[2:-2, 2:-2] <= rows[4:, 2:-2]
+        kl, Gc, ring = _survivors(rows, screen, 2, _RING, r0)
+        passed = ring >= 2.0 * Gc
+        kls.append(kl[passed])
         ring_mins.append(ring[passed])
     kl = np.concatenate(kls)
     k, l = (kl + lo).T
@@ -191,14 +173,18 @@ def amn(field: WeightedField, target_halfwidth: float) -> PointSet:
 
 def mgn(field: WeightedField, target_halfwidth: float) -> PointSet:
     """Minimal-grid-neighbours detector: points whose weighted magnitude
-    is minimal among the 8 immediate neighbours, i.e. equal to the minimum
-    of their 3x3 window (evaluated per row block as two 3-sample minima)."""
+    is at most that of each of their 8 immediate neighbours.  Only the
+    points no larger than their left and right neighbours (about 0.2% on
+    pure-noise fields) are compared with the other 6."""
     g = field.grid
     w, lo, _ = _target_slices(field, target_halfwidth, rings=1)
     kls = []
     for r0, rows in _blocks(field.values, lo, 2 * w + 1, 1):
-        window_min = _run_min(_run_min(rows, 3, axis=0), 3, axis=1)
-        kls.append(_hits(rows[1:-1, 1:-1] <= window_min, r0))
+        centre = rows[1:-1, 1:-1]
+        screen = centre <= rows[1:-1, :-2]
+        screen &= centre <= rows[1:-1, 2:]
+        kl, Gc, near = _survivors(rows, screen, 1, _OFF_ROW, r0)
+        kls.append(kl[Gc <= near])
     return PointSet(Method.MGN, g.delta, target_halfwidth, np.concatenate(kls), seed=field.seed)
 
 

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from bargzeros import ConfigError, DataError, read_field, read_pointset_csv
+from bargzeros import (
+    ConfigError,
+    DataError,
+    read_field,
+    read_pointset_csv,
+    write_pointset_csv,
+)
 from bargzeros.cli import (
     config_hash,
     main,
@@ -179,6 +185,65 @@ def test_pipeline_rerun_is_byte_identical(pipeline, tmp_path):
     after = {p.name: p.read_bytes() for p in fields.iterdir()}
     after.update({p.name: p.read_bytes() for p in points.iterdir()})
     assert after == before
+
+
+def _snapshot(*dirs):
+    return {p: p.read_bytes() for d in dirs for p in sorted(d.iterdir())}
+
+
+def test_simulate_refuses_another_configs_cache(tmp_path, capsys):
+    # the cache name records signal, spacing and seed, not T: a run with
+    # another T would replace the first run's cache under the same name
+    fields = tmp_path / "fields"
+    argv = ["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero", "--seeds", "0",
+            "--out", str(fields)]
+    assert main([*argv, "--T", "2"]) == 0
+    before = _snapshot(fields)
+    assert main([*argv, "--T", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "field_zero_A0_d2m4_s0.wfield" in err
+    assert "Traceback" not in err
+    assert _snapshot(fields) == before  # cache and manifest untouched
+    # a seed list that only partly clashes writes nothing either
+    assert main([*argv[:-3], "1,0", "--out", str(fields), "--T", "1"]) == 2
+    assert _snapshot(fields) == before
+    # the same config again rewrites byte-identically
+    assert main([*argv, "--T", "2"]) == 0
+    assert _snapshot(fields) == before
+
+
+def test_detect_refuses_another_configs_points(pipeline, capsys):
+    _, fields, points = pipeline
+    argv = ["detect", "--fields", str(fields), "--methods", "amn,st", "--levels", "0,1",
+            "--out", str(points)]
+    before = _snapshot(points)
+    assert main([*argv, "--target", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "points_amn_zero_A0_d2m4_s0.csv" in err
+    assert "Traceback" not in err
+    assert _snapshot(points) == before  # no CSV written, none replaced
+    assert main([*argv, "--target", "1.0"]) == 0
+    assert _snapshot(points) == before
+    # a point set that records no config is not replaced either
+    target = points / "points_st_zero_A0_d2m3_s2.csv"
+    write_pointset_csv(read_pointset_csv(target), target)
+    before = _snapshot(points)
+    assert main([*argv, "--target", "1.0"]) == 2
+    assert "config None" in capsys.readouterr().err
+    assert _snapshot(points) == before
+
+
+def test_detect_refuses_two_sources_for_one_csv(tmp_path, capsys):
+    # level 1 of a 2^-4 field and level 0 of a 2^-3 field share the CSV name
+    fields, points = tmp_path / "fields", tmp_path / "points"
+    for delta in ("2^-4", "2^-3"):
+        assert main(["simulate", "--L", "2", "--delta", delta, "--T", "1", "--signal", "zero",
+                     "--seeds", "0", "--out", str(fields)]) == 0
+    assert main(["detect", "--fields", str(fields), "--methods", "amn", "--levels", "0,1",
+                 "--out", str(points)]) == 2
+    err = capsys.readouterr().err
+    assert "points_amn_zero_A0_d2m3_s0.csv" in err and "Traceback" not in err
+    assert not list(points.iterdir())
 
 
 def test_stats_over_detections(pipeline, capsys):

@@ -17,7 +17,6 @@ from bargzeros import (
     Method,
     WeightedField,
     amn,
-    amn_margin,
     amn_select,
     draw_noise,
     make_grid,
@@ -29,6 +28,7 @@ from bargzeros import (
     synthesize_field,
     write_pointset_csv,
 )
+from bargzeros.detect import _margins
 from bargzeros.grid import PointSet, ladder
 from bargzeros.signal import SignalKind, SignalModel, parse_signal
 
@@ -36,6 +36,11 @@ from conftest import synthetic_field
 
 ZERO_SIGNAL = SignalModel(SignalKind.ZERO)
 D16 = 2.0 ** -4
+
+
+def _margin(field, k, l):
+    # the detector's margin at one grid index
+    return float(_margins(field, np.array([k]), np.array([l]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +53,7 @@ def test_margin_linear_field_at_origin():
     g = make_grid(L=1, delta=D16, T=1)
     f = synthetic_field(g, lambda z: z)
     k0 = g.index_of(0j)
-    eta = amn_margin(f, *k0)
+    eta = _margin(f, *k0)
     assert eta == pytest.approx(0.75 * D16, abs=1e-15)
     assert eta == pytest.approx(0.0468, abs=1e-3)
 
@@ -60,7 +65,7 @@ def test_margin_constant_field_cancellation():
     g = make_grid(L=1, delta=D16, T=1)
     f = synthetic_field(g, lambda z: np.full_like(z, c))
     k0 = g.index_of(0j)
-    assert amn_margin(f, *k0) == pytest.approx(abs(c), abs=1e-15)
+    assert _margin(f, *k0) == pytest.approx(abs(c), abs=1e-15)
 
 
 def test_margin_matches_hand_formula_at_random_points():
@@ -74,17 +79,7 @@ def test_margin_matches_hand_formula_at_random_points():
         lam = g.point_of(int(k), int(l))
         phase = cmath.exp(0.5 * g.delta * (2j * lam.imag + g.delta))
         want = max(abs(vals[k, l]), 0.75 * abs(phase * vals[k + 1, l] - vals[k, l]))
-        assert amn_margin(f, int(k), int(l)) == pytest.approx(want, rel=1e-14)
-
-
-def test_margin_boundary_errors():
-    g = make_grid(L=1, delta=D16, T=1)
-    f = synthetic_field(g, lambda z: z)
-    n = g.n_axis
-    with pytest.raises(BoundaryError):
-        amn_margin(f, n - 1, 0)  # needs the right neighbour
-    with pytest.raises(BoundaryError):
-        amn_margin(f, 0, n)
+        assert _margin(f, int(k), int(l)) == pytest.approx(want, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +208,81 @@ def test_amn_select_keeps_exact_ties():
     c = g.half_n
     vals[c - 1 : c + 2, c - 1 : c + 2] = 1.0
     f = WeightedField(grid=g, values=vals.copy())
-    assert amn_margin(f, c, c) == 1.0
+    assert _margin(f, c, c) == 1.0
     assert [tuple(r) for r in amn_select(f, 0.0).kl] == [(0, 0)]
     _assert_matches_offset_loops(f, 0.0)
     vals[c + 2, c - 1] = np.nextafter(2.0, 0.0)
     f = WeightedField(grid=g, values=vals)
     assert len(amn_select(f, 0.0)) == 0
     _assert_matches_offset_loops(f, 0.0)
+
+
+def _tied_well():
+    """Values of 2 around a 3x3 well of 1s at the grid centre ``c``: the
+    centre's margin is its own magnitude, so its bar ``Gc + eta`` is exactly
+    2 and every ring sample ties with ``2*Gc``; its 8 immediate neighbours
+    tie with it."""
+    g = make_grid(L=1, delta=2.0 ** -2, T=1)
+    vals = np.full((g.n_axis, g.n_axis), 2.0 + 0j)
+    c = g.half_n
+    vals[c - 1 : c + 2, c - 1 : c + 2] = 1.0
+    return g, vals, c
+
+
+_RING_OFFSETS = [(p, q) for p in range(-2, 3) for q in range(-2, 3) if max(abs(p), abs(q)) == 2]
+_NEIGHBOURS = [(p, q) for p in (-1, 0, 1) for q in (-1, 0, 1) if (p, q) != (0, 0)]
+
+
+@pytest.mark.parametrize("p, q", _RING_OFFSETS)
+def test_amn_select_rejects_one_low_ring_sample(p, q):
+    # only ring sample (p, q) is below 2*Gc: the screen reads one ring
+    # sample, the exact test must catch each of the other 15
+    g, vals, c = _tied_well()
+    assert [tuple(r) for r in amn_select(WeightedField(grid=g, values=vals.copy()), 0.0).kl] == [
+        (0, 0)
+    ]
+    vals[c + p, c + q] = np.nextafter(2.0, 0.0)
+    f = WeightedField(grid=g, values=vals)
+    assert len(amn_select(f, 0.0)) == 0
+    _assert_matches_offset_loops(f, 0.0)
+
+
+@pytest.mark.parametrize("p, q", _NEIGHBOURS)
+def test_mgn_rejects_one_lower_neighbour(p, q):
+    # only neighbour (p, q) is below the centre: the screen reads the two
+    # row neighbours, the exact test must catch each of the other 6
+    g, vals, c = _tied_well()
+    assert [tuple(r) for r in mgn(WeightedField(grid=g, values=vals.copy()), 0.0).kl] == [(0, 0)]
+    vals[c + p, c + q] = np.nextafter(1.0, 0.0)
+    f = WeightedField(grid=g, values=vals)
+    assert len(mgn(f, 0.0)) == 0
+    _assert_matches_offset_loops(f, 0.0)
+
+
+def test_selection_where_most_points_pass_the_screens():
+    # magnitudes double every second row and are constant along rows, so
+    # 2*Gc ties with the ring sample two rows down and each point with its
+    # row neighbours: both screens pass everywhere but on the wells, and
+    # the exact tests do all the work.  Wells of tied samples, 8 or 4
+    # times smaller than their row, are AMN candidates (the second with its
+    # ring minimum exactly 2*Gc); odd rows tie with the row above, so MGN
+    # keeps them whole.
+    g = make_grid(L=4, delta=2.0 ** -2, T=1)
+    n = g.n_axis
+    vals = np.repeat(2.0 ** (np.arange(n) // 2), n).reshape(n, n).astype(np.complex128)
+    for (k, l), shrink in (((14, 12), 8.0), ((20, 25), 4.0), ((27, 18), 8.0)):
+        vals[k - 1 : k + 2, l - 1 : l + 2] = vals[k, l] / shrink
+    f = WeightedField(grid=g, values=vals)
+    target = 3.5
+    w = g.index_halfwidth(target)
+    lo = g.half_n - w
+    G = np.abs(vals)
+    box = G[lo : lo + 2 * w + 1, lo : lo + 2 * w + 1]
+    assert (2.0 * box <= G[lo + 2 : lo + 2 * w + 3, lo : lo + 2 * w + 1]).mean() > 0.9
+    assert (box <= G[lo : lo + 2 * w + 1, lo - 1 : lo + 2 * w]).mean() > 0.9
+    _assert_matches_offset_loops(f, target)
+    assert {tuple(r + lo) for r in amn_select(f, target).kl} == {(14, 12), (20, 25), (27, 18)}
+    assert len(mgn(f, target)) > (2 * w + 1) ** 2 / 3
 
 
 @settings(max_examples=200, deadline=None)
