@@ -43,10 +43,5 @@ for p in zeros.points[:5]:
     loc, mag = refine_zero(field.source, complex(p), 2 * DELTA, 4)
     print(f"{p:>22.4f}  {loc:>22.6f}  {mag:>10.2e}")
 
-d = zeros.points
-sep = np.maximum(
-    np.abs(d.real[:, None] - d.real[None, :]),
-    np.abs(d.imag[:, None] - d.imag[None, :]),
-)
-np.fill_diagonal(sep, np.inf)
-print(f"\nminimal separation between detections: {sep.min():.4f} (>= 5*delta = {5 * DELTA})")
+sep = zeros.min_separation() * DELTA
+print(f"\nminimal separation between detections: {sep:.4f} (>= 5*delta = {5 * DELTA})")

@@ -11,17 +11,15 @@ Takes roughly half a minute.
 
 import math
 
-import numpy as np
-
 from bargzeros import (
     SignalKind,
     SignalModel,
     amn,
     draw_noise,
-    intensity_estimator,
     make_grid,
     mgn,
     st,
+    summary_rows,
     synthesize_field,
     variance_benchmark,
 )
@@ -34,19 +32,19 @@ TARGET = 4.0
 grid = make_grid(L=L, delta=DELTA, T=6)
 signal = SignalModel(SignalKind.ZERO)
 
-estimates = {"amn": [], "mgn": [], "st": []}
+detections = {"amn": [], "mgn": [], "st": []}
 for seed in range(REALIZATIONS):
     field = synthesize_field(draw_noise(grid, 1.0, seed), signal, grid)
     for name, detect in (("amn", amn), ("mgn", mgn), ("st", st)):
-        estimates[name].append(intensity_estimator(detect(field, TARGET), TARGET))
+        detections[name].append(detect(field, TARGET))
 
 benchmark = variance_benchmark(area=(2 * TARGET) ** 2)
 print(f"R = {REALIZATIONS} realizations, spacing {DELTA}, box half-width {TARGET}")
 print(f"closed form: intensity 1/pi = {1 / math.pi:.5f}, benchmark std = {benchmark:.5f}\n")
 print(f"{'method':>6}  {'mean':>8}  {'bias':>8}  {'std':>8}  {'std/benchmark':>13}")
-for name, vals in estimates.items():
-    x = np.asarray(vals)
+for name, sets in detections.items():
+    row = summary_rows(sets, signal, 1.0, [TARGET])[0]  # the intensity row
     print(
-        f"{name:>6}  {x.mean():8.5f}  {x.mean() - 1 / math.pi:+8.5f}"
-        f"  {x.std(ddof=1):8.5f}  {x.std(ddof=1) / benchmark:13.2f}"
+        f"{name:>6}  {row.mean:8.5f}  {row.mean - 1 / math.pi:+8.5f}"
+        f"  {row.std:8.5f}  {row.std / benchmark:13.2f}"
     )

@@ -42,7 +42,6 @@ from .detect import (
     amn,
     amn_select,
     mgn,
-    raw_threshold,
     read_pointset_csv,
     sieve,
     st,
@@ -50,11 +49,9 @@ from .detect import (
 )
 from .stats import (
     StatRow,
-    count_error_estimator,
     count_in_box,
     covariance_probe,
     expected_count,
-    intensity_estimator,
     rho1,
     summary_rows,
     variance_benchmark,
@@ -103,17 +100,14 @@ __all__ = [
     "amn",
     "amn_select",
     "mgn",
-    "raw_threshold",
     "read_pointset_csv",
     "sieve",
     "st",
     "write_pointset_csv",
     "StatRow",
-    "count_error_estimator",
     "count_in_box",
     "covariance_probe",
     "expected_count",
-    "intensity_estimator",
     "rho1",
     "summary_rows",
     "variance_benchmark",

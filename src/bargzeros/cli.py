@@ -35,7 +35,8 @@ from ._table import write_table
 from .errors import ConfigError, DataError
 from .grid import ladder, make_grid
 from .signal import parse_signal
-from .simulate import _PRECISIONS, draw_noise, read_field, synthesize_field, write_field
+from .simulate import (_PRECISIONS, _read_header, draw_noise, read_field, synthesize_field,
+                       write_field)
 
 _DETECTORS = {"amn": det.amn, "mgn": det.mgn, "st": det.st}
 
@@ -126,16 +127,25 @@ def _manifest_runs(path: Path) -> dict:
     if not path.exists():
         return {}
     try:
-        doc = json.loads(path.read_text())
-        if "hash" in doc:  # the single-run layout of earlier versions
-            doc = {"runs": {doc.pop("hash"): doc}}
-        runs = doc["runs"]
+        runs = json.loads(path.read_text())["runs"]
         if all(isinstance(r["seeds"], list) and isinstance(r["files"], list)
                for r in runs.values()):
             return runs
     except (ValueError, TypeError, KeyError, AttributeError):
         pass
     raise DataError(f"{path} is not a simulate manifest")
+
+
+def _refuse_replacing(path: Path, h: str) -> None:
+    """Refuse to replace a file whose leading ``# config=`` line is not ``h``'s."""
+    if not path.exists():
+        return
+    with open(path, "rb") as fh:
+        key, _, val = fh.readline(128).partition(b"=")
+    prior = val.strip().decode(errors="replace") if key == b"# config" else None
+    if prior != h:
+        raise ConfigError(f"{path} holds output of config {prior!r}, not {h!r}; "
+                          "write this config to another path")
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +169,9 @@ def cmd_simulate(args) -> int:
     out = Path(_require(_setting(args, config, "out"), "out"))
     out.mkdir(parents=True, exist_ok=True)
 
-    cfg = {
-        "cmd": "simulate", "L": L, "delta": delta, "T": T, "sigma": sigma,
-        "margin": margin, "signal": model.descriptor(), "precision": precision,
-    }
+    settings = {"L": L, "delta": delta, "T": T, "sigma": sigma, "margin": margin,
+                "signal": model.descriptor(), "precision": precision}
+    cfg = {"cmd": "simulate", **settings}
     h = config_hash(cfg)
     manifest = out / "manifest.json"
     runs = _manifest_runs(manifest)
@@ -173,6 +182,12 @@ def cmd_simulate(args) -> int:
         if name in owners:
             raise ConfigError(f"{out / name} belongs to simulate config {owners[name]!r}, "
                               f"not {h!r}; write this config to another directory")
+        if (out / name).exists():
+            with open(out / name, "rb") as fh:
+                header = _read_header(fh, out / name)
+            if {k: header.get(k) for k in settings} != settings:
+                raise ConfigError(f"{out / name} was simulated with other settings; "
+                                  "write this config to another directory")
     for seed, name in zip(seeds, files):
         fld = synthesize_field(draw_noise(grid, sigma, seed), model, grid)
         write_field(fld, out / name, precision=precision)
@@ -245,13 +260,9 @@ def cmd_detect(args) -> int:
                 token = spacing_token(fld.grid.delta)
                 seed = "x" if ps.seed is None else ps.seed
                 csv_path = out / f"points_{name}_{sig}_d{token}_s{seed}.csv"
-                prior = pending[csv_path][1] if csv_path in pending else {}
-                if not prior and csv_path.exists():
-                    det.read_pointset_csv(csv_path, meta=prior)
-                if prior and prior.get("config") != h:
-                    raise ConfigError(f"{csv_path} holds detections of config "
-                                      f"{prior.get('config')!r}, not {h!r}; "
-                                      "write this config to another directory")
+                if csv_path in pending:
+                    raise ConfigError(f"two caches of this run would write {csv_path}")
+                _refuse_replacing(csv_path, h)
                 pending[csv_path] = (ps, meta)
     for csv_path, (ps, meta) in pending.items():
         det.write_pointset_csv(ps, csv_path, meta=meta)
@@ -265,10 +276,14 @@ def cmd_stats(args) -> int:
     signal_text = _require(_setting(args, config, "signal"), "signal")
     sigma = _setting(args, config, "sigma", default=1.0, parse=float)
     boxes = _parse_list(_setting(args, config, "boxes", default="1,2,3"), float, "boxes")
-    out = _require(_setting(args, config, "out"), "out")
+    out = Path(_require(_setting(args, config, "out"), "out"))
 
     model = parse_signal(signal_text, sigma=sigma)
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
+    cfg = {"cmd": "stats", "signal": model.descriptor(), "sigma": sigma,
+           "boxes": ",".join(map(str, boxes))}
+    h = config_hash(cfg)
+    _refuse_replacing(out, h)
+    out.parent.mkdir(parents=True, exist_ok=True)
     paths = sorted(Path(points_dir).glob("*.csv"))
     if not paths:
         raise DataError(f"no point-set CSVs in {points_dir}")
@@ -282,9 +297,6 @@ def cmd_stats(args) -> int:
             )
         groups.setdefault((ps.method.value, ps.delta), []).append(ps)
 
-    cfg = {"cmd": "stats", "signal": model.descriptor(), "sigma": sigma,
-           "boxes": ",".join(map(str, boxes))}
-    h = config_hash(cfg)
     rows = []
     for (_, delta), sets in sorted(groups.items()):
         rows += st_mod.summary_rows(sets, model, sigma, boxes, step=min(delta, 1.0 / 64.0))
@@ -308,6 +320,12 @@ def cmd_consistency(args) -> int:
         raise ConfigError(f"proxy must be amn or mgn, got {proxy_name!r}")
     if 0 in levels:
         raise ConfigError("consistency levels start at 1 (level 0 is the proxy itself)")
+    cfg = {"cmd": "consistency", "proxy": proxy_name,
+           "methods": ",".join(methods), "levels": ",".join(map(str, levels))}
+    h = config_hash(cfg)
+    agg_path = out.with_name(out.stem + "_aggregate" + out.suffix)
+    for target in (out, agg_path):
+        _refuse_replacing(target, h)
 
     detectors = {name: _DETECTORS[name] for name in methods}
     rows = []
@@ -315,13 +333,9 @@ def cmd_consistency(args) -> int:
         field = read_field(path)
         rows += cons.ladder_rows(field, field.grid.L - 1.0, levels, detectors,
                                  _DETECTORS[proxy_name])
-    cfg = {"cmd": "consistency", "proxy": proxy_name,
-           "methods": ",".join(methods), "levels": ",".join(map(str, levels))}
-    h = config_hash(cfg)
     cons.write_consistency_csv(rows, out, meta={"config": h})
 
     deltas, names, table = cons.aggregate_failure_table(rows)
-    agg_path = out.with_name(out.stem + "_aggregate" + out.suffix)
     write_table(agg_path, ["delta", *names],
                 ([d, *(f"{table.get((d, m), float('nan')):.4f}" for m in names)] for d in deltas),
                 meta={"config": h}, lineterminator="\n")

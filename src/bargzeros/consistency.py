@@ -40,7 +40,6 @@ class MatchResult:
     unmatched_hi: np.ndarray
     certificate: int
     max_distortion: float
-    delta_lo: float
 
 
 def _sup_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,7 +101,6 @@ def greedy_match(z_hi: PointSet, z_lo: PointSet, delta_lo: float) -> MatchResult
         unmatched_hi=unmatched,
         certificate=cert,
         max_distortion=max_dist,
-        delta_lo=delta_lo,
     )
 
 

@@ -198,24 +198,6 @@ def st(field: WeightedField, target_halfwidth: float) -> PointSet:
     return _check_separated(sieve(cands, field), "st")
 
 
-def raw_threshold(field: WeightedField, target_halfwidth: float, quantile: float) -> PointSet:
-    """Diagnostic only: quantile thresholding without sieving.
-
-    Returns every target-box point whose weighted magnitude falls below
-    the given quantile of the box's magnitudes.  Useful for eyeballing how
-    much structure survives naive thresholding; makes no separation
-    promise, and tags its output ``Method.RAW`` so it is never mistaken for
-    a sieved ST detection.
-    """
-    if not 0.0 < quantile < 1.0:
-        raise ConfigError(f"quantile must be in (0, 1), got {quantile}")
-    g = field.grid
-    w, lo, sl = _target_slices(field, target_halfwidth, rings=0)
-    Gc = np.abs(field.values[sl, sl])
-    keep = Gc <= np.quantile(Gc, quantile)
-    return PointSet(Method.RAW, g.delta, target_halfwidth, _hits(keep), seed=field.seed)
-
-
 # ---------------------------------------------------------------------------
 # PointSet serialization
 

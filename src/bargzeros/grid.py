@@ -138,7 +138,6 @@ class Method(enum.Enum):
     AMN = "AMN"
     MGN = "MGN"
     ST = "ST"
-    RAW = "RAW"  # unsieved diagnostic thresholding
 
 
 @dataclass(frozen=True)

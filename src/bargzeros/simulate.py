@@ -523,17 +523,25 @@ def write_field(field: WeightedField, path, precision: str = "complex128") -> No
         fh.write(payload)
 
 
+def _read_header(fh, path) -> dict:
+    """The JSON header line of a field cache open for binary reading."""
+    try:
+        header = json.loads(fh.readline())
+    except ValueError as e:  # bad JSON or bytes that are not UTF-8
+        raise DataError(f"{path}: corrupt field cache: {e!r}") from e
+    if not isinstance(header, dict) or header.get("format") != _MAGIC:
+        raise DataError(f"{path}: not a {_MAGIC} cache")
+    return header
+
+
 def read_field(path) -> WeightedField:
     """Load a cached field; regenerates the noise source when the header
     records a seed (noise draws are reproducible), else returns a field
     without one."""
     with open(path, "rb") as fh:
-        line = fh.readline()
+        header = _read_header(fh, path)
         raw = fh.read()
     try:
-        header = json.loads(line)
-        if header.get("format") != _MAGIC:
-            raise DataError(f"{path}: not a {_MAGIC} cache")
         grid = GridSpec(
             L=header["L"], delta=header["delta"], T=header["T"], margin=header["margin"]
         )
@@ -554,8 +562,8 @@ def read_field(path) -> WeightedField:
                 noise = zero_noise(grid)
             source = FieldSource(noise=noise, signal=sig, grid=grid)
     except (AttributeError, KeyError, TypeError, ValueError) as e:
-        # bad JSON, a missing key, a value of the wrong type, a payload that
-        # is not whole elements, or values the grid or signal reject
+        # a missing key, a value of the wrong type, a payload that is not
+        # whole elements, or values the grid or signal reject
         # (ConfigError is a ValueError)
         raise DataError(f"{path}: corrupt field cache: {e!r}") from e
     values = values.reshape(n, n).astype(np.complex128, copy=False)

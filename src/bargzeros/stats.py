@@ -9,7 +9,8 @@ with covariance ``exp(z * conj(w))``) the density of zeros per unit area is
 which collapses to the flat ``1/pi`` when the deterministic part vanishes.
 Counts of detected zeros over a box, normalised by its area, estimate this
 intensity; their deviation from the integrated density is the count-error
-statistic aggregated in the experiment reports.
+statistic.  :func:`summary_rows` is the one place where counts become these
+two statistics.
 """
 
 from __future__ import annotations
@@ -80,29 +81,6 @@ def count_in_box(points: PointSet, halfwidth: float) -> int:
     if halfwidth > points.domain_halfwidth:
         raise ConfigError("box exceeds the point set's domain")
     return len(points.restrict(halfwidth))
-
-
-def intensity_estimator(points: PointSet, halfwidth: float) -> float:
-    """Points in the closed box divided by its area."""
-    if halfwidth <= 0:
-        raise ConfigError("halfwidth must be positive")
-    area = (2.0 * halfwidth) ** 2
-    return count_in_box(points, halfwidth) / area
-
-
-def count_error_estimator(
-    points: PointSet,
-    signal: SignalModel,
-    sigma: float,
-    halfwidth: float,
-    step: float | None = None,
-) -> float:
-    """Signed area-normalised deviation of the count from its expectation."""
-    if halfwidth <= 0:
-        raise ConfigError("halfwidth must be positive")
-    area = (2.0 * halfwidth) ** 2
-    expect = expected_count(signal, sigma, halfwidth, step=step)
-    return (count_in_box(points, halfwidth) - expect) / area
 
 
 def variance_benchmark(area: float = _OMEGA6_AREA) -> float:

@@ -24,30 +24,30 @@ import pytest
 from scipy.integrate import quad
 
 from bargzeros import (
+    Method,
+    PointSet,
     SignalKind,
     SignalModel,
+    StatRow,
     WeightedField,
     amn,
     bargmann_closed_form,
-    count_in_box,
     covariance_probe,
     draw_noise,
-    expected_count,
     failure_rate,
     greedy_match,
-    intensity_estimator,
     intensity_scale,
     ladder_rows,
     make_grid,
     mgn,
     model_for,
-    raw_threshold,
     refine_zero,
     rho1,
     sample_signal,
     sieve,
     st,
     subsample,
+    summary_rows,
     synthesize_field,
     variance_benchmark,
     wasserstein_within,
@@ -106,27 +106,30 @@ def test_weighted_field_covariance(capsys):
 
 @pytest.fixture(scope="module")
 def intensity_runs():
-    """Intensity estimates over the box of half-width 4 for seeds 0..999.
+    """Detections in the box of half-width 4 for seeds 0..999, per method.
 
     The first 200 seeds form the comparison sample; the full thousand
     validate the area-scaled std benchmark before it is used as a
     tolerance.  Shared with the failure-table check below.
     """
     g = make_grid(L=5, delta=2.0**-6, T=6)
-    rho = {name: [] for name in DETECTORS}
+    sets = {name: [] for name in DETECTORS}
     for seed in range(1000):
         f = synthesize_field(draw_noise(g, SIGMA, seed), ZERO, g)
         for name, detect in DETECTORS.items():
-            rho[name].append(intensity_estimator(detect(f, 4.0), 4.0))
-    return {name: np.asarray(vals) for name, vals in rho.items()}
+            sets[name].append(detect(f, 4.0))
+    return sets
 
 
-def _intensity_protocol(x: np.ndarray, target_std: float) -> tuple[bool, bool]:
+def _intensity(sets) -> StatRow:
+    """The intensity row (mean, std, se) of the box of half-width 4."""
+    return summary_rows(sets, ZERO, SIGMA, [4.0])[0]
+
+
+def _intensity_protocol(row: StatRow, target_std: float) -> tuple[bool, bool]:
     """(mean criterion, std criterion) for one method's intensity sample."""
-    bias = abs(float(x.mean()) - 1.0 / math.pi)
-    std = float(x.std(ddof=1))
-    se = std / math.sqrt(len(x))
-    return bias <= 3.0 * se, 0.7 * target_std <= std <= 1.3 * target_std
+    return (abs(row.mean - 1.0 / math.pi) <= 3.0 * row.se,
+            0.7 * target_std <= row.std <= 1.3 * target_std)
 
 
 def test_pointwise_intensity(intensity_runs, capsys):
@@ -134,26 +137,23 @@ def test_pointwise_intensity(intensity_runs, capsys):
 
     # the area-scaling heuristic must hold in a direct long run before the
     # benchmark may serve as a tolerance for the shorter protocol sample
-    validated = all(
-        0.7 * target <= float(intensity_runs[m].std(ddof=1)) <= 1.3 * target
-        for m in ("amn", "mgn")
-    )
+    long_run = {m: _intensity(intensity_runs[m]) for m in ("amn", "mgn")}
+    validated = all(_intensity_protocol(r, target)[1] for r in long_run.values())
 
-    sample = {m: x[:200] for m, x in intensity_runs.items()}
-    results = {m: _intensity_protocol(x, target) for m, x in sample.items()}
+    sample = {m: _intensity(sets[:200]) for m, sets in intensity_runs.items()}
+    results = {m: _intensity_protocol(r, target) for m, r in sample.items()}
     st_violates = not all(results["st"])
     ok = validated and all(results["amn"]) and all(results["mgn"]) and st_violates
     _report(capsys, 2, "pointwise intensity vs 1/pi", ok)
 
     assert validated, (
-        f"R=1000 std validation failed: "
-        f"amn {intensity_runs['amn'].std(ddof=1):.5f}, "
-        f"mgn {intensity_runs['mgn'].std(ddof=1):.5f} vs benchmark {target:.5f}"
+        f"R=1000 std validation failed: amn {long_run['amn'].std:.5f}, "
+        f"mgn {long_run['mgn'].std:.5f} vs benchmark {target:.5f}"
     )
     for m in ("amn", "mgn"):
         mean_ok, std_ok = results[m]
         assert mean_ok, f"{m}: |mean - 1/pi| exceeds 3*SE"
-        assert std_ok, f"{m}: std {sample[m].std(ddof=1):.5f} outside +-30% of {target:.5f}"
+        assert std_ok, f"{m}: std {sample[m].std:.5f} outside +-30% of {target:.5f}"
     assert st_violates, "st unexpectedly satisfies both intensity criteria"
 
 
@@ -170,46 +170,44 @@ def test_count_error_consistency(capsys):
         for A in (1.0, 100.0)
     }
     means = {key: synthesize_field(zero_noise(g), m, g).values for key, m in models.items()}
-    expect = {
-        (key, w): expected_count(m, SIGMA, w, step=g.delta)
-        for key, m in models.items()
-        for w in boxes
-    }
 
-    counts: dict[tuple, list[int]] = {}
+    sets: dict[tuple, list] = {}
     for seed in range(100):
         noise = synthesize_field(draw_noise(g, SIGMA, seed), ZERO, g)
         for key in models:
             f = WeightedField(grid=g, values=noise.values + means[key])
             for name, detect in DETECTORS.items():
-                pts = detect(f, 3.0)
-                for w in boxes:
-                    counts.setdefault((key, name, w), []).append(count_in_box(pts, w))
-
-    def beta(key, name, w):
-        errs = (np.asarray(counts[(key, name, w)]) - expect[(key, w)]) / (2.0 * w) ** 2
-        return float(errs.mean()), float(errs.std(ddof=1)) / math.sqrt(len(errs))
-
-    grid_ok = True
-    for key in models:
-        for name in ("amn", "mgn"):
-            for w in boxes:
-                mean, se = beta(key, name, w)
-                grid_ok &= abs(mean) <= max(0.02, 3.0 * se)
+                sets.setdefault((key, name), []).append(detect(f, 3.0))
 
     # the threshold detector misses the deterministic zero of the strong
     # first-Hermite signal, so its count error dwarfs the neighbourhood
     # detectors' on at least one box
     strong = (SignalKind.HERMITE1, 100.0)
+    pairs = [(key, name) for key in models for name in ("amn", "mgn")] + [(strong, "st")]
+    # (mean, se) of the count error per (model, method) and box
+    beta = {
+        (key, name, r.halfwidth): (r.mean, r.se)
+        for key, name in pairs
+        for r in summary_rows(sets[(key, name)], models[key], SIGMA, boxes, step=g.delta)
+        if r.estimator.startswith("count_error")
+    }
+
+    grid_ok = True
+    for key in models:
+        for name in ("amn", "mgn"):
+            for w in boxes:
+                mean, se = beta[(key, name, w)]
+                grid_ok &= abs(mean) <= max(0.02, 3.0 * se)
+
     st_vs_amn = any(
-        abs(beta(strong, "st", w)[0]) >= 3.0 * abs(beta(strong, "amn", w)[0]) for w in boxes
+        abs(beta[(strong, "st", w)][0]) >= 3.0 * abs(beta[(strong, "amn", w)][0]) for w in boxes
     )
     _report(capsys, 3, "count-error consistency", grid_ok and st_vs_amn)
 
     for key in models:
         for name in ("amn", "mgn"):
             for w in boxes:
-                mean, se = beta(key, name, w)
+                mean, se = beta[(key, name, w)]
                 assert abs(mean) <= max(0.02, 3.0 * se), (
                     f"{key[0].value} A={key[1]:g} {name} box {w}: "
                     f"beta {mean:+.4f} exceeds max(0.02, {3 * se:.4f})"
@@ -254,7 +252,8 @@ def test_failure_probability_table(ladder_runs, intensity_runs, capsys):
     fine_ok = all(ladder_runs[(tag, "amn", 2.0**-7)] <= 0.05 for tag in ("zero", "gauss1"))
 
     target = variance_benchmark(area=64.0)
-    st_fails_intensity = not all(_intensity_protocol(intensity_runs["st"][:200], target))
+    st_row = _intensity(intensity_runs["st"][:200])
+    st_fails_intensity = not all(_intensity_protocol(st_row, target))
     st_worse = all(
         ladder_runs[(tag, "st", 2.0**-7)] >= 5.0 * ladder_runs[(tag, "amn", 2.0**-7)]
         for tag in ("zero", "gauss1")
@@ -318,8 +317,12 @@ def test_algorithmic_invariants(capsys, tmp_path):
                 ok &= same
                 assert same, f"{name} output changed under scaling by {c}"
 
-        # sieving a raw candidate set: kept points separated, dropped ones covered
-        cand = raw_threshold(f, 1.5, 0.1)
+        # sieving a dense candidate set, the box points at or below the 10%
+        # magnitude quantile: kept points separated, dropped ones covered
+        w = g.index_halfwidth(1.5)
+        rows = slice(g.half_n - w, g.half_n + w + 1)
+        box = np.abs(f.values[rows, rows])
+        cand = PointSet(Method.ST, g.delta, 1.5, np.argwhere(box <= np.quantile(box, 0.1)))
         kept = sieve(cand, f)
         cover = _sup(cand.points, kept.points)
         assert (cover.min(axis=1) <= 4.0 * g.delta + 1e-12).all(), "sieve dropped an uncovered point"

@@ -109,18 +109,6 @@ def test_simulate_writes_manifest_and_caches(pipeline):
     assert back.seed == 0
 
 
-def test_simulate_keeps_a_single_run_manifest(tmp_path):
-    # a manifest in the one-run layout of earlier versions becomes one entry
-    fields = tmp_path / "fields"
-    fields.mkdir()
-    old = {"config": {"cmd": "simulate"}, "seeds": [0], "files": ["old.wfield"]}
-    (fields / "manifest.json").write_text(json.dumps({**old, "hash": "abc"}))
-    assert main(["simulate", "--L", "1", "--delta", "2^-3", "--T", "1", "--signal", "zero",
-                 "--seeds", "0", "--out", str(fields)]) == 0
-    runs = json.loads((fields / "manifest.json").read_text())["runs"]
-    assert len(runs) == 2 and runs["abc"] == old
-
-
 def test_detect_emits_per_level_pointsets(pipeline):
     _, _, points = pipeline
     names = sorted(p.name for p in points.glob("*.csv"))
@@ -212,6 +200,32 @@ def test_simulate_refuses_another_configs_cache(tmp_path, capsys):
     assert _snapshot(fields) == before
 
 
+def test_simulate_refuses_a_cache_no_manifest_lists(tmp_path, capsys):
+    # without the manifest only the cache header tells which settings wrote it
+    fields = tmp_path / "fields"
+    argv = ["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero", "--seeds", "0",
+            "--out", str(fields)]
+    assert main([*argv, "--T", "2"]) == 0
+    (fields / "manifest.json").unlink()
+    before = _snapshot(fields)
+    assert main([*argv, "--T", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "field_zero_A0_d2m4_s0.wfield" in err
+    assert "Traceback" not in err
+    assert _snapshot(fields) == before
+    # the same settings again rewrite the cache byte-identically
+    assert main([*argv, "--T", "2"]) == 0
+    assert (fields / "field_zero_A0_d2m4_s0.wfield").read_bytes() == next(iter(before.values()))
+    # a cache whose header does not read is a data error, and stays as it is
+    (fields / "manifest.json").unlink()
+    cache = fields / "field_zero_A0_d2m4_s0.wfield"
+    cache.write_bytes(b"\xff" + cache.read_bytes())
+    before = _snapshot(fields)
+    assert main([*argv, "--T", "2"]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert _snapshot(fields) == before
+
+
 def test_detect_refuses_another_configs_points(pipeline, capsys):
     _, fields, points = pipeline
     argv = ["detect", "--fields", str(fields), "--methods", "amn,st", "--levels", "0,1",
@@ -262,6 +276,50 @@ def test_stats_over_detections(pipeline, capsys):
     assert len(lines) == 2 + 8
     printed = capsys.readouterr().out
     assert "intensity[AMN]" in printed and "R=3" in printed
+
+
+def test_stats_refuses_another_configs_file(pipeline, capsys):
+    tmp, _, points = pipeline
+    out = tmp / "stats.csv"
+    argv = ["stats", "--points", str(points), "--signal", "zero", "--out"]
+    assert main([*argv, str(out), "--boxes", "0.5,1"]) == 0
+    report = out.read_bytes()
+    # another box list would replace the report
+    assert main([*argv, str(out), "--boxes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "stats.csv" in err and "Traceback" not in err
+    assert out.read_bytes() == report
+    # a point set (detect's config) is not turned into a report
+    target = points / "points_amn_zero_A0_d2m4_s0.csv"
+    before = target.read_bytes()
+    assert main([*argv, str(target), "--boxes", "1"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert target.read_bytes() == before
+    # the same config again rewrites the report byte-identically
+    assert main([*argv, str(out), "--boxes", "0.5,1"]) == 0
+    assert out.read_bytes() == report
+
+
+def test_consistency_refuses_another_configs_file(pipeline, capsys):
+    tmp, fields, _ = pipeline
+    argv = ["consistency", "--fields", str(fields), "--methods", "amn", "--levels", "1",
+            "--out"]
+    # a field cache is no consistency report: neither it nor a new aggregate
+    # next to it is written
+    before = _snapshot(fields)
+    assert main([*argv, str(fields / "field_zero_A0_d2m4_s1.wfield")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert _snapshot(fields) == before
+    reports = tmp / "reports"
+    assert main([*argv, str(reports / "consistency.csv")]) == 0
+    before = _snapshot(reports)  # the report and its aggregate
+    assert main([*argv, str(reports / "consistency.csv"), "--proxy", "mgn"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert _snapshot(reports) == before
+    # the same config again rewrites both files byte-identically
+    assert main([*argv, str(reports / "consistency.csv")]) == 0
+    assert _snapshot(reports) == before
 
 
 def test_consistency_report_and_aggregate(pipeline, capsys):
@@ -383,9 +441,10 @@ def test_exit_code_data_errors(tmp_path, capsys):
     # a manifest that is not one refuses a further simulate run
     manifest = fields / "manifest.json"
     good = manifest.read_text()
-    manifest.write_text("[1, 2]\n")
-    assert main(["simulate", "--L", "1", "--delta", "2^-3", "--T", "1", "--signal", "zero",
-                 "--seeds", "1", "--out", str(fields)]) == 3
+    for bad in ("[1, 2]", json.dumps({"hash": "abc", "seeds": [0], "files": ["x.wfield"]})):
+        manifest.write_text(bad + "\n")
+        assert main(["simulate", "--L", "1", "--delta", "2^-3", "--T", "1", "--signal", "zero",
+                     "--seeds", "1", "--out", str(fields)]) == 3
     manifest.write_text(good)
     cache = next(fields.glob("*.wfield"))
     header, _, payload = cache.read_bytes().partition(b"\n")

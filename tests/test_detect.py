@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 
 from bargzeros import (
     BoundaryError,
-    ConfigError,
     DataError,
     Method,
     WeightedField,
@@ -21,7 +20,6 @@ from bargzeros import (
     draw_noise,
     make_grid,
     mgn,
-    raw_threshold,
     read_pointset_csv,
     sieve,
     st,
@@ -483,40 +481,6 @@ def test_detector_outputs_are_separated():
 
 
 # ---------------------------------------------------------------------------
-# diagnostic thresholding
-
-
-def test_raw_threshold_keeps_quantile_fraction():
-    g = make_grid(L=1, delta=D16, T=6)
-    f = synthesize_field(draw_noise(g, 1.0, 2), ZERO_SIGNAL, g)
-    ps = raw_threshold(f, 1.0, 0.25)
-    total = (2 * g.index_halfwidth(1.0) + 1) ** 2
-    assert 0.2 < len(ps) / total <= 0.3
-    with pytest.raises(ConfigError):
-        raw_threshold(f, 1.0, 0.0)
-    with pytest.raises(ConfigError):
-        raw_threshold(f, 1.0, 1.0)
-
-
-def test_raw_threshold_tag_survives_csv_round_trip(tmp_path):
-    g = make_grid(L=1, delta=D16, T=6)
-    f = synthesize_field(draw_noise(g, 1.0, 2), ZERO_SIGNAL, g)
-    ps = raw_threshold(f, 1.0, 0.25)
-    assert ps.method is Method.RAW
-    path = tmp_path / "raw.csv"
-    write_pointset_csv(ps, path)
-    back = read_pointset_csv(path)
-    assert back.method is Method.RAW
-    assert _same_pointset(ps, back)
-    # the coordinate columns hold plain float literals of the exact points
-    with open(path, newline="") as fh:
-        recs = list(csv.DictReader(line for line in fh if not line.startswith("#")))
-    assert len(recs) == len(ps) > 0
-    got = [complex(float(r["re"]), float(r["im"])) for r in recs]
-    assert got == ps.points.tolist()
-
-
-# ---------------------------------------------------------------------------
 # CSV round trip
 
 
@@ -540,6 +504,12 @@ def test_pointset_csv_round_trip(tmp_path):
     back = read_pointset_csv(path)
     assert _same_pointset(ps, back)
     assert "# config=abc123" in path.read_text()
+    # the coordinate columns hold plain float literals of the exact points
+    with open(path, newline="") as fh:
+        recs = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert len(recs) == len(ps) > 0
+    got = [complex(float(r["re"]), float(r["im"])) for r in recs]
+    assert got == ps.points.tolist()
 
 
 def test_pointset_csv_round_trip_empty(tmp_path):

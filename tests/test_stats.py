@@ -11,11 +11,9 @@ from bargzeros import (
     Method,
     StatRow,
     WeightedField,
-    count_error_estimator,
     count_in_box,
     covariance_probe,
     expected_count,
-    intensity_estimator,
     make_grid,
     model_for,
     rho1,
@@ -154,20 +152,15 @@ def test_count_in_box_boundary_is_closed():
     assert count_in_box(ps, 0.5) == 2
 
 
-def test_intensity_estimator():
-    ps = _toy_points()
-    assert intensity_estimator(ps, 1.0) == pytest.approx(2.0 / 4.0)
-    assert intensity_estimator(ps, 2.0) == pytest.approx(3.0 / 16.0)
-
-
-def test_count_error_estimator():
-    ps = _toy_points()
-    want = (2.0 - 4.0 / math.pi) / 4.0
-    assert count_error_estimator(ps, ZERO, 1.0, 1.0) == pytest.approx(want, rel=1e-9)
-
-
 def test_summary_rows():
     a = _toy_points()
+    # one set, by hand: 2 points in the box of half-width 1 (area 4), 3 in
+    # that of half-width 2 (area 16), and 4/pi expected in the first
+    one = summary_rows([a], ZERO, 1.0, [1.0, 2.0])
+    assert [r.mean for r in one[:3]] == pytest.approx(
+        [2.0 / 4.0, (2.0 - 4.0 / math.pi) / 4.0, 3.0 / 16.0], rel=1e-9)
+    assert all(r.R == 1 and r.std == r.se == 0.0 for r in one)
+
     b = PointSet(Method.AMN, 0.25, 2.0, np.array([[8, 8]]), seed=2)
     rows = summary_rows([a, b], ZERO, 1.0, [1.0, 2.0])
     assert [(r.estimator, r.halfwidth) for r in rows] == [
@@ -175,10 +168,9 @@ def test_summary_rows():
         ("intensity[AMN]", 2.0), ("count_error[AMN]", 2.0),
     ]
     for r in rows:
-        if r.estimator.startswith("intensity"):
-            vals = [intensity_estimator(p, r.halfwidth) for p in (a, b)]
-        else:
-            vals = [count_error_estimator(p, ZERO, 1.0, r.halfwidth) for p in (a, b)]
+        w = r.halfwidth
+        shift = 0.0 if r.estimator.startswith("intensity") else expected_count(ZERO, 1.0, w)
+        vals = [(count_in_box(p, w) - shift) / (2.0 * w) ** 2 for p in (a, b)]
         assert (r.signal, r.delta, r.R) == ("zero", 0.25, 2)
         assert r.mean == pytest.approx(np.mean(vals), rel=1e-12)
         assert r.std == pytest.approx(np.std(vals, ddof=1), rel=1e-12)
