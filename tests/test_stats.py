@@ -152,15 +152,25 @@ def test_count_in_box_boundary_is_closed():
     assert count_in_box(ps, 0.5) == 2
 
 
+def _one_set_means(estimator: str) -> list[float]:
+    rows = summary_rows([_toy_points()], ZERO, 1.0, [1.0, 2.0])
+    assert all(r.R == 1 and r.std == r.se == 0.0 for r in rows)
+    return [r.mean for r in rows if r.estimator == f"{estimator}[AMN]"]
+
+
+def test_intensity_estimator():
+    # 2 points in the box of half-width 1 (area 4), 3 in that of half-width 2
+    assert _one_set_means("intensity") == pytest.approx([2.0 / 4.0, 3.0 / 16.0])
+
+
+def test_count_error_estimator():
+    # pure noise expects area/pi = 4/pi zeros in the box of half-width 1
+    want = (2.0 - 4.0 / math.pi) / 4.0
+    assert _one_set_means("count_error")[0] == pytest.approx(want, rel=1e-9)
+
+
 def test_summary_rows():
     a = _toy_points()
-    # one set, by hand: 2 points in the box of half-width 1 (area 4), 3 in
-    # that of half-width 2 (area 16), and 4/pi expected in the first
-    one = summary_rows([a], ZERO, 1.0, [1.0, 2.0])
-    assert [r.mean for r in one[:3]] == pytest.approx(
-        [2.0 / 4.0, (2.0 - 4.0 / math.pi) / 4.0, 3.0 / 16.0], rel=1e-9)
-    assert all(r.R == 1 and r.std == r.se == 0.0 for r in one)
-
     b = PointSet(Method.AMN, 0.25, 2.0, np.array([[8, 8]]), seed=2)
     rows = summary_rows([a, b], ZERO, 1.0, [1.0, 2.0])
     assert [(r.estimator, r.halfwidth) for r in rows] == [
