@@ -20,13 +20,13 @@ def _cell(value):
     return value
 
 
-def write_table(path, columns, rows, meta: dict | None = None, lineterminator: str = "\r\n") -> None:
+def write_table(path, columns, rows, meta: dict | None = None) -> None:
     """Write ``rows`` (sequences of cells, in ``columns`` order) under the
-    provenance lines of ``meta``."""
+    provenance lines of ``meta``; every line ends in ``\\n``."""
     with open(path, "w", newline="") as fh:
         for key, val in (meta or {}).items():
             fh.write(f"# {key}={_cell(val)}\n")
-        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([_cell(v) for v in row] for row in rows)
 

@@ -116,6 +116,19 @@ def _setting(args, config: dict[str, str], key: str, default=None, parse=None):
         raise ConfigError(f"{key}: {e}") from None
 
 
+def _config(args) -> dict[str, str]:
+    """The subcommand's ``--config`` file, of which every key must be one
+    of its flags."""
+    if not args.config:
+        return {}
+    config = read_config_file(args.config)
+    unknown = sorted(config.keys() - (vars(args).keys() - {"command", "fn", "config"}))
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown key(s) for {args.command}: "
+                          + ", ".join(unknown))
+    return config
+
+
 def _require(val, key: str):
     if val is None:
         raise ConfigError(f"missing required setting '{key}'")
@@ -152,24 +165,23 @@ def _refuse_replacing(path: Path, h: str) -> None:
 # subcommands
 
 def cmd_simulate(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
+    config = _config(args)
     L = _require(_setting(args, config, "L", parse=float), "L")
     delta = _require(_setting(args, config, "delta", parse=parse_spacing), "delta")
     T = _setting(args, config, "T", default=6.0, parse=float)
     sigma = _setting(args, config, "sigma", default=1.0, parse=float)
-    margin = _setting(args, config, "margin", default=0, parse=int)
     signal_text = _require(_setting(args, config, "signal"), "signal")
     seeds = _require(_setting(args, config, "seeds", parse=parse_seeds), "seeds")
     precision = _setting(args, config, "precision", default="complex128")
     if precision not in _PRECISIONS:
         raise ConfigError(f"precision must be one of {', '.join(_PRECISIONS)}, got {precision!r}")
 
-    grid = make_grid(L=L, delta=delta, T=T, margin=margin)
+    grid = make_grid(L=L, delta=delta, T=T)
     model = parse_signal(signal_text, sigma=sigma)
     out = Path(_require(_setting(args, config, "out"), "out"))
     out.mkdir(parents=True, exist_ok=True)
 
-    settings = {"L": L, "delta": delta, "T": T, "sigma": sigma, "margin": margin,
+    settings = {"L": L, "delta": delta, "T": T, "sigma": sigma,
                 "signal": model.descriptor(), "precision": precision}
     cfg = {"cmd": "simulate", **settings}
     h = config_hash(cfg)
@@ -185,7 +197,8 @@ def cmd_simulate(args) -> int:
         if (out / name).exists():
             with open(out / name, "rb") as fh:
                 header = _read_header(fh, out / name)
-            if {k: header.get(k) for k in settings} != settings:
+            if ({k: header.get(k) for k in settings} != settings
+                    or header.get("n_axis") != grid.n_axis):
                 raise ConfigError(f"{out / name} was simulated with other settings; "
                                   "write this config to another directory")
     for seed, name in zip(seeds, files):
@@ -232,7 +245,7 @@ def _parse_levels(text: str) -> list[int]:
 
 
 def cmd_detect(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
+    config = _config(args)
     methods = _parse_methods(_setting(args, config, "methods", default="amn,mgn,st"))
     levels = _parse_levels(_setting(args, config, "levels", default="0"))
     out = Path(_require(_setting(args, config, "out"), "out"))
@@ -271,7 +284,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
+    config = _config(args)
     points_dir = _require(_setting(args, config, "points"), "points")
     signal_text = _require(_setting(args, config, "signal"), "signal")
     sigma = _setting(args, config, "sigma", default=1.0, parse=float)
@@ -309,7 +322,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_consistency(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
+    config = _config(args)
     fields_dir = _require(_setting(args, config, "fields"), "fields")
     methods = _parse_methods(_setting(args, config, "methods", default="amn,mgn,st"))
     levels = _parse_levels(_setting(args, config, "levels", default="1,2,3"))
@@ -338,7 +351,7 @@ def cmd_consistency(args) -> int:
     deltas, names, table = cons.aggregate_failure_table(rows)
     write_table(agg_path, ["delta", *names],
                 ([d, *(f"{table.get((d, m), float('nan')):.4f}" for m in names)] for d in deltas),
-                meta={"config": h}, lineterminator="\n")
+                meta={"config": h})
     print("failure probability p(delta, method):")
     print("  delta      " + "  ".join(f"{m:>6s}" for m in names))
     for d in deltas:
@@ -364,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--delta", help="grid spacing, e.g. 2^-6")
     sim.add_argument("--T")
     sim.add_argument("--sigma")
-    sim.add_argument("--margin")
     sim.add_argument("--signal", help="zero | gauss:A=<a> | hermite1:A=<a>")
     sim.add_argument("--seeds", help="e.g. 0..99 or 3,5,8")
     sim.add_argument("--precision", help="complex128 (default) or complex64")

@@ -18,8 +18,8 @@ of one comparison per neighbour.
 
 Detectors never skip boundary points silently: a target box whose ring or
 right-neighbour samples fall outside the stored grid raises
-``BoundaryError``, and callers are expected to acquire margin rings (or
-target a box strictly inside the grid, as the CLI does).
+``BoundaryError``; callers widen ``L`` (or target a box strictly inside
+the grid, as the CLI does).
 """
 
 from __future__ import annotations

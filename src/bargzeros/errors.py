@@ -21,7 +21,7 @@ class DomainError(ValueError):
 
 
 class SubsampleError(ConfigError):
-    """A grid cannot be subsampled (axis count or margin not divisible)."""
+    """A grid cannot be subsampled: it fails validation at twice the spacing."""
 
 
 class DataError(RuntimeError):

@@ -3,9 +3,8 @@
 The lattice with half-width ``L`` and spacing ``delta`` is the set
 ``{delta*k + 1j*delta*j : |delta*k| <= L, |delta*j| <= L}``.  Arrays are
 addressed by non-negative index pairs ``(k, l)`` counted from the lower-left
-corner, so the grid point at index ``(k, l)`` is
-``(-Lfull + k*delta) + 1j*(-Lfull + l*delta)`` with ``Lfull = L +
-margin*delta``.  All geometric predicates used by the detectors (ring
+corner, so the grid point at index ``(k, l)`` is ``(-L + k*delta) +
+1j*(-L + l*delta)``.  All geometric predicates used by the detectors (ring
 membership, separation) are evaluated on these integer indices; floating
 point only enters when a point's coordinates are materialised.
 """
@@ -40,17 +39,16 @@ def _int_ratio(num: float, den: float, what: str) -> int:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Geometry of a square grid: half-width ``L``, spacing ``delta``,
-    window truncation half-length ``T``, plus ``margin`` extra rings of
-    samples beyond ``L`` (used by detectors that compare against
-    neighbours of boundary points).  ``T`` is at most the largest value at
-    which ``exp(-T**2)`` is still nonzero in float64 (about 27.3).
+    """Geometry of a square grid: half-width ``L``, spacing ``delta`` and
+    window truncation half-length ``T``.  Detectors that compare against
+    samples beyond their box need ``L`` wider than the box.  ``T`` is at
+    most the largest value at which ``exp(-T**2)`` is still nonzero in
+    float64 (about 27.3).
     """
 
     L: float
     delta: float
     T: float
-    margin: int = 0
 
     def __post_init__(self) -> None:
         if self.delta <= 0:
@@ -67,16 +65,10 @@ class GridSpec:
             # samples); the bound also caps what a cache header can make
             # read_field allocate
             raise ConfigError(f"T = {self.T} is so large that the window exp(-T^2) underflows")
-        if not 0 <= self.margin < math.inf or self.margin != int(self.margin):
-            raise ConfigError(f"margin must be a non-negative integer, got {self.margin}")
         _int_ratio(self.L, self.delta, "L/delta")
         _int_ratio(self.T, self.delta, "T/delta")
 
     # -- integer geometry ---------------------------------------------------
-
-    @property
-    def l_over_delta(self) -> int:
-        return _int_ratio(self.L, self.delta, "L/delta")
 
     @property
     def t_over_delta(self) -> int:
@@ -84,8 +76,8 @@ class GridSpec:
 
     @property
     def half_n(self) -> int:
-        """Index distance from the centre to the outermost stored ring."""
-        return self.l_over_delta + self.margin
+        """``L/delta``: index distance from the centre to the outermost ring."""
+        return _int_ratio(self.L, self.delta, "L/delta")
 
     @property
     def n_axis(self) -> int:
@@ -95,15 +87,14 @@ class GridSpec:
     @property
     def corner(self) -> float:
         """Coordinate of the lower-left stored sample on each axis."""
-        return -(self.L + self.margin * self.delta)
+        return -self.L
 
     def index_halfwidth(self, halfwidth: float) -> int:
         """Half-width of a centred sup-norm box in index units."""
         w = _int_ratio(halfwidth, self.delta, "halfwidth/delta")
         if w > self.half_n:
             raise ConfigError(
-                f"box halfwidth {halfwidth} exceeds stored grid halfwidth "
-                f"{self.L + self.margin * self.delta}"
+                f"box halfwidth {halfwidth} exceeds stored grid halfwidth {self.L}"
             )
         return w
 
@@ -127,9 +118,9 @@ class GridSpec:
         return k, l
 
 
-def make_grid(L: float, delta: float, T: float, margin: int = 0) -> GridSpec:
+def make_grid(L: float, delta: float, T: float) -> GridSpec:
     """Validated constructor for :class:`GridSpec`."""
-    return GridSpec(L=L, delta=delta, T=T, margin=margin)
+    return GridSpec(L=L, delta=delta, T=T)
 
 
 class Method(enum.Enum):
@@ -205,19 +196,14 @@ def subsample(field: "WeightedField") -> "WeightedField":
     """Keep every second sample along each axis (spacing doubles).
 
     The lower-left corner sample is preserved, and kept values are carried
-    over bit-exactly; nothing is recomputed.  The field's margin must be
-    even so the retained samples again form ``margin/2`` complete rings.
+    over bit-exactly; nothing is recomputed.  ``L`` and ``T`` stay, so the
+    grid must still validate at twice the spacing (``L/delta`` even).
     """
     from .simulate import WeightedField
 
     g = field.grid
-    if g.n_axis < 3:
-        raise SubsampleError(f"axis count {g.n_axis} too small to subsample")
-    if g.margin % 2:
-        raise SubsampleError(f"margin {g.margin} is odd; retained rings would be ragged")
-    new_delta = 2 * g.delta
     try:
-        sub = GridSpec(L=g.L, delta=new_delta, T=g.T, margin=g.margin // 2)
+        sub = GridSpec(L=g.L, delta=2 * g.delta, T=g.T)
     except ConfigError as e:
         raise SubsampleError(f"grid not subsamplable: {e}") from e
     values = np.ascontiguousarray(field.values[::2, ::2])

@@ -422,12 +422,11 @@ def _evaluate_lattice(source: FieldSource, xs, ys) -> np.ndarray:
     g = source.grid
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    lim = g.L + g.margin * g.delta
     for axis in (xs, ys):
-        bad = ~(np.abs(axis) <= lim)  # NaN too
+        bad = ~(np.abs(axis) <= g.L)  # NaN too
         if bad.any():
             raise DomainError(
-                f"coordinate {axis[bad][0]} outside the stored domain (halfwidth {lim})"
+                f"coordinate {axis[bad][0]} outside the stored domain (halfwidth {g.L})"
             )
     d = source.noise.delta
     # per-x window index ranges, as |t_s - x| <= T with a rounding guard
@@ -507,7 +506,6 @@ def write_field(field: WeightedField, path, precision: str = "complex128") -> No
         "L": g.L,
         "delta": g.delta,
         "T": g.T,
-        "margin": g.margin,
         "sigma": src.noise.sigma if src is not None else None,
         "seed": field.seed,
         "signal": src.signal.descriptor() if src is not None else None,
@@ -542,9 +540,7 @@ def read_field(path) -> WeightedField:
         header = _read_header(fh, path)
         raw = fh.read()
     try:
-        grid = GridSpec(
-            L=header["L"], delta=header["delta"], T=header["T"], margin=header["margin"]
-        )
+        grid = GridSpec(L=header["L"], delta=header["delta"], T=header["T"])
         n = header["n_axis"]
         if n != grid.n_axis:
             raise DataError(f"{path}: header axis count {n} inconsistent with grid")

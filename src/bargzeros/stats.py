@@ -141,7 +141,9 @@ def summary_rows(
     Per box, one ``intensity`` row and one ``count_error`` row give the
     mean, sample std and standard error of the estimators over the point
     sets; each set is counted once and the expected count is integrated
-    once per box.
+    once per box.  Both divide by ``(2*W)**2``, though the closed box
+    holds ``(2*W/delta + 1)**2`` lattice points, so the intensity reads
+    high by ``(1 + delta/(2*W))**2 - 1``.
     """
     if not point_sets:
         raise ConfigError("need at least one realization")

@@ -226,6 +226,37 @@ def test_simulate_refuses_a_cache_no_manifest_lists(tmp_path, capsys):
     assert _snapshot(fields) == before
 
 
+def test_caches_of_earlier_versions(tmp_path, capsys):
+    """Earlier versions wrote a ``margin`` key into every cache header: 0
+    (all the command line wrote) is this version's lattice, and rings
+    stored beyond ``L`` are refused."""
+    fields = tmp_path / "fields"
+    argv = ["simulate", "--delta", "2^-4", "--T", "2", "--signal", "zero", "--seeds", "0",
+            "--out", str(fields)]
+    assert main([*argv, "--L", "2"]) == 0
+    (fields / "manifest.json").unlink()
+    cache = fields / "field_zero_A0_d2m4_s0.wfield"
+    line, _, payload = cache.read_bytes().partition(b"\n")
+    new = read_field(cache)
+
+    def write_old(**keys):
+        header = json.dumps({**json.loads(line), **keys}, sort_keys=True).encode()
+        cache.write_bytes(header + b"\n" + payload)
+
+    write_old(margin=0)
+    old = read_field(cache)
+    assert old.grid == new.grid and old.values.tobytes() == new.values.tobytes()
+    # the same 65x65 samples as L=1.875 with two rings: the axis count is off
+    write_old(L=1.875, margin=2)
+    with pytest.raises(DataError, match="axis count 65"):
+        read_field(cache)
+    before = cache.read_bytes()
+    assert main(["detect", "--fields", str(fields), "--out", str(tmp_path / "p")]) == 3
+    assert main([*argv, "--L", "1.875"]) == 2
+    assert cache.read_bytes() == before
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_detect_refuses_another_configs_points(pipeline, capsys):
     _, fields, points = pipeline
     argv = ["detect", "--fields", str(fields), "--methods", "amn,st", "--levels", "0,1",
@@ -380,7 +411,8 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert not (tmp_path / "x" / "manifest.json").exists()
     # flag text and config-file text go through the same parsers: a number
     # or spacing that does not parse, or a non-finite one, is a config error
-    for text in ("L = abc", "L = 2\nmargin = 1.5"):
+    # so is a key the subcommand has no flag for, misspelled or removed
+    for text in ("L = abc", "L = 2\nmargin = 1.5", "L = 2\nmargni = 2\ntt = 1"):
         cfg.write_text(text + "\n")
         assert main(["simulate", "--config", str(cfg), "--delta", "2^-4",
                      "--signal", "zero", "--seeds", "0", "--out", str(tmp_path / "x")]) == 2
@@ -391,8 +423,11 @@ def test_exit_code_config_errors(tmp_path, capsys):
         assert main(["simulate", *flags, "--signal", "zero", "--seeds", "0",
                      "--out", str(tmp_path / "x")]) == 2
     assert not list((tmp_path / "x").glob("*"))
-    # unknown detector
+    # unknown detector, or a simulate key in a detect config
     (tmp_path / "f").mkdir()
+    cfg.write_text(f"fields = {tmp_path / 'f'}\nL = 2\n")
+    assert main(["detect", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 2
+    assert not (tmp_path / "p").exists()
     assert main(["detect", "--fields", str(tmp_path / "f"), "--methods", "foo",
                  "--out", str(tmp_path / "p")]) == 2
     # consistency level 0 is the proxy itself
@@ -423,7 +458,9 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert "config error" in err
     assert "not subsamplable" in err
     assert "L: could not convert string to float: 'abc'" in err
-    assert "margin: invalid literal for int() with base 10: '1.5'" in err
+    assert "unknown key(s) for simulate: margin" in err
+    assert "unknown key(s) for simulate: margni, tt" in err
+    assert "unknown key(s) for detect: L" in err
     assert "Traceback" not in err
 
 
@@ -568,8 +605,8 @@ def test_corrupt_headers_found_by_fuzzing_are_refused(tmp_path, clean_inputs):
     bad_cache = cache.replace(b'"complex128"', b'",complex128"', 1)
     assert bad_cache != cache
     assert _run_on(tmp_path / "a", "field.wfield", bad_cache, ["detect", "--fields"]) == 3
-    # a non-finite grid half-width, margin or noise level
-    for i, old in enumerate((b'"L": 2.0', b'"margin": 0', b'"sigma": 1.0')):
+    # a non-finite grid half-width or noise level
+    for i, old in enumerate((b'"L": 2.0', b'"sigma": 1.0')):
         edited = cache.replace(old, old.split(b":")[0] + b": Infinity", 1)
         assert edited != cache
         assert _run_on(tmp_path / f"inf{i}", "field.wfield", edited, ["detect", "--fields"]) == 3

@@ -307,7 +307,7 @@ def test_amn_requires_two_rings():
 
 def test_simulated_pure_noise_count_near_expected():
     # expected zero count over the 8x8 box is 64/pi ~ 20.4
-    g = make_grid(L=4, delta=2.0 ** -6, T=6, margin=2)
+    g = make_grid(L=4.03125, delta=2.0 ** -6, T=6)
     f = synthesize_field(draw_noise(g, 1.0, 0), ZERO_SIGNAL, g)
     expected = 64.0 / math.pi
     band = 3.0 * math.sqrt(expected)

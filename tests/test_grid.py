@@ -15,7 +15,7 @@ def test_axis_counts():
 
 
 def test_point_count_is_odd_and_symmetric():
-    g = make_grid(L=2, delta=2.0 ** -3, T=1, margin=3)
+    g = make_grid(L=2.375, delta=2.0 ** -3, T=1)
     assert g.n_axis % 2 == 1
     ax = g.axis()
     assert ax[0] == -ax[-1] == g.corner
@@ -31,7 +31,7 @@ def test_point_count_is_odd_and_symmetric():
         dict(L=4, delta=0.0, T=6),
         dict(L=4, delta=0.75, T=6),       # delta > 1/2
         dict(L=0.5, delta=0.25, T=6),     # L < 1
-        dict(L=4, delta=0.25, T=6, margin=-1),
+        dict(L=4, delta=0.25, T=0.0),      # T must be positive
         dict(L=4, delta=0.25, T=4096.0),  # exp(-T^2) underflows to 0.0
         dict(L=4, delta=0.25, T=1e9),
         dict(L=4, delta=0.25, T=float("nan")),
@@ -51,11 +51,11 @@ def test_window_half_length_bound_is_the_float64_underflow():
 
 def test_nondyadic_but_integer_ratio_is_fine():
     g = make_grid(L=7, delta=1.0 / 3.0, T=1)
-    assert g.l_over_delta == 21
+    assert g.half_n == 21
 
 
 def test_index_round_trip_everywhere():
-    g = make_grid(L=2, delta=2.0 ** -5, T=2, margin=2)
+    g = make_grid(L=2.0625, delta=2.0 ** -5, T=2)
     for k in range(0, g.n_axis, 7):
         for l in range(0, g.n_axis, 11):
             assert g.index_of(g.point_of(k, l)) == (k, l)
@@ -110,13 +110,10 @@ def test_double_subsample_is_factor_four():
     assert (twice.values == f.values[::4, ::4]).all()
 
 
-def test_subsample_margin_halves():
-    g = make_grid(L=1, delta=0.25, T=1, margin=2)
-    f = synthetic_field(g, lambda z: z)
-    s = subsample(f)
-    assert s.grid.margin == 1
-    with pytest.raises(SubsampleError):
-        subsample(synthetic_field(make_grid(L=1, delta=0.25, T=1, margin=1), lambda z: z))
+def test_subsample_refuses_odd_half_count():
+    # L/delta = 5 has no lattice at twice the spacing
+    with pytest.raises(SubsampleError, match="not subsamplable"):
+        subsample(synthetic_field(make_grid(L=1.25, delta=0.25, T=1), lambda z: z))
 
 
 def test_subsample_stops_at_coarsest_spacing():

@@ -367,7 +367,7 @@ def test_linearity():
 
 
 def test_continuous_matches_grid_values():
-    g = make_grid(L=2, delta=2.0 ** -4, T=2, margin=2)
+    g = make_grid(L=2.125, delta=2.0 ** -4, T=2)
     f = synthesize_field(draw_noise(g, 1.0, 9), model_for(SignalKind.GAUSS, 1.0), g)
     scale = np.abs(f.values).max()
     rng = np.random.default_rng(1)
@@ -509,10 +509,9 @@ def scalar_evaluate(source, z):
     """Per-point reference: the windowed sum for a single ``z``, summed
     directly (the pre-lattice ``evaluate_continuous`` body)."""
     g = source.grid
-    lim = g.L + g.margin * g.delta
     x, y = z.real, z.imag
-    if abs(x) > lim or abs(y) > lim:
-        raise DomainError(f"{z} outside the stored domain (halfwidth {lim})")
+    if abs(x) > g.L or abs(y) > g.L:
+        raise DomainError(f"{z} outside the stored domain (halfwidth {g.L})")
     d = source.noise.delta
     lo = math.ceil((x - g.T) / d - 1e-12)
     hi = math.floor((x + g.T) / d + 1e-12)
@@ -588,7 +587,7 @@ def test_refine_search_square_crossing_domain_raises():
 
 
 def test_cache_round_trip_exact(tmp_path):
-    g = make_grid(L=1, delta=2.0 ** -4, T=2, margin=2)
+    g = make_grid(L=1.125, delta=2.0 ** -4, T=2)
     f = synthesize_field(draw_noise(g, 1.5, 21), model_for(SignalKind.GAUSS, 2.0), g)
     p = tmp_path / "f.wfield"
     write_field(f, p)
