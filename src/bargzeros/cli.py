@@ -68,15 +68,20 @@ def _signal_token(model) -> str:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``0..99`` (inclusive range) or a comma list ``0,5,17``."""
+    """``0..99`` (inclusive range) or a comma list ``0,5,17``; seeds are
+    non-negative."""
     text = text.strip()
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
     if m:
         lo, hi = int(m.group(1)), int(m.group(2))
         if hi < lo:
             raise ConfigError(f"empty seed range {text!r}")
-        return list(range(lo, hi + 1))
-    return _parse_list(text, int, "seeds")
+        seeds = list(range(lo, hi + 1))
+    else:
+        seeds = _parse_list(text, int, "seeds")
+    if min(seeds) < 0:
+        raise ConfigError(f"negative seed {min(seeds)}")
+    return seeds
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -226,6 +231,11 @@ def _parse_list(text: str, parse, what: str) -> list:
         raise ConfigError(f"cannot parse {what} {text!r}") from None
     if not out:
         raise ConfigError(f"no {what} in {text!r}")
+    seen = set()
+    for v in out:
+        if v in seen:
+            raise ConfigError(f"repeated entry {v!r} in {what} {text!r}")
+        seen.add(v)
     return out
 
 
@@ -249,7 +259,6 @@ def cmd_detect(args) -> int:
     methods = _parse_methods(_setting(args, config, "methods", default="amn,mgn,st"))
     levels = _parse_levels(_setting(args, config, "levels", default="0"))
     out = Path(_require(_setting(args, config, "out"), "out"))
-    out.mkdir(parents=True, exist_ok=True)
     fields_dir = _require(_setting(args, config, "fields"), "fields")
     target = _setting(args, config, "target", parse=float)
 
@@ -277,6 +286,7 @@ def cmd_detect(args) -> int:
                     raise ConfigError(f"two caches of this run would write {csv_path}")
                 _refuse_replacing(csv_path, h)
                 pending[csv_path] = (ps, meta)
+    out.mkdir(parents=True, exist_ok=True)
     for csv_path, (ps, meta) in pending.items():
         det.write_pointset_csv(ps, csv_path, meta=meta)
     print(f"wrote {len(pending)} point-set CSV(s) to {out}")

@@ -9,8 +9,8 @@ realizations gives an upper bound for the failure probability of a method
 at that resolution.
 
 ``wasserstein_within`` answers the same matched-within-distortion question
-exactly (via maximum bipartite matching), so it bounds the greedy
-construction from below and serves as its oracle in tests.
+exactly (by maximum bipartite matching, :func:`_saturates`), so it bounds
+the greedy construction from below and serves as its oracle in tests.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from ._table import write_records
 from .errors import ConfigError
@@ -149,13 +147,45 @@ def wasserstein_within(
 
 def _saturates(adj: np.ndarray, rows: bool) -> bool:
     """Does a maximum matching of the boolean biadjacency matrix saturate
-    the rows (or columns)?  (Its CSR form is built from the true entries.)"""
-    want = adj.shape[0] if rows else adj.shape[1]
-    _, cols = np.nonzero(adj)
-    indptr = np.concatenate(([0], np.cumsum(adj.sum(axis=1))))
-    graph = csr_array((np.ones(cols.size, dtype=np.int8), cols, indptr), shape=adj.shape)
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    return int((match != -1).sum()) == want
+    the rows (or columns)?
+
+    Kuhn's augmenting-path algorithm, with an explicit stack in place of
+    recursion: each row in turn searches for an augmenting path by depth
+    first search over the columns not yet visited in that search.  Once no
+    augmenting path starts at a row, none does after later augmentations
+    either, so the first row whose search fails is unmatched in a maximum
+    matching, and the answer is False there.
+    """
+    if not rows:
+        adj = adj.T
+    r, c = np.nonzero(adj)  # row-major order, so each row's columns ascend
+    ends = np.cumsum(np.bincount(r, minlength=adj.shape[0])).tolist()
+    c = c.tolist()
+    nbrs = [c[a:b] for a, b in zip([0, *ends], ends)]
+    owner = [-1] * adj.shape[1]  # the row matched to each column
+    for root in range(adj.shape[0]):
+        seen = [False] * adj.shape[1]
+        path_rows, path_cols = [root], []
+        stack = [iter(nbrs[root])]
+        while stack:
+            col = next((j for j in stack[-1] if not seen[j]), -1)
+            if col < 0:  # dead end: back up one edge
+                stack.pop()
+                path_rows.pop()
+                if path_cols:
+                    path_cols.pop()
+                continue
+            seen[col] = True
+            path_cols.append(col)
+            if owner[col] < 0:  # augment: each path row takes its path column
+                for i, j in zip(path_rows, path_cols):
+                    owner[j] = i
+                break
+            path_rows.append(owner[col])
+            stack.append(iter(nbrs[owner[col]]))
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

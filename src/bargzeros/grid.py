@@ -92,6 +92,8 @@ class GridSpec:
     def index_halfwidth(self, halfwidth: float) -> int:
         """Half-width of a centred sup-norm box in index units."""
         w = _int_ratio(halfwidth, self.delta, "halfwidth/delta")
+        if w < 0:
+            raise ConfigError(f"box halfwidth must be >= 0, got {halfwidth}")
         if w > self.half_n:
             raise ConfigError(
                 f"box halfwidth {halfwidth} exceeds stored grid halfwidth {self.L}"
@@ -157,6 +159,8 @@ class PointSet:
             raise ConfigError(f"delta must be positive, got {self.delta}")
         kl = np.asarray(self.kl, dtype=np.int64).reshape(-1, 2)
         w = _int_ratio(self.domain_halfwidth, self.delta, "domain_halfwidth/delta")
+        if w < 0:
+            raise ConfigError(f"domain_halfwidth must be >= 0, got {self.domain_halfwidth}")
         if kl.size and (kl.min() < 0 or kl.max() > 2 * w):
             raise ConfigError("point indices leave the domain box")
         order = np.lexsort((kl[:, 1], kl[:, 0]))

@@ -26,9 +26,10 @@ are kept, so :func:`synthesize_field` evaluates each column as a chirp
 z-transform (Bluestein) of its band, whose length is about ``n + B`` for
 ``B`` bins (1620 at n=1537, T=6) where the inverse FFT's is about ``n +
 2*M`` (4620).  The direct sum, :func:`_direct_field`, is kept as the
-reference implementation.  Synthesis runs its column blocks on one thread
-per CPU the process may use; its output bits do not depend on the CPU
-count.
+reference implementation.  The transforms are NumPy's FFTs (the C++
+pocketfft, which NumPy 2.0 and later ships), written in place into the
+blocks' buffers.  Synthesis runs its column blocks on one thread per CPU
+the process may use; its output bits do not depend on the CPU count.
 
 Everything synthesis needs that depends on the grid alone is built once
 per grid and kept for the last two grids used (the synthesis plan): each
@@ -51,7 +52,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigError, DataError, DomainError
 from .grid import GridSpec
@@ -106,6 +106,8 @@ def draw_noise(grid: GridSpec, sigma: float, seed: int) -> NoiseDraw:
     """
     if not 0 < sigma < math.inf:
         raise ConfigError(f"sigma must be positive and finite, got {sigma}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     n = _noise_length(grid)
     rng = np.random.default_rng(seed)
     scale = sigma * math.sqrt(grid.delta * math.sqrt(math.pi / 2.0) / 2.0)
@@ -267,6 +269,22 @@ def _band_width(phi: np.ndarray, delta: float, nfft: int) -> int:
     return nfft if fits.size == 0 else min(2 * int(fits[0]) + 1, nfft)
 
 
+def _next_fast_len(target: int, real: bool = False) -> int:
+    """The smallest length ``>= target`` (``target >= 1``) that pocketfft
+    transforms fastest: one whose prime factors are at most 11, or at most
+    5 for ``real=True``."""
+    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
+    n = target
+    while True:
+        k = n
+        for p in primes:
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
 def _band_bins(first: np.ndarray, width: int, nfft: int) -> np.ndarray:
     """Row ``c`` holds the ``width`` bins from ``first[c]`` on, mod ``nfft``."""
     return (first[:, None] + np.arange(width)) % nfft
@@ -302,7 +320,7 @@ def _plan(n: int, m_half: int, delta: float):
     """
     half_n = n // 2
     p = 2 * m_half + 1
-    nfft = scipy.fft.next_fast_len(n + p - 1)
+    nfft = _next_fast_len(n + p - 1)
     d2 = delta * delta
     m = np.arange(-m_half, m_half + 1)
     phi = window(delta * m)
@@ -314,10 +332,10 @@ def _plan(n: int, m_half: int, delta: float):
     span = width + int(offset.max())
     chirp = _chirp(np.arange(span) ** 2, nfft)
     k = np.arange(1 - span, n)
-    nconv = scipy.fft.next_fast_len(n + span - 1, real=True)
+    nconv = _next_fast_len(n + span - 1, real=True)
     kernel = np.zeros(nconv, dtype=np.complex128)
     kernel[k % nconv] = _chirp(-k * k, nfft)
-    kernel = scipy.fft.fft(kernel) / nfft
+    kernel = np.fft.fft(kernel) / nfft
     spec = np.empty((n, width), dtype=np.complex128)
     buf = np.empty((_BLOCK_COLS, nfft), dtype=np.complex128)
     # exp(2j*d2*m*ll) for the columns ll0 + c of a block is the block's first
@@ -332,7 +350,7 @@ def _plan(n: int, m_half: int, delta: float):
         g = buf[: j1 - j0]
         np.multiply(phi * np.exp((2j * d2) * (ll[j0] * m)), window_ramp[: j1 - j0], out=g[:, :p])
         g[:, p:] = 0
-        g = scipy.fft.ifft(g, axis=1, norm="forward", overwrite_x=True)
+        np.fft.ifft(g, axis=1, norm="forward", out=g)
         np.multiply(np.take_along_axis(g, _band_bins(first[j0:j1], width, nfft), axis=1),
                     chirp[offset[j0:j1, None] + np.arange(width)], out=spec[j0:j1])
     for a in (first, offset, spec, kernel, ramp):
@@ -375,7 +393,7 @@ def _spectral_columns(alpha, m_half, delta, n):
     half_n = n // 2
     width = spec.shape[1]
     d2 = delta * delta
-    a_hat = scipy.fft.fft(alpha, nfft)
+    a_hat = np.fft.fft(alpha, nfft)
     idx = np.arange(-half_n, half_n + 1)
     rows = np.arange(n)
     out = np.empty((n, n), dtype=np.complex128)
@@ -396,13 +414,13 @@ def _spectral_columns(alpha, m_half, delta, n):
             u[:] = 0
             band = a_hat[_band_bins(first[j0:j1], width, nfft)] * spec[j0:j1]
             np.put_along_axis(u, offset[j0:j1, None] + np.arange(width), band, axis=1)
-            u = scipy.fft.fft(u, axis=1, overwrite_x=True)
+            np.fft.fft(u, axis=1, out=u)
             np.multiply(u, kernel, out=u)
-            cols = scipy.fft.ifft(u, axis=1, overwrite_x=True)
+            np.fft.ifft(u, axis=1, out=u)
             angle = (math.pi / nfft) * (rows * (rows + 2 * first[j1 - 1]) % (2 * nfft))
             ph = phase[: j1 - j0]
             np.multiply(np.exp(1j * (d2 * (idx[j0] * idx) + angle)), ramp[: j1 - j0], out=ph)
-            np.multiply(ph, cols[:, :n], out=ph)
+            np.multiply(ph, u[:, :n], out=ph)
             out[:, j0:j1] = ph.T
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -1,6 +1,9 @@
 """Command-line driver: parsing units, pipeline smoke, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import bargzeros
 from bargzeros import (
     ConfigError,
     DataError,
@@ -23,6 +27,19 @@ from bargzeros.cli import (
     read_config_file,
     spacing_token,
 )
+
+
+def test_import_loads_no_scipy():
+    # every CLI stage is a fresh process, so what the package imports is
+    # paid once per stage: NumPy alone, SciPy only in the tests
+    src = str(Path(bargzeros.__file__).parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = ("import sys, bargzeros, bargzeros.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +70,11 @@ def test_parse_seeds():
         parse_seeds("a,b")
     with pytest.raises(ConfigError):
         parse_seeds(" , ")
+    for text in ("-1", "-3..2", "0,-4"):
+        with pytest.raises(ConfigError, match="negative seed"):
+            parse_seeds(text)
+    with pytest.raises(ConfigError, match="repeated entry 5 in seeds '5,7,5'"):
+        parse_seeds("5,7,5")
 
 
 def test_read_config_file(tmp_path):
@@ -288,7 +310,7 @@ def test_detect_refuses_two_sources_for_one_csv(tmp_path, capsys):
                  "--out", str(points)]) == 2
     err = capsys.readouterr().err
     assert "points_amn_zero_A0_d2m3_s0.csv" in err and "Traceback" not in err
-    assert not list(points.iterdir())
+    assert not points.exists()
 
 
 def test_stats_over_detections(pipeline, capsys):
@@ -454,9 +476,31 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert main(["stats", "--points", str(tmp_path / "p"), "--signal", "zero",
                  "--sigma", "nan", "--out", str(tmp_path / "s.csv")]) == 2
     assert not (tmp_path / "s.csv").exists()
+    # a negative seed, a negative target box, and a repeated list entry
+    # (which would write every row twice) are refused before anything is
+    # written
+    for seeds in ("-1", "-2..0", "1,1"):
+        assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero",
+                     f"--seeds={seeds}", "--out", str(tmp_path / "y")]) == 2
+    assert not (tmp_path / "y").exists()
+    for flags in (["--target", "-1"], ["--methods", "st", "--target", "-0.5"],
+                  ["--methods", "amn,AMN"], ["--levels", "0,1,0"]):
+        assert main(["detect", "--fields", str(fields), *flags,
+                     "--out", str(tmp_path / "q")]) == 2
+    assert not (tmp_path / "q").exists()
+    assert main(["consistency", "--fields", str(fields), "--levels", "1,1",
+                 "--out", str(tmp_path / "c.csv")]) == 2
+    assert not list(tmp_path.glob("c*.csv"))
+    assert main(["stats", "--points", str(tmp_path / "p"), "--signal", "zero",
+                 "--boxes", "1,1.0", "--out", str(tmp_path / "s.csv")]) == 2
+    assert not (tmp_path / "s.csv").exists()
     err = capsys.readouterr().err
     assert "config error" in err
     assert "not subsamplable" in err
+    assert "seeds: negative seed -1" in err
+    assert "box halfwidth must be >= 0, got -0.5" in err
+    assert "repeated entry 1 in levels '1,1'" in err
+    assert "repeated entry 1.0 in boxes '1,1.0'" in err
     assert "L: could not convert string to float: 'abc'" in err
     assert "unknown key(s) for simulate: margin" in err
     assert "unknown key(s) for simulate: margni, tt" in err
@@ -492,6 +536,11 @@ def test_exit_code_data_errors(tmp_path, capsys):
         with pytest.raises(DataError, match="underflows"):
             read_field(cache)
         assert main(["detect", "--fields", str(fields), "--out", str(tmp_path / "p")]) == 3
+    # a negative seed, which no noise draw accepts
+    cache.write_bytes(json.dumps({**meta, "seed": -1}).encode() + b"\n" + payload)
+    with pytest.raises(DataError, match="seed"):
+        read_field(cache)
+    assert main(["detect", "--fields", str(fields), "--out", str(tmp_path / "p")]) == 3
     del meta["n_axis"]
     cache.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
     assert main(["detect", "--fields", str(fields), "--out", str(tmp_path / "p")]) == 3
@@ -504,6 +553,16 @@ def test_exit_code_data_errors(tmp_path, capsys):
     )
     assert main(["stats", "--points", str(points), "--signal", "zero",
                  "--out", str(tmp_path / "s2.csv")]) == 3
+    # a point-set CSV whose domain box has a negative half-width
+    (points / "bad.csv").write_text(
+        "# method=ST\n# delta=0.25\n# domain_halfwidth=-0.5\n# seed=0\n"
+        "re,im,k,l,method,delta,seed\n"
+    )
+    with pytest.raises(DataError, match="domain_halfwidth must be >= 0"):
+        read_pointset_csv(points / "bad.csv")
+    assert main(["stats", "--points", str(points), "--signal", "zero",
+                 "--out", str(tmp_path / "s2.csv")]) == 3
+    assert not (tmp_path / "s2.csv").exists()
     err = capsys.readouterr().err
     assert "data error" in err
     assert "Traceback" not in err

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from bargzeros import (
     ConfigError,
@@ -25,6 +28,7 @@ from bargzeros import (
     wasserstein_within,
     write_consistency_csv,
 )
+from bargzeros import consistency
 from bargzeros.grid import PointSet
 
 D = 0.25  # low-resolution spacing used by the hand traces
@@ -175,6 +179,34 @@ def test_greedy_success_implies_oracle_success(hi, lo):
     if m.certificate == 0:
         # same collar box as the greedy certificate: Omega_{hw - 2*delta}
         assert wasserstein_within(z_hi, z_lo, L=2.0, theta=2 * D, bound=2 * D) == 1
+
+
+def _saturates_by_scipy(adj, rows):
+    matching = maximum_bipartite_matching(csr_array(adj.astype(np.int8)), perm_type="column")
+    return int((matching != -1).sum()) == adj.shape[0 if rows else 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(adj=hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=30)))
+def test_saturation_agrees_with_scipy_matching(adj):
+    for rows in (True, False):
+        assert consistency._saturates(adj, rows) == _saturates_by_scipy(adj, rows)
+
+
+def test_saturation_follows_a_long_augmenting_path():
+    # row i takes column i first, so the last row, adjacent only to column
+    # 0, is matched only along an augmenting path through all n rows: a
+    # search that recursed once per edge would pass Python's recursion limit
+    n = 3000
+    adj = np.zeros((n + 1, n + 1), dtype=bool)
+    adj[np.arange(n), np.arange(n)] = True
+    adj[np.arange(n), np.arange(n) + 1] = True
+    adj[n, 0] = True
+    assert consistency._saturates(adj, rows=True)
+    assert consistency._saturates(adj, rows=False)
+    # without the last column the path has no free end
+    assert not consistency._saturates(adj[:, :n], rows=True)
+    assert _saturates_by_scipy(adj, True) and not _saturates_by_scipy(adj[:, :n], True)
 
 
 # ---------------------------------------------------------------------------

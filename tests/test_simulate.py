@@ -163,6 +163,14 @@ def test_plan_band_is_narrow_only_for_a_long_window():
     assert spec1.shape[1] == nfft1
 
 
+def test_next_fast_len_matches_scipy():
+    # pocketfft's fast lengths: 11-smooth for complex transforms, 5-smooth
+    # for real ones, the same choice as scipy.fft.next_fast_len
+    for real in (False, True):
+        got = [simulate._next_fast_len(t, real=real) for t in range(1, 2**15 + 1)]
+        assert got == [scipy.fft.next_fast_len(t, real=real) for t in range(1, 2**15 + 1)]
+
+
 def _is_5_smooth(k):
     for f in (2, 3, 5):
         while k % f == 0:
@@ -216,7 +224,7 @@ def serial_column_field(noise, signal, grid):
     phi = window(grid.delta * m)
     width = simulate._band_width(phi, grid.delta, nfft)
     lead = noise.s_half - m_half - h
-    a_hat = scipy.fft.fft(a[lead : lead + n + p - 1], nfft)
+    a_hat = np.fft.fft(a[lead : lead + n + p - 1], nfft)
     blk = simulate._BLOCK_COLS
     idx = np.arange(-h, h + 1)
     first = [(int(np.rint(ll * (-d2 * nfft / math.pi))) - width // 2) % nfft for ll in idx]
@@ -227,19 +235,19 @@ def serial_column_field(noise, signal, grid):
     k = np.arange(1 - span, n)
     kernel = np.zeros(nconv, dtype=np.complex128)
     kernel[k % nconv] = np.exp(1j * ((math.pi / nfft) * (-k * k % (2 * nfft))))
-    kernel = scipy.fft.fft(kernel) / nfft
+    kernel = np.fft.fft(kernel) / nfft
     rows = np.arange(n)
     out = np.empty((n, n), dtype=np.complex128)
     for c in range(n):
         ll0 = c - h - c % blk
         g = (phi * np.exp((2j * d2) * (ll0 * m))) * np.exp((2j * d2) * (c % blk * m))
-        spec = scipy.fft.ifft(g, nfft, norm="forward")
+        spec = np.fft.ifft(g, nfft, norm="forward")
         j = offset[c] + np.arange(width)
         bins = (first[c] + np.arange(width)) % nfft
         chirp_in = np.exp(1j * ((math.pi / nfft) * (j * j % (2 * nfft))))
         u = np.zeros(nconv, dtype=np.complex128)
         u[j] = a_hat[bins] * (spec[bins] * chirp_in)
-        conv = scipy.fft.ifft(scipy.fft.fft(u) * kernel)
+        conv = np.fft.ifft(np.fft.fft(u) * kernel)
         chirp_out = (math.pi / nfft) * (rows * (rows + 2 * first[last[c]]) % (2 * nfft))
         phase = np.exp(1j * (d2 * (ll0 * idx) + chirp_out)) * np.exp((1j * d2) * (c % blk * idx))
         out[:, c] = phase * conv[:n]
