@@ -9,14 +9,13 @@ sit on zeros.
 import numpy as np
 
 from bargzeros import (
+    METHODS,
     SignalKind,
     SignalModel,
-    amn,
+    detect_ladder,
     draw_noise,
     make_grid,
-    mgn,
     refine_zero,
-    st,
     synthesize_field,
 )
 
@@ -32,11 +31,11 @@ print(f"synthesized {grid.n_axis}x{grid.n_axis} samples at spacing {DELTA}")
 
 area = (2 * TARGET) ** 2
 print(f"\nexpected number of zeros in the target box: {area / np.pi:.2f}")
-for name, detect in (("amn", amn), ("mgn", mgn), ("st", st)):
-    pts = detect(field, TARGET)
+found = detect_ladder(field, TARGET, [0], METHODS)
+for (_, name), pts in found.items():
     print(f"  {name}: {len(pts.points)} detections")
 
-zeros = amn(field, TARGET)
+zeros = found[0, "amn"]
 print("\nrefining the first five detections (radius 2*delta, 4 passes):")
 print(f"{'detected':>22}  {'refined':>22}  {'|V| after':>10}")
 for p in zeros.points[:5]:

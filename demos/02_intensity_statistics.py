@@ -12,13 +12,12 @@ Takes roughly half a minute.
 import math
 
 from bargzeros import (
+    METHODS,
     SignalKind,
     SignalModel,
-    amn,
+    detect_ladder,
     draw_noise,
     make_grid,
-    mgn,
-    st,
     summary_rows,
     synthesize_field,
     variance_benchmark,
@@ -32,11 +31,11 @@ TARGET = 4.0
 grid = make_grid(L=L, delta=DELTA, T=6)
 signal = SignalModel(SignalKind.ZERO)
 
-detections = {"amn": [], "mgn": [], "st": []}
+detections = {name: [] for name in METHODS}
 for seed in range(REALIZATIONS):
     field = synthesize_field(draw_noise(grid, 1.0, seed), signal, grid)
-    for name, detect in (("amn", amn), ("mgn", mgn), ("st", st)):
-        detections[name].append(detect(field, TARGET))
+    for (_, name), pts in detect_ladder(field, TARGET, [0], METHODS).items():
+        detections[name].append(pts)
 
 benchmark = variance_benchmark(area=(2 * TARGET) ** 2)
 print(f"R = {REALIZATIONS} realizations, spacing {DELTA}, box half-width {TARGET}")

@@ -12,15 +12,13 @@ Takes a minute or two.
 """
 
 from bargzeros import (
+    METHODS,
     SignalKind,
     SignalModel,
     aggregate_failure_table,
-    amn,
     draw_noise,
     ladder_rows,
     make_grid,
-    mgn,
-    st,
     synthesize_field,
 )
 
@@ -32,12 +30,11 @@ LEVELS = 3
 
 grid = make_grid(L=L, delta=DELTA_HI, T=6)
 signal = SignalModel(SignalKind.ZERO)
-detectors = {"amn": amn, "mgn": mgn, "st": st}
 
 rows = []
 for seed in range(REALIZATIONS):
     field = synthesize_field(draw_noise(grid, 1.0, seed), signal, grid)
-    rows += ladder_rows(field, TARGET, range(1, LEVELS + 1), detectors, amn)
+    rows += ladder_rows(field, TARGET, range(1, LEVELS + 1), METHODS, "amn")
 deltas, methods, table = aggregate_failure_table(rows)
 
 print(f"proxy: amn at spacing {DELTA_HI}, R = {REALIZATIONS} realizations\n")

@@ -39,8 +39,10 @@ from .simulate import (
     zero_noise,
 )
 from .detect import (
+    METHODS,
     amn,
     amn_select,
+    detect_ladder,
     mgn,
     read_pointset_csv,
     sieve,
@@ -97,8 +99,10 @@ __all__ = [
     "window",
     "write_field",
     "zero_noise",
+    "METHODS",
     "amn",
     "amn_select",
+    "detect_ladder",
     "mgn",
     "read_pointset_csv",
     "sieve",

@@ -33,12 +33,10 @@ from . import detect as det
 from . import stats as st_mod
 from ._table import write_table
 from .errors import ConfigError, DataError
-from .grid import ladder, make_grid
+from .grid import make_grid
 from .signal import parse_signal
 from .simulate import (_PRECISIONS, _read_header, draw_noise, read_field, synthesize_field,
                        write_field)
-
-_DETECTORS = {"amn": det.amn, "mgn": det.mgn, "st": det.st}
 
 
 def parse_spacing(text: str) -> float:
@@ -87,6 +85,7 @@ def parse_seeds(text: str) -> list[int]:
 def read_config_file(path) -> dict[str, str]:
     """Plain ``key = value`` lines; ``#`` starts a comment."""
     out: dict[str, str] = {}
+    first: dict[str, int] = {}  # the line that set each key
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -98,7 +97,11 @@ def read_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set on line {first[key]}")
+        first[key] = lineno
+        out[key] = val.strip()
     return out
 
 
@@ -241,9 +244,9 @@ def _parse_list(text: str, parse, what: str) -> list:
 
 def _parse_methods(text: str) -> list[str]:
     names = _parse_list(text, lambda tok: tok.strip().lower(), "methods")
-    bad = [n for n in names if n not in _DETECTORS]
+    bad = [n for n in names if n not in det.METHODS]
     if bad:
-        raise ConfigError(f"unknown method(s) {bad}; choose from {sorted(_DETECTORS)}")
+        raise ConfigError(f"unknown method(s) {bad}; choose from {list(det.METHODS)}")
     return names
 
 
@@ -274,18 +277,13 @@ def cmd_detect(args) -> int:
         if field.source is not None:
             sig = _signal_token(field.source.signal)
             meta["signal"] = field.source.signal.descriptor()
-        for j, fld in ladder(field, max(levels)).items():
-            if j not in levels:
-                continue
-            for name in methods:
-                ps = _DETECTORS[name](fld, W)
-                token = spacing_token(fld.grid.delta)
-                seed = "x" if ps.seed is None else ps.seed
-                csv_path = out / f"points_{name}_{sig}_d{token}_s{seed}.csv"
-                if csv_path in pending:
-                    raise ConfigError(f"two caches of this run would write {csv_path}")
-                _refuse_replacing(csv_path, h)
-                pending[csv_path] = (ps, meta)
+        for (_, name), ps in det.detect_ladder(field, W, levels, methods).items():
+            seed = "x" if ps.seed is None else ps.seed
+            csv_path = out / f"points_{name}_{sig}_d{spacing_token(ps.delta)}_s{seed}.csv"
+            if csv_path in pending:
+                raise ConfigError(f"two caches of this run would write {csv_path}")
+            _refuse_replacing(csv_path, h)
+            pending[csv_path] = (ps, meta)
     out.mkdir(parents=True, exist_ok=True)
     for csv_path, (ps, meta) in pending.items():
         det.write_pointset_csv(ps, csv_path, meta=meta)
@@ -306,7 +304,6 @@ def cmd_stats(args) -> int:
            "boxes": ",".join(map(str, boxes))}
     h = config_hash(cfg)
     _refuse_replacing(out, h)
-    out.parent.mkdir(parents=True, exist_ok=True)
     paths = sorted(Path(points_dir).glob("*.csv"))
     if not paths:
         raise DataError(f"no point-set CSVs in {points_dir}")
@@ -323,6 +320,7 @@ def cmd_stats(args) -> int:
     rows = []
     for (_, delta), sets in sorted(groups.items()):
         rows += st_mod.summary_rows(sets, model, sigma, boxes, step=min(delta, 1.0 / 64.0))
+    out.parent.mkdir(parents=True, exist_ok=True)
     st_mod.write_stats_csv(rows, out, meta={"config": h})
     for r in rows:
         print(f"{r.estimator:22s} delta={r.delta:<10g} box={r.halfwidth:g} "
@@ -338,7 +336,6 @@ def cmd_consistency(args) -> int:
     levels = _parse_levels(_setting(args, config, "levels", default="1,2,3"))
     proxy_name = _setting(args, config, "proxy", default="amn").lower()
     out = Path(_require(_setting(args, config, "out"), "out"))
-    out.parent.mkdir(parents=True, exist_ok=True)
     if proxy_name not in ("amn", "mgn"):
         raise ConfigError(f"proxy must be amn or mgn, got {proxy_name!r}")
     if 0 in levels:
@@ -350,12 +347,11 @@ def cmd_consistency(args) -> int:
     for target in (out, agg_path):
         _refuse_replacing(target, h)
 
-    detectors = {name: _DETECTORS[name] for name in methods}
     rows = []
     for path in _iter_fields(fields_dir):
         field = read_field(path)
-        rows += cons.ladder_rows(field, field.grid.L - 1.0, levels, detectors,
-                                 _DETECTORS[proxy_name])
+        rows += cons.ladder_rows(field, field.grid.L - 1.0, levels, methods, proxy_name)
+    out.parent.mkdir(parents=True, exist_ok=True)
     cons.write_consistency_csv(rows, out, meta={"config": h})
 
     deltas, names, table = cons.aggregate_failure_table(rows)

@@ -20,22 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import write_records
+from .detect import detect_ladder
 from .errors import ConfigError
-from .grid import PointSet, ladder
+from .grid import PointSet
 
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Outcome of greedily matching proxy zeros to detections.
-
-    ``matched_hi[i]`` was paired with ``matched_lo[i]``; together they
-    define the injective map of the matched subset.  ``certificate`` is 0
-    when the run is certified accurate, 1 otherwise.
+    """Outcome of greedily matching proxy zeros to detections:
+    ``certificate`` is 0 when the run is certified accurate, 1 otherwise,
+    and ``max_distortion`` is the largest sup-norm distance of a matched
+    pair (0.0 when nothing is matched).
     """
 
-    matched_hi: np.ndarray
-    matched_lo: np.ndarray
-    unmatched_hi: np.ndarray
     certificate: int
     max_distortion: float
 
@@ -62,44 +59,22 @@ def greedy_match(z_hi: PointSet, z_lo: PointSet, delta_lo: float) -> MatchResult
     """
     if z_hi.domain_halfwidth != z_lo.domain_halfwidth:
         raise ConfigError("matched sets must share the same target box")
-    hi = z_hi.points
-    lo = z_lo.points
-    matched_hi, matched_lo, unmatched = [], [], []
-    taken = np.zeros(len(lo), dtype=bool)
-    if len(lo):
-        dist = _sup_dist(hi, lo)
-    for i in range(len(hi)):
-        if not len(lo):
-            unmatched.append(hi[i])
-            continue
-        cand = np.flatnonzero(~taken & (dist[i] <= 2.0 * delta_lo))
+    taken = np.zeros(len(z_lo), dtype=bool)
+    missed = False
+    max_dist = 0.0
+    for row in _sup_dist(z_hi.points, z_lo.points):
+        cand = np.flatnonzero(~taken & (row <= 2.0 * delta_lo))
         if cand.size == 0:
-            unmatched.append(hi[i])
+            missed = True
             continue
-        j = cand[np.argmin(dist[i, cand])]  # argmin takes the first minimum
+        j = cand[np.argmin(row[cand])]  # argmin takes the first minimum
         taken[j] = True
-        matched_hi.append(hi[i])
-        matched_lo.append(lo[j])
-    matched_hi = np.array(matched_hi, dtype=np.complex128)
-    matched_lo = np.array(matched_lo, dtype=np.complex128)
-    unmatched = np.array(unmatched, dtype=np.complex128)
-    max_dist = (
-        float(np.max(np.maximum(np.abs(matched_hi.real - matched_lo.real),
-                                np.abs(matched_hi.imag - matched_lo.imag))))
-        if len(matched_hi)
-        else 0.0
-    )
+        max_dist = max(max_dist, float(row[j]))
     # certified: every proxy zero matched, every detection inside the
     # collar used by the pairing
     inner = _collar_mask(z_lo, z_lo.domain_halfwidth - 2.0 * delta_lo)
-    cert = int(len(unmatched) > 0 or not taken[inner].all())
-    return MatchResult(
-        matched_hi=matched_hi,
-        matched_lo=matched_lo,
-        unmatched_hi=unmatched,
-        certificate=cert,
-        max_distortion=max_dist,
-    )
+    return MatchResult(certificate=int(missed or not taken[inner].all()),
+                       max_distortion=max_dist)
 
 
 def failure_rate(certificates) -> float:
@@ -207,29 +182,26 @@ def write_consistency_csv(rows: list[ConsistencyRow], path, meta: dict | None = 
     write_records(path, ConsistencyRow, rows, meta)
 
 
-def ladder_rows(field, target: float, levels, detectors: dict, proxy) -> list[ConsistencyRow]:
-    """Certify each detector at each subsampling level against the proxy.
+def ladder_rows(field, target: float, levels, methods, proxy: str) -> list[ConsistencyRow]:
+    """Certify each named detector at each subsampling level against the
+    proxy.
 
-    ``proxy(field, target)`` at level 0 is the ground truth; for every
-    level in ``levels`` (each >= 1) and every ``name -> detector`` in
-    ``detectors``, the detections on the subsampled field are greedily
-    matched against it, one row per (level, method) in that order.
+    The ``proxy`` detector on ``field`` itself is the ground truth; for
+    every level in ``levels`` (each >= 1) and every name in ``methods``,
+    the detections on the subsampled field are greedily matched against
+    it, one row per (level, method) in that order.
     """
-    z_hi = proxy(field, target)
-    rungs = ladder(field, max(levels))
+    z_hi = detect_ladder(field, target, [0], [proxy])[0, proxy]
     rows = []
-    for j in levels:
-        fld = rungs[j]
-        for name, detect in detectors.items():
-            z_lo = detect(fld, target)
-            match = greedy_match(z_hi, z_lo, fld.grid.delta)
-            rows.append(ConsistencyRow(
-                seed=field.seed, method=name.upper(),
-                delta_hi=field.grid.delta, delta_lo=fld.grid.delta,
-                n_hi=len(z_hi), n_lo=len(z_lo),
-                certificate=match.certificate,
-                max_distortion=match.max_distortion,
-            ))
+    for (_, name), z_lo in detect_ladder(field, target, levels, methods).items():
+        match = greedy_match(z_hi, z_lo, z_lo.delta)
+        rows.append(ConsistencyRow(
+            seed=field.seed, method=name.upper(),
+            delta_hi=field.grid.delta, delta_lo=z_lo.delta,
+            n_hi=len(z_hi), n_lo=len(z_lo),
+            certificate=match.certificate,
+            max_distortion=match.max_distortion,
+        ))
     return rows
 
 

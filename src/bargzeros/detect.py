@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BoundaryError, ConfigError, DataError
 from ._table import write_table
-from .grid import Method, PointSet
+from .grid import Method, PointSet, ladder
 from .simulate import WeightedField
 
 #: target-box rows per screened block, so that temporaries are a few (block
@@ -196,6 +196,26 @@ def st(field: WeightedField, target_halfwidth: float) -> PointSet:
     keep = np.abs(field.values[sl, sl]) <= 2.0 * g.delta
     cands = PointSet(Method.ST, g.delta, target_halfwidth, _hits(keep), seed=field.seed)
     return _check_separated(sieve(cands, field), "st")
+
+
+#: the detector names, each that of a function of this module
+METHODS = ("amn", "mgn", "st")
+
+
+def detect_ladder(field: WeightedField, target_halfwidth: float, levels,
+                  methods) -> dict[tuple[int, str], PointSet]:
+    """``(level, method) -> PointSet`` for each level in ``levels`` (in the
+    order given) and each name in ``methods``: the detections on the field
+    subsampled ``level`` times (level 0 is the field itself).
+
+    Each detector is looked up by name in this module at call time, so a
+    wrapper set on the module attribute sees every call.
+    """
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ConfigError(f"unknown method(s) {unknown}; choose from {list(METHODS)}")
+    rungs = ladder(field, max(levels))
+    return {(j, m): globals()[m](rungs[j], target_halfwidth) for j in levels for m in methods}
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import pytest
 from scipy.integrate import quad
 
 from bargzeros import (
+    METHODS,
     Method,
     PointSet,
     SignalKind,
@@ -33,20 +34,18 @@ from bargzeros import (
     amn,
     bargmann_closed_form,
     covariance_probe,
+    detect_ladder,
     draw_noise,
     failure_rate,
     greedy_match,
     intensity_scale,
     ladder_rows,
     make_grid,
-    mgn,
     model_for,
     refine_zero,
     rho1,
     sample_signal,
     sieve,
-    st,
-    subsample,
     summary_rows,
     synthesize_field,
     variance_benchmark,
@@ -58,7 +57,6 @@ from bargzeros import (
 
 SIGMA = 1.0
 ZERO = SignalModel(SignalKind.ZERO)
-DETECTORS = {"amn": amn, "mgn": mgn, "st": st}
 
 
 def _report(capsys, num: int, label: str, ok: bool) -> None:
@@ -113,11 +111,11 @@ def intensity_runs():
     tolerance.  Shared with the failure-table check below.
     """
     g = make_grid(L=5, delta=2.0**-6, T=6)
-    sets = {name: [] for name in DETECTORS}
+    sets = {name: [] for name in METHODS}
     for seed in range(1000):
         f = synthesize_field(draw_noise(g, SIGMA, seed), ZERO, g)
-        for name, detect in DETECTORS.items():
-            sets[name].append(detect(f, 4.0))
+        for (_, name), ps in detect_ladder(f, 4.0, [0], METHODS).items():
+            sets[name].append(ps)
     return sets
 
 
@@ -176,8 +174,8 @@ def test_count_error_consistency(capsys):
         noise = synthesize_field(draw_noise(g, SIGMA, seed), ZERO, g)
         for key in models:
             f = WeightedField(grid=g, values=noise.values + means[key])
-            for name, detect in DETECTORS.items():
-                sets.setdefault((key, name), []).append(detect(f, 3.0))
+            for (_, name), ps in detect_ladder(f, 3.0, [0], METHODS).items():
+                sets.setdefault((key, name), []).append(ps)
 
     # the threshold detector misses the deterministic zero of the strong
     # first-Hermite signal, so its count error dwarfs the neighbourhood
@@ -236,7 +234,7 @@ def ladder_runs():
         noise = synthesize_field(draw_noise(g, SIGMA, seed), ZERO, g)
         for tag, vals in (("zero", noise.values), ("gauss1", noise.values + mean_gauss)):
             f_hi = WeightedField(grid=g, values=vals)
-            for r in ladder_rows(f_hi, 2.0, [1, 2, 3], DETECTORS, amn):
+            for r in ladder_rows(f_hi, 2.0, [1, 2, 3], METHODS, "amn"):
                 bits.setdefault((tag, r.method.lower(), r.delta_lo), []).append(r.certificate)
     return {key: failure_rate(vals) for key, vals in bits.items()}
 
@@ -264,7 +262,7 @@ def test_failure_probability_table(ladder_runs, intensity_runs, capsys):
     table = {
         (tag, name): [ladder_runs[(tag, name, d)] for d in ladder]
         for tag in ("zero", "gauss1")
-        for name in DETECTORS
+        for name in METHODS
     }
     assert monotone, f"failure rates not monotone along the ladder: {table}"
     assert fine_ok, f"amn failure rate above 5% at the finest spacing: {table}"
@@ -303,17 +301,18 @@ def test_algorithmic_invariants(capsys, tmp_path):
     nonvacuous = 0
     for seed in (3, 11):
         f = synthesize_field(draw_noise(g, SIGMA, seed), ZERO, g)
+        base = detect_ladder(f, 1.5, [0, 1], METHODS)
         for name in ("amn", "st"):
-            pts = DETECTORS[name](f, 1.5).points
+            pts = base[0, name].points
             if len(pts) > 1:
                 d = _sup(pts, pts)
                 np.fill_diagonal(d, np.inf)
                 assert d.min() >= 5.0 * g.delta - 1e-12, f"{name} output not separated"
-        base = {name: DETECTORS[name](f, 1.5) for name in ("amn", "mgn")}
         for c in (1e-3, 1.0, 1e3):
             scaled = WeightedField(grid=g, values=f.values * c)
+            found = detect_ladder(scaled, 1.5, [0], ("amn", "mgn"))
             for name in ("amn", "mgn"):
-                same = np.array_equal(DETECTORS[name](scaled, 1.5).kl, base[name].kl)
+                same = np.array_equal(found[0, name].kl, base[0, name].kl)
                 ok &= same
                 assert same, f"{name} output changed under scaling by {c}"
 
@@ -328,12 +327,11 @@ def test_algorithmic_invariants(capsys, tmp_path):
         assert (cover.min(axis=1) <= 4.0 * g.delta + 1e-12).all(), "sieve dropped an uncovered point"
 
         # greedy certificate is sound for the exact matching oracle
-        f_lo = subsample(f)
-        hi, lo = amn(f, 1.5), amn(f_lo, 1.5)
-        match = greedy_match(hi, lo, f_lo.grid.delta)
+        hi, lo = base[0, "amn"], base[1, "amn"]
+        match = greedy_match(hi, lo, lo.delta)
         if match.certificate == 0:
             nonvacuous += 1
-            oracle = wasserstein_within(hi, lo, 1.5, 2.0 * f_lo.grid.delta, 2.0 * f_lo.grid.delta)
+            oracle = wasserstein_within(hi, lo, 1.5, 2.0 * lo.delta, 2.0 * lo.delta)
             ok &= oracle == 1
             assert oracle == 1, "greedy certificate not confirmed by matching oracle"
     assert nonvacuous, "no certified match found; soundness check never exercised"

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import bargzeros
+from bargzeros import detect
 from bargzeros import (
     ConfigError,
     DataError,
@@ -84,6 +85,10 @@ def test_read_config_file(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n")
     with pytest.raises(ConfigError):
+        read_config_file(bad)
+    # a key set twice is refused, naming the key and both lines
+    bad.write_text("L = 2\n# wider\nsignal = zero\nL = 3\n")
+    with pytest.raises(ConfigError, match=r"bad.cfg:4: key 'L' is already set on line 1"):
         read_config_file(bad)
 
 
@@ -391,6 +396,29 @@ def test_consistency_report_and_aggregate(pipeline, capsys):
     assert "failure probability" in capsys.readouterr().out
 
 
+def test_cli_detectors_are_looked_up_in_the_detect_module(tmp_path, monkeypatch):
+    # a traced run wraps the module attributes bargzeros.detect.amn/mgn/st,
+    # so every detector call of the CLI must go through them
+    calls = dict.fromkeys(detect.METHODS, 0)
+    for name in calls:
+        def counted(*args, _detect=getattr(detect, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _detect(*args, **kwargs)
+        monkeypatch.setattr(detect, name, counted)
+    fields, points = tmp_path / "fields", tmp_path / "points"
+    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--T", "1", "--signal", "zero",
+                 "--seeds", "0..1", "--out", str(fields)]) == 0
+    assert main(["detect", "--fields", str(fields), "--levels", "0,1",
+                 "--out", str(points)]) == 0
+    # 2 caches x 2 levels, one CSV per call
+    assert calls == {"amn": 4, "mgn": 4, "st": 4}
+    assert len(list(points.glob("*.csv"))) == 12
+    assert main(["consistency", "--fields", str(fields), "--levels", "1,2",
+                 "--out", str(tmp_path / "c.csv")]) == 0
+    # 2 caches x 2 levels, plus the amn proxy of each cache
+    assert calls == {"amn": 4 + 6, "mgn": 4 + 4, "st": 4 + 4}
+
+
 def test_config_file_with_flag_override(tmp_path):
     fields = tmp_path / "fields"
     cfg = tmp_path / "run.cfg"
@@ -452,9 +480,18 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert not (tmp_path / "p").exists()
     assert main(["detect", "--fields", str(tmp_path / "f"), "--methods", "foo",
                  "--out", str(tmp_path / "p")]) == 2
-    # consistency level 0 is the proxy itself
+    # consistency level 0 is the proxy itself, and st is no proxy; neither
+    # run creates the report's directory
     assert main(["consistency", "--fields", str(tmp_path / "f"), "--levels", "0",
-                 "--out", str(tmp_path / "c.csv")]) == 2
+                 "--out", str(tmp_path / "new0" / "c.csv")]) == 2
+    assert main(["consistency", "--fields", str(tmp_path / "f"), "--proxy", "st",
+                 "--out", str(tmp_path / "new1" / "c.csv")]) == 2
+    assert not list(tmp_path.glob("new*"))
+    # a key set twice in a config file writes nothing either
+    cfg.write_text("L = 2\nL = 3\n")
+    assert main(["simulate", "--config", str(cfg), "--delta", "2^-4", "--T", "1",
+                 "--signal", "zero", "--seeds", "0", "--out", str(tmp_path / "new2")]) == 2
+    assert not list(tmp_path.glob("new*"))
     # an empty method or level list
     assert main(["detect", "--fields", str(tmp_path / "f"), "--methods", ",",
                  "--out", str(tmp_path / "p")]) == 2
@@ -505,15 +542,21 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert "unknown key(s) for simulate: margin" in err
     assert "unknown key(s) for simulate: margni, tt" in err
     assert "unknown key(s) for detect: L" in err
+    assert "proxy must be amn or mgn, got 'st'" in err
+    assert "key 'L' is already set on line 1" in err
     assert "Traceback" not in err
 
 
 def test_exit_code_data_errors(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
+    # no caches or point sets to read: no output directory is created
     assert main(["detect", "--fields", str(empty), "--out", str(tmp_path / "p")]) == 3
     assert main(["stats", "--points", str(empty), "--signal", "zero",
-                 "--out", str(tmp_path / "s.csv")]) == 3
+                 "--out", str(tmp_path / "new0" / "s.csv")]) == 3
+    assert main(["consistency", "--fields", str(empty),
+                 "--out", str(tmp_path / "new1" / "c.csv")]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty"]
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 3
     # a cache whose header lacks a key
     fields = tmp_path / "fields"

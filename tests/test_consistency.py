@@ -9,6 +9,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from bargzeros import (
+    METHODS,
     ConfigError,
     ConsistencyRow,
     Method,
@@ -50,31 +51,36 @@ def pts(*zs, delta=D, hw=2.0, method=Method.AMN):
 
 def test_greedy_single_pair():
     m = greedy_match(pts(0), pts(D), D)
-    assert (m.matched_hi.tolist(), m.matched_lo.tolist()) == ([0j], [complex(D, 0)])
-    assert len(m.unmatched_hi) == 0
-    assert m.max_distortion == pytest.approx(D)
+    assert m.max_distortion == D
     assert m.certificate == 0
 
 
 def test_greedy_exhausts_candidates():
-    # the single detection goes to the first proxy zero; the second proxy
-    # zero finds nothing left within 2*delta
+    # the single detection goes to the first proxy zero (distance D); the
+    # second proxy zero, 2*D from it, finds nothing left within 2*delta
     m = greedy_match(pts(0, 3 * D), pts(D), D)
-    assert (m.matched_hi.tolist(), m.matched_lo.tolist()) == ([0j], [complex(D, 0)])
-    assert list(m.unmatched_hi) == [complex(3 * D, 0)]
+    assert m.max_distortion == D
     assert m.certificate == 1
+    # the other way round both proxy zeros are matched
+    assert greedy_match(pts(0, 3 * D), pts(D, 3 * D), D).certificate == 0
 
 
 def test_greedy_empty_proxy():
     m = greedy_match(pts(), pts(), D)
-    assert m.certificate == 0 and len(m.matched_hi) == 0
+    assert m.certificate == 0 and m.max_distortion == 0.0
     with_extras = greedy_match(pts(), pts(0), D)
     assert with_extras.certificate == 1  # uncovered detection well inside
+    assert with_extras.max_distortion == 0.0
+    no_detections = greedy_match(pts(0), pts(), D)
+    assert no_detections.certificate == 1 and no_detections.max_distortion == 0.0
 
 
 def test_greedy_prefers_closest_detection():
+    # the detection at D wins over the one at -2*D, which is left over
+    # inside the collar
     m = greedy_match(pts(0), pts(-2 * D, D), D)
-    assert (m.matched_hi.tolist(), m.matched_lo.tolist()) == ([0j], [complex(D, 0)])
+    assert m.max_distortion == D
+    assert m.certificate == 1
 
 
 def test_greedy_identical_sets_certify():
@@ -82,7 +88,6 @@ def test_greedy_identical_sets_certify():
     m = greedy_match(z, z, D)
     assert m.certificate == 0
     assert m.max_distortion == 0.0
-    assert len(m.unmatched_hi) == 0
 
 
 def test_greedy_requires_shared_target_box():
@@ -94,8 +99,8 @@ def test_greedy_cross_resolution_distortion_bound():
     hi = pts(0.125, -0.375 + 0.125j, delta=0.125)
     lo = pts(0.25, -0.5, delta=D)
     m = greedy_match(hi, lo, D)
-    assert len(m.unmatched_hi) == 0
-    assert m.max_distortion <= 2 * D
+    assert m.certificate == 0
+    assert m.max_distortion == 0.125 <= 2 * D
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +181,7 @@ def test_greedy_success_implies_oracle_success(hi, lo):
     z_hi = PointSet(Method.AMN, D, 2.0, np.array(sorted(hi), dtype=np.int64).reshape(-1, 2), seed=None)
     z_lo = PointSet(Method.AMN, D, 2.0, np.array(sorted(lo), dtype=np.int64).reshape(-1, 2), seed=None)
     m = greedy_match(z_hi, z_lo, D)
+    assert 0.0 <= m.max_distortion <= 2 * D
     if m.certificate == 0:
         # same collar box as the greedy certificate: Omega_{hw - 2*delta}
         assert wasserstein_within(z_hi, z_lo, L=2.0, theta=2 * D, bound=2 * D) == 1
@@ -215,7 +221,6 @@ def test_saturation_follows_a_long_augmenting_path():
 
 def test_ladder_rows_match_per_level_loop():
     g = make_grid(L=2, delta=2.0**-5, T=6)
-    detectors = {"amn": amn, "mgn": mgn, "st": st}
     proxy_sizes = []
     for seed in (0, 1):
         field = synthesize_field(draw_noise(g, 1.0, seed), SignalModel(SignalKind.ZERO), g)
@@ -224,16 +229,21 @@ def test_ladder_rows_match_per_level_loop():
         want, f_lo = [], field
         for _ in range(2):
             f_lo = subsample(f_lo)
-            for name, detect in detectors.items():
+            for detect in (amn, mgn, st):
                 z_lo = detect(f_lo, 1.0)
                 m = greedy_match(proxy, z_lo, f_lo.grid.delta)
                 want.append(ConsistencyRow(
-                    seed, name.upper(), g.delta, f_lo.grid.delta, len(proxy), len(z_lo),
-                    m.certificate, m.max_distortion,
+                    seed, detect.__name__.upper(), g.delta, f_lo.grid.delta, len(proxy),
+                    len(z_lo), m.certificate, m.max_distortion,
                 ))
-        assert ladder_rows(field, 1.0, [1, 2], detectors, amn) == want
+        assert ladder_rows(field, 1.0, [1, 2], METHODS, "amn") == want
+        # rows follow the levels in the order given
+        assert ladder_rows(field, 1.0, [2, 1], METHODS, "amn") == want[3:] + want[:3]
         proxy_sizes.append(len(proxy))
     assert max(proxy_sizes) > 0
+    for methods, proxy in ((["amn", "foo"], "amn"), (["amn"], "AMN")):
+        with pytest.raises(ConfigError, match="unknown method"):
+            ladder_rows(field, 1.0, [1], methods, proxy)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,15 @@ from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 
 from bargzeros import (
+    METHODS,
     BoundaryError,
+    ConfigError,
     DataError,
     Method,
     WeightedField,
     amn,
     amn_select,
+    detect_ladder,
     draw_noise,
     make_grid,
     mgn,
@@ -478,6 +481,25 @@ def test_detector_outputs_are_separated():
         ps = detector(f, 1.0)
         if len(ps) >= 2:
             assert ps.min_separation() >= 5
+
+
+# ---------------------------------------------------------------------------
+# the per-realization walk
+
+
+def test_detect_ladder_runs_each_detector_on_each_level():
+    g = make_grid(L=2, delta=2.0 ** -5, T=6)
+    f = synthesize_field(draw_noise(g, 1.0, 5), ZERO_SIGNAL, g)
+    rungs = ladder(f, 2)
+    found = detect_ladder(f, 1.0, [2, 0], METHODS)
+    # keys follow the levels in the order given, then the methods
+    want = [((j, d.__name__), d(rungs[j], 1.0)) for j in (2, 0) for d in (amn, mgn, st)]
+    assert list(found) == [key for key, _ in want]
+    assert all(_same_pointset(found[key], ps) for key, ps in want)
+    assert list(detect_ladder(f, 1.0, [1], ["st", "amn"])) == [(1, "st"), (1, "amn")]
+    for bad in (["foo"], ["amn", "AMN"], ["sieve"]):
+        with pytest.raises(ConfigError, match="unknown method"):
+            detect_ladder(f, 1.0, [0], bad)
 
 
 # ---------------------------------------------------------------------------
