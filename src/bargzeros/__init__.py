@@ -7,13 +7,7 @@ validates the resulting point processes against closed-form benchmarks
 reference runs (consistency certificates, failure-probability tables).
 """
 
-from .errors import (
-    BoundaryError,
-    ConfigError,
-    DataError,
-    DomainError,
-    SubsampleError,
-)
+from .errors import ConfigError, DataError
 from .grid import GridSpec, Method, PointSet, make_grid, subsample
 from .signal import (
     SignalKind,
@@ -70,11 +64,8 @@ from .consistency import (
 )
 
 __all__ = [
-    "BoundaryError",
     "ConfigError",
     "DataError",
-    "DomainError",
-    "SubsampleError",
     "GridSpec",
     "Method",
     "PointSet",

@@ -8,12 +8,15 @@ Four subcommands mirror the experiment pipeline:
 * ``stats``      — aggregate intensity and count-error estimators over the
   detection CSVs, refusing any that record a different signal;
 * ``consistency``— match coarse detections against the high-resolution
-  proxy and tabulate failure probabilities.
+  proxy and tabulate failure probabilities, refusing a directory whose
+  caches record more than one signal.
 
 Spacings are accepted as exact dyadic expressions (``2^-7``) so that grid
 parameters never pass through decimal rounding.  Every output file carries
-the hash of the generating configuration; a fixed (config, seed list) pair
-reproduces every byte.
+the hash of the generating configuration, inputs included (the headers of
+the field caches read, the names and config hashes of the point sets); a
+fixed (config, seed list) pair reproduces every byte, and no command
+replaces a file that another config wrote.
 
 Exit codes: 0 success, 2 configuration error, 3 data error.
 """
@@ -35,8 +38,7 @@ from ._table import write_table
 from .errors import ConfigError, DataError
 from .grid import make_grid
 from .signal import parse_signal
-from .simulate import (_PRECISIONS, _read_header, draw_noise, read_field, synthesize_field,
-                       write_field)
+from .simulate import _DTYPE, _read_header, draw_noise, read_field, synthesize_field, write_field
 
 
 def parse_spacing(text: str) -> float:
@@ -157,6 +159,11 @@ def _manifest_runs(path: Path) -> dict:
     raise DataError(f"{path} is not a simulate manifest")
 
 
+def _cache_header(path: Path) -> dict:
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
+
+
 def _refuse_replacing(path: Path, h: str) -> None:
     """Refuse to replace a file whose leading ``# config=`` line is not ``h``'s."""
     if not path.exists():
@@ -180,9 +187,6 @@ def cmd_simulate(args) -> int:
     sigma = _setting(args, config, "sigma", default=1.0, parse=float)
     signal_text = _require(_setting(args, config, "signal"), "signal")
     seeds = _require(_setting(args, config, "seeds", parse=parse_seeds), "seeds")
-    precision = _setting(args, config, "precision", default="complex128")
-    if precision not in _PRECISIONS:
-        raise ConfigError(f"precision must be one of {', '.join(_PRECISIONS)}, got {precision!r}")
 
     grid = make_grid(L=L, delta=delta, T=T)
     model = parse_signal(signal_text, sigma=sigma)
@@ -190,7 +194,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     settings = {"L": L, "delta": delta, "T": T, "sigma": sigma,
-                "signal": model.descriptor(), "precision": precision}
+                "signal": model.descriptor(), "precision": _DTYPE}
     cfg = {"cmd": "simulate", **settings}
     h = config_hash(cfg)
     manifest = out / "manifest.json"
@@ -203,15 +207,14 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"{out / name} belongs to simulate config {owners[name]!r}, "
                               f"not {h!r}; write this config to another directory")
         if (out / name).exists():
-            with open(out / name, "rb") as fh:
-                header = _read_header(fh, out / name)
+            header = _cache_header(out / name)
             if ({k: header.get(k) for k in settings} != settings
                     or header.get("n_axis") != grid.n_axis):
                 raise ConfigError(f"{out / name} was simulated with other settings; "
                                   "write this config to another directory")
     for seed, name in zip(seeds, files):
         fld = synthesize_field(draw_noise(grid, sigma, seed), model, grid)
-        write_field(fld, out / name, precision=precision)
+        write_field(fld, out / name)
     run = runs.setdefault(h, {"config": cfg, "seeds": [], "files": []})
     run["seeds"] = list(dict.fromkeys(run["seeds"] + seeds))
     run["files"] = list(dict.fromkeys(run["files"] + files))
@@ -269,7 +272,8 @@ def cmd_detect(args) -> int:
     for path in _iter_fields(fields_dir):
         field = read_field(path)
         W = target if target is not None else field.grid.L - 1.0
-        cfg = {"cmd": "detect", "source": path.name, "target": W,
+        cfg = {"cmd": "detect", "source": path.name,
+               "header": json.dumps(_cache_header(path), sort_keys=True), "target": W,
                "methods": ",".join(methods), "levels": ",".join(map(str, levels))}
         h = config_hash(cfg)
         meta = {"config": h, "source": path.name}
@@ -300,14 +304,11 @@ def cmd_stats(args) -> int:
     out = Path(_require(_setting(args, config, "out"), "out"))
 
     model = parse_signal(signal_text, sigma=sigma)
-    cfg = {"cmd": "stats", "signal": model.descriptor(), "sigma": sigma,
-           "boxes": ",".join(map(str, boxes))}
-    h = config_hash(cfg)
-    _refuse_replacing(out, h)
     paths = sorted(Path(points_dir).glob("*.csv"))
     if not paths:
         raise DataError(f"no point-set CSVs in {points_dir}")
     groups: dict[tuple[str, float], list] = {}
+    inputs = {}  # each point set's name -> the config that wrote it
     for p in paths:
         meta: dict[str, str] = {}
         ps = det.read_pointset_csv(p, meta=meta)
@@ -315,7 +316,12 @@ def cmd_stats(args) -> int:
             raise ConfigError(
                 f"{p} holds detections of signal {meta['signal']!r}, not {model.descriptor()!r}"
             )
+        inputs[p.name] = meta.get("config")
         groups.setdefault((ps.method.value, ps.delta), []).append(ps)
+    cfg = {"cmd": "stats", "signal": model.descriptor(), "sigma": sigma,
+           "boxes": ",".join(map(str, boxes)), "inputs": json.dumps(inputs, sort_keys=True)}
+    h = config_hash(cfg)
+    _refuse_replacing(out, h)
 
     rows = []
     for (_, delta), sets in sorted(groups.items()):
@@ -340,15 +346,22 @@ def cmd_consistency(args) -> int:
         raise ConfigError(f"proxy must be amn or mgn, got {proxy_name!r}")
     if 0 in levels:
         raise ConfigError("consistency levels start at 1 (level 0 is the proxy itself)")
-    cfg = {"cmd": "consistency", "proxy": proxy_name,
-           "methods": ",".join(methods), "levels": ",".join(map(str, levels))}
+    paths = _iter_fields(fields_dir)
+    headers = {p.name: _cache_header(p) for p in paths}
+    signals = sorted({str(header.get("signal")) for header in headers.values()})
+    if len(signals) > 1:
+        raise ConfigError(f"{fields_dir} holds caches of {len(signals)} signals "
+                          f"({', '.join(signals)}), which one failure table would pool; "
+                          "give each signal its own directory")
+    cfg = {"cmd": "consistency", "proxy": proxy_name, "methods": ",".join(methods),
+           "levels": ",".join(map(str, levels)), "inputs": json.dumps(headers, sort_keys=True)}
     h = config_hash(cfg)
     agg_path = out.with_name(out.stem + "_aggregate" + out.suffix)
     for target in (out, agg_path):
         _refuse_replacing(target, h)
 
     rows = []
-    for path in _iter_fields(fields_dir):
+    for path in paths:
         field = read_field(path)
         rows += cons.ladder_rows(field, field.grid.L - 1.0, levels, methods, proxy_name)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -385,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sigma")
     sim.add_argument("--signal", help="zero | gauss:A=<a> | hermite1:A=<a>")
     sim.add_argument("--seeds", help="e.g. 0..99 or 3,5,8")
-    sim.add_argument("--precision", help="complex128 (default) or complex64")
     sim.add_argument("--out")
     sim.set_defaults(fn=cmd_simulate)
 

@@ -18,7 +18,7 @@ of one comparison per neighbour.
 
 Detectors never skip boundary points silently: a target box whose ring or
 right-neighbour samples fall outside the stored grid raises
-``BoundaryError``; callers widen ``L`` (or target a box strictly inside
+``ConfigError``; callers widen ``L`` (or target a box strictly inside
 the grid, as the CLI does).
 """
 
@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import BoundaryError, ConfigError, DataError
+from .errors import ConfigError, DataError
 from ._table import write_table
 from .grid import Method, PointSet, ladder
 from .simulate import WeightedField
@@ -50,7 +50,7 @@ def _target_slices(field: WeightedField, target_halfwidth: float, rings: int):
     g = field.grid
     w = g.index_halfwidth(target_halfwidth)
     if g.half_n < w + rings:
-        raise BoundaryError(
+        raise ConfigError(
             f"target box needs {rings} ring(s) of samples beyond halfwidth "
             f"{target_halfwidth}; grid stores only {g.half_n - w}"
         )

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, SubsampleError
+from .errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulate import WeightedField
@@ -209,7 +209,7 @@ def subsample(field: "WeightedField") -> "WeightedField":
     try:
         sub = GridSpec(L=g.L, delta=2 * g.delta, T=g.T)
     except ConfigError as e:
-        raise SubsampleError(f"grid not subsamplable: {e}") from e
+        raise ConfigError(f"grid not subsamplable: {e}") from e
     values = np.ascontiguousarray(field.values[::2, ::2])
     return WeightedField(grid=sub, values=values, source=field.source)
 

@@ -25,10 +25,11 @@ make it every bin.  Of that inverse FFT's outputs only the column's ``n``
 are kept, so :func:`synthesize_field` evaluates each column as a chirp
 z-transform (Bluestein) of its band, whose length is about ``n + B`` for
 ``B`` bins (1620 at n=1537, T=6) where the inverse FFT's is about ``n +
-2*M`` (4620).  The direct sum, :func:`_direct_field`, is kept as the
-reference implementation.  The transforms are NumPy's FFTs (the C++
-pocketfft, which NumPy 2.0 and later ships), written in place into the
-blocks' buffers.  Synthesis runs its column blocks on one thread per CPU
+2*M`` (4620).  Its reference is the direct sum at the grid's points,
+``_evaluate_lattice(source, axis, axis).T``, the sum that
+:func:`evaluate_continuous` evaluates anywhere.  The transforms are
+NumPy's FFTs (the C++ pocketfft, which NumPy 2.0 and later ships), written
+in place into the blocks' buffers.  Synthesis runs its column blocks on one thread per CPU
 the process may use; its output bits do not depend on the CPU count.
 
 Everything synthesis needs that depends on the grid alone is built once
@@ -39,6 +40,10 @@ _BLOCK_COLS * 16`` bytes, and the chirp z-transform's kernel: about ``n *
 (B + _BLOCK_COLS) * 16`` bytes in all, 2.5 MB at n=1537, T=6.  Below T=6
 the chirp z-transform's length exceeds ``n + nfft``, so there it is slower
 than one inverse FFT of length ``nfft`` per column would be.
+
+A field cache (:func:`write_field`) is one JSON header line, from which
+:func:`read_field` regenerates the realization, then the complex128
+samples; the complex64 caches of earlier versions are still read.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError
+from .errors import ConfigError, DataError
 from .grid import GridSpec
 from .signal import SignalModel, parse_signal, sample_signal
 
@@ -181,8 +186,8 @@ def synthesize_field(noise: NoiseDraw, signal: SignalModel, grid: GridSpec) -> W
     """Synthesize the weighted field for one noise realization.
 
     Each column is one chirp z-transform of its band of the samples'
-    spectrum (:func:`_spectral_columns`); :func:`_direct_field` is the
-    reference.
+    spectrum (:func:`_spectral_columns`); the direct sum at the grid's
+    points, ``_evaluate_lattice(source, axis, axis).T``, is the reference.
     """
     if noise.delta != grid.delta:
         raise ConfigError(
@@ -199,26 +204,6 @@ def synthesize_field(noise: NoiseDraw, signal: SignalModel, grid: GridSpec) -> W
     alpha = source.samples[lead : lead + n + 2 * m_half]
     return WeightedField(grid=grid, values=_spectral_columns(alpha, m_half, grid.delta, n),
                          source=source)
-
-
-def _direct_field(noise: NoiseDraw, signal: SignalModel, grid: GridSpec) -> WeightedField:
-    """The field as the direct phase-matrix product: the reference
-    implementation of :func:`synthesize_field`, for the noise vectors it
-    accepts."""
-    source = FieldSource(noise=noise, signal=signal, grid=grid)
-    m_half = grid.t_over_delta
-    lead = noise.s_half - m_half - grid.half_n
-    d2 = grid.delta * grid.delta
-    phi = window(grid.delta * np.arange(-m_half, m_half + 1))
-    windows = np.lib.stride_tricks.sliding_window_view(source.samples, 2 * m_half + 1)[
-        lead : lead + grid.n_axis
-    ]
-    idx = np.arange(-grid.half_n, grid.half_n + 1)
-    m = np.arange(-m_half, m_half + 1)
-    phase = np.exp((2j * d2) * np.outer(m, idx))
-    inner = (windows * phi) @ phase
-    values = np.exp((1j * d2) * np.outer(idx, idx.astype(np.float64))) * inner
-    return WeightedField(grid=grid, values=values, source=source)
 
 
 #: columns per synthesis block; each worker thread owns one (_BLOCK_COLS,
@@ -443,7 +428,7 @@ def _evaluate_lattice(source: FieldSource, xs, ys) -> np.ndarray:
     for axis in (xs, ys):
         bad = ~(np.abs(axis) <= g.L)  # NaN too
         if bad.any():
-            raise DomainError(
+            raise ConfigError(
                 f"coordinate {axis[bad][0]} outside the stored domain (halfwidth {g.L})"
             )
     d = source.noise.delta
@@ -511,12 +496,14 @@ def refine_zero(
 # noise, so a cache round-trip restores continuous re-evaluation too.
 
 _MAGIC = "wfield-v1"
-_PRECISIONS = ("complex64", "complex128")
+#: the dtype every cache is written in: a complex64 cache would differ from
+#: the realization its header regenerates by about 1e-7 of its size
+_DTYPE = "complex128"
+#: the dtypes read, since earlier versions could also write complex64
+_PRECISIONS = ("complex64", _DTYPE)
 
 
-def write_field(field: WeightedField, path, precision: str = "complex128") -> None:
-    if precision not in _PRECISIONS:
-        raise ConfigError(f"precision must be complex64 or complex128, got {precision!r}")
+def write_field(field: WeightedField, path) -> None:
     g = field.grid
     src = field.source
     header = {
@@ -527,12 +514,11 @@ def write_field(field: WeightedField, path, precision: str = "complex128") -> No
         "sigma": src.noise.sigma if src is not None else None,
         "seed": field.seed,
         "signal": src.signal.descriptor() if src is not None else None,
-        "precision": precision,
+        "precision": _DTYPE,
         "n_axis": g.n_axis,
     }
-    # one conversion at most (none for a complex128 field), written through
-    # the buffer protocol without a bytes copy
-    payload = np.ascontiguousarray(field.values, dtype=precision)
+    # written through the buffer protocol without a bytes copy
+    payload = np.ascontiguousarray(field.values, dtype=_DTYPE)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode())
         fh.write(b"\n")

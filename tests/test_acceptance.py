@@ -1,7 +1,8 @@
 """End-to-end acceptance runs for the whole pipeline.
 
 Seven checks, each printing a single ``ACCEPTANCE n (...): PASS/FAIL``
-line even under captured output before asserting its conditions:
+line even under captured output before asserting its conditions
+(:func:`_accept`):
 
 1. covariance structure of the simulated weighted field,
 2. pointwise zero intensity of the pure-noise model against 1/pi,
@@ -59,9 +60,16 @@ SIGMA = 1.0
 ZERO = SignalModel(SignalKind.ZERO)
 
 
-def _report(capsys, num: int, label: str, ok: bool) -> None:
+def _accept(capsys, num: int, label: str, criteria) -> None:
+    """Print the ``ACCEPTANCE num`` line, PASS when every one of the
+    (condition, failure message) pairs ``criteria`` holds, then assert each
+    in turn."""
+    criteria = list(criteria)
+    ok = all(cond for cond, _ in criteria)
     with capsys.disabled():
         print(f"\nACCEPTANCE {num} ({label}): {'PASS' if ok else 'FAIL'}")
+    for cond, message in criteria:
+        assert cond, message
 
 
 def _sup(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -84,18 +92,14 @@ def test_weighted_field_covariance(capsys):
     variances = {z: covariance_probe(fields, z, z).real for z in probes}
     pairs = [(0j, 0.5 + 0j), (-0.5 + 0j, 0.5 + 0j), (-1 + 0j, 1 + 0j)]
     covs = {(z, w): abs(covariance_probe(fields, z, w)) for z, w in pairs}
+    wants = {(z, w): math.exp(-abs(z - w) ** 2 / 2.0) for z, w in pairs}
 
-    var_ok = all(0.9 <= v <= 1.1 for v in variances.values())
-    cov_ok = all(
-        abs(c - math.exp(-abs(z - w) ** 2 / 2.0)) <= 0.05 for (z, w), c in covs.items()
-    )
-    _report(capsys, 1, "weighted-field covariance", var_ok and cov_ok)
-
-    for z, v in variances.items():
-        assert 0.9 <= v <= 1.1, f"variance at {z} is {v:.4f}"
-    for (z, w), c in covs.items():
-        want = math.exp(-abs(z - w) ** 2 / 2.0)
-        assert abs(c - want) <= 0.05, f"|cov({z},{w})| = {c:.4f}, expected {want:.4f} +- 0.05"
+    _accept(capsys, 1, "weighted-field covariance", [
+        *((0.9 <= v <= 1.1, f"variance at {z} is {v:.4f}") for z, v in variances.items()),
+        *((abs(c - wants[z, w]) <= 0.05,
+           f"|cov({z},{w})| = {c:.4f}, expected {wants[z, w]:.4f} +- 0.05")
+          for (z, w), c in covs.items()),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +144,16 @@ def test_pointwise_intensity(intensity_runs, capsys):
 
     sample = {m: _intensity(sets[:200]) for m, sets in intensity_runs.items()}
     results = {m: _intensity_protocol(r, target) for m, r in sample.items()}
-    st_violates = not all(results["st"])
-    ok = validated and all(results["amn"]) and all(results["mgn"]) and st_violates
-    _report(capsys, 2, "pointwise intensity vs 1/pi", ok)
-
-    assert validated, (
+    criteria = [(validated, (
         f"R=1000 std validation failed: amn {long_run['amn'].std:.5f}, "
         f"mgn {long_run['mgn'].std:.5f} vs benchmark {target:.5f}"
-    )
+    ))]
     for m in ("amn", "mgn"):
         mean_ok, std_ok = results[m]
-        assert mean_ok, f"{m}: |mean - 1/pi| exceeds 3*SE"
-        assert std_ok, f"{m}: std {sample[m].std:.5f} outside +-30% of {target:.5f}"
-    assert st_violates, "st unexpectedly satisfies both intensity criteria"
+        criteria += [(mean_ok, f"{m}: |mean - 1/pi| exceeds 3*SE"),
+                     (std_ok, f"{m}: std {sample[m].std:.5f} outside +-30% of {target:.5f}")]
+    criteria.append((not all(results["st"]), "st unexpectedly satisfies both intensity criteria"))
+    _accept(capsys, 2, "pointwise intensity vs 1/pi", criteria)
 
 
 # ---------------------------------------------------------------------------
@@ -190,27 +191,20 @@ def test_count_error_consistency(capsys):
         if r.estimator.startswith("count_error")
     }
 
-    grid_ok = True
+    criteria = []
     for key in models:
         for name in ("amn", "mgn"):
             for w in boxes:
                 mean, se = beta[(key, name, w)]
-                grid_ok &= abs(mean) <= max(0.02, 3.0 * se)
-
+                criteria.append((abs(mean) <= max(0.02, 3.0 * se), (
+                    f"{key[0].value} A={key[1]:g} {name} box {w}: "
+                    f"beta {mean:+.4f} exceeds max(0.02, {3 * se:.4f})"
+                )))
     st_vs_amn = any(
         abs(beta[(strong, "st", w)][0]) >= 3.0 * abs(beta[(strong, "amn", w)][0]) for w in boxes
     )
-    _report(capsys, 3, "count-error consistency", grid_ok and st_vs_amn)
-
-    for key in models:
-        for name in ("amn", "mgn"):
-            for w in boxes:
-                mean, se = beta[(key, name, w)]
-                assert abs(mean) <= max(0.02, 3.0 * se), (
-                    f"{key[0].value} A={key[1]:g} {name} box {w}: "
-                    f"beta {mean:+.4f} exceeds max(0.02, {3 * se:.4f})"
-                )
-    assert st_vs_amn, "st count error never dominates amn's for hermite1 A=100"
+    criteria.append((st_vs_amn, "st count error never dominates amn's for hermite1 A=100"))
+    _accept(capsys, 3, "count-error consistency", criteria)
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +250,16 @@ def test_failure_probability_table(ladder_runs, intensity_runs, capsys):
         ladder_runs[(tag, "st", 2.0**-7)] >= 5.0 * ladder_runs[(tag, "amn", 2.0**-7)]
         for tag in ("zero", "gauss1")
     )
-    ok = monotone and fine_ok and (st_worse or st_fails_intensity)
-    _report(capsys, 4, "failure-probability table", ok)
-
     table = {
         (tag, name): [ladder_runs[(tag, name, d)] for d in ladder]
         for tag in ("zero", "gauss1")
         for name in METHODS
     }
-    assert monotone, f"failure rates not monotone along the ladder: {table}"
-    assert fine_ok, f"amn failure rate above 5% at the finest spacing: {table}"
-    assert st_worse or st_fails_intensity, f"st neither worse on the ladder nor off-target: {table}"
+    _accept(capsys, 4, "failure-probability table", [
+        (monotone, f"failure rates not monotone along the ladder: {table}"),
+        (fine_ok, f"amn failure rate above 5% at the finest spacing: {table}"),
+        (st_worse or st_fails_intensity, f"st neither worse on the ladder nor off-target: {table}"),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +277,9 @@ def test_refinement_certifies_detections(capsys):
             moved = max(abs(loc.real - p.real), abs(loc.imag - p.imag))
             good += mag < 1e-2 and moved <= radius
             total += 1
-    rate = good / total
-    _report(capsys, 5, "refinement certifies detections", rate >= 0.99)
-    assert rate >= 0.99, f"only {good}/{total} detections refine to near-zeros"
+    _accept(capsys, 5, "refinement certifies detections", [
+        (good / total >= 0.99, f"only {good}/{total} detections refine to near-zeros"),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +288,7 @@ def test_refinement_certifies_detections(capsys):
 
 def test_algorithmic_invariants(capsys, tmp_path):
     g = make_grid(L=2, delta=2.0**-5, T=6)
-    ok = True
+    criteria = []
 
     # separation and scale invariance on a couple of realizations
     nonvacuous = 0
@@ -307,14 +300,13 @@ def test_algorithmic_invariants(capsys, tmp_path):
             if len(pts) > 1:
                 d = _sup(pts, pts)
                 np.fill_diagonal(d, np.inf)
-                assert d.min() >= 5.0 * g.delta - 1e-12, f"{name} output not separated"
+                criteria.append((d.min() >= 5.0 * g.delta - 1e-12, f"{name} output not separated"))
         for c in (1e-3, 1.0, 1e3):
             scaled = WeightedField(grid=g, values=f.values * c)
             found = detect_ladder(scaled, 1.5, [0], ("amn", "mgn"))
             for name in ("amn", "mgn"):
-                same = np.array_equal(found[0, name].kl, base[0, name].kl)
-                ok &= same
-                assert same, f"{name} output changed under scaling by {c}"
+                criteria.append((np.array_equal(found[0, name].kl, base[0, name].kl),
+                                 f"{name} output changed under scaling by {c}"))
 
         # sieving a dense candidate set, the box points at or below the 10%
         # magnitude quantile: kept points separated, dropped ones covered
@@ -324,7 +316,8 @@ def test_algorithmic_invariants(capsys, tmp_path):
         cand = PointSet(Method.ST, g.delta, 1.5, np.argwhere(box <= np.quantile(box, 0.1)))
         kept = sieve(cand, f)
         cover = _sup(cand.points, kept.points)
-        assert (cover.min(axis=1) <= 4.0 * g.delta + 1e-12).all(), "sieve dropped an uncovered point"
+        criteria.append(((cover.min(axis=1) <= 4.0 * g.delta + 1e-12).all(),
+                         "sieve dropped an uncovered point"))
 
         # greedy certificate is sound for the exact matching oracle
         hi, lo = base[0, "amn"], base[1, "amn"]
@@ -332,9 +325,8 @@ def test_algorithmic_invariants(capsys, tmp_path):
         if match.certificate == 0:
             nonvacuous += 1
             oracle = wasserstein_within(hi, lo, 1.5, 2.0 * lo.delta, 2.0 * lo.delta)
-            ok &= oracle == 1
-            assert oracle == 1, "greedy certificate not confirmed by matching oracle"
-    assert nonvacuous, "no certified match found; soundness check never exercised"
+            criteria.append((oracle == 1, "greedy certificate not confirmed by matching oracle"))
+    criteria.append((nonvacuous, "no certified match found; soundness check never exercised"))
 
     # bit-identical reruns end to end: noise, synthesis, detection, files
     runs = []
@@ -347,10 +339,8 @@ def test_algorithmic_invariants(capsys, tmp_path):
         write_pointset_csv(pts, csv_path)
         runs.append((f.values.tobytes(), pts.kl.tobytes(),
                      field_path.read_bytes(), csv_path.read_bytes()))
-    deterministic = runs[0] == runs[1]
-    ok &= deterministic
-    _report(capsys, 6, "algorithmic invariants", ok)
-    assert deterministic, "identical seeds produced different artifacts"
+    criteria.append((runs[0] == runs[1], "identical seeds produced different artifacts"))
+    _accept(capsys, 6, "algorithmic invariants", criteria)
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +349,19 @@ def test_algorithmic_invariants(capsys, tmp_path):
 
 def test_closed_form_identities(capsys):
     tol = 1e-10
-    ok = True
 
     # intensity of the pure-noise zero set is flat at 1/pi
     zs = np.array([0j, 0.3 - 0.2j, 1 + 1j, -2.5 + 0.1j])
-    ok &= bool(np.all(np.abs(rho1(ZERO, SIGMA, zs) - 1.0 / math.pi) < tol))
+    flat = np.all(np.abs(rho1(ZERO, SIGMA, zs) - 1.0 / math.pi) < tol)
 
     # unit-amplitude gaussian: intensity dips to e^-1/pi at the origin
     gauss1 = model_for(SignalKind.GAUSS, 1.0)
-    ok &= abs(rho1(gauss1, SIGMA, 0j) - math.exp(-1.0) / math.pi) < tol
+    gauss_dip = abs(rho1(gauss1, SIGMA, 0j) - math.exp(-1.0) / math.pi)
 
     # first Hermite with coefficient c: (1 + |c|^2)/pi at the origin
     c = 0.7 - 0.3j
     herm = SignalModel(SignalKind.HERMITE1, c)
-    ok &= abs(rho1(herm, SIGMA, 0j) - (1.0 + abs(c) ** 2) / math.pi) < tol
+    herm_peak = abs(rho1(herm, SIGMA, 0j) - (1.0 + abs(c) ** 2) / math.pi)
 
     # closed-form transforms against the defining integral
     def transform_by_quadrature(model: SignalModel, z: complex) -> complex:
@@ -388,16 +377,16 @@ def test_closed_form_identities(capsys):
         for z in (0j, 0.5 + 0j, -0.3 + 0.7j, 1.2 - 0.9j):
             got = bargmann_closed_form(model, z)
             pair_err = max(pair_err, abs(got - transform_by_quadrature(model, z)))
-    ok &= pair_err < tol
 
     # peak weighted amplitude of the first Hermite mode sits at exp(-1/2)
     scale_err = abs(intensity_scale(SignalKind.HERMITE1, 1.0) - math.exp(0.5))
-    ok &= scale_err < tol
-    ok &= abs(intensity_scale(SignalKind.GAUSS, 1.0) - 1.0) < tol
+    gauss_scale_err = abs(intensity_scale(SignalKind.GAUSS, 1.0) - 1.0)
 
-    _report(capsys, 7, "closed-form identities", ok)
-    assert np.all(np.abs(rho1(ZERO, SIGMA, zs) - 1.0 / math.pi) < tol)
-    assert abs(rho1(gauss1, SIGMA, 0j) - math.exp(-1.0) / math.pi) < tol
-    assert abs(rho1(herm, SIGMA, 0j) - (1.0 + abs(c) ** 2) / math.pi) < tol
-    assert pair_err < tol, f"transform mismatch up to {pair_err:.2e}"
-    assert scale_err < tol
+    _accept(capsys, 7, "closed-form identities", [
+        (flat, "pure-noise intensity is not 1/pi"),
+        (gauss_dip < tol, f"gaussian A=1 intensity at 0 is off e^-1/pi by {gauss_dip:.2e}"),
+        (herm_peak < tol, f"hermite1 intensity at 0 is off (1+|c|^2)/pi by {herm_peak:.2e}"),
+        (pair_err < tol, f"transform mismatch up to {pair_err:.2e}"),
+        (scale_err < tol, f"hermite1 intensity scale is off exp(1/2) by {scale_err:.2e}"),
+        (gauss_scale_err < tol, f"gaussian intensity scale is off 1 by {gauss_scale_err:.2e}"),
+    ])

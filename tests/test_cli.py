@@ -380,6 +380,83 @@ def test_consistency_refuses_another_configs_file(pipeline, capsys):
     assert _snapshot(reports) == before
 
 
+@pytest.fixture()
+def same_named_caches(tmp_path):
+    """Two cache directories holding ``field_zero_A0_d2m4_s0.wfield``, of
+    other grids: the name records signal, spacing and seed, not L or T."""
+    dirs = []
+    for name, L, T in (("A", "2", "2"), ("B", "3", "6")):
+        assert main(["simulate", "--L", L, "--delta", "2^-4", "--T", T, "--signal", "zero",
+                     "--seeds", "0", "--out", str(tmp_path / name)]) == 0
+        dirs.append(tmp_path / name)
+    assert [sorted(p.name for p in d.glob("*.wfield")) for d in dirs] == [
+        ["field_zero_A0_d2m4_s0.wfield"]] * 2
+    return tmp_path, *dirs
+
+
+def test_detect_refuses_points_of_other_inputs(same_named_caches, capsys):
+    tmp, a, b = same_named_caches
+    points = tmp / "P"
+    argv = ["detect", "--out", str(points), "--target", "1", "--fields"]
+    assert main([*argv, str(a)]) == 0
+    before = _snapshot(points)
+    assert main([*argv, str(b)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "points_amn_zero_A0_d2m4_s0.csv" in err
+    assert "Traceback" not in err
+    assert _snapshot(points) == before
+    # the same inputs again rewrite every point set byte-identically
+    assert main([*argv, str(a)]) == 0
+    assert _snapshot(points) == before
+
+
+def test_stats_refuses_a_report_of_other_inputs(same_named_caches, capsys):
+    tmp, a, b = same_named_caches
+    for fields in (a, b):
+        assert main(["detect", "--fields", str(fields), "--out", str(tmp / f"P{fields.name}"),
+                     "--target", "1"]) == 0
+    out = tmp / "stats.csv"
+    argv = ["stats", "--signal", "zero", "--boxes", "1", "--out", str(out), "--points"]
+    assert main([*argv, str(tmp / "PA")]) == 0
+    report = out.read_bytes()
+    assert main([*argv, str(tmp / "PB")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "stats.csv" in err and "Traceback" not in err
+    assert out.read_bytes() == report
+    assert main([*argv, str(tmp / "PA")]) == 0
+    assert out.read_bytes() == report
+
+
+def test_consistency_refuses_a_report_of_other_inputs(same_named_caches, capsys):
+    tmp, a, b = same_named_caches
+    reports = tmp / "reports"
+    argv = ["consistency", "--methods", "amn", "--levels", "1",
+            "--out", str(reports / "c.csv"), "--fields"]
+    assert main([*argv, str(a)]) == 0
+    before = _snapshot(reports)  # the report and its aggregate
+    assert main([*argv, str(b)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "c.csv" in err and "Traceback" not in err
+    assert _snapshot(reports) == before
+    assert main([*argv, str(a)]) == 0
+    assert _snapshot(reports) == before
+
+
+def test_consistency_refuses_caches_of_two_signals(tmp_path, capsys):
+    # a failure table over both signals would pool their rows, and no
+    # column would tell which signal a row came from
+    fields = tmp_path / "fields"
+    for signal in ("zero", "hermite1:A=3"):
+        assert main(["simulate", "--L", "2", "--delta", "2^-4", "--T", "2", "--signal", signal,
+                     "--seeds", "0..1", "--out", str(fields)]) == 0
+    assert main(["consistency", "--fields", str(fields), "--levels", "1",
+                 "--out", str(tmp_path / "reports" / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "2 signals (hermite1:A=3.0, zero)" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fields"]
+
+
 def test_consistency_report_and_aggregate(pipeline, capsys):
     tmp, fields, _ = pipeline
     out = tmp / "reports" / "consistency.csv"
@@ -468,8 +545,7 @@ def test_exit_code_config_errors(tmp_path, capsys):
                      "--signal", "zero", "--seeds", "0", "--out", str(tmp_path / "x")]) == 2
     for flags in (["--L", "2", "--delta", "2^-x"], ["--L", "2", "--delta", "nan"],
                   ["--L", "nan", "--delta", "2^-4"], ["--L", "inf", "--delta", "2^-4"],
-                  ["--L", "2", "--delta", "2^-4", "--sigma", "nan"],
-                  ["--L", "2", "--delta", "2^-4", "--precision", "complex32"]):
+                  ["--L", "2", "--delta", "2^-4", "--sigma", "nan"]):
         assert main(["simulate", *flags, "--signal", "zero", "--seeds", "0",
                      "--out", str(tmp_path / "x")]) == 2
     assert not list((tmp_path / "x").glob("*"))
@@ -500,7 +576,7 @@ def test_exit_code_config_errors(tmp_path, capsys):
     # a box halfwidth that is not a number
     assert main(["stats", "--points", str(tmp_path / "f"), "--signal", "zero",
                  "--boxes", "1,x", "--out", str(tmp_path / "s.csv")]) == 2
-    # a subsampling ladder deeper than the grid allows (SubsampleError)
+    # a subsampling ladder deeper than the grid allows
     fields = tmp_path / "fields"
     assert main(["simulate", "--L", "2", "--delta", "2^-4", "--T", "1", "--signal", "zero",
                  "--seeds", "0", "--out", str(fields)]) == 0
@@ -521,7 +597,7 @@ def test_exit_code_config_errors(tmp_path, capsys):
                      f"--seeds={seeds}", "--out", str(tmp_path / "y")]) == 2
     assert not (tmp_path / "y").exists()
     for flags in (["--target", "-1"], ["--methods", "st", "--target", "-0.5"],
-                  ["--methods", "amn,AMN"], ["--levels", "0,1,0"]):
+                  ["--methods", "amn,AMN"], ["--levels", "0,1,0"], ["--levels", "0,-1"]):
         assert main(["detect", "--fields", str(fields), *flags,
                      "--out", str(tmp_path / "q")]) == 2
     assert not (tmp_path / "q").exists()
@@ -537,6 +613,7 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert "seeds: negative seed -1" in err
     assert "box halfwidth must be >= 0, got -0.5" in err
     assert "repeated entry 1 in levels '1,1'" in err
+    assert "subsampling levels must be >= 0" in err
     assert "repeated entry 1.0 in boxes '1,1.0'" in err
     assert "L: could not convert string to float: 'abc'" in err
     assert "unknown key(s) for simulate: margin" in err

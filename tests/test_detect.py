@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 
 from bargzeros import (
     METHODS,
-    BoundaryError,
     ConfigError,
     DataError,
     Method,
@@ -304,7 +303,7 @@ def test_blocked_selection_matches_offset_loops_with_ties(re, im, real):
 def test_amn_requires_two_rings():
     g = make_grid(L=1, delta=D16, T=1)
     f = synthetic_field(g, lambda z: z)
-    with pytest.raises(BoundaryError):
+    with pytest.raises(ConfigError, match=r"ring\(s\) of samples beyond"):
         amn_select(f, 1.0)  # no samples beyond the box
 
 
@@ -347,6 +346,10 @@ def test_sieve_singleton():
     g, f = _field_with_magnitudes({(16, 16): 0.2})
     cands = PointSet(Method.ST, g.delta, 1.0, np.array([[16, 16]]), seed=None)
     assert list(map(complex, sieve(cands, f).points)) == [0j]
+    # candidates of another spacing index another lattice
+    foreign = PointSet(Method.ST, 2 * g.delta, 1.0, np.array([[8, 8]]), seed=None)
+    with pytest.raises(ConfigError, match="spacing does not match"):
+        sieve(foreign, f)
 
 
 def test_sieve_empty():
@@ -436,7 +439,7 @@ def test_mgn_constant_field_is_empty():
 def test_mgn_requires_one_ring():
     g = make_grid(L=1, delta=D16, T=1)
     f = synthetic_field(g, lambda z: z)
-    with pytest.raises(BoundaryError):
+    with pytest.raises(ConfigError, match=r"ring\(s\) of samples beyond"):
         mgn(f, 1.0)
 
 
@@ -470,7 +473,7 @@ def test_st_not_scale_invariant():
 def test_st_requires_one_ring():
     g = make_grid(L=1, delta=D16, T=1)
     f = synthetic_field(g, lambda z: z)
-    with pytest.raises(BoundaryError):
+    with pytest.raises(ConfigError, match=r"ring\(s\) of samples beyond"):
         st(f, 1.0)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as hst
 
-from bargzeros import ConfigError, SubsampleError, make_grid, subsample
+from bargzeros import ConfigError, make_grid, subsample
 from bargzeros.grid import GridSpec, Method, PointSet
 from conftest import synthetic_field
 
@@ -61,6 +61,13 @@ def test_index_round_trip_everywhere():
             assert g.index_of(g.point_of(k, l)) == (k, l)
 
 
+def test_index_halfwidth_rejects_boxes_beyond_the_grid():
+    g = make_grid(L=1, delta=0.25, T=1)
+    assert g.index_halfwidth(1.0) == g.half_n == 4
+    with pytest.raises(ConfigError, match="exceeds stored grid halfwidth 1"):
+        g.index_halfwidth(1.25)
+
+
 def test_index_of_rejects_off_grid_points():
     g = make_grid(L=1, delta=0.25, T=1)
     with pytest.raises(ConfigError):
@@ -112,7 +119,7 @@ def test_double_subsample_is_factor_four():
 
 def test_subsample_refuses_odd_half_count():
     # L/delta = 5 has no lattice at twice the spacing
-    with pytest.raises(SubsampleError, match="not subsamplable"):
+    with pytest.raises(ConfigError, match="not subsamplable"):
         subsample(synthetic_field(make_grid(L=1.25, delta=0.25, T=1), lambda z: z))
 
 
@@ -120,7 +127,7 @@ def test_subsample_stops_at_coarsest_spacing():
     # spacing would double past 1/2, where the lattice no longer qualifies
     g = make_grid(L=1, delta=0.5, T=0.5)
     f = synthetic_field(g, lambda z: z)
-    with pytest.raises(SubsampleError):
+    with pytest.raises(ConfigError, match="not subsamplable"):
         subsample(f)
 
 

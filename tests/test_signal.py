@@ -99,6 +99,9 @@ def test_parse_signal_rejects_garbage():
     for bad in ["gauss", "hermite1", "box:A=1", "gauss:A=abc", "zero:A=3"]:
         with pytest.raises(ConfigError):
             parse_signal(bad)
+    for bad in ["gauss:B=1", "gauss:A=1:A=2", ""]:
+        with pytest.raises(ConfigError, match="cannot parse signal descriptor"):
+            parse_signal(bad)
 
 
 def test_sigma_validation():

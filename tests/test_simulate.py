@@ -11,7 +11,6 @@ import scipy.fft
 from bargzeros import (
     ConfigError,
     DataError,
-    DomainError,
     FieldSource,
     SignalKind,
     SignalModel,
@@ -112,14 +111,21 @@ def naive_field(noise, signal, grid):
     return out
 
 
+def direct_sum(source):
+    """The field as the direct lattice sum at the grid's points (the sum
+    ``evaluate_continuous`` takes), as ``values[k, l]``."""
+    axis = source.grid.axis()
+    return simulate._evaluate_lattice(source, axis, axis).T
+
+
 def test_synthesis_matches_definition():
     g = make_grid(L=1, delta=0.125, T=1)
     noise = draw_noise(g, sigma=1.0, seed=7)
     sig = model_for(SignalKind.HERMITE1, 2.0)
     expected = naive_field(noise, sig, g)
     scale = np.abs(expected).max()
-    for synthesize in (synthesize_field, simulate._direct_field):
-        got = synthesize(noise, sig, g).values
+    fast = synthesize_field(noise, sig, g)
+    for got in (fast.values, direct_sum(fast.source)):
         assert np.abs(got - expected).max() < 1e-13 * scale
 
 
@@ -133,10 +139,9 @@ def test_fast_path_matches_direct_sum():
         make_grid(L=2, delta=2.0 ** -5, T=2),
         make_grid(L=1.5, delta=0.0125, T=6),
     ):
-        noise = draw_noise(g, sigma=1.0, seed=11)
-        fast = synthesize_field(noise, ZERO, g).values
-        slow = simulate._direct_field(noise, ZERO, g).values
-        assert np.abs(fast - slow).max() < 1e-13 * np.abs(slow).max()
+        f = synthesize_field(draw_noise(g, sigma=1.0, seed=11), ZERO, g)
+        slow = direct_sum(f.source)
+        assert np.abs(f.values - slow).max() < 1e-13 * np.abs(slow).max()
 
 
 def test_plan_band_is_narrow_only_for_a_long_window():
@@ -388,13 +393,13 @@ def test_continuous_matches_grid_values():
 def test_continuous_outside_domain():
     g = make_grid(L=1, delta=0.25, T=1)
     f = synthesize_field(draw_noise(g, 1.0, 0), ZERO, g)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="outside the stored domain"):
         evaluate_continuous(f.source, 1.5 + 0j)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="outside the stored domain"):
         evaluate_continuous(f.source, -2j)
     # NaN fails every comparison, so it must not pass the domain test
     for z in (complex(0, math.nan), complex(math.nan, 0), complex(math.inf, 0)):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match="outside the stored domain"):
             evaluate_continuous(f.source, z)
 
 
@@ -509,7 +514,7 @@ def test_refine_zero_validates_arguments():
         refine_zero(src, 0j, radius=0.1, levels=-1)
     with pytest.raises(ConfigError):
         refine_zero(src, 0j, radius=math.nan, levels=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="outside the stored domain"):
         refine_zero(src, complex(math.nan, 0), radius=0.1, levels=1)
 
 
@@ -519,7 +524,7 @@ def scalar_evaluate(source, z):
     g = source.grid
     x, y = z.real, z.imag
     if abs(x) > g.L or abs(y) > g.L:
-        raise DomainError(f"{z} outside the stored domain (halfwidth {g.L})")
+        raise ConfigError(f"{z} outside the stored domain (halfwidth {g.L})")
     d = source.noise.delta
     lo = math.ceil((x - g.T) / d - 1e-12)
     hi = math.floor((x + g.T) / d + 1e-12)
@@ -584,9 +589,9 @@ def test_refine_matches_per_point_search():
 
 def test_refine_search_square_crossing_domain_raises():
     src = _hermite_source()  # stored domain is [-1, 1]^2
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="outside the stored domain"):
         refine_zero(src, 0.99 + 0.5j, radius=0.05, levels=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="outside the stored domain"):
         simulate._evaluate_lattice(src, [0.0, 0.5], [0.2, -1.01])
 
 
@@ -622,18 +627,35 @@ def test_cache_rewrite_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_cache_of_a_noiseless_field(tmp_path):
+    # the header records no seed, so the source read back has zero noise;
+    # it must still reproduce the stored values
+    g = make_grid(L=1, delta=2.0 ** -4, T=1)
+    f = synthesize_field(zero_noise(g), model_for(SignalKind.HERMITE1, 2.0), g)
+    p = tmp_path / "f.wfield"
+    write_field(f, p)
+    back = read_field(p)
+    assert back.seed is None and back.values.tobytes() == f.values.tobytes()
+    assert not back.source.noise.w.any()
+    scale = np.abs(f.values).max()
+    assert np.abs(direct_sum(back.source) - f.values).max() < 1e-13 * scale
+
+
 def test_cache_reduced_precision(tmp_path):
+    # every cache is written as complex128, but earlier versions could write
+    # complex64 ones, and those still read
     g = make_grid(L=1, delta=2.0 ** -4, T=1)
     f = synthesize_field(draw_noise(g, 1.0, 4), ZERO, g)
     full, half = tmp_path / "full.wfield", tmp_path / "half.wfield"
     write_field(f, full)
-    write_field(f, half, precision="complex64")
-    assert half.stat().st_size < full.stat().st_size
+    line, _, _ = full.read_bytes().partition(b"\n")
+    assert json.loads(line)["precision"] == "complex128"
+    header = json.dumps({**json.loads(line), "precision": "complex64"}, sort_keys=True)
+    half.write_bytes(header.encode() + b"\n" + f.values.astype(np.complex64).tobytes())
     back = read_field(half)
+    assert back.values.dtype == np.complex128 and back.seed == 4
     scale = np.abs(f.values).max()
     assert np.abs(back.values - f.values).max() < 1e-6 * scale
-    with pytest.raises(ConfigError):
-        write_field(f, tmp_path / "x.wfield", precision="float16")
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -645,6 +667,10 @@ def test_cache_rejects_corruption(tmp_path):
     truncated = tmp_path / "cut.wfield"
     truncated.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(DataError):
+        read_field(truncated)
+    # short by whole elements, so the payload still reads as complex128
+    truncated.write_bytes(blob[:-16])
+    with pytest.raises(DataError, match="payload size"):
         read_field(truncated)
     garbage = tmp_path / "garbage.wfield"
     garbage.write_bytes(b"not json\n" + blob)
