@@ -304,7 +304,8 @@ def cmd_stats(args) -> int:
     out = Path(_require(_setting(args, config, "out"), "out"))
 
     model = parse_signal(signal_text, sigma=sigma)
-    paths = sorted(Path(points_dir).glob("*.csv"))
+    # the report may sit among the point sets it summarises
+    paths = sorted(p for p in Path(points_dir).glob("*.csv") if p.resolve() != out.resolve())
     if not paths:
         raise DataError(f"no point-set CSVs in {points_dir}")
     groups: dict[tuple[str, float], list] = {}
@@ -348,11 +349,12 @@ def cmd_consistency(args) -> int:
         raise ConfigError("consistency levels start at 1 (level 0 is the proxy itself)")
     paths = _iter_fields(fields_dir)
     headers = {p.name: _cache_header(p) for p in paths}
-    signals = sorted({str(header.get("signal")) for header in headers.values()})
-    if len(signals) > 1:
-        raise ConfigError(f"{fields_dir} holds caches of {len(signals)} signals "
-                          f"({', '.join(signals)}), which one failure table would pool; "
-                          "give each signal its own directory")
+    for key in ("signal", "L", "delta", "T", "sigma"):
+        values = sorted({str(header.get(key)) for header in headers.values()})
+        if len(values) > 1:
+            raise ConfigError(f"{fields_dir} holds caches of {len(values)} {key}s "
+                              f"({', '.join(values)}), which one failure table would pool; "
+                              f"give each {key} its own directory")
     cfg = {"cmd": "consistency", "proxy": proxy_name, "methods": ",".join(methods),
            "levels": ",".join(map(str, levels)), "inputs": json.dumps(headers, sort_keys=True)}
     h = config_hash(cfg)

@@ -27,7 +27,10 @@ z-transform (Bluestein) of its band, whose length is about ``n + B`` for
 ``B`` bins (1620 at n=1537, T=6) where the inverse FFT's is about ``n +
 2*M`` (4620).  Its reference is the direct sum at the grid's points,
 ``_evaluate_lattice(source, axis, axis).T``, the sum that
-:func:`evaluate_continuous` evaluates anywhere.  The transforms are
+:func:`evaluate_continuous` evaluates anywhere.  That sum takes its
+exponentials from two short tables per ``y`` (a few ulp off the direct
+exponential), and the tests check it against the per-point sum to 1e-13
+relative.  The transforms are
 NumPy's FFTs (the C++ pocketfft, which NumPy 2.0 and later ships), written
 in place into the blocks' buffers.  Synthesis runs its column blocks on one thread per CPU
 the process may use; its output bits do not depend on the CPU count.
@@ -413,14 +416,24 @@ def _spectral_columns(alpha, m_half, delta, n):
     return out
 
 
+#: length of the short table of :func:`_evaluate_lattice`: a y's
+#: exponentials over ``S`` samples come from ``ceil(S/_TABLE) + _TABLE`` of
+#: them, 89 instead of 1541 at delta=2**-7, T=6
+_TABLE = 64
+
+
 def _evaluate_lattice(source: FieldSource, xs, ys) -> np.ndarray:
     """The weighted transform at every ``xs[j] + 1j*ys[i]``, as ``out[i, j]``.
 
     Uses the separable form ``V(x, y) = exp(-1j*x*y)
     * sum_s [a_s * phi(t_s - x)] * exp(2j*y*t_s)`` with ``t_s = delta*s``:
-    one ``(nx, S)`` matrix of windowed samples (zero outside each ``x``'s
-    window) times one ``(S, ny)`` matrix of exponentials, so a tensor grid
-    costs ``nx + ny`` exponential vectors instead of ``nx * ny``.
+    one ``(ny, S)`` matrix of exponentials times one ``(S, nx)`` matrix of
+    windowed samples (zero outside each ``x``'s window).  The samples lie
+    on a lattice, ``s = s0 + _TABLE*q + r``, so with ``theta = 2*delta*y``
+    each exponential is ``exp(1j*theta*(s0 + _TABLE*q)) *
+    exp(1j*theta*r)``: a product of two short tables per ``y``, a few ulp
+    off the direct exponential.  The tests check this sum against the
+    per-point sum to 1e-13 relative.
     """
     g = source.grid
     xs = np.asarray(xs, dtype=np.float64)
@@ -436,14 +449,18 @@ def _evaluate_lattice(source: FieldSource, xs, ys) -> np.ndarray:
     lo = np.ceil((xs - g.T) / d - 1e-12).astype(np.int64)
     hi = np.floor((xs + g.T) / d + 1e-12).astype(np.int64)
     s0, s1 = lo.min(), hi.max()
+    size = s1 - s0 + 1
     t = d * np.arange(s0, s1 + 1)
     a = source.samples[s0 + source.noise.s_half : s1 + source.noise.s_half + 1]
     weighted = a * window(t - xs[:, None])
     for row, first, last in zip(weighted, lo - s0, hi - s0):
         row[:first] = 0.0
         row[last + 1 :] = 0.0
-    sums = weighted @ np.exp(2j * np.outer(t, ys))
-    return np.exp(-1j * np.outer(ys, xs)) * sums.T
+    theta = 2.0 * d * ys
+    coarse = np.exp(1j * np.outer(theta, s0 + _TABLE * np.arange(-(-size // _TABLE))))
+    fine = np.exp(1j * np.outer(theta, np.arange(_TABLE)))
+    waves = (coarse[:, :, None] * fine[:, None, :]).reshape(ys.size, -1)[:, :size]
+    return np.exp(-1j * np.outer(ys, xs)) * (waves @ weighted.T)
 
 
 def evaluate_continuous(source: FieldSource, z: complex) -> complex:

@@ -358,6 +358,18 @@ def test_stats_refuses_another_configs_file(pipeline, capsys):
     assert out.read_bytes() == report
 
 
+def test_stats_report_inside_its_points_directory(pipeline):
+    # the report is not read back as a point set on the next run
+    _, _, points = pipeline
+    out = points / "stats.csv"
+    argv = ["stats", "--points", str(points), "--signal", "zero", "--boxes", "1",
+            "--out", str(out)]
+    assert main(argv) == 0
+    report = out.read_bytes()
+    assert main(argv) == 0
+    assert out.read_bytes() == report
+
+
 def test_consistency_refuses_another_configs_file(pipeline, capsys):
     tmp, fields, _ = pipeline
     argv = ["consistency", "--fields", str(fields), "--methods", "amn", "--levels", "1",
@@ -453,6 +465,27 @@ def test_consistency_refuses_caches_of_two_signals(tmp_path, capsys):
                  "--out", str(tmp_path / "reports" / "c.csv")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "2 signals (hermite1:A=3.0, zero)" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fields"]
+
+
+@pytest.mark.parametrize("flag, value, seeds, named", [
+    ("--delta", "2^-3", "0..1", "2 deltas (0.0625, 0.125)"),
+    ("--T", "1", "2..3", "2 Ts (1.0, 2.0)"),
+], ids=["delta", "T"])
+def test_consistency_refuses_caches_of_two_grids(tmp_path, capsys, flag, value, seeds, named):
+    # a failure table over two grids would pool their rows: at two spacings
+    # it counts each seed twice, against two different proxies
+    fields = tmp_path / "fields"
+    base = {"--L": "2", "--delta": "2^-4", "--T": "2"}
+    for settings, run_seeds in ((base, "0..1"), ({**base, flag: value}, seeds)):
+        argv = [tok for item in settings.items() for tok in item]
+        assert main(["simulate", *argv, "--signal", "zero", "--seeds", run_seeds,
+                     "--out", str(fields)]) == 0
+    assert main(["consistency", "--fields", str(fields), "--levels", "1",
+                 "--out", str(tmp_path / "reports" / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fields"]
 

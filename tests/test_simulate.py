@@ -572,6 +572,27 @@ def test_lattice_matches_per_point_sum(T, spread):
     assert abs(evaluate_continuous(src, complex(xs[2], ys[7])) - want[7, 2]) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("L, delta, T, xs, ys", [
+    (1, 0.25, 1, [-1.0, 0.3], [0.45, -1.0]),  # S = 14 samples, below one table
+    (2, 2.0 ** -5, 6, [0.25, 0.3, 0.41], [-0.7, 0.2, 1.9]),  # S = 390 = 6*64 + 6
+    # |x| = |y| = L, where the phases 2*y*t_s reach 2*L*(L + T) = 80 rad
+    (4, 2.0 ** -7, 6, [-4.0, 0.1, 4.0], [-4.0, 4.0]),
+    (1.5, 0.0125, 6, [-1.5, 0.33, 1.5], [1.5, -0.77, -1.5]),  # inexact spacing
+    (2, 2.0 ** -5, 6, [1.7, -0.2, 0.9, -2.0, 0.55], [0.35]),  # one row, S = 503
+    (2, 2.0 ** -5, 6, [-0.6], [-1.9, -0.3, 0.8, 2.0]),  # one column, S = 384 = 6*64
+], ids=["S-below-table", "S-not-multiple", "corners", "non-dyadic", "1xn", "nx1"])
+def test_tabled_lattice_matches_per_point_sum(L, delta, T, xs, ys):
+    # the exponentials come from two short tables over the sample lattice;
+    # these are the table's edge cases: a partial or single block of samples,
+    # the largest phases, and a spacing whose products are inexact
+    g = make_grid(L=L, delta=delta, T=T)
+    src = FieldSource(draw_noise(g, 1.0, 8), model_for(SignalKind.GAUSS, 1.0), g)
+    got = simulate._evaluate_lattice(src, xs, ys)
+    want = np.array([[scalar_evaluate(src, complex(x, y)) for x in xs] for y in ys])
+    assert got.shape == (len(ys), len(xs))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_refine_matches_per_point_search():
     g = make_grid(L=3, delta=2.0 ** -5, T=6)
     radius, levels = 2.0 * g.delta, 4
