@@ -304,8 +304,9 @@ def cmd_stats(args) -> int:
     out = Path(_require(_setting(args, config, "out"), "out"))
 
     model = parse_signal(signal_text, sigma=sigma)
-    # the report may sit among the point sets it summarises
-    paths = sorted(p for p in Path(points_dir).glob("*.csv") if p.resolve() != out.resolve())
+    # only detect's point sets: reports, this one included, may sit among them
+    paths = sorted(p for p in Path(points_dir).glob("points_*.csv")
+                   if p.resolve() != out.resolve())
     if not paths:
         raise DataError(f"no point-set CSVs in {points_dir}")
     groups: dict[tuple[str, float], list] = {}

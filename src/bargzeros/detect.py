@@ -109,18 +109,17 @@ def amn_select(field: WeightedField, target_halfwidth: float) -> PointSet:
     is necessary (exactly, in floating point), and so is ``2*Gc <=`` the
     ring sample two rows down, since the ring minimum is one of its 16
     samples.  Only points passing that one comparison (a few dozen of
-    1,050,625 in box 2 of a pure-noise n=1537 field) gather the whole ring,
-    and only those with ``ring >= 2*Gc`` evaluate the margin.
+    1,050,625 in box 2 of a pure-noise n=1537 field) gather the whole ring
+    and evaluate the margin.
     """
     g = field.grid
     w, lo, _ = _target_slices(field, target_halfwidth, rings=2)
     kls, ring_mins = [], []
     for r0, rows in _blocks(field.values, lo, 2 * w + 1, 2):
         screen = 2.0 * rows[2:-2, 2:-2] <= rows[4:, 2:-2]
-        kl, Gc, ring = _survivors(rows, screen, 2, _RING, r0)
-        passed = ring >= 2.0 * Gc
-        kls.append(kl[passed])
-        ring_mins.append(ring[passed])
+        kl, _, ring = _survivors(rows, screen, 2, _RING, r0)
+        kls.append(kl)
+        ring_mins.append(ring)
     kl = np.concatenate(kls)
     k, l = (kl + lo).T
     keep = np.concatenate(ring_mins) >= np.abs(field.values[k, l]) + _margins(field, k, l)

@@ -21,28 +21,30 @@ of the inner sum correlates the samples with the modulated window
 samples' spectrum times the window's.  The window's spectrum is a Gaussian
 bump (its time-frequency area is small), so only a band of bins enters the
 product: 69 of 4620 at n=1537, T=6; below T=6 the cut window's sidelobes
-make it every bin.  Of that inverse FFT's outputs only the column's ``n``
-are kept, so :func:`synthesize_field` evaluates each column as a chirp
-z-transform (Bluestein) of its band, whose length is about ``n + B`` for
-``B`` bins (1620 at n=1537, T=6) where the inverse FFT's is about ``n +
-2*M`` (4620).  Its reference is the direct sum at the grid's points,
+make it every bin; the bump moves with ``ll``, so a block of columns
+shares one band a few bins wider (70 at n=1537, T=6).  Of that inverse
+FFT's outputs only the column's ``n`` are kept, so
+:func:`synthesize_field` evaluates each column as a chirp z-transform
+(Bluestein) of its block's band, whose length is about ``n + B`` for ``B``
+bins (1620 at n=1537, T=6) where the inverse FFT's is about ``n + 2*M``
+(4620).  Its reference is the direct sum at the grid's points,
 ``_evaluate_lattice(source, axis, axis).T``, the sum that
 :func:`evaluate_continuous` evaluates anywhere.  That sum takes its
 exponentials from two short tables per ``y`` (a few ulp off the direct
 exponential), and the tests check it against the per-point sum to 1e-13
-relative.  The transforms are
-NumPy's FFTs (the C++ pocketfft, which NumPy 2.0 and later ships), written
-in place into the blocks' buffers.  Synthesis runs its column blocks on one thread per CPU
-the process may use; its output bits do not depend on the CPU count.
+relative.  The transforms are NumPy's FFTs (the C++ pocketfft, which NumPy
+2.0 and later ships), written in place into the blocks' buffers.
+Synthesis runs its column blocks on one thread per CPU the process may
+use; its output bits do not depend on the CPU count.
 
 Everything synthesis needs that depends on the grid alone is built once
 per grid and kept for the last two grids used (the synthesis plan): each
-column's band of the window spectrum, ``n * B * 16`` bytes (``B`` is
-``nfft``, about ``n + 2*M``, below T=6), the in-block phase ramp, ``n *
+column's window spectrum on its block's band, ``n * B * 16`` bytes (``B``
+is ``nfft``, about ``n + 2*M``, below T=6), the in-block phase ramp, ``n *
 _BLOCK_COLS * 16`` bytes, and the chirp z-transform's kernel: about ``n *
 (B + _BLOCK_COLS) * 16`` bytes in all, 2.5 MB at n=1537, T=6.  Below T=6
-the chirp z-transform's length exceeds ``n + nfft``, so there it is slower
-than one inverse FFT of length ``nfft`` per column would be.
+the chirp z-transform's length is at least ``n + nfft - 1``, so there it is
+slower than one inverse FFT of length ``nfft`` per column would be.
 
 A field cache (:func:`write_field`) is one JSON header line, from which
 :func:`read_field` regenerates the realization, then the complex128
@@ -188,9 +190,10 @@ class WeightedField:
 def synthesize_field(noise: NoiseDraw, signal: SignalModel, grid: GridSpec) -> WeightedField:
     """Synthesize the weighted field for one noise realization.
 
-    Each column is one chirp z-transform of its band of the samples'
-    spectrum (:func:`_spectral_columns`); the direct sum at the grid's
-    points, ``_evaluate_lattice(source, axis, axis).T``, is the reference.
+    Each column is one chirp z-transform of its block's band of the
+    samples' spectrum (:func:`_spectral_columns`); the direct sum at the
+    grid's points, ``_evaluate_lattice(source, axis, axis).T``, is the
+    reference.
     """
     if noise.delta != grid.delta:
         raise ConfigError(
@@ -273,11 +276,6 @@ def _next_fast_len(target: int, real: bool = False) -> int:
         n += 1
 
 
-def _band_bins(first: np.ndarray, width: int, nfft: int) -> np.ndarray:
-    """Row ``c`` holds the ``width`` bins from ``first[c]`` on, mod ``nfft``."""
-    return (first[:, None] + np.arange(width)) % nfft
-
-
 def _chirp(q2: np.ndarray, nfft: int) -> np.ndarray:
     """``exp(1j*pi*q2/nfft)`` for integers ``q2``, reduced mod ``2*nfft``
     before the float multiply: ``pi*q2/nfft`` itself reaches about 1e4 rad,
@@ -289,21 +287,21 @@ def _chirp(q2: np.ndarray, nfft: int) -> np.ndarray:
 def _plan(n: int, m_half: int, delta: float):
     """The arrays of :func:`_spectral_columns` that depend on the grid alone.
 
-    Returns ``nfft``; ``first`` and ``offset``; ``spec``, whose row ``c``
-    holds column ``ll = c - half_n``'s window spectrum ``G_ll[k] = sum_q
-    g_ll[q - M] * exp(2j*pi*k*q/nfft)``, ``g_ll[m] = phi(delta*m) *
-    exp(2j*delta**2*m*ll)``, on the band (:func:`_band_width`) of bins ``k_j
-    = first[c] + j`` mod ``nfft``, centred on the bump at bin
-    ``-delta**2*ll*nfft/pi``, times the input chirp ``W**((offset[c] +
-    j)**2/2)``, ``W = exp(2j*pi/nfft)``; the chirp-z kernel
-    ``fft(W**(-k**2/2)) / nfft`` over ``k = 1 - B' .. n - 1``, wrapped
-    into its length ``K``; and the phase ramp ``ramp[c, i] =
-    exp(1j*delta**2*c*kk)``, ``kk = i - half_n``, for the in-block columns
-    ``c < _BLOCK_COLS``.  ``offset[c]`` is ``first[c]`` less that of the
-    last column of ``c``'s block, mod ``nfft``; ``B'`` is the band width
-    plus the largest offset, and ``K >= n + B' - 1`` the next 5-smooth
-    length, so the convolution does not wrap.  ``spec`` and ``ramp`` take
-    ``n * (B + _BLOCK_COLS) * 16`` bytes.  All are read-only, since every
+    Column ``ll = c - half_n``'s window spectrum ``G_ll[k] = sum_q g_ll[q -
+    M] * exp(2j*pi*k*q/nfft)``, ``g_ll[m] = phi(delta*m) *
+    exp(2j*delta**2*m*ll)``, is a bump at bin ``-delta**2*ll*nfft/pi`` on a
+    band of ``width`` bins (:func:`_band_width`) that moves down as ``ll``
+    grows, so block ``b`` takes the ``span`` bins ``base[b] + j`` mod
+    ``nfft`` from its last column's band to its first's, at most every bin.
+
+    Returns ``nfft``; ``base``; ``spec``, whose row ``c`` holds ``G_ll`` on
+    its block's band times the input chirp ``W**(j**2/2)``, ``W =
+    exp(2j*pi/nfft)``; the chirp-z kernel ``fft(W**(-k**2/2)) / nfft`` over
+    ``k = 1 - span .. n - 1``, wrapped into the next 5-smooth length ``K >=
+    n + span - 1``, so the convolution does not wrap; and the phase ramp
+    ``ramp[c, i] = exp(1j*delta**2*c*kk)``, ``kk = i - half_n``, for the
+    in-block columns ``c < _BLOCK_COLS``.  ``spec`` and ``ramp`` take ``n *
+    (span + _BLOCK_COLS) * 16`` bytes.  All are read-only, since every
     caller on the grid shares them.
     """
     half_n = n // 2
@@ -315,16 +313,17 @@ def _plan(n: int, m_half: int, delta: float):
     width = _band_width(phi, delta, nfft)
     ll = np.arange(-half_n, half_n + 1)
     first = (np.rint(ll * (-d2 * nfft / math.pi)).astype(np.int64) - width // 2) % nfft
-    block_last = np.minimum((np.arange(n) // _BLOCK_COLS + 1) * _BLOCK_COLS, n) - 1
-    offset = (first - first[block_last]) % nfft
-    span = width + int(offset.max())
+    starts = np.arange(0, n, _BLOCK_COLS)
+    base = first[np.minimum(starts + _BLOCK_COLS, n) - 1]
+    # below T=6 the band is every bin, and a wider one would read bins twice
+    span = min(width + int(((first[starts] - base) % nfft).max()), nfft)
     chirp = _chirp(np.arange(span) ** 2, nfft)
     k = np.arange(1 - span, n)
     nconv = _next_fast_len(n + span - 1, real=True)
     kernel = np.zeros(nconv, dtype=np.complex128)
     kernel[k % nconv] = _chirp(-k * k, nfft)
     kernel = np.fft.fft(kernel) / nfft
-    spec = np.empty((n, width), dtype=np.complex128)
+    spec = np.empty((n, span), dtype=np.complex128)
     buf = np.empty((_BLOCK_COLS, nfft), dtype=np.complex128)
     # exp(2j*d2*m*ll) for the columns ll0 + c of a block is the block's first
     # column times a fixed ramp in c, and so is the phase exp(1j*d2*kk*ll):
@@ -333,17 +332,16 @@ def _plan(n: int, m_half: int, delta: float):
     cols = np.arange(_BLOCK_COLS)
     window_ramp = np.exp((2j * d2) * np.outer(cols, m))
     ramp = np.exp((1j * d2) * np.outer(cols, ll))
-    for j0 in range(0, n, _BLOCK_COLS):
+    for b, j0 in enumerate(starts):
         j1 = min(j0 + _BLOCK_COLS, n)
         g = buf[: j1 - j0]
         np.multiply(phi * np.exp((2j * d2) * (ll[j0] * m)), window_ramp[: j1 - j0], out=g[:, :p])
         g[:, p:] = 0
         np.fft.ifft(g, axis=1, norm="forward", out=g)
-        np.multiply(np.take_along_axis(g, _band_bins(first[j0:j1], width, nfft), axis=1),
-                    chirp[offset[j0:j1, None] + np.arange(width)], out=spec[j0:j1])
-    for a in (first, offset, spec, kernel, ramp):
+        np.multiply(g[:, (base[b] + np.arange(span)) % nfft], chirp, out=spec[j0:j1])
+    for a in (base, spec, kernel, ramp):
         a.setflags(write=False)
-    return nfft, first, offset, spec, kernel, ramp
+    return nfft, base, spec, kernel, ramp
 
 
 def _spectral_columns(alpha, m_half, delta, n):
@@ -353,35 +351,34 @@ def _spectral_columns(alpha, m_half, delta, n):
     ``alpha`` (``n + 2*M`` samples) with the column's modulated window, so
     with ``A = fft(alpha, nfft)`` the column is ``ifft(A * G_ll)[:n]``;
     ``nfft >= n + 2*M`` keeps the circular correlation from wrapping.  Only
-    the band of ``B`` bins from ``first[c]`` holds ``G_ll``, and only ``n``
-    outputs are kept, so each column is evaluated as a chirp z-transform
-    (Bluestein) of its band rather than as a length-``nfft`` inverse FFT.
-    With ``f`` the first bin of the last column of the block and ``o =
-    offset[c]``, ``k_j = f + o + j`` mod ``nfft``, and ``(o + j)*i = ((o +
-    j)**2 + i**2 - (i - o - j)**2) / 2`` turns the column into
+    the ``span`` bins ``k_j = f + j`` mod ``nfft`` of its block's band hold
+    ``G_ll`` (:func:`_plan`, ``f = base[b]``), and only ``n`` outputs are
+    kept, so each column is evaluated as a chirp z-transform (Bluestein) of
+    the band rather than as a length-``nfft`` inverse FFT.  ``j*i = (j**2 +
+    i**2 - (i - j)**2) / 2`` turns the column into
 
-        y[i] = W**(f*i + i**2/2) * ((x * W**((o + j)**2/2)) conv W**(-k**2/2))[i] / nfft
+        y[i] = W**(f*i + i**2/2) * ((x * W**(j**2/2)) conv W**(-k**2/2))[i] / nfft
 
-    for ``x_j = A[k_j] * G_ll[k_j]`` placed at ``o + j``: one FFT, one
-    product with the plan's kernel and one inverse FFT of length ``K``,
-    about ``n + B``, in place of ``nfft``, about ``n + 2*M``.  The plan
-    (:func:`_plan`) holds ``G_ll`` with its input chirp on the band.  The
-    output chirp depends on the block, not the column, so it joins the
-    quadratic phase: that phase is symmetric in ``kk`` and ``ll``, so a
-    block's phase is laid out like its columns are, as rows: the block's
-    first row ``exp(1j*d2*ll0*kk) * W**(f*i + i**2/2)`` times the plan's
-    ramp; the block is then written transposed.
+    for ``x_j = A[k_j] * G_ll[k_j]``: one FFT, one product with the plan's
+    kernel and one inverse FFT of length ``K``, about ``n + span``, in
+    place of ``nfft``, about ``n + 2*M``.  The plan holds ``G_ll`` with its
+    input chirp on the band.  The output chirp depends on the block, not
+    the column, so it joins the quadratic phase: that phase is symmetric in
+    ``kk`` and ``ll``, so a block's phase is laid out like its columns are,
+    as rows: the block's first row ``exp(1j*d2*ll0*kk) * W**(f*i +
+    i**2/2)`` times the plan's ramp; the block is then written transposed.
 
     Column blocks are independent, so they are spread over one thread per
     available CPU (NumPy and pocketfft release the GIL).  A block's columns
     go through the same operations, in the same operand order, whichever
     thread runs it, so the output bits do not depend on the CPU count.
     """
-    nfft, first, offset, spec, kernel, ramp = _plan(n, m_half, delta)
+    nfft, base, spec, kernel, ramp = _plan(n, m_half, delta)
     half_n = n // 2
-    width = spec.shape[1]
+    span = spec.shape[1]
     d2 = delta * delta
-    a_hat = np.fft.fft(alpha, nfft)
+    # two periods, so each block's band (span <= nfft bins from base < nfft) is a slice
+    a_hat = np.tile(np.fft.fft(alpha, nfft), 2)
     idx = np.arange(-half_n, half_n + 1)
     rows = np.arange(n)
     out = np.empty((n, n), dtype=np.complex128)
@@ -398,14 +395,14 @@ def _spectral_columns(alpha, m_half, delta, n):
         # the tests: NumPy's SIMD complex multiply is not bitwise commutative
         for j0 in starts[first_block::workers]:
             j1 = min(j0 + _BLOCK_COLS, n)
+            f = int(base[j0 // _BLOCK_COLS])
             u = buf[: j1 - j0]
-            u[:] = 0
-            band = a_hat[_band_bins(first[j0:j1], width, nfft)] * spec[j0:j1]
-            np.put_along_axis(u, offset[j0:j1, None] + np.arange(width), band, axis=1)
+            np.multiply(a_hat[f : f + span], spec[j0:j1], out=u[:, :span])
+            u[:, span:] = 0
             np.fft.fft(u, axis=1, out=u)
             np.multiply(u, kernel, out=u)
             np.fft.ifft(u, axis=1, out=u)
-            angle = (math.pi / nfft) * (rows * (rows + 2 * first[j1 - 1]) % (2 * nfft))
+            angle = (math.pi / nfft) * (rows * (rows + 2 * f) % (2 * nfft))
             ph = phase[: j1 - j0]
             np.multiply(np.exp(1j * (d2 * (idx[j0] * idx) + angle)), ramp[: j1 - j0], out=ph)
             np.multiply(ph, u[:, :n], out=ph)

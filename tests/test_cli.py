@@ -358,9 +358,10 @@ def test_stats_refuses_another_configs_file(pipeline, capsys):
     assert out.read_bytes() == report
 
 
-def test_stats_report_inside_its_points_directory(pipeline):
-    # the report is not read back as a point set on the next run
-    _, _, points = pipeline
+def test_stats_report_inside_its_points_directory(pipeline, capsys):
+    # neither the report nor a consistency report and its aggregate among
+    # the point sets is read back as a point set on the next run
+    _, fields, points = pipeline
     out = points / "stats.csv"
     argv = ["stats", "--points", str(points), "--signal", "zero", "--boxes", "1",
             "--out", str(out)]
@@ -368,6 +369,12 @@ def test_stats_report_inside_its_points_directory(pipeline):
     report = out.read_bytes()
     assert main(argv) == 0
     assert out.read_bytes() == report
+    assert main(["consistency", "--fields", str(fields), "--methods", "amn", "--levels", "1",
+                 "--out", str(points / "cons.csv")]) == 0
+    assert (points / "cons_aggregate.csv").exists()
+    assert main(argv) == 0
+    assert out.read_bytes() == report
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_consistency_refuses_another_configs_file(pipeline, capsys):
@@ -700,19 +707,19 @@ def test_exit_code_data_errors(tmp_path, capsys):
     # a point-set CSV with an unknown method
     points = tmp_path / "points"
     points.mkdir()
-    (points / "bad.csv").write_text(
+    (points / "points_bad.csv").write_text(
         "# method=BOGUS\n# delta=0.25\n# domain_halfwidth=1.0\n# seed=0\n"
         "re,im,k,l,method,delta,seed\n"
     )
     assert main(["stats", "--points", str(points), "--signal", "zero",
                  "--out", str(tmp_path / "s2.csv")]) == 3
     # a point-set CSV whose domain box has a negative half-width
-    (points / "bad.csv").write_text(
+    (points / "points_bad.csv").write_text(
         "# method=ST\n# delta=0.25\n# domain_halfwidth=-0.5\n# seed=0\n"
         "re,im,k,l,method,delta,seed\n"
     )
     with pytest.raises(DataError, match="domain_halfwidth must be >= 0"):
-        read_pointset_csv(points / "bad.csv")
+        read_pointset_csv(points / "points_bad.csv")
     assert main(["stats", "--points", str(points), "--signal", "zero",
                  "--out", str(tmp_path / "s2.csv")]) == 3
     assert not (tmp_path / "s2.csv").exists()
@@ -785,7 +792,7 @@ def test_corrupt_pointset_csv_exits_cleanly(clean_inputs, edit):
     # an edited digit can leave a readable set (another index, seed, or a
     # box halfwidth that is still a multiple of delta), which stats accepts
     with tempfile.TemporaryDirectory() as d:
-        rc = _run_on(Path(d), "points.csv", _edit(clean_inputs[1].read_bytes(), edit),
+        rc = _run_on(Path(d), "points_amn.csv", _edit(clean_inputs[1].read_bytes(), edit),
                      ["stats", "--signal", "zero", "--boxes", "1", "--points"])
     assert rc in (0, 2, 3)
 
@@ -807,7 +814,7 @@ def test_corrupt_field_cache_is_refused(tmp_path, clean_inputs, edit):
     ("insert", 0, 0xFF),
 ])
 def test_corrupt_pointset_csv_is_refused(tmp_path, clean_inputs, edit):
-    assert _run_on(tmp_path, "points.csv", _edit(clean_inputs[1].read_bytes(), edit),
+    assert _run_on(tmp_path, "points_amn.csv", _edit(clean_inputs[1].read_bytes(), edit),
                    ["stats", "--signal", "zero", "--boxes", "1", "--points"]) in (2, 3)
 
 
@@ -825,5 +832,5 @@ def test_corrupt_headers_found_by_fuzzing_are_refused(tmp_path, clean_inputs):
     # a spacing that reads as zero
     bad_points = points.replace(b"delta=0.125", b"delta=0.e125", 1)
     assert bad_points != points
-    assert _run_on(tmp_path / "b", "points.csv", bad_points,
+    assert _run_on(tmp_path / "b", "points_amn.csv", bad_points,
                    ["stats", "--signal", "zero", "--boxes", "1", "--points"]) == 3

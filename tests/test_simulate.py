@@ -144,27 +144,42 @@ def test_fast_path_matches_direct_sum():
         assert np.abs(f.values - slow).max() < 1e-13 * np.abs(slow).max()
 
 
+def _column_bands(g, nfft, width):
+    """Each column's own band: the ``width`` bins centred on its bump."""
+    ll = np.arange(-g.half_n, g.half_n + 1)
+    first = (np.rint(ll * (-g.delta**2 * nfft / math.pi)).astype(np.int64) - width // 2)
+    return (first[:, None] + np.arange(width)) % nfft
+
+
 def test_plan_band_is_narrow_only_for_a_long_window():
     # at T=6 the window spectrum is a Gaussian bump of a few dozen bins; at
     # T=1 the cut window's sidelobes spread it over every bin
     g = make_grid(L=3, delta=2.0 ** -7, T=6)
-    nfft, first, offset, spec, _, _ = simulate._plan(g.n_axis, g.t_over_delta, g.delta)
-    assert spec.shape[0] == first.size == offset.size == g.n_axis
-    assert spec.shape[1] < 0.05 * nfft
-    # the kept band holds the column's spectrum, the modulated window's DFT
-    # evaluated directly, on the band's bins, times the input chirp
+    n = g.n_axis
+    nfft, base, spec, _, _ = simulate._plan(n, g.t_over_delta, g.delta)
+    span = spec.shape[1]
+    assert spec.shape[0] == n and base.size == -(-n // simulate._BLOCK_COLS)
+    assert span < 0.05 * nfft
     m = np.arange(-g.t_over_delta, g.t_over_delta + 1)
-    for c in (0, g.half_n, g.n_axis - 1):
-        ll = c - g.half_n
-        col = window(g.delta * m) * np.exp((2j * g.delta**2) * (ll * m))
+    phi = window(g.delta * m)
+    own = _column_bands(g, nfft, simulate._band_width(phi, g.delta, nfft))
+    j = np.arange(span)
+    chirp = np.exp(1j * math.pi * (j * j % (2 * nfft)) / nfft)
+    for c in range(n):
+        bins = (base[c // simulate._BLOCK_COLS] + j) % nfft
+        # every column's own band lies inside its block's band
+        assert np.isin(own[c], bins).all()
+        if c not in (0, 31, 32, g.half_n, n - 1):
+            continue
+        # the block's band holds the column's spectrum, the modulated
+        # window's DFT evaluated directly, on the band's bins, times the
+        # input chirp
+        col = phi * np.exp((2j * g.delta**2) * ((c - g.half_n) * m))
         full = scipy.fft.ifft(col, nfft, norm="forward")
-        j = offset[c] + np.arange(spec.shape[1])
-        bins = (first[c] + np.arange(spec.shape[1])) % nfft
-        chirp = np.exp(1j * math.pi * (j * j % (2 * nfft)) / nfft)
         assert np.abs(spec[c] - full[bins] * chirp).max() < 1e-13 * np.abs(full).max()
         assert np.linalg.norm(np.delete(full, bins)) < 1e-14 * np.linalg.norm(full)
     g1 = make_grid(L=1, delta=2.0 ** -4, T=1)
-    nfft1, _, _, spec1, _, _ = simulate._plan(g1.n_axis, g1.t_over_delta, g1.delta)
+    nfft1, _, spec1, _, _ = simulate._plan(g1.n_axis, g1.t_over_delta, g1.delta)
     assert spec1.shape[1] == nfft1
 
 
@@ -184,42 +199,45 @@ def _is_5_smooth(k):
 
 
 def test_plan_convolution_is_short_and_does_not_wrap():
-    # the chirp-z convolution of a column's offset band with the kernel
-    # must not wrap onto the n kept outputs, and at T=6 it is a small
-    # fraction of the inverse FFT it replaces
+    # the chirp-z convolution of a block's band with the kernel must not
+    # wrap onto the n kept outputs, and at T=6 it is a small fraction of
+    # the inverse FFT it replaces
     for g in (make_grid(L=3, delta=2.0 ** -6, T=6), make_grid(L=3, delta=2.0 ** -7, T=6),
               make_grid(L=1.5, delta=0.0125, T=6), make_grid(L=2, delta=2.0 ** -5, T=2)):
         n = g.n_axis
-        nfft, _, offset, spec, kernel, _ = simulate._plan(n, g.t_over_delta, g.delta)
+        nfft, _, spec, kernel, _ = simulate._plan(n, g.t_over_delta, g.delta)
         k = kernel.size
         assert _is_5_smooth(k)
-        assert k >= n + spec.shape[1] + offset.max() - 1
-        # offsets are taken from each block's last column
-        last = np.minimum(np.arange(0, n, simulate._BLOCK_COLS) + simulate._BLOCK_COLS, n) - 1
-        assert (offset[last] == 0).all()
+        assert k >= n + spec.shape[1] - 1
         if g.T == 6:
             assert k < nfft / 2
 
 
 def test_plan_memory_is_the_band_and_one_block_ramp():
-    # the plan holds each column's band of the window spectrum and an
-    # in-block phase ramp, nothing that grows like n**2
+    # the plan holds each block's band of the window spectrum and an
+    # in-block phase ramp, nothing that grows like n**2; the block's band
+    # is its columns' width plus the bump's shift across the block
     g = make_grid(L=3, delta=2.0 ** -7, T=6)
     n = g.n_axis
     plan = simulate._plan(n, g.t_over_delta, g.delta)
-    width = plan[3].shape[1]
+    nfft, span = plan[0], plan[2].shape[1]
+    m = np.arange(-g.t_over_delta, g.t_over_delta + 1)
+    width = simulate._band_width(window(g.delta * m), g.delta, nfft)
+    blk = simulate._BLOCK_COLS
+    assert span - width <= math.ceil(blk * g.delta**2 * nfft / math.pi) + 1
     held = sum(a.nbytes for a in plan if isinstance(a, np.ndarray))
-    assert held <= 16 * n * (width + 2 * simulate._BLOCK_COLS)
+    assert held <= 16 * n * (span + 2 * blk)
 
 
 def serial_column_field(noise, signal, grid):
     # the spectral synthesis one column at a time: the samples' spectrum;
     # each column's modulated window and quadratic phase (each its block's
     # first column times the in-block ramp, as in the plan); the window
-    # spectrum's band, offset from the band of the block's last column;
-    # then a chirp z-transform of the band to the n kept outputs: input
-    # chirp, one FFT, the kernel, one inverse FFT, output chirp.  The
-    # threaded synthesis must reproduce it bit for bit
+    # spectrum on its block's band, from the band of the block's last
+    # column to that of its first, at most every bin; then a chirp
+    # z-transform of the band to the n kept outputs: input chirp, one FFT,
+    # the kernel, one inverse FFT, output chirp.  The threaded synthesis
+    # must reproduce it bit for bit
     a = FieldSource(noise, signal, grid).samples
     m_half, n, h = grid.t_over_delta, grid.n_axis, grid.half_n
     d2 = grid.delta * grid.delta
@@ -233,27 +251,26 @@ def serial_column_field(noise, signal, grid):
     blk = simulate._BLOCK_COLS
     idx = np.arange(-h, h + 1)
     first = [(int(np.rint(ll * (-d2 * nfft / math.pi))) - width // 2) % nfft for ll in idx]
-    last = [min(c - c % blk + blk, n) - 1 for c in range(n)]
-    offset = [(first[c] - first[last[c]]) % nfft for c in range(n)]
-    span = width + max(offset)
+    base = [first[min(c - c % blk + blk, n) - 1] for c in range(n)]
+    span = min(width + max((first[c] - base[c]) % nfft for c in range(0, n, blk)), nfft)
     nconv = scipy.fft.next_fast_len(n + span - 1, real=True)
     k = np.arange(1 - span, n)
     kernel = np.zeros(nconv, dtype=np.complex128)
     kernel[k % nconv] = np.exp(1j * ((math.pi / nfft) * (-k * k % (2 * nfft))))
     kernel = np.fft.fft(kernel) / nfft
+    j = np.arange(span)
+    chirp_in = np.exp(1j * ((math.pi / nfft) * (j * j % (2 * nfft))))
     rows = np.arange(n)
     out = np.empty((n, n), dtype=np.complex128)
     for c in range(n):
         ll0 = c - h - c % blk
         g = (phi * np.exp((2j * d2) * (ll0 * m))) * np.exp((2j * d2) * (c % blk * m))
         spec = np.fft.ifft(g, nfft, norm="forward")
-        j = offset[c] + np.arange(width)
-        bins = (first[c] + np.arange(width)) % nfft
-        chirp_in = np.exp(1j * ((math.pi / nfft) * (j * j % (2 * nfft))))
+        bins = (base[c] + j) % nfft
         u = np.zeros(nconv, dtype=np.complex128)
-        u[j] = a_hat[bins] * (spec[bins] * chirp_in)
+        u[:span] = a_hat[bins] * (spec[bins] * chirp_in)
         conv = np.fft.ifft(np.fft.fft(u) * kernel)
-        chirp_out = (math.pi / nfft) * (rows * (rows + 2 * first[last[c]]) % (2 * nfft))
+        chirp_out = (math.pi / nfft) * (rows * (rows + 2 * base[c]) % (2 * nfft))
         phase = np.exp(1j * (d2 * (ll0 * idx) + chirp_out)) * np.exp((1j * d2) * (c % blk * idx))
         out[:, c] = phase * conv[:n]
     return out
