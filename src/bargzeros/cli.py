@@ -6,10 +6,11 @@ Four subcommands mirror the experiment pipeline:
 * ``detect``     — run AMN/MGN/ST over a dyadic resolution ladder built by
   subsampling the cached fields (never by re-simulation);
 * ``stats``      — aggregate intensity and count-error estimators over the
-  detection CSVs, refusing any that record a different signal;
+  detection CSVs, refusing any that record a different signal or sigma,
+  and a directory whose point sets record more than one T;
 * ``consistency``— match coarse detections against the high-resolution
   proxy and tabulate failure probabilities, refusing a directory whose
-  caches record more than one signal.
+  caches record more than one signal, grid or sigma.
 
 Spacings are accepted as exact dyadic expressions (``2^-7``) so that grid
 parameters never pass through decimal rounding.  Every output file carries
@@ -89,8 +90,8 @@ def read_config_file(path) -> dict[str, str]:
     out: dict[str, str] = {}
     first: dict[str, int] = {}  # the line that set each key
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read config file {path}: {e}") from e
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -110,39 +111,6 @@ def read_config_file(path) -> dict[str, str]:
 def config_hash(mapping: dict) -> str:
     blob = json.dumps({k: str(v) for k, v in mapping.items()}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-def _setting(args, config: dict[str, str], key: str, default=None, parse=None):
-    """Command-line flag > config-file entry > default; ``parse`` reads the
-    text of a flag and of a config entry alike."""
-    val = getattr(args, key, None)
-    if val is None:
-        val = config.get(key, default)
-    if val is None or parse is None:
-        return val
-    try:
-        return parse(val)
-    except ValueError as e:  # ConfigError included
-        raise ConfigError(f"{key}: {e}") from None
-
-
-def _config(args) -> dict[str, str]:
-    """The subcommand's ``--config`` file, of which every key must be one
-    of its flags."""
-    if not args.config:
-        return {}
-    config = read_config_file(args.config)
-    unknown = sorted(config.keys() - (vars(args).keys() - {"command", "fn", "config"}))
-    if unknown:
-        raise ConfigError(f"{args.config}: unknown key(s) for {args.command}: "
-                          + ", ".join(unknown))
-    return config
-
-
-def _require(val, key: str):
-    if val is None:
-        raise ConfigError(f"missing required setting '{key}'")
-    return val
 
 
 def _manifest_runs(path: Path) -> dict:
@@ -176,21 +144,26 @@ def _refuse_replacing(path: Path, h: str) -> None:
                           "write this config to another path")
 
 
+def _refuse_pooling(where, records, keys, what: str, report: str) -> None:
+    """Refuse the ``what`` in directory ``where`` if their ``records``
+    (cache headers or point-set metadata) hold more than one value of a
+    key in ``keys``, which one ``report`` would pool; a record without the
+    key is not counted."""
+    for key in keys:
+        values = sorted({str(r[key]) for r in records if key in r})
+        if len(values) > 1:
+            raise ConfigError(f"{where} holds {what} of {len(values)} {key}s "
+                              f"({', '.join(values)}), which one {report} would pool; "
+                              f"give each {key} its own directory")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_simulate(args) -> int:
-    config = _config(args)
-    L = _require(_setting(args, config, "L", parse=float), "L")
-    delta = _require(_setting(args, config, "delta", parse=parse_spacing), "delta")
-    T = _setting(args, config, "T", default=6.0, parse=float)
-    sigma = _setting(args, config, "sigma", default=1.0, parse=float)
-    signal_text = _require(_setting(args, config, "signal"), "signal")
-    seeds = _require(_setting(args, config, "seeds", parse=parse_seeds), "seeds")
-
+    L, delta, T, sigma, seeds, out = args.L, args.delta, args.T, args.sigma, args.seeds, args.out
     grid = make_grid(L=L, delta=delta, T=T)
-    model = parse_signal(signal_text, sigma=sigma)
-    out = Path(_require(_setting(args, config, "out"), "out"))
+    model = parse_signal(args.signal, sigma=sigma)
     out.mkdir(parents=True, exist_ok=True)
 
     settings = {"L": L, "delta": delta, "T": T, "sigma": sigma,
@@ -261,26 +234,21 @@ def _parse_levels(text: str) -> list[int]:
 
 
 def cmd_detect(args) -> int:
-    config = _config(args)
-    methods = _parse_methods(_setting(args, config, "methods", default="amn,mgn,st"))
-    levels = _parse_levels(_setting(args, config, "levels", default="0"))
-    out = Path(_require(_setting(args, config, "out"), "out"))
-    fields_dir = _require(_setting(args, config, "fields"), "fields")
-    target = _setting(args, config, "target", parse=float)
-
+    methods, levels, out, target = args.methods, args.levels, args.out, args.target
     pending = {}  # every CSV to write, checked before the first is written
-    for path in _iter_fields(fields_dir):
+    for path in _iter_fields(args.fields):
         field = read_field(path)
         W = target if target is not None else field.grid.L - 1.0
         cfg = {"cmd": "detect", "source": path.name,
                "header": json.dumps(_cache_header(path), sort_keys=True), "target": W,
                "methods": ",".join(methods), "levels": ",".join(map(str, levels))}
         h = config_hash(cfg)
-        meta = {"config": h, "source": path.name}
+        meta = {"config": h, "source": path.name, "T": float(field.grid.T)}
         sig = "x"
         if field.source is not None:
             sig = _signal_token(field.source.signal)
             meta["signal"] = field.source.signal.descriptor()
+            meta["sigma"] = float(field.source.noise.sigma)
         for (_, name), ps in det.detect_ladder(field, W, levels, methods).items():
             seed = "x" if ps.seed is None else ps.seed
             csv_path = out / f"points_{name}_{sig}_d{spacing_token(ps.delta)}_s{seed}.csv"
@@ -296,14 +264,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    config = _config(args)
-    points_dir = _require(_setting(args, config, "points"), "points")
-    signal_text = _require(_setting(args, config, "signal"), "signal")
-    sigma = _setting(args, config, "sigma", default=1.0, parse=float)
-    boxes = _parse_list(_setting(args, config, "boxes", default="1,2,3"), float, "boxes")
-    out = Path(_require(_setting(args, config, "out"), "out"))
-
-    model = parse_signal(signal_text, sigma=sigma)
+    points_dir, sigma, boxes, out = args.points, args.sigma, args.boxes, args.out
+    model = parse_signal(args.signal, sigma=sigma)
     # only detect's point sets: reports, this one included, may sit among them
     paths = sorted(p for p in Path(points_dir).glob("points_*.csv")
                    if p.resolve() != out.resolve())
@@ -311,15 +273,18 @@ def cmd_stats(args) -> int:
         raise DataError(f"no point-set CSVs in {points_dir}")
     groups: dict[tuple[str, float], list] = {}
     inputs = {}  # each point set's name -> the config that wrote it
+    metas = []
     for p in paths:
         meta: dict[str, str] = {}
         ps = det.read_pointset_csv(p, meta=meta)
-        if meta.get("signal", model.descriptor()) != model.descriptor():
-            raise ConfigError(
-                f"{p} holds detections of signal {meta['signal']!r}, not {model.descriptor()!r}"
-            )
+        # a point set of an earlier version records no sigma (nor T)
+        for key, want in (("signal", model.descriptor()), ("sigma", repr(sigma))):
+            if meta.get(key, want) != want:
+                raise ConfigError(f"{p} holds detections of {key} {meta[key]!r}, not {want!r}")
         inputs[p.name] = meta.get("config")
+        metas.append(meta)
         groups.setdefault((ps.method.value, ps.delta), []).append(ps)
+    _refuse_pooling(points_dir, metas, ("T",), "point sets", "stats report")
     cfg = {"cmd": "stats", "signal": model.descriptor(), "sigma": sigma,
            "boxes": ",".join(map(str, boxes)), "inputs": json.dumps(inputs, sort_keys=True)}
     h = config_hash(cfg)
@@ -338,24 +303,16 @@ def cmd_stats(args) -> int:
 
 
 def cmd_consistency(args) -> int:
-    config = _config(args)
-    fields_dir = _require(_setting(args, config, "fields"), "fields")
-    methods = _parse_methods(_setting(args, config, "methods", default="amn,mgn,st"))
-    levels = _parse_levels(_setting(args, config, "levels", default="1,2,3"))
-    proxy_name = _setting(args, config, "proxy", default="amn").lower()
-    out = Path(_require(_setting(args, config, "out"), "out"))
+    fields_dir, methods, levels, proxy_name, out = (
+        args.fields, args.methods, args.levels, args.proxy, args.out)
     if proxy_name not in ("amn", "mgn"):
         raise ConfigError(f"proxy must be amn or mgn, got {proxy_name!r}")
     if 0 in levels:
         raise ConfigError("consistency levels start at 1 (level 0 is the proxy itself)")
     paths = _iter_fields(fields_dir)
     headers = {p.name: _cache_header(p) for p in paths}
-    for key in ("signal", "L", "delta", "T", "sigma"):
-        values = sorted({str(header.get(key)) for header in headers.values()})
-        if len(values) > 1:
-            raise ConfigError(f"{fields_dir} holds caches of {len(values)} {key}s "
-                              f"({', '.join(values)}), which one failure table would pool; "
-                              f"give each {key} its own directory")
+    _refuse_pooling(fields_dir, headers.values(), ("signal", "L", "delta", "T", "sigma"),
+                    "caches", "failure table")
     cfg = {"cmd": "consistency", "proxy": proxy_name, "methods": ",".join(methods),
            "levels": ",".join(map(str, levels)), "inputs": json.dumps(headers, sort_keys=True)}
     h = config_hash(cfg)
@@ -385,6 +342,72 @@ def cmd_consistency(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# Each subcommand: (function, help, settings in the order it reads them).
+# A setting is a flag and a config-file key of one name: (parser of the
+# flag's or the entry's text, default text or _REQUIRED, help).  The flag
+# wins over the entry, which wins over the default; a None default leaves
+# an unset setting None.
+_REQUIRED = ...
+_COMMANDS = {
+    "simulate": (cmd_simulate, "draw seeded field realizations into a cache dir", {
+        "L": (float, _REQUIRED, "grid half-width"),
+        "delta": (parse_spacing, _REQUIRED, "grid spacing, e.g. 2^-6"),
+        "T": (float, "6", "window half-length"),
+        "sigma": (float, "1", "noise level"),
+        "signal": (str, _REQUIRED, "zero | gauss:A=<a> | hermite1:A=<a>"),
+        "seeds": (parse_seeds, _REQUIRED, "e.g. 0..99 or 3,5,8"),
+        "out": (Path, _REQUIRED, "cache directory"),
+    }),
+    "detect": (cmd_detect, "run detectors over a subsampling ladder", {
+        "methods": (_parse_methods, "amn,mgn,st", "comma list from amn,mgn,st"),
+        "levels": (_parse_levels, "0", "subsampling levels, e.g. 0,1,2"),
+        "out": (Path, _REQUIRED, "point-set directory"),
+        "fields": (str, _REQUIRED, "directory of .wfield caches"),
+        "target": (float, None, "target box halfwidth (default L-1)"),
+    }),
+    "stats": (cmd_stats, "aggregate estimators over detection CSVs", {
+        "points": (str, _REQUIRED, "directory of point-set CSVs"),
+        "signal": (str, _REQUIRED, "the signal the point sets record"),
+        "sigma": (float, "1", "noise level"),
+        "boxes": (lambda text: _parse_list(text, float, "boxes"), "1,2,3",
+                  "comma list of box halfwidths"),
+        "out": (Path, _REQUIRED, "report CSV"),
+    }),
+    "consistency": (cmd_consistency, "failure table against the hi-res proxy", {
+        "fields": (str, _REQUIRED, "directory of .wfield caches"),
+        "methods": (_parse_methods, "amn,mgn,st", "comma list from amn,mgn,st"),
+        "levels": (_parse_levels, "1,2,3", "subsampling levels >= 1"),
+        "proxy": (str.lower, "amn", "amn or mgn"),
+        "out": (Path, _REQUIRED, "report CSV; the aggregate table goes next to it"),
+    }),
+}
+
+
+def _settings(args):
+    """Set each of the subcommand's settings on ``args``: its flag, else its
+    ``--config`` entry, else its default, through one parser; every key of
+    the config file must be one of the settings."""
+    settings = _COMMANDS[args.command][2]
+    config = read_config_file(args.config) if args.config else {}
+    unknown = sorted(config.keys() - settings.keys())
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown key(s) for {args.command}: "
+                          + ", ".join(unknown))
+    for key, (parse, default, _) in settings.items():
+        val = getattr(args, key)
+        if val is None:
+            val = config.get(key, default)
+        if val is _REQUIRED:
+            raise ConfigError(f"missing required setting '{key}'")
+        if val is not None:
+            try:
+                val = parse(val)
+            except ValueError as e:  # ConfigError included
+                raise ConfigError(f"{key}: {e}") from None
+        setattr(args, key, val)
+    return args
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bargzeros",
@@ -392,51 +415,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "zeros, and validate the detected point process.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="draw seeded field realizations into a cache dir")
-    sim.add_argument("--config", help="key = value file; flags override it")
-    sim.add_argument("--L")
-    sim.add_argument("--delta", help="grid spacing, e.g. 2^-6")
-    sim.add_argument("--T")
-    sim.add_argument("--sigma")
-    sim.add_argument("--signal", help="zero | gauss:A=<a> | hermite1:A=<a>")
-    sim.add_argument("--seeds", help="e.g. 0..99 or 3,5,8")
-    sim.add_argument("--out")
-    sim.set_defaults(fn=cmd_simulate)
-
-    dt = sub.add_parser("detect", help="run detectors over a subsampling ladder")
-    dt.add_argument("--config")
-    dt.add_argument("--fields", help="directory of .wfield caches")
-    dt.add_argument("--methods", help="comma list from amn,mgn,st")
-    dt.add_argument("--levels", help="subsampling levels, e.g. 0,1,2")
-    dt.add_argument("--target", help="target box halfwidth (default L-1)")
-    dt.add_argument("--out")
-    dt.set_defaults(fn=cmd_detect)
-
-    stc = sub.add_parser("stats", help="aggregate estimators over detection CSVs")
-    stc.add_argument("--config")
-    stc.add_argument("--points", help="directory of point-set CSVs")
-    stc.add_argument("--signal")
-    stc.add_argument("--sigma")
-    stc.add_argument("--boxes", help="comma list of box halfwidths")
-    stc.add_argument("--out")
-    stc.set_defaults(fn=cmd_stats)
-
-    cns = sub.add_parser("consistency", help="failure table against the hi-res proxy")
-    cns.add_argument("--config")
-    cns.add_argument("--fields")
-    cns.add_argument("--methods")
-    cns.add_argument("--levels", help="subsampling levels >= 1")
-    cns.add_argument("--proxy", help="amn (default) or mgn")
-    cns.add_argument("--out")
-    cns.set_defaults(fn=cmd_consistency)
+    for name, (_, about, settings) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=about)
+        cmd.add_argument("--config", help="key = value file of these settings; flags override it")
+        for key, (_, default, text) in settings.items():
+            if default is not None:
+                text += " (required)" if default is _REQUIRED else f" (default {default})"
+            cmd.add_argument(f"--{key}", help=text)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command][0](_settings(args))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

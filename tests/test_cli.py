@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -377,6 +378,43 @@ def test_stats_report_inside_its_points_directory(pipeline, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_stats_refuses_point_sets_of_two_Ts(tmp_path, capsys):
+    # point sets record the T of their cache; one report over two Ts would
+    # pool detections on two different fields in each row
+    fields, points, out = tmp_path / "fields", tmp_path / "points", tmp_path / "s.csv"
+    for T, seeds in (("2", "0..1"), ("1", "2..3")):
+        assert main(["simulate", "--L", "2", "--delta", "2^-4", "--T", T, "--signal", "zero",
+                     "--seeds", seeds, "--out", str(fields)]) == 0
+    assert main(["detect", "--fields", str(fields), "--methods", "amn", "--out", str(points)]) == 0
+    meta = {}
+    read_pointset_csv(points / "points_amn_zero_A0_d2m4_s2.csv", meta=meta)
+    assert (meta["T"], meta["sigma"]) == ("1.0", "1.0")
+    argv = ["stats", "--points", str(points), "--signal", "zero", "--boxes", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "holds point sets of 2 Ts (1.0, 2.0)" in err
+    assert not out.exists()
+    # point sets of an earlier version record no T, and are not checked for it
+    for p in points.glob("*_s[23].csv"):
+        p.write_text("".join(line for line in p.read_text().splitlines(keepends=True)
+                             if not line.startswith(("# T=", "# sigma="))))
+    assert main(argv) == 0
+    assert "R=4" in capsys.readouterr().out
+
+
+def test_stats_refuses_point_sets_of_another_sigma(tmp_path, capsys):
+    fields, points, out = tmp_path / "fields", tmp_path / "points", tmp_path / "s.csv"
+    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--T", "2", "--signal", "zero",
+                 "--sigma", "2", "--seeds", "0", "--out", str(fields)]) == 0
+    assert main(["detect", "--fields", str(fields), "--methods", "amn", "--out", str(points)]) == 0
+    argv = ["stats", "--points", str(points), "--signal", "zero", "--boxes", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "holds detections of sigma '2.0', not '1.0'" in err
+    assert not out.exists()
+    assert main([*argv, "--sigma", "2"]) == 0
+
+
 def test_consistency_refuses_another_configs_file(pipeline, capsys):
     tmp, fields, _ = pipeline
     argv = ["consistency", "--fields", str(fields), "--methods", "amn", "--levels", "1",
@@ -550,6 +588,58 @@ def test_config_file_with_flag_override(tmp_path):
     ]
 
 
+# the README's detect, stats and consistency commands
+_README_ARGV = {
+    "detect": ["--fields", "fields", "--out", "points", "--methods", "amn,mgn,st",
+               "--levels", "0,1"],
+    "stats": ["--points", "points", "--signal", "zero", "--sigma", "1", "--boxes", "1,2",
+              "--out", "stats.csv"],
+    "consistency": ["--fields", "fields", "--methods", "amn,mgn,st", "--levels", "1,2",
+                    "--proxy", "amn", "--out", "consistency.csv"],
+}
+
+
+def test_config_file_runs_match_flag_runs(tmp_path, monkeypatch, capsys):
+    # each flag of the README's commands, given instead as the config key of
+    # the same name, writes the same bytes and prints the same lines
+    runs = {}
+    for how in ("flags", "config"):
+        d = tmp_path / how
+        d.mkdir()
+        monkeypatch.chdir(d)
+        assert main(["simulate", "--out", "fields", "--L", "3", "--delta", "2^-4", "--T", "2",
+                     "--signal", "zero", "--sigma", "1", "--seeds", "0..2"]) == 0
+        printed = [capsys.readouterr().out]
+        for cmd, argv in _README_ARGV.items():
+            if how == "config":
+                lines = [f"{flag[2:]} = {val}\n" for flag, val in zip(argv[::2], argv[1::2])]
+                Path(f"{cmd}.cfg").write_text("".join(lines))
+                argv = ["--config", f"{cmd}.cfg"]
+            assert main([cmd, *argv]) == 0
+            printed.append(capsys.readouterr().out)
+        written = {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*"))
+                   if p.is_file() and p.suffix != ".cfg"}
+        runs[how] = printed, written
+    # caches and manifest, 3 methods x 2 levels x 3 seeds point sets, the
+    # stats report, the consistency report and its aggregate
+    assert len(runs["flags"][1]) == 3 + 1 + 3 * 2 * 3 + 1 + 2
+    assert runs["config"] == runs["flags"]
+
+
+@pytest.mark.parametrize("cmd, flags", [
+    ("simulate", "--L --delta --T --sigma --signal --seeds --out"),
+    ("detect", "--fields --methods --levels --target --out"),
+    ("stats", "--points --signal --sigma --boxes --out"),
+    ("consistency", "--fields --methods --levels --proxy --out"),
+])
+def test_help_lists_every_flag(capsys, cmd, flags):
+    with pytest.raises(SystemExit) as exit_:
+        main([cmd, "--help"])
+    assert exit_.value.code == 0
+    listed = re.findall(r"^  (--\w+)", capsys.readouterr().out, re.M)
+    assert sorted(listed) == sorted(["--config", *flags.split()])
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -675,6 +765,12 @@ def test_exit_code_data_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "new1" / "c.csv")]) == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty"]
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 3
+    # a config file that is not UTF-8 cannot be read either
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"L = 2\n\xff\xfe = 3\n")
+    assert main(["simulate", "--config", str(latin)]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: cannot read config file {latin}" in err and "Traceback" not in err
     # a cache whose header lacks a key
     fields = tmp_path / "fields"
     assert main(["simulate", "--L", "1", "--delta", "2^-3", "--T", "1", "--signal", "zero",
