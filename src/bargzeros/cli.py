@@ -113,20 +113,6 @@ def config_hash(mapping: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _manifest_runs(path: Path) -> dict:
-    """Simulate runs recorded in a cache directory, keyed by config hash."""
-    if not path.exists():
-        return {}
-    try:
-        runs = json.loads(path.read_text())["runs"]
-        if all(isinstance(r["seeds"], list) and isinstance(r["files"], list)
-               for r in runs.values()):
-            return runs
-    except (ValueError, TypeError, KeyError, AttributeError):
-        pass
-    raise DataError(f"{path} is not a simulate manifest")
-
-
 def _cache_header(path: Path) -> dict:
     with open(path, "rb") as fh:
         return _read_header(fh, path)
@@ -164,35 +150,24 @@ def cmd_simulate(args) -> int:
     L, delta, T, sigma, seeds, out = args.L, args.delta, args.T, args.sigma, args.seeds, args.out
     grid = make_grid(L=L, delta=delta, T=T)
     model = parse_signal(args.signal, sigma=sigma)
-    out.mkdir(parents=True, exist_ok=True)
-
     settings = {"L": L, "delta": delta, "T": T, "sigma": sigma,
                 "signal": model.descriptor(), "precision": _DTYPE}
-    cfg = {"cmd": "simulate", **settings}
-    h = config_hash(cfg)
-    manifest = out / "manifest.json"
-    runs = _manifest_runs(manifest)
+    h = config_hash({"cmd": "simulate", **settings})
     token = f"{_signal_token(model)}_d{spacing_token(delta)}"
-    files = [f"field_{token}_s{seed}.wfield" for seed in seeds]
-    owners = {name: k for k, run in runs.items() if k != h for name in run["files"]}
-    for name in files:
-        if name in owners:
-            raise ConfigError(f"{out / name} belongs to simulate config {owners[name]!r}, "
-                              f"not {h!r}; write this config to another directory")
-        if (out / name).exists():
-            header = _cache_header(out / name)
+    paths = [out / f"field_{token}_s{seed}.wfield" for seed in seeds]
+    # a cache name records signal, spacing and seed; its header, every setting
+    for path in paths:
+        if path.exists():
+            header = _cache_header(path)
             if ({k: header.get(k) for k in settings} != settings
                     or header.get("n_axis") != grid.n_axis):
-                raise ConfigError(f"{out / name} was simulated with other settings; "
+                raise ConfigError(f"{path} was simulated with other settings; "
                                   "write this config to another directory")
-    for seed, name in zip(seeds, files):
+    for seed, path in zip(seeds, paths):
         fld = synthesize_field(draw_noise(grid, sigma, seed), model, grid)
-        write_field(fld, out / name)
-    run = runs.setdefault(h, {"config": cfg, "seeds": [], "files": []})
-    run["seeds"] = list(dict.fromkeys(run["seeds"] + seeds))
-    run["files"] = list(dict.fromkeys(run["files"] + files))
-    manifest.write_text(json.dumps({"runs": runs}, sort_keys=True, indent=1) + "\n")
-    print(f"wrote {len(files)} field cache(s) to {out} (config {h})")
+        out.mkdir(parents=True, exist_ok=True)
+        write_field(fld, path)
+    print(f"wrote {len(paths)} field cache(s) to {out} (config {h})")
     return 0
 
 
@@ -291,8 +266,8 @@ def cmd_stats(args) -> int:
     _refuse_replacing(out, h)
 
     rows = []
-    for (_, delta), sets in sorted(groups.items()):
-        rows += st_mod.summary_rows(sets, model, sigma, boxes, step=min(delta, 1.0 / 64.0))
+    for _, sets in sorted(groups.items()):
+        rows += st_mod.summary_rows(sets, model, sigma, boxes)
     out.parent.mkdir(parents=True, exist_ok=True)
     st_mod.write_stats_csv(rows, out, meta={"config": h})
     for r in rows:

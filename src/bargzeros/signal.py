@@ -9,6 +9,7 @@ parameterises signal strength; ``intensity_scale`` inverts it.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import re
@@ -43,6 +44,8 @@ class SignalModel:
         if self.kind is SignalKind.ZERO and self.coefficient != 0:
             object.__setattr__(self, "coefficient", 0j)
         object.__setattr__(self, "coefficient", complex(self.coefficient))
+        if not cmath.isfinite(self.coefficient):
+            raise ConfigError(f"signal coefficient must be finite, got {self.coefficient}")
 
     @property
     def A(self) -> float:

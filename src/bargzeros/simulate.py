@@ -567,6 +567,7 @@ def read_field(path) -> WeightedField:
         values = np.frombuffer(raw, dtype=header["precision"])
         if values.size != n * n:
             raise DataError(f"{path}: payload size {values.size} != {n}*{n}")
+        values = values.reshape(n, n).astype(np.complex128, copy=False)
         source = None
         if header.get("signal") is not None:
             sig = parse_signal(header["signal"], sigma=header.get("sigma") or 1.0)
@@ -580,5 +581,4 @@ def read_field(path) -> WeightedField:
         # whole elements, or values the grid or signal reject
         # (ConfigError is a ValueError)
         raise DataError(f"{path}: corrupt field cache: {e!r}") from e
-    values = values.reshape(n, n).astype(np.complex128, copy=False)
     return WeightedField(grid=grid, values=values, source=source)

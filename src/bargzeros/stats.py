@@ -134,16 +134,16 @@ def summary_rows(
     signal: SignalModel,
     sigma: float,
     boxes: list[float],
-    step: float | None = None,
 ) -> list[StatRow]:
     """Intensity and count-error summaries of one method at one spacing.
 
     Per box, one ``intensity`` row and one ``count_error`` row give the
     mean, sample std and standard error of the estimators over the point
     sets; each set is counted once and the expected count is integrated
-    once per box.  Both divide by ``(2*W)**2``, though the closed box
-    holds ``(2*W/delta + 1)**2`` lattice points, so the intensity reads
-    high by ``(1 + delta/(2*W))**2 - 1``.
+    once per box, at step ``min(delta, 1/64)``.  Both divide by
+    ``(2*W)**2``, though the closed box holds ``(2*W/delta + 1)**2``
+    lattice points, so the intensity reads high by
+    ``(1 + delta/(2*W))**2 - 1``.
     """
     if not point_sets:
         raise ConfigError("need at least one realization")
@@ -156,7 +156,7 @@ def summary_rows(
             raise ConfigError("halfwidth must be positive")
         area = (2.0 * w) ** 2
         counts = [count_in_box(ps, w) for ps in point_sets]
-        expect = expected_count(signal, sigma, w, step=step)
+        expect = expected_count(signal, sigma, w, step=min(delta, _DEFAULT_STEP))
         for name, vals in (("intensity", [c / area for c in counts]),
                            ("count_error", [(c - expect) / area for c in counts])):
             n = len(vals)

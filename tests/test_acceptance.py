@@ -187,7 +187,7 @@ def test_count_error_consistency(capsys):
     beta = {
         (key, name, r.halfwidth): (r.mean, r.se)
         for key, name in pairs
-        for r in summary_rows(sets[(key, name)], models[key], SIGMA, boxes, step=g.delta)
+        for r in summary_rows(sets[(key, name)], models[key], SIGMA, boxes)
         if r.estimator.startswith("count_error")
     }
 

@@ -121,17 +121,12 @@ def pipeline(tmp_path):
     return tmp_path, fields, points
 
 
-def test_simulate_writes_manifest_and_caches(pipeline):
+def test_simulate_writes_caches(pipeline):
     _, fields, _ = pipeline
-    caches = sorted(fields.glob("*.wfield"))
+    caches = sorted(fields.iterdir())  # the caches and nothing else
     assert [p.name for p in caches] == [
         f"field_zero_A0_d2m4_s{s}.wfield" for s in (0, 1, 2)
     ]
-    runs = json.loads((fields / "manifest.json").read_text())["runs"]
-    ((h, run),) = runs.items()
-    assert h == config_hash(run["config"])
-    assert run["seeds"] == [0, 1, 2]
-    assert sorted(run["files"]) == [p.name for p in caches]
     back = read_field(caches[0])
     assert back.grid.L == 2 and back.grid.delta == 2.0 ** -4
     assert back.seed == 0
@@ -168,9 +163,8 @@ def test_detect_keeps_signals_apart(tmp_path, capsys):
     assert written == sorted(
         f"points_{m}_{sig}_d2m4_s0.csv" for m in ("amn", "st") for sig in ("gauss_A1", "zero_A0")
     )
-    # the second simulate run joins the first in the manifest
-    runs = json.loads((fields / "manifest.json").read_text())["runs"]
-    assert sorted(f for run in runs.values() for f in run["files"]) == [
+    # the second simulate run writes next to the first
+    assert sorted(p.name for p in fields.iterdir()) == [
         "field_gauss_A1_d2m4_s0.wfield", "field_zero_A0_d2m4_s0.wfield"
     ]
     meta = {}
@@ -208,33 +202,45 @@ def _snapshot(*dirs):
 
 
 def test_simulate_refuses_another_configs_cache(tmp_path, capsys):
-    # the cache name records signal, spacing and seed, not T: a run with
-    # another T would replace the first run's cache under the same name
+    # the cache name records signal, spacing and seed, not L, T or sigma,
+    # and the amplitude to six digits: a run with other settings would
+    # replace the first run's cache under the same name
     fields = tmp_path / "fields"
-    argv = ["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero", "--seeds", "0",
-            "--out", str(fields)]
-    assert main([*argv, "--T", "2"]) == 0
+    cache = fields / "field_gauss_A1_d2m4_s0.wfield"
+    first = {"L": "2", "T": "2", "sigma": "1", "signal": "gauss:A=1", "seeds": "0"}
+
+    def simulate(**changes):
+        flags = [tok for k, v in {**first, **changes}.items() for tok in (f"--{k}", v)]
+        return main(["simulate", "--delta", "2^-4", "--out", str(fields), *flags])
+
+    assert simulate() == 0
     before = _snapshot(fields)
-    assert main([*argv, "--T", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "field_zero_A0_d2m4_s0.wfield" in err
-    assert "Traceback" not in err
-    assert _snapshot(fields) == before  # cache and manifest untouched
-    # a seed list that only partly clashes writes nothing either
-    assert main([*argv[:-3], "1,0", "--out", str(fields), "--T", "1"]) == 2
-    assert _snapshot(fields) == before
+    assert list(before) == [cache]  # no other record is written
+    # other settings, or a seed list that only partly clashes, write nothing
+    for change in ({"L": "3"}, {"T": "1"}, {"sigma": "2"}, {"signal": "gauss:A=1.0000001"},
+                   {"T": "1", "seeds": "1,0"}):
+        assert simulate(**change) == 2, change
+        err = capsys.readouterr().err
+        assert "config error" in err and cache.name in err
+        assert "Traceback" not in err
+        assert _snapshot(fields) == before
     # the same config again rewrites byte-identically
-    assert main([*argv, "--T", "2"]) == 0
+    assert simulate() == 0
     assert _snapshot(fields) == before
+    # the cache header is the only record: once the cache is deleted,
+    # another config writes its own under that name
+    cache.unlink()
+    assert simulate(T="1") == 0
+    assert read_field(cache).grid.T == 1.0
+    assert list(_snapshot(fields)) == [cache]
 
 
-def test_simulate_refuses_a_cache_no_manifest_lists(tmp_path, capsys):
-    # without the manifest only the cache header tells which settings wrote it
+def test_simulate_refuses_by_the_cache_header(tmp_path, capsys):
+    # only the cache header tells which settings wrote a cache
     fields = tmp_path / "fields"
     argv = ["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero", "--seeds", "0",
             "--out", str(fields)]
     assert main([*argv, "--T", "2"]) == 0
-    (fields / "manifest.json").unlink()
     before = _snapshot(fields)
     assert main([*argv, "--T", "1"]) == 2
     err = capsys.readouterr().err
@@ -245,7 +251,6 @@ def test_simulate_refuses_a_cache_no_manifest_lists(tmp_path, capsys):
     assert main([*argv, "--T", "2"]) == 0
     assert (fields / "field_zero_A0_d2m4_s0.wfield").read_bytes() == next(iter(before.values()))
     # a cache whose header does not read is a data error, and stays as it is
-    (fields / "manifest.json").unlink()
     cache = fields / "field_zero_A0_d2m4_s0.wfield"
     cache.write_bytes(b"\xff" + cache.read_bytes())
     before = _snapshot(fields)
@@ -262,7 +267,6 @@ def test_caches_of_earlier_versions(tmp_path, capsys):
     argv = ["simulate", "--delta", "2^-4", "--T", "2", "--signal", "zero", "--seeds", "0",
             "--out", str(fields)]
     assert main([*argv, "--L", "2"]) == 0
-    (fields / "manifest.json").unlink()
     cache = fields / "field_zero_A0_d2m4_s0.wfield"
     line, _, payload = cache.read_bytes().partition(b"\n")
     new = read_field(cache)
@@ -620,9 +624,9 @@ def test_config_file_runs_match_flag_runs(tmp_path, monkeypatch, capsys):
         written = {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*"))
                    if p.is_file() and p.suffix != ".cfg"}
         runs[how] = printed, written
-    # caches and manifest, 3 methods x 2 levels x 3 seeds point sets, the
-    # stats report, the consistency report and its aggregate
-    assert len(runs["flags"][1]) == 3 + 1 + 3 * 2 * 3 + 1 + 2
+    # caches, 3 methods x 2 levels x 3 seeds point sets, the stats report,
+    # the consistency report and its aggregate
+    assert len(runs["flags"][1]) == 3 + 3 * 2 * 3 + 1 + 2
     assert runs["config"] == runs["flags"]
 
 
@@ -658,14 +662,14 @@ def test_exit_code_config_errors(tmp_path, capsys):
         "--seeds", "0", "--out", str(tmp_path / "x"),
     ]) == 2
     # an empty seed list, from a flag or a config file, writes no cache
-    # and records no run
+    # and creates no directory
     assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero",
                  "--seeds", ",", "--out", str(tmp_path / "x")]) == 2
     cfg = tmp_path / "seeds.cfg"
     cfg.write_text("seeds = , \n")
     assert main(["simulate", "--config", str(cfg), "--L", "2", "--delta", "2^-4",
                  "--signal", "zero", "--out", str(tmp_path / "x")]) == 2
-    assert not (tmp_path / "x" / "manifest.json").exists()
+    assert not (tmp_path / "x").exists()
     # flag text and config-file text go through the same parsers: a number
     # or spacing that does not parse, or a non-finite one, is a config error
     # so is a key the subcommand has no flag for, misspelled or removed
@@ -678,7 +682,13 @@ def test_exit_code_config_errors(tmp_path, capsys):
                   ["--L", "2", "--delta", "2^-4", "--sigma", "nan"]):
         assert main(["simulate", *flags, "--signal", "zero", "--seeds", "0",
                      "--out", str(tmp_path / "x")]) == 2
-    assert not list((tmp_path / "x").glob("*"))
+    assert not (tmp_path / "x").exists()
+    # a signal amplitude that is not finite, or whose coefficient overflows
+    # (A * e^1/2 for hermite1), is refused before the directory is created
+    for signal in ("gauss:A=nan", "gauss:A=inf", "hermite1:A=1.1e308"):
+        assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", signal,
+                     "--seeds", "0", "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
     # unknown detector, or a simulate key in a detect config
     (tmp_path / "f").mkdir()
     cfg.write_text(f"fields = {tmp_path / 'f'}\nL = 2\n")
@@ -751,6 +761,7 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert "unknown key(s) for detect: L" in err
     assert "proxy must be amn or mgn, got 'st'" in err
     assert "key 'L' is already set on line 1" in err
+    assert "signal coefficient must be finite, got (inf+0j)" in err
     assert "Traceback" not in err
 
 
@@ -775,14 +786,6 @@ def test_exit_code_data_errors(tmp_path, capsys):
     fields = tmp_path / "fields"
     assert main(["simulate", "--L", "1", "--delta", "2^-3", "--T", "1", "--signal", "zero",
                  "--seeds", "0", "--out", str(fields)]) == 0
-    # a manifest that is not one refuses a further simulate run
-    manifest = fields / "manifest.json"
-    good = manifest.read_text()
-    for bad in ("[1, 2]", json.dumps({"hash": "abc", "seeds": [0], "files": ["x.wfield"]})):
-        manifest.write_text(bad + "\n")
-        assert main(["simulate", "--L", "1", "--delta", "2^-3", "--T", "1", "--signal", "zero",
-                     "--seeds", "1", "--out", str(fields)]) == 3
-    manifest.write_text(good)
     cache = next(fields.glob("*.wfield"))
     header, _, payload = cache.read_bytes().partition(b"\n")
     meta = json.loads(header)
@@ -925,6 +928,10 @@ def test_corrupt_headers_found_by_fuzzing_are_refused(tmp_path, clean_inputs):
         edited = cache.replace(old, old.split(b":")[0] + b": Infinity", 1)
         assert edited != cache
         assert _run_on(tmp_path / f"inf{i}", "field.wfield", edited, ["detect", "--fields"]) == 3
+    # an axis count that is a float of the right value
+    edited = cache.replace(b'"n_axis": 33', b'"n_axis": 33.0', 1)
+    assert edited != cache
+    assert _run_on(tmp_path / "c", "field.wfield", edited, ["detect", "--fields"]) == 3
     # a spacing that reads as zero
     bad_points = points.replace(b"delta=0.125", b"delta=0.e125", 1)
     assert bad_points != points

@@ -107,3 +107,17 @@ def test_parse_signal_rejects_garbage():
 def test_sigma_validation():
     with pytest.raises(ConfigError):
         SignalModel(SignalKind.GAUSS, 1.0, sigma=0.0)
+
+
+def test_non_finite_coefficient_is_refused():
+    # by the parser, by amplitude scaling (A * e^1/2 overflows for hermite1)
+    # and by direct construction alike
+    for bad in ["gauss:A=nan", "gauss:A=inf", "hermite1:A=1.1e308"]:
+        with pytest.raises(ConfigError, match="signal coefficient must be finite"):
+            parse_signal(bad)
+    with pytest.raises(ConfigError, match="finite"):
+        model_for(SignalKind.HERMITE1, 1.1e308)
+    for c in (complex(math.inf, 0), complex(1, math.nan)):
+        with pytest.raises(ConfigError, match="finite"):
+            SignalModel(SignalKind.GAUSS, c)
+    assert parse_signal("hermite1:A=1e308").coefficient == 1e308 * math.exp(0.5)
