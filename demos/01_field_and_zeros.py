@@ -24,7 +24,7 @@ DELTA = 2.0**-6
 L = 3.0
 TARGET = 2.0  # count zeros in the box of half-width 2
 
-grid = make_grid(L=L, delta=DELTA, T=6)
+grid = make_grid(L=L, delta=DELTA)
 noise = draw_noise(grid, sigma=1.0, seed=SEED)
 field = synthesize_field(noise, SignalModel(SignalKind.ZERO), grid)
 print(f"synthesized {grid.n_axis}x{grid.n_axis} samples at spacing {DELTA}")

@@ -28,7 +28,7 @@ DELTA = 2.0**-6
 L = 5.0
 TARGET = 4.0
 
-grid = make_grid(L=L, delta=DELTA, T=6)
+grid = make_grid(L=L, delta=DELTA)
 signal = SignalModel(SignalKind.ZERO)
 
 detections = {name: [] for name in METHODS}

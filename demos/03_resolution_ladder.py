@@ -28,7 +28,7 @@ L = 3.0
 TARGET = 2.0
 LEVELS = 3
 
-grid = make_grid(L=L, delta=DELTA_HI, T=6)
+grid = make_grid(L=L, delta=DELTA_HI)
 signal = SignalModel(SignalKind.ZERO)
 
 rows = []

@@ -2,12 +2,12 @@
 
 Four subcommands mirror the experiment pipeline:
 
-* ``simulate``   — draw seeded realizations and cache the weighted fields;
+* ``simulate``   — draw seeded realizations and cache the weighted fields,
+  whose window half-length T is fixed at 6 (``--T`` accepts only 6);
 * ``detect``     — run AMN/MGN/ST over a dyadic resolution ladder built by
   subsampling the cached fields (never by re-simulation);
 * ``stats``      — aggregate intensity and count-error estimators over the
-  detection CSVs, refusing any that record a different signal or sigma,
-  and a directory whose point sets record more than one T;
+  detection CSVs, refusing any that record a different signal, sigma or T;
 * ``consistency``— match coarse detections against the high-resolution
   proxy and tabulate failure probabilities, refusing a directory whose
   caches record more than one signal, grid or sigma.
@@ -37,7 +37,7 @@ from . import detect as det
 from . import stats as st_mod
 from ._table import write_table
 from .errors import ConfigError, DataError
-from .grid import make_grid
+from .grid import WINDOW_T, make_grid
 from .signal import parse_signal
 from .simulate import _DTYPE, _read_header, draw_noise, read_field, synthesize_field, write_field
 
@@ -130,16 +130,15 @@ def _refuse_replacing(path: Path, h: str) -> None:
                           "write this config to another path")
 
 
-def _refuse_pooling(where, records, keys, what: str, report: str) -> None:
-    """Refuse the ``what`` in directory ``where`` if their ``records``
-    (cache headers or point-set metadata) hold more than one value of a
-    key in ``keys``, which one ``report`` would pool; a record without the
-    key is not counted."""
+def _refuse_pooling(where, headers, keys) -> None:
+    """Refuse the caches in directory ``where`` if their ``headers`` hold
+    more than one value of a key in ``keys``, which one failure table would
+    pool; a header without the key is not counted."""
     for key in keys:
-        values = sorted({str(r[key]) for r in records if key in r})
+        values = sorted({str(h[key]) for h in headers if key in h})
         if len(values) > 1:
-            raise ConfigError(f"{where} holds {what} of {len(values)} {key}s "
-                              f"({', '.join(values)}), which one {report} would pool; "
+            raise ConfigError(f"{where} holds caches of {len(values)} {key}s "
+                              f"({', '.join(values)}), which one failure table would pool; "
                               f"give each {key} its own directory")
 
 
@@ -218,7 +217,7 @@ def cmd_detect(args) -> int:
                "header": json.dumps(_cache_header(path), sort_keys=True), "target": W,
                "methods": ",".join(methods), "levels": ",".join(map(str, levels))}
         h = config_hash(cfg)
-        meta = {"config": h, "source": path.name, "T": float(field.grid.T)}
+        meta = {"config": h, "source": path.name, "T": WINDOW_T}
         sig = "x"
         if field.source is not None:
             sig = _signal_token(field.source.signal)
@@ -248,18 +247,16 @@ def cmd_stats(args) -> int:
         raise DataError(f"no point-set CSVs in {points_dir}")
     groups: dict[tuple[str, float], list] = {}
     inputs = {}  # each point set's name -> the config that wrote it
-    metas = []
     for p in paths:
         meta: dict[str, str] = {}
         ps = det.read_pointset_csv(p, meta=meta)
         # a point set of an earlier version records no sigma (nor T)
-        for key, want in (("signal", model.descriptor()), ("sigma", repr(sigma))):
+        for key, want in (("signal", model.descriptor()), ("sigma", repr(sigma)),
+                          ("T", repr(WINDOW_T))):
             if meta.get(key, want) != want:
                 raise ConfigError(f"{p} holds detections of {key} {meta[key]!r}, not {want!r}")
         inputs[p.name] = meta.get("config")
-        metas.append(meta)
         groups.setdefault((ps.method.value, ps.delta), []).append(ps)
-    _refuse_pooling(points_dir, metas, ("T",), "point sets", "stats report")
     cfg = {"cmd": "stats", "signal": model.descriptor(), "sigma": sigma,
            "boxes": ",".join(map(str, boxes)), "inputs": json.dumps(inputs, sort_keys=True)}
     h = config_hash(cfg)
@@ -286,8 +283,7 @@ def cmd_consistency(args) -> int:
         raise ConfigError("consistency levels start at 1 (level 0 is the proxy itself)")
     paths = _iter_fields(fields_dir)
     headers = {p.name: _cache_header(p) for p in paths}
-    _refuse_pooling(fields_dir, headers.values(), ("signal", "L", "delta", "T", "sigma"),
-                    "caches", "failure table")
+    _refuse_pooling(fields_dir, headers.values(), ("signal", "L", "delta", "sigma"))
     cfg = {"cmd": "consistency", "proxy": proxy_name, "methods": ",".join(methods),
            "levels": ",".join(map(str, levels)), "inputs": json.dumps(headers, sort_keys=True)}
     h = config_hash(cfg)
@@ -327,7 +323,7 @@ _COMMANDS = {
     "simulate": (cmd_simulate, "draw seeded field realizations into a cache dir", {
         "L": (float, _REQUIRED, "grid half-width"),
         "delta": (parse_spacing, _REQUIRED, "grid spacing, e.g. 2^-6"),
-        "T": (float, "6", "window half-length"),
+        "T": (float, "6", "window half-length; fixed, only 6 is accepted"),
         "sigma": (float, "1", "noise level"),
         "signal": (str, _REQUIRED, "zero | gauss:A=<a> | hermite1:A=<a>"),
         "seeds": (parse_seeds, _REQUIRED, "e.g. 0..99 or 3,5,8"),

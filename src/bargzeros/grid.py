@@ -37,18 +37,20 @@ def _int_ratio(num: float, den: float, what: str) -> int:
     return int(n)
 
 
+#: half-length of the window's support ``|t| <= T``: ``exp(-T**2)`` is about
+#: 2.3e-16, so a longer window adds nothing in float64, and a shorter one
+#: biases the field's covariance and widens its spectrum
+WINDOW_T = 6.0
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Geometry of a square grid: half-width ``L``, spacing ``delta`` and
-    window truncation half-length ``T``.  Detectors that compare against
-    samples beyond their box need ``L`` wider than the box.  ``T`` is at
-    most the largest value at which ``exp(-T**2)`` is still nonzero in
-    float64 (about 27.3).
-    """
+    """Geometry of a square grid: half-width ``L`` and spacing ``delta``.
+    Detectors that compare against samples beyond their box need ``L``
+    wider than the box."""
 
     L: float
     delta: float
-    T: float
 
     def __post_init__(self) -> None:
         if self.delta <= 0:
@@ -57,22 +59,14 @@ class GridSpec:
             raise ConfigError(f"delta must be <= 1/2, got {self.delta}")
         if self.L < 1:
             raise ConfigError(f"L must be >= 1, got {self.L}")
-        if self.T <= 0:
-            raise ConfigError(f"T must be positive, got {self.T}")
-        if not math.exp(-self.T * self.T) > 0.0:
-            # past this T the window's far ends are exactly 0.0 in float64,
-            # so a larger T only lengthens the noise vector (2*T/delta
-            # samples); the bound also caps what a cache header can make
-            # read_field allocate
-            raise ConfigError(f"T = {self.T} is so large that the window exp(-T^2) underflows")
         _int_ratio(self.L, self.delta, "L/delta")
-        _int_ratio(self.T, self.delta, "T/delta")
+        _int_ratio(WINDOW_T, self.delta, "T/delta")
 
     # -- integer geometry ---------------------------------------------------
 
     @property
     def t_over_delta(self) -> int:
-        return _int_ratio(self.T, self.delta, "T/delta")
+        return _int_ratio(WINDOW_T, self.delta, "T/delta")
 
     @property
     def half_n(self) -> int:
@@ -120,9 +114,11 @@ class GridSpec:
         return k, l
 
 
-def make_grid(L: float, delta: float, T: float) -> GridSpec:
-    """Validated constructor for :class:`GridSpec`."""
-    return GridSpec(L=L, delta=delta, T=T)
+def make_grid(L: float, delta: float, T: float = WINDOW_T) -> GridSpec:
+    """Validated constructor for :class:`GridSpec`; ``T`` may only be 6."""
+    if T != WINDOW_T:
+        raise ConfigError(f"T = {T!r}: the window half-length is fixed at {WINDOW_T!r}")
+    return GridSpec(L=L, delta=delta)
 
 
 class Method(enum.Enum):
@@ -200,14 +196,14 @@ def subsample(field: "WeightedField") -> "WeightedField":
     """Keep every second sample along each axis (spacing doubles).
 
     The lower-left corner sample is preserved, and kept values are carried
-    over bit-exactly; nothing is recomputed.  ``L`` and ``T`` stay, so the
-    grid must still validate at twice the spacing (``L/delta`` even).
+    over bit-exactly; nothing is recomputed.  ``L`` stays, so the grid must
+    still validate at twice the spacing (``L/delta`` even).
     """
     from .simulate import WeightedField
 
     g = field.grid
     try:
-        sub = GridSpec(L=g.L, delta=2 * g.delta, T=g.T)
+        sub = GridSpec(L=g.L, delta=2 * g.delta)
     except ConfigError as e:
         raise ConfigError(f"grid not subsamplable: {e}") from e
     values = np.ascontiguousarray(field.values[::2, ::2])

@@ -4,7 +4,8 @@ The model is sampled on a time grid of spacing ``delta`` covering
 ``[-T-L, T+L]``: i.i.d. circular complex Gaussians ``w_s`` with
 ``E|w_s|^2 = sigma^2 * delta * sqrt(pi/2)`` plus the deterministic samples
 ``delta * f1(delta*s)``.  A truncated Gaussian window
-``phi = sqrt(2/pi) * exp(-t^2)`` on ``[-T, T]`` turns these into a
+``phi = sqrt(2/pi) * exp(-t^2)`` on ``[-T, T]``, ``T = 6``
+(:data:`~bargzeros.grid.WINDOW_T`), turns these into a
 discrete short-time Fourier transform, whose value at index ``(k, -j)``
 times the phase ``exp(-1j*x*y)`` approximates the weighted transform
 ``exp(-|z|^2/2) * F(z)`` at ``z = delta*k + 1j*delta*j``.
@@ -20,13 +21,13 @@ of the inner sum correlates the samples with the modulated window
 ``phi(delta*m) * exp(2j*m*ll*delta^2)``, so it is the inverse FFT of the
 samples' spectrum times the window's.  The window's spectrum is a Gaussian
 bump (its time-frequency area is small), so only a band of bins enters the
-product: 69 of 4620 at n=1537, T=6; below T=6 the cut window's sidelobes
-make it every bin; the bump moves with ``ll``, so a block of columns
-shares one band a few bins wider (70 at n=1537, T=6).  Of that inverse
-FFT's outputs only the column's ``n`` are kept, so
+product: 69 of 4620 at n=1537, every bin at delta >= 1/3; the bump moves
+with ``ll``, so a block of columns shares one band a few bins wider (70 at
+n=1537, every bin at delta >= 1/4).  Of that inverse FFT's outputs only
+the column's ``n`` are kept, so
 :func:`synthesize_field` evaluates each column as a chirp z-transform
 (Bluestein) of its block's band, whose length is about ``n + B`` for ``B``
-bins (1620 at n=1537, T=6) where the inverse FFT's is about ``n + 2*M``
+bins (1620 at n=1537) where the inverse FFT's is about ``n + 2*M``
 (4620).  Its reference is the direct sum at the grid's points,
 ``_evaluate_lattice(source, axis, axis).T``, the sum that
 :func:`evaluate_continuous` evaluates anywhere.  That sum takes its
@@ -40,11 +41,9 @@ use; its output bits do not depend on the CPU count.
 Everything synthesis needs that depends on the grid alone is built once
 per grid and kept for the last two grids used (the synthesis plan): each
 column's window spectrum on its block's band, ``n * B * 16`` bytes (``B``
-is ``nfft``, about ``n + 2*M``, below T=6), the in-block phase ramp, ``n *
-_BLOCK_COLS * 16`` bytes, and the chirp z-transform's kernel: about ``n *
-(B + _BLOCK_COLS) * 16`` bytes in all, 2.5 MB at n=1537, T=6.  Below T=6
-the chirp z-transform's length is at least ``n + nfft - 1``, so there it is
-slower than one inverse FFT of length ``nfft`` per column would be.
+is ``nfft``, about ``n + 2*M``, at delta >= 1/4), the in-block phase ramp,
+``n * _BLOCK_COLS * 16`` bytes, and the chirp z-transform's kernel: about
+``n * (B + _BLOCK_COLS) * 16`` bytes in all, 2.5 MB at n=1537.
 
 A field cache (:func:`write_field`) is one JSON header line, from which
 :func:`read_field` regenerates the realization, then the complex128
@@ -64,7 +63,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import GridSpec
+from .grid import WINDOW_T, GridSpec, make_grid
 from .signal import SignalModel, parse_signal, sample_signal
 
 _WINDOW_NORM = math.sqrt(2.0 / math.pi)
@@ -72,7 +71,7 @@ _WINDOW_NORM = math.sqrt(2.0 / math.pi)
 
 def window(t):
     """The truncated analysis window ``sqrt(2/pi)*exp(-t^2)`` (caller
-    guarantees ``|t| <= T``)."""
+    guarantees ``|t| <= WINDOW_T``)."""
     t = np.asarray(t, dtype=np.float64)
     return _WINDOW_NORM * np.exp(-t * t)
 
@@ -147,7 +146,8 @@ class FieldSource:
     def samples(self) -> np.ndarray:
         """``a_s = w_s + delta * f1(delta*s)`` for all stored ``s``."""
         s = np.arange(-self.noise.s_half, self.noise.s_half + 1)
-        a = self.noise.w + self.noise.delta * sample_signal(self.signal, self.noise.delta * s)
+        with np.errstate(over="ignore", invalid="ignore"):  # synthesize_field refuses inf and nan
+            a = self.noise.w + self.noise.delta * sample_signal(self.signal, self.noise.delta * s)
         a.setflags(write=False)
         return a
 
@@ -196,9 +196,7 @@ def synthesize_field(noise: NoiseDraw, signal: SignalModel, grid: GridSpec) -> W
     reference.
     """
     if noise.delta != grid.delta:
-        raise ConfigError(
-            f"noise spacing {noise.delta} does not match grid spacing {grid.delta}"
-        )
+        raise ConfigError(f"noise spacing {noise.delta} does not match grid spacing {grid.delta}")
     if noise.s_half < grid.t_over_delta + grid.half_n:
         raise ConfigError("noise vector too short for this grid")
 
@@ -208,6 +206,15 @@ def synthesize_field(noise: NoiseDraw, signal: SignalModel, grid: GridSpec) -> W
     # row kk of the field reads a[s_half+kk-M : s_half+kk+M+1]
     lead = noise.s_half - m_half - grid.half_n
     alpha = source.samples[lead : lead + n + 2 * m_half]
+    # an FFT's every intermediate is at most its input's L1 norm, so each one of
+    # _spectral_columns is at most |alpha|_1 * |G_ll|_2 * sqrt(K) * max(1, K/nfft), where
+    # |G_ll|_2**2 = nfft * sum(phi**2) (Parseval): refuse samples that could overflow it
+    nfft, _, _, kernel, _ = _plan(n, m_half, grid.delta)
+    phi = window(grid.delta * np.arange(-m_half, m_half + 1))
+    gain = math.sqrt(nfft * kernel.size * np.dot(phi, phi)) * max(1, kernel.size / nfft)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.abs(alpha).sum() * gain <= np.finfo(np.float64).max / 2:
+            raise ConfigError("signal amplitude or sigma so large that synthesis could overflow")
     return WeightedField(grid=grid, values=_spectral_columns(alpha, m_half, grid.delta, n),
                          source=source)
 
@@ -244,8 +251,8 @@ def _band_width(phi: np.ndarray, delta: float, nfft: int) -> int:
     ``|W|`` is at most the untruncated window's DTFT, a periodised Gaussian,
     plus ``2*phi(T + delta) / sin(omega/2)`` for the samples cut at ``|t| =
     T`` (Abel summation); both fall with the distance.  A column's energy is
-    ``nfft * sum(phi**2)`` (Parseval).  Below T=6 the cut dominates and the
-    band is every bin.  The bound is analytic because a computed spectrum's
+    ``nfft * sum(phi**2)`` (Parseval).  At delta >= 1/3 the band is every
+    bin.  The bound is analytic because a computed spectrum's
     rounding floor, about 1e-16 of its peak, lies above the tail it would
     measure.
     """
@@ -315,7 +322,7 @@ def _plan(n: int, m_half: int, delta: float):
     first = (np.rint(ll * (-d2 * nfft / math.pi)).astype(np.int64) - width // 2) % nfft
     starts = np.arange(0, n, _BLOCK_COLS)
     base = first[np.minimum(starts + _BLOCK_COLS, n) - 1]
-    # below T=6 the band is every bin, and a wider one would read bins twice
+    # at delta >= 1/4 the band is every bin, and a wider one would read bins twice
     span = min(width + int(((first[starts] - base) % nfft).max()), nfft)
     chirp = _chirp(np.arange(span) ** 2, nfft)
     k = np.arange(1 - span, n)
@@ -443,8 +450,8 @@ def _evaluate_lattice(source: FieldSource, xs, ys) -> np.ndarray:
             )
     d = source.noise.delta
     # per-x window index ranges, as |t_s - x| <= T with a rounding guard
-    lo = np.ceil((xs - g.T) / d - 1e-12).astype(np.int64)
-    hi = np.floor((xs + g.T) / d + 1e-12).astype(np.int64)
+    lo = np.ceil((xs - WINDOW_T) / d - 1e-12).astype(np.int64)
+    hi = np.floor((xs + WINDOW_T) / d + 1e-12).astype(np.int64)
     s0, s1 = lo.min(), hi.max()
     size = s1 - s0 + 1
     t = d * np.arange(s0, s1 + 1)
@@ -524,7 +531,7 @@ def write_field(field: WeightedField, path) -> None:
         "format": _MAGIC,
         "L": g.L,
         "delta": g.delta,
-        "T": g.T,
+        "T": WINDOW_T,
         "sigma": src.noise.sigma if src is not None else None,
         "seed": field.seed,
         "signal": src.signal.descriptor() if src is not None else None,
@@ -558,7 +565,7 @@ def read_field(path) -> WeightedField:
         header = _read_header(fh, path)
         raw = fh.read()
     try:
-        grid = GridSpec(L=header["L"], delta=header["delta"], T=header["T"])
+        grid = make_grid(L=header["L"], delta=header["delta"], T=header["T"])
         n = header["n_axis"]
         if n != grid.n_axis:
             raise DataError(f"{path}: header axis count {n} inconsistent with grid")

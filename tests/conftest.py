@@ -20,4 +20,4 @@ def synthetic_field(grid: GridSpec, F) -> WeightedField:
 @pytest.fixture
 def grid16() -> GridSpec:
     """Small grid with spacing 1/16, handy for hand-checked geometry."""
-    return make_grid(L=3, delta=2.0 ** -4, T=1)
+    return make_grid(L=3, delta=2.0 ** -4)

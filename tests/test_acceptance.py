@@ -84,7 +84,7 @@ def _sup(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def test_weighted_field_covariance(capsys):
-    g = make_grid(L=2, delta=2.0**-5, T=6)
+    g = make_grid(L=2, delta=2.0**-5)
     fields = [synthesize_field(draw_noise(g, SIGMA, seed), ZERO, g) for seed in range(2000)]
 
     probes = [0j, 0.5 + 0j, -0.5 + 0j, 0.5j, -0.5j,
@@ -114,7 +114,7 @@ def intensity_runs():
     validate the area-scaled std benchmark before it is used as a
     tolerance.  Shared with the failure-table check below.
     """
-    g = make_grid(L=5, delta=2.0**-6, T=6)
+    g = make_grid(L=5, delta=2.0**-6)
     sets = {name: [] for name in METHODS}
     for seed in range(1000):
         f = synthesize_field(draw_noise(g, SIGMA, seed), ZERO, g)
@@ -161,7 +161,7 @@ def test_pointwise_intensity(intensity_runs, capsys):
 
 
 def test_count_error_consistency(capsys):
-    g = make_grid(L=4, delta=2.0**-7, T=6)
+    g = make_grid(L=4, delta=2.0**-7)
     boxes = (1.0, 2.0, 3.0)
     models = {
         (kind, A): model_for(kind, A)
@@ -219,7 +219,7 @@ def ladder_runs():
     down the ladder; the fine-grid neighbourhood detections serve as the
     proxy truth for every coarser run of the same realization.
     """
-    g = make_grid(L=3, delta=2.0**-8, T=6)
+    g = make_grid(L=3, delta=2.0**-8)
     gauss1 = model_for(SignalKind.GAUSS, 1.0)
     mean_gauss = synthesize_field(zero_noise(g), gauss1, g).values
 
@@ -267,7 +267,7 @@ def test_failure_probability_table(ladder_runs, intensity_runs, capsys):
 
 
 def test_refinement_certifies_detections(capsys):
-    g = make_grid(L=3, delta=2.0**-7, T=6)
+    g = make_grid(L=3, delta=2.0**-7)
     radius = 2.0 * g.delta
     good = total = 0
     for seed in range(50):
@@ -287,7 +287,7 @@ def test_refinement_certifies_detections(capsys):
 
 
 def test_algorithmic_invariants(capsys, tmp_path):
-    g = make_grid(L=2, delta=2.0**-5, T=6)
+    g = make_grid(L=2, delta=2.0**-5)
     criteria = []
 
     # separation and scale invariance on a couple of realizations

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -109,7 +110,7 @@ def pipeline(tmp_path):
     fields = tmp_path / "fields"
     points = tmp_path / "points"
     rc = main([
-        "simulate", "--L", "2", "--delta", "2^-4", "--T", "2",
+        "simulate", "--L", "2", "--delta", "2^-4",
         "--signal", "zero", "--seeds", "0..2", "--out", str(fields),
     ])
     assert rc == 0
@@ -150,7 +151,7 @@ def test_detect_keeps_signals_apart(tmp_path, capsys):
     fields, points = tmp_path / "fields", tmp_path / "points"
     for signal in ("zero", "gauss:A=1"):
         assert main([
-            "simulate", "--L", "2", "--delta", "2^-4", "--T", "2",
+            "simulate", "--L", "2", "--delta", "2^-4",
             "--signal", signal, "--seeds", "0", "--out", str(fields),
         ]) == 0
     assert main([
@@ -183,7 +184,7 @@ def test_pipeline_rerun_is_byte_identical(pipeline, tmp_path):
     before = {p.name: p.read_bytes() for p in fields.iterdir()}
     before.update({p.name: p.read_bytes() for p in points.iterdir()})
     rc = main([
-        "simulate", "--L", "2", "--delta", "2^-4", "--T", "2",
+        "simulate", "--L", "2", "--delta", "2^-4",
         "--signal", "zero", "--seeds", "0..2", "--out", str(fields),
     ])
     assert rc == 0
@@ -202,12 +203,12 @@ def _snapshot(*dirs):
 
 
 def test_simulate_refuses_another_configs_cache(tmp_path, capsys):
-    # the cache name records signal, spacing and seed, not L, T or sigma,
-    # and the amplitude to six digits: a run with other settings would
-    # replace the first run's cache under the same name
+    # the cache name records signal, spacing and seed, not L or sigma, and
+    # the amplitude to six digits: a run with other settings would replace
+    # the first run's cache under the same name; only its header tells
     fields = tmp_path / "fields"
     cache = fields / "field_gauss_A1_d2m4_s0.wfield"
-    first = {"L": "2", "T": "2", "sigma": "1", "signal": "gauss:A=1", "seeds": "0"}
+    first = {"L": "2", "sigma": "1", "signal": "gauss:A=1", "seeds": "0"}
 
     def simulate(**changes):
         flags = [tok for k, v in {**first, **changes}.items() for tok in (f"--{k}", v)]
@@ -217,8 +218,8 @@ def test_simulate_refuses_another_configs_cache(tmp_path, capsys):
     before = _snapshot(fields)
     assert list(before) == [cache]  # no other record is written
     # other settings, or a seed list that only partly clashes, write nothing
-    for change in ({"L": "3"}, {"T": "1"}, {"sigma": "2"}, {"signal": "gauss:A=1.0000001"},
-                   {"T": "1", "seeds": "1,0"}):
+    for change in ({"L": "3"}, {"sigma": "2"}, {"signal": "gauss:A=1.0000001"},
+                   {"sigma": "2", "seeds": "1,0"}):
         assert simulate(**change) == 2, change
         err = capsys.readouterr().err
         assert "config error" in err and cache.name in err
@@ -227,36 +228,24 @@ def test_simulate_refuses_another_configs_cache(tmp_path, capsys):
     # the same config again rewrites byte-identically
     assert simulate() == 0
     assert _snapshot(fields) == before
+    # a cache of another window half-length (an earlier version's T=2) is
+    # another config's, and a header that does not read is a data error;
+    # both stay as they are
+    blob = cache.read_bytes()
+    for edited, code in ((blob.replace(b'"T": 6.0', b'"T": 2.0', 1), 2), (b"\xff" + blob, 3)):
+        assert edited != blob
+        cache.write_bytes(edited)
+        assert simulate() == code
+        err = capsys.readouterr().err
+        assert ("config error" if code == 2 else "data error") in err
+        assert cache.name in err and "Traceback" not in err
+        assert _snapshot(fields) == {cache: edited}
     # the cache header is the only record: once the cache is deleted,
     # another config writes its own under that name
     cache.unlink()
-    assert simulate(T="1") == 0
-    assert read_field(cache).grid.T == 1.0
+    assert simulate(sigma="2") == 0
+    assert read_field(cache).source.noise.sigma == 2.0
     assert list(_snapshot(fields)) == [cache]
-
-
-def test_simulate_refuses_by_the_cache_header(tmp_path, capsys):
-    # only the cache header tells which settings wrote a cache
-    fields = tmp_path / "fields"
-    argv = ["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero", "--seeds", "0",
-            "--out", str(fields)]
-    assert main([*argv, "--T", "2"]) == 0
-    before = _snapshot(fields)
-    assert main([*argv, "--T", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "field_zero_A0_d2m4_s0.wfield" in err
-    assert "Traceback" not in err
-    assert _snapshot(fields) == before
-    # the same settings again rewrite the cache byte-identically
-    assert main([*argv, "--T", "2"]) == 0
-    assert (fields / "field_zero_A0_d2m4_s0.wfield").read_bytes() == next(iter(before.values()))
-    # a cache whose header does not read is a data error, and stays as it is
-    cache = fields / "field_zero_A0_d2m4_s0.wfield"
-    cache.write_bytes(b"\xff" + cache.read_bytes())
-    before = _snapshot(fields)
-    assert main([*argv, "--T", "2"]) == 3
-    assert "Traceback" not in capsys.readouterr().err
-    assert _snapshot(fields) == before
 
 
 def test_caches_of_earlier_versions(tmp_path, capsys):
@@ -264,7 +253,7 @@ def test_caches_of_earlier_versions(tmp_path, capsys):
     (all the command line wrote) is this version's lattice, and rings
     stored beyond ``L`` are refused."""
     fields = tmp_path / "fields"
-    argv = ["simulate", "--delta", "2^-4", "--T", "2", "--signal", "zero", "--seeds", "0",
+    argv = ["simulate", "--delta", "2^-4", "--signal", "zero", "--seeds", "0",
             "--out", str(fields)]
     assert main([*argv, "--L", "2"]) == 0
     cache = fields / "field_zero_A0_d2m4_s0.wfield"
@@ -314,7 +303,7 @@ def test_detect_refuses_two_sources_for_one_csv(tmp_path, capsys):
     # level 1 of a 2^-4 field and level 0 of a 2^-3 field share the CSV name
     fields, points = tmp_path / "fields", tmp_path / "points"
     for delta in ("2^-4", "2^-3"):
-        assert main(["simulate", "--L", "2", "--delta", delta, "--T", "1", "--signal", "zero",
+        assert main(["simulate", "--L", "2", "--delta", delta, "--signal", "zero",
                      "--seeds", "0", "--out", str(fields)]) == 0
     assert main(["detect", "--fields", str(fields), "--methods", "amn", "--levels", "0,1",
                  "--out", str(points)]) == 2
@@ -383,20 +372,24 @@ def test_stats_report_inside_its_points_directory(pipeline, capsys):
 
 
 def test_stats_refuses_point_sets_of_two_Ts(tmp_path, capsys):
-    # point sets record the T of their cache; one report over two Ts would
-    # pool detections on two different fields in each row
+    # point sets record the window half-length of their cache, which is
+    # fixed at 6; a point set of another T (an edited line here, as no cache
+    # of another T reads) would pool detections on other fields
     fields, points, out = tmp_path / "fields", tmp_path / "points", tmp_path / "s.csv"
-    for T, seeds in (("2", "0..1"), ("1", "2..3")):
-        assert main(["simulate", "--L", "2", "--delta", "2^-4", "--T", T, "--signal", "zero",
-                     "--seeds", seeds, "--out", str(fields)]) == 0
+    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero",
+                 "--seeds", "0..3", "--out", str(fields)]) == 0
     assert main(["detect", "--fields", str(fields), "--methods", "amn", "--out", str(points)]) == 0
+    edited = points / "points_amn_zero_A0_d2m4_s2.csv"
     meta = {}
-    read_pointset_csv(points / "points_amn_zero_A0_d2m4_s2.csv", meta=meta)
-    assert (meta["T"], meta["sigma"]) == ("1.0", "1.0")
+    read_pointset_csv(edited, meta=meta)
+    assert (meta["T"], meta["sigma"]) == ("6.0", "1.0")
+    text = edited.read_text()
+    edited.write_text(text.replace("# T=6.0\n", "# T=2.0\n"))
     argv = ["stats", "--points", str(points), "--signal", "zero", "--boxes", "1", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "holds point sets of 2 Ts (1.0, 2.0)" in err
+    assert "config error" in err and "holds detections of T '2.0', not '6.0'" in err
+    assert edited.name in err and "Traceback" not in err
     assert not out.exists()
     # point sets of an earlier version record no T, and are not checked for it
     for p in points.glob("*_s[23].csv"):
@@ -408,7 +401,7 @@ def test_stats_refuses_point_sets_of_two_Ts(tmp_path, capsys):
 
 def test_stats_refuses_point_sets_of_another_sigma(tmp_path, capsys):
     fields, points, out = tmp_path / "fields", tmp_path / "points", tmp_path / "s.csv"
-    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--T", "2", "--signal", "zero",
+    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero",
                  "--sigma", "2", "--seeds", "0", "--out", str(fields)]) == 0
     assert main(["detect", "--fields", str(fields), "--methods", "amn", "--out", str(points)]) == 0
     argv = ["stats", "--points", str(points), "--signal", "zero", "--boxes", "1", "--out", str(out)]
@@ -444,10 +437,10 @@ def test_consistency_refuses_another_configs_file(pipeline, capsys):
 @pytest.fixture()
 def same_named_caches(tmp_path):
     """Two cache directories holding ``field_zero_A0_d2m4_s0.wfield``, of
-    other grids: the name records signal, spacing and seed, not L or T."""
+    other grids: the name records signal, spacing and seed, not L."""
     dirs = []
-    for name, L, T in (("A", "2", "2"), ("B", "3", "6")):
-        assert main(["simulate", "--L", L, "--delta", "2^-4", "--T", T, "--signal", "zero",
+    for name, L in (("A", "2"), ("B", "3")):
+        assert main(["simulate", "--L", L, "--delta", "2^-4", "--signal", "zero",
                      "--seeds", "0", "--out", str(tmp_path / name)]) == 0
         dirs.append(tmp_path / name)
     assert [sorted(p.name for p in d.glob("*.wfield")) for d in dirs] == [
@@ -508,7 +501,7 @@ def test_consistency_refuses_caches_of_two_signals(tmp_path, capsys):
     # column would tell which signal a row came from
     fields = tmp_path / "fields"
     for signal in ("zero", "hermite1:A=3"):
-        assert main(["simulate", "--L", "2", "--delta", "2^-4", "--T", "2", "--signal", signal,
+        assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", signal,
                      "--seeds", "0..1", "--out", str(fields)]) == 0
     assert main(["consistency", "--fields", str(fields), "--levels", "1",
                  "--out", str(tmp_path / "reports" / "c.csv")]) == 2
@@ -520,13 +513,13 @@ def test_consistency_refuses_caches_of_two_signals(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value, seeds, named", [
     ("--delta", "2^-3", "0..1", "2 deltas (0.0625, 0.125)"),
-    ("--T", "1", "2..3", "2 Ts (1.0, 2.0)"),
-], ids=["delta", "T"])
+    ("--L", "3", "2..3", "2 Ls (2.0, 3.0)"),
+], ids=["delta", "L"])
 def test_consistency_refuses_caches_of_two_grids(tmp_path, capsys, flag, value, seeds, named):
     # a failure table over two grids would pool their rows: at two spacings
     # it counts each seed twice, against two different proxies
     fields = tmp_path / "fields"
-    base = {"--L": "2", "--delta": "2^-4", "--T": "2"}
+    base = {"--L": "2", "--delta": "2^-4"}
     for settings, run_seeds in ((base, "0..1"), ({**base, flag: value}, seeds)):
         argv = [tok for item in settings.items() for tok in item]
         assert main(["simulate", *argv, "--signal", "zero", "--seeds", run_seeds,
@@ -565,7 +558,7 @@ def test_cli_detectors_are_looked_up_in_the_detect_module(tmp_path, monkeypatch)
             return _detect(*args, **kwargs)
         monkeypatch.setattr(detect, name, counted)
     fields, points = tmp_path / "fields", tmp_path / "points"
-    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--T", "1", "--signal", "zero",
+    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero",
                  "--seeds", "0..1", "--out", str(fields)]) == 0
     assert main(["detect", "--fields", str(fields), "--levels", "0,1",
                  "--out", str(points)]) == 0
@@ -582,7 +575,7 @@ def test_config_file_with_flag_override(tmp_path):
     fields = tmp_path / "fields"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "L = 2\ndelta = 2^-4\nT = 2\nsignal = zero\nseeds = 0..1\n"
+        "L = 2\ndelta = 2^-4\nT = 6\nsignal = zero\nseeds = 0..1\n"
         f"out = {fields}\n"
     )
     rc = main(["simulate", "--config", str(cfg), "--seeds", "5"])
@@ -611,7 +604,7 @@ def test_config_file_runs_match_flag_runs(tmp_path, monkeypatch, capsys):
         d = tmp_path / how
         d.mkdir()
         monkeypatch.chdir(d)
-        assert main(["simulate", "--out", "fields", "--L", "3", "--delta", "2^-4", "--T", "2",
+        assert main(["simulate", "--out", "fields", "--L", "3", "--delta", "2^-4",
                      "--signal", "zero", "--sigma", "1", "--seeds", "0..2"]) == 0
         printed = [capsys.readouterr().out]
         for cmd, argv in _README_ARGV.items():
@@ -656,9 +649,9 @@ def test_exit_code_config_errors(tmp_path, capsys):
         "simulate", "--L", "4", "--delta", "0.3", "--signal", "zero",
         "--seeds", "0", "--out", str(tmp_path / "x"),
     ]) == 2
-    # a window half-length at which exp(-T^2) underflows
+    # a window half-length other than 6
     assert main([
-        "simulate", "--L", "2", "--delta", "2^-4", "--T", "30", "--signal", "zero",
+        "simulate", "--L", "2", "--delta", "2^-4", "--T", "2", "--signal", "zero",
         "--seeds", "0", "--out", str(tmp_path / "x"),
     ]) == 2
     # an empty seed list, from a flag or a config file, writes no cache
@@ -683,11 +676,16 @@ def test_exit_code_config_errors(tmp_path, capsys):
         assert main(["simulate", *flags, "--signal", "zero", "--seeds", "0",
                      "--out", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x").exists()
-    # a signal amplitude that is not finite, or whose coefficient overflows
-    # (A * e^1/2 for hermite1), is refused before the directory is created
-    for signal in ("gauss:A=nan", "gauss:A=inf", "hermite1:A=1.1e308"):
-        assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", signal,
-                     "--seeds", "0", "--out", str(tmp_path / "x")]) == 2
+    # a signal amplitude that is not finite, whose coefficient overflows
+    # (A * e^1/2 for hermite1), or whose field could overflow inside
+    # synthesis is refused before the directory is created, with no
+    # RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for signal in ("gauss:A=nan", "gauss:A=inf", "hermite1:A=1.1e308",
+                       "gauss:A=1e308", "hermite1:A=1e308"):
+            assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", signal,
+                         "--seeds", "0", "--out", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x").exists()
     # unknown detector, or a simulate key in a detect config
     (tmp_path / "f").mkdir()
@@ -705,7 +703,7 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert not list(tmp_path.glob("new*"))
     # a key set twice in a config file writes nothing either
     cfg.write_text("L = 2\nL = 3\n")
-    assert main(["simulate", "--config", str(cfg), "--delta", "2^-4", "--T", "1",
+    assert main(["simulate", "--config", str(cfg), "--delta", "2^-4",
                  "--signal", "zero", "--seeds", "0", "--out", str(tmp_path / "new2")]) == 2
     assert not list(tmp_path.glob("new*"))
     # an empty method or level list
@@ -718,7 +716,7 @@ def test_exit_code_config_errors(tmp_path, capsys):
                  "--boxes", "1,x", "--out", str(tmp_path / "s.csv")]) == 2
     # a subsampling ladder deeper than the grid allows
     fields = tmp_path / "fields"
-    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--T", "1", "--signal", "zero",
+    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero",
                  "--seeds", "0", "--out", str(fields)]) == 0
     assert main(["detect", "--fields", str(fields), "--levels", "9",
                  "--out", str(tmp_path / "p")]) == 2
@@ -762,6 +760,8 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert "proxy must be amn or mgn, got 'st'" in err
     assert "key 'L' is already set on line 1" in err
     assert "signal coefficient must be finite, got (inf+0j)" in err
+    assert "T = 2.0: the window half-length is fixed at 6.0" in err
+    assert "signal amplitude or sigma so large that synthesis could overflow" in err
     assert "Traceback" not in err
 
 
@@ -784,17 +784,21 @@ def test_exit_code_data_errors(tmp_path, capsys):
     assert f"data error: cannot read config file {latin}" in err and "Traceback" not in err
     # a cache whose header lacks a key
     fields = tmp_path / "fields"
-    assert main(["simulate", "--L", "1", "--delta", "2^-3", "--T", "1", "--signal", "zero",
+    assert main(["simulate", "--L", "1", "--delta", "2^-3", "--signal", "zero",
                  "--seeds", "0", "--out", str(fields)]) == 0
     cache = next(fields.glob("*.wfield"))
     header, _, payload = cache.read_bytes().partition(b"\n")
     meta = json.loads(header)
-    # an edited window half-length is refused before any noise is drawn
-    for T in (4096.0, 1e9):
-        cache.write_bytes(json.dumps({**meta, "T": T}).encode() + b"\n" + payload)
-        with pytest.raises(DataError, match="underflows"):
-            read_field(cache)
-        assert main(["detect", "--fields", str(fields), "--out", str(tmp_path / "p")]) == 3
+    # a window half-length other than 6 (an earlier version's, or an edit)
+    # is refused before any noise is drawn, and nothing is written
+    cache.write_bytes(json.dumps({**meta, "T": 2.0}).encode() + b"\n" + payload)
+    with pytest.raises(DataError, match="T = 2.0"):
+        read_field(cache)
+    assert main(["detect", "--fields", str(fields), "--out", str(tmp_path / "p")]) == 3
+    assert main(["consistency", "--fields", str(fields),
+                 "--out", str(tmp_path / "c" / "c.csv")]) == 3
+    assert "T = 2.0" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty", "fields", "latin.cfg"]
     # a negative seed, which no noise draw accepts
     cache.write_bytes(json.dumps({**meta, "seed": -1}).encode() + b"\n" + payload)
     with pytest.raises(DataError, match="seed"):
@@ -835,7 +839,7 @@ def test_exit_code_data_errors(tmp_path, capsys):
 def clean_inputs(tmp_path_factory):
     """One small field cache and one AMN point-set CSV detected on it."""
     root = tmp_path_factory.mktemp("clean")
-    assert main(["simulate", "--L", "2", "--delta", "2^-3", "--T", "1", "--signal", "zero",
+    assert main(["simulate", "--L", "2", "--delta", "2^-3", "--signal", "zero",
                  "--seeds", "0", "--out", str(root / "fields")]) == 0
     assert main(["detect", "--fields", str(root / "fields"), "--methods", "amn",
                  "--out", str(root / "points")]) == 0

@@ -220,7 +220,7 @@ def test_saturation_follows_a_long_augmenting_path():
 
 
 def test_ladder_rows_match_per_level_loop():
-    g = make_grid(L=2, delta=2.0**-5, T=6)
+    g = make_grid(L=2, delta=2.0**-5)
     proxy_sizes = []
     for seed in (0, 1):
         field = synthesize_field(draw_noise(g, 1.0, seed), SignalModel(SignalKind.ZERO), g)

@@ -50,7 +50,7 @@ def _margin(field, k, l):
 def test_margin_linear_field_at_origin():
     # first branch vanishes at the zero, so the margin is the weighted
     # finite difference: 0.75 * |exp(d^2/2) * d*exp(-d^2/2) - 0| = 0.75 * d
-    g = make_grid(L=1, delta=D16, T=1)
+    g = make_grid(L=1, delta=D16)
     f = synthetic_field(g, lambda z: z)
     k0 = g.index_of(0j)
     eta = _margin(f, *k0)
@@ -62,14 +62,14 @@ def test_margin_constant_field_cancellation():
     # the phase factor undoes the weight shift exactly, so the difference
     # branch is 0 and the margin equals the centre magnitude
     c = 0.7 - 0.2j
-    g = make_grid(L=1, delta=D16, T=1)
+    g = make_grid(L=1, delta=D16)
     f = synthetic_field(g, lambda z: np.full_like(z, c))
     k0 = g.index_of(0j)
     assert _margin(f, *k0) == pytest.approx(abs(c), abs=1e-15)
 
 
 def test_margin_matches_hand_formula_at_random_points():
-    g = make_grid(L=1, delta=D16, T=1)
+    g = make_grid(L=1, delta=D16)
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((g.n_axis, g.n_axis)) + 1j * rng.standard_normal(
         (g.n_axis, g.n_axis)
@@ -87,7 +87,7 @@ def test_margin_matches_hand_formula_at_random_points():
 
 
 def test_amn_linear_field_finds_origin():
-    g = make_grid(L=2, delta=D16, T=1)
+    g = make_grid(L=2, delta=D16)
     f = synthetic_field(g, lambda z: z)
     selected = amn_select(f, 1.0)
     assert 0j in set(map(complex, selected.points))
@@ -96,7 +96,7 @@ def test_amn_linear_field_finds_origin():
 
 
 def test_amn_constant_field_empty():
-    g = make_grid(L=3, delta=D16, T=1)
+    g = make_grid(L=3, delta=D16)
     f = synthetic_field(g, lambda z: np.full_like(z, 0.3 + 0.4j))
     assert len(amn_select(f, 2.0)) == 0
     assert len(amn(f, 2.0)) == 0
@@ -104,7 +104,7 @@ def test_amn_constant_field_empty():
 
 @pytest.mark.parametrize("c", [1e-3, 1e3])
 def test_amn_and_mgn_scale_invariance(c):
-    g = make_grid(L=2, delta=2.0 ** -5, T=6)
+    g = make_grid(L=2, delta=2.0 ** -5)
     base = synthesize_field(draw_noise(g, 1.0, 17), ZERO_SIGNAL, g)
     scaled = WeightedField(grid=g, values=c * base.values)
     for detector in (amn, mgn):
@@ -114,7 +114,7 @@ def test_amn_and_mgn_scale_invariance(c):
 
 def test_amn_select_matches_brute_force():
     # independent, naive re-derivation of the selection rule
-    g = make_grid(L=1, delta=D16, T=6)
+    g = make_grid(L=1, delta=D16)
     target = 0.875  # leaves exactly the two required rings on a 33x33 grid
     w = g.index_halfwidth(target)
     off = g.half_n - w
@@ -181,7 +181,7 @@ def _assert_matches_offset_loops(field, target):
 def test_blocked_selection_matches_offset_loops_on_ladder(seed, signal):
     # 513 target rows at level 0, so the last row block holds one row;
     # every level down to spacing 1/2 is checked
-    g = make_grid(L=3, delta=2.0 ** -7, T=6)
+    g = make_grid(L=3, delta=2.0 ** -7)
     f = synthesize_field(draw_noise(g, 1.0, seed), parse_signal(signal), g)
     assert 2 * g.index_halfwidth(2.0) + 1 == 513
     for fld in ladder(f, 6).values():
@@ -189,7 +189,7 @@ def test_blocked_selection_matches_offset_loops_on_ladder(seed, signal):
 
 
 def test_blocked_selection_on_a_one_point_box():
-    g = make_grid(L=1, delta=D16, T=6)
+    g = make_grid(L=1, delta=D16)
     noise = synthesize_field(draw_noise(g, 1.0, 4), ZERO_SIGNAL, g)
     _assert_matches_offset_loops(synthetic_field(g, lambda z: z), 0.0)
     # the noise field and its subsampled levels 1-3 (the deepest that keeps
@@ -203,7 +203,7 @@ def test_amn_select_keeps_exact_ties():
     # centre 1 with equal inner neighbours, so the margin is the centre
     # magnitude and the bar is exactly 2: a ring of 2s passes (ring == 2*Gc
     # == Gc + eta), one ring sample just below 2 fails
-    g = make_grid(L=1, delta=2.0 ** -2, T=1)
+    g = make_grid(L=1, delta=2.0 ** -2)
     vals = np.full((g.n_axis, g.n_axis), 2.0 + 0j)
     c = g.half_n
     vals[c - 1 : c + 2, c - 1 : c + 2] = 1.0
@@ -222,7 +222,7 @@ def _tied_well():
     centre's margin is its own magnitude, so its bar ``Gc + eta`` is exactly
     2 and every ring sample ties with ``2*Gc``; its 8 immediate neighbours
     tie with it."""
-    g = make_grid(L=1, delta=2.0 ** -2, T=1)
+    g = make_grid(L=1, delta=2.0 ** -2)
     vals = np.full((g.n_axis, g.n_axis), 2.0 + 0j)
     c = g.half_n
     vals[c - 1 : c + 2, c - 1 : c + 2] = 1.0
@@ -267,7 +267,7 @@ def test_selection_where_most_points_pass_the_screens():
     # times smaller than their row, are AMN candidates (the second with its
     # ring minimum exactly 2*Gc); odd rows tie with the row above, so MGN
     # keeps them whole.
-    g = make_grid(L=4, delta=2.0 ** -2, T=1)
+    g = make_grid(L=4, delta=2.0 ** -2)
     n = g.n_axis
     vals = np.repeat(2.0 ** (np.arange(n) // 2), n).reshape(n, n).astype(np.complex128)
     for (k, l), shrink in (((14, 12), 8.0), ((20, 25), 4.0), ((27, 18), 8.0)):
@@ -294,14 +294,14 @@ def test_selection_where_most_points_pass_the_screens():
 def test_blocked_selection_matches_offset_loops_with_ties(re, im, real):
     # few distinct magnitudes, so rings tie with each other, with 2*Gc and
     # (where the inner neighbours match the centre) with Gc + eta
-    g = make_grid(L=1.5, delta=2.0 ** -2, T=1)
+    g = make_grid(L=1.5, delta=2.0 ** -2)
     f = WeightedField(grid=g, values=re + (0 if real else 1j) * im)
     for w in range(5):
         _assert_matches_offset_loops(f, w * g.delta)
 
 
 def test_amn_requires_two_rings():
-    g = make_grid(L=1, delta=D16, T=1)
+    g = make_grid(L=1, delta=D16)
     f = synthetic_field(g, lambda z: z)
     with pytest.raises(ConfigError, match=r"ring\(s\) of samples beyond"):
         amn_select(f, 1.0)  # no samples beyond the box
@@ -309,7 +309,7 @@ def test_amn_requires_two_rings():
 
 def test_simulated_pure_noise_count_near_expected():
     # expected zero count over the 8x8 box is 64/pi ~ 20.4
-    g = make_grid(L=4.03125, delta=2.0 ** -6, T=6)
+    g = make_grid(L=4.03125, delta=2.0 ** -6)
     f = synthesize_field(draw_noise(g, 1.0, 0), ZERO_SIGNAL, g)
     expected = 64.0 / math.pi
     band = 3.0 * math.sqrt(expected)
@@ -323,7 +323,7 @@ def test_simulated_pure_noise_count_near_expected():
 
 
 def _field_with_magnitudes(entries, n=33, delta=D16):
-    g = make_grid(L=1, delta=delta, T=1)
+    g = make_grid(L=1, delta=delta)
     assert g.n_axis == n
     vals = np.ones((n, n), dtype=np.complex128)
     for (k, l), mag in entries.items():
@@ -389,7 +389,7 @@ def test_sieve_tie_breaks_by_row_major_index():
     seed=hst.integers(0, 2 ** 31),
 )
 def test_sieve_separation_and_maximality(idx, seed):
-    g = make_grid(L=1, delta=2.0 ** -3, T=1)
+    g = make_grid(L=1, delta=2.0 ** -3)
     rng = np.random.default_rng(seed)
     vals = rng.uniform(0.1, 1.0, (17, 17)).astype(np.complex128)
     f = WeightedField(grid=g, values=vals)
@@ -407,7 +407,7 @@ def test_sieve_separation_and_maximality(idx, seed):
 
 
 def test_mgn_linear_field():
-    g = make_grid(L=2, delta=D16, T=1)
+    g = make_grid(L=2, delta=D16)
     f = synthetic_field(g, lambda z: z)
     assert list(map(complex, mgn(f, 1.0).points)) == [0j]
 
@@ -415,7 +415,7 @@ def test_mgn_linear_field():
 def test_mgn_constant_field_is_empty():
     # neighbour minimality needs |lam| locally maximal, and some outward
     # neighbour always has a larger norm, so nothing qualifies
-    g = make_grid(L=3, delta=D16, T=1)
+    g = make_grid(L=3, delta=D16)
     f = synthetic_field(g, lambda z: np.full_like(z, 2.0))
     got = mgn(f, 2.0)
     ax = g.axis()
@@ -437,7 +437,7 @@ def test_mgn_constant_field_is_empty():
 
 
 def test_mgn_requires_one_ring():
-    g = make_grid(L=1, delta=D16, T=1)
+    g = make_grid(L=1, delta=D16)
     f = synthetic_field(g, lambda z: z)
     with pytest.raises(ConfigError, match=r"ring\(s\) of samples beyond"):
         mgn(f, 1.0)
@@ -448,13 +448,13 @@ def test_mgn_requires_one_ring():
 
 
 def test_st_all_above_threshold():
-    g = make_grid(L=2, delta=D16, T=1)
+    g = make_grid(L=2, delta=D16)
     f = synthetic_field(g, lambda z: np.full_like(z, 50.0))
     assert len(st(f, 1.0)) == 0
 
 
 def test_st_linear_field_single_point_near_origin():
-    g = make_grid(L=2, delta=D16, T=1)
+    g = make_grid(L=2, delta=D16)
     f = synthetic_field(g, lambda z: z)
     got = st(f, 1.0)
     assert len(got) == 1
@@ -462,7 +462,7 @@ def test_st_linear_field_single_point_near_origin():
 
 
 def test_st_not_scale_invariant():
-    g = make_grid(L=3, delta=D16, T=1)
+    g = make_grid(L=3, delta=D16)
     f = synthetic_field(g, lambda z: np.full_like(z, 0.1))
     scaled = WeightedField(grid=g, values=10.0 * f.values)
     a, b = st(f, 2.0), st(scaled, 2.0)
@@ -471,14 +471,14 @@ def test_st_not_scale_invariant():
 
 
 def test_st_requires_one_ring():
-    g = make_grid(L=1, delta=D16, T=1)
+    g = make_grid(L=1, delta=D16)
     f = synthetic_field(g, lambda z: z)
     with pytest.raises(ConfigError, match=r"ring\(s\) of samples beyond"):
         st(f, 1.0)
 
 
 def test_detector_outputs_are_separated():
-    g = make_grid(L=2, delta=2.0 ** -5, T=6)
+    g = make_grid(L=2, delta=2.0 ** -5)
     f = synthesize_field(draw_noise(g, 1.0, 23), ZERO_SIGNAL, g)
     for detector in (amn, st):
         ps = detector(f, 1.0)
@@ -491,7 +491,7 @@ def test_detector_outputs_are_separated():
 
 
 def test_detect_ladder_runs_each_detector_on_each_level():
-    g = make_grid(L=2, delta=2.0 ** -5, T=6)
+    g = make_grid(L=2, delta=2.0 ** -5)
     f = synthesize_field(draw_noise(g, 1.0, 5), ZERO_SIGNAL, g)
     rungs = ladder(f, 2)
     found = detect_ladder(f, 1.0, [2, 0], METHODS)
@@ -521,7 +521,7 @@ def _same_pointset(a, b):
 
 
 def test_pointset_csv_round_trip(tmp_path):
-    g = make_grid(L=2, delta=2.0 ** -5, T=6)
+    g = make_grid(L=2, delta=2.0 ** -5)
     f = synthesize_field(draw_noise(g, 1.0, 31), ZERO_SIGNAL, g)
     ps = amn(f, 1.0)
     path = tmp_path / "points.csv"
@@ -538,7 +538,7 @@ def test_pointset_csv_round_trip(tmp_path):
 
 
 def test_pointset_csv_round_trip_empty(tmp_path):
-    g = make_grid(L=3, delta=D16, T=1)
+    g = make_grid(L=3, delta=D16)
     f = synthetic_field(g, lambda z: np.full_like(z, 1.0))
     ps = amn(f, 2.0)
     assert len(ps) == 0

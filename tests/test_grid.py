@@ -10,12 +10,14 @@ from conftest import synthetic_field
 
 
 def test_axis_counts():
-    assert make_grid(L=1, delta=0.5, T=1).n_axis == 5  # 5x5 = 25 points
-    assert make_grid(L=7, delta=2.0 ** -6, T=6).n_axis == 897
+    assert make_grid(L=1, delta=0.5).n_axis == 5  # 5x5 = 25 points
+    assert make_grid(L=7, delta=2.0 ** -6).n_axis == 897
+    # the window half-length is a constant; 6 is the one T make_grid accepts
+    assert make_grid(L=1, delta=0.5, T=6) == make_grid(L=1, delta=0.5) == GridSpec(1, 0.5)
 
 
 def test_point_count_is_odd_and_symmetric():
-    g = make_grid(L=2.375, delta=2.0 ** -3, T=1)
+    g = make_grid(L=2.375, delta=2.0 ** -3)
     assert g.n_axis % 2 == 1
     ax = g.axis()
     assert ax[0] == -ax[-1] == g.corner
@@ -25,15 +27,15 @@ def test_point_count_is_odd_and_symmetric():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(L=7, delta=0.3, T=6),        # L/delta not an integer
-        dict(L=4, delta=2.0 ** -5, T=6.3),  # T/delta not an integer
-        dict(L=4, delta=-0.25, T=6),
-        dict(L=4, delta=0.0, T=6),
-        dict(L=4, delta=0.75, T=6),       # delta > 1/2
-        dict(L=0.5, delta=0.25, T=6),     # L < 1
-        dict(L=4, delta=0.25, T=0.0),      # T must be positive
-        dict(L=4, delta=0.25, T=4096.0),  # exp(-T^2) underflows to 0.0
-        dict(L=4, delta=0.25, T=1e9),
+        dict(L=7, delta=0.3),             # L/delta not an integer
+        dict(L=1.35, delta=0.45),         # T/delta = 6/0.45 not an integer
+        dict(L=4, delta=-0.25),
+        dict(L=4, delta=0.0),
+        dict(L=4, delta=0.75),            # delta > 1/2
+        dict(L=0.5, delta=0.25),          # L < 1
+        dict(L=4, delta=0.25, T=0.0),     # the window half-length is fixed at 6
+        dict(L=4, delta=0.25, T=2.0),
+        dict(L=4, delta=0.25, T=27.25),
         dict(L=4, delta=0.25, T=float("nan")),
     ],
 )
@@ -42,34 +44,27 @@ def test_bad_configurations_rejected(kwargs):
         make_grid(**kwargs)
 
 
-def test_window_half_length_bound_is_the_float64_underflow():
-    # exp(-27.25**2) is a subnormal float64, exp(-27.5**2) is 0.0
-    assert make_grid(L=1, delta=0.25, T=27.25).t_over_delta == 109
-    with pytest.raises(ConfigError, match="underflows"):
-        make_grid(L=1, delta=0.25, T=27.5)
-
-
 def test_nondyadic_but_integer_ratio_is_fine():
-    g = make_grid(L=7, delta=1.0 / 3.0, T=1)
+    g = make_grid(L=7, delta=1.0 / 3.0)
     assert g.half_n == 21
 
 
 def test_index_round_trip_everywhere():
-    g = make_grid(L=2.0625, delta=2.0 ** -5, T=2)
+    g = make_grid(L=2.0625, delta=2.0 ** -5)
     for k in range(0, g.n_axis, 7):
         for l in range(0, g.n_axis, 11):
             assert g.index_of(g.point_of(k, l)) == (k, l)
 
 
 def test_index_halfwidth_rejects_boxes_beyond_the_grid():
-    g = make_grid(L=1, delta=0.25, T=1)
+    g = make_grid(L=1, delta=0.25)
     assert g.index_halfwidth(1.0) == g.half_n == 4
     with pytest.raises(ConfigError, match="exceeds stored grid halfwidth 1"):
         g.index_halfwidth(1.25)
 
 
 def test_index_of_rejects_off_grid_points():
-    g = make_grid(L=1, delta=0.25, T=1)
+    g = make_grid(L=1, delta=0.25)
     with pytest.raises(ConfigError):
         g.index_of(0.1 + 0.1j)
     with pytest.raises(ConfigError):
@@ -78,7 +73,7 @@ def test_index_of_rejects_off_grid_points():
 
 def test_subsample_index_map():
     # 9x9 field with v(k,l) = k + 10l keeps exactly the even indices
-    g = make_grid(L=1, delta=0.25, T=1)
+    g = make_grid(L=1, delta=0.25)
     kk, ll = np.meshgrid(np.arange(9), np.arange(9), indexing="ij")
     vals = (kk + 10.0 * ll).astype(np.complex128)
     from bargzeros import WeightedField
@@ -92,7 +87,7 @@ def test_subsample_index_map():
 
 
 def test_subsample_preserves_corner_and_values_bitwise():
-    g = make_grid(L=4, delta=2.0 ** -7, T=2)
+    g = make_grid(L=4, delta=2.0 ** -7)
     rng = np.random.default_rng(0)
     vals = rng.standard_normal((g.n_axis, g.n_axis)) + 1j * rng.standard_normal(
         (g.n_axis, g.n_axis)
@@ -110,7 +105,7 @@ def test_subsample_preserves_corner_and_values_bitwise():
 
 
 def test_double_subsample_is_factor_four():
-    g = make_grid(L=1, delta=0.125, T=1)  # 17x17
+    g = make_grid(L=1, delta=0.125)  # 17x17
     f = synthetic_field(g, lambda z: z + 2)
     twice = subsample(subsample(f))
     assert twice.grid.delta == 0.5
@@ -120,12 +115,12 @@ def test_double_subsample_is_factor_four():
 def test_subsample_refuses_odd_half_count():
     # L/delta = 5 has no lattice at twice the spacing
     with pytest.raises(ConfigError, match="not subsamplable"):
-        subsample(synthetic_field(make_grid(L=1.25, delta=0.25, T=1), lambda z: z))
+        subsample(synthetic_field(make_grid(L=1.25, delta=0.25), lambda z: z))
 
 
 def test_subsample_stops_at_coarsest_spacing():
     # spacing would double past 1/2, where the lattice no longer qualifies
-    g = make_grid(L=1, delta=0.5, T=0.5)
+    g = make_grid(L=1, delta=0.5)
     f = synthetic_field(g, lambda z: z)
     with pytest.raises(ConfigError, match="not subsamplable"):
         subsample(f)
@@ -157,7 +152,7 @@ def test_pointset_restrict():
     seed=hst.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_round_trip_property(half, exp, seed):
-    g = GridSpec(L=float(half), delta=2.0 ** -exp, T=1.0)
+    g = GridSpec(L=float(half), delta=2.0 ** -exp)
     rng = np.random.default_rng(seed)
     k = int(rng.integers(0, g.n_axis))
     l = int(rng.integers(0, g.n_axis))

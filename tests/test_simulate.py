@@ -28,6 +28,7 @@ from bargzeros import (
     zero_noise,
 )
 from bargzeros import simulate
+from bargzeros.grid import WINDOW_T
 
 ZERO = SignalModel(SignalKind.ZERO)
 
@@ -37,7 +38,7 @@ ZERO = SignalModel(SignalKind.ZERO)
 
 
 def test_noise_determinism():
-    g = make_grid(L=2, delta=2.0 ** -4, T=6)
+    g = make_grid(L=2, delta=2.0 ** -4)
     a = draw_noise(g, sigma=1.0, seed=42)
     b = draw_noise(g, sigma=1.0, seed=42)
     c = draw_noise(g, sigma=1.0, seed=43)
@@ -49,7 +50,7 @@ def test_noise_determinism():
 def test_noise_variance_monte_carlo():
     # E|w_s|^2 = sigma^2 * delta * sqrt(pi/2); ~1e6 samples keep the
     # relative Monte-Carlo error well under the 1% budget
-    g = make_grid(L=2, delta=2.0 ** -4, T=6)
+    g = make_grid(L=2, delta=2.0 ** -4)
     total, count = 0.0, 0
     for seed in range(3900):
         w = draw_noise(g, sigma=1.0, seed=seed).w
@@ -60,7 +61,7 @@ def test_noise_variance_monte_carlo():
 
 
 def test_noise_sigma_scaling():
-    g = make_grid(L=2, delta=2.0 ** -4, T=6)
+    g = make_grid(L=2, delta=2.0 ** -4)
     total, count = 0.0, 0
     for seed in range(600):
         w = draw_noise(g, sigma=2.0, seed=seed).w
@@ -71,14 +72,14 @@ def test_noise_sigma_scaling():
 
 
 def test_zero_noise_vector():
-    g = make_grid(L=1, delta=0.25, T=1)
+    g = make_grid(L=1, delta=0.25)
     nd = zero_noise(g)
     assert nd.seed is None
     assert not nd.w.any()
 
 
 def test_noise_rejects_bad_sigma():
-    g = make_grid(L=1, delta=0.25, T=1)
+    g = make_grid(L=1, delta=0.25)
     with pytest.raises(ConfigError):
         draw_noise(g, sigma=0.0, seed=1)
 
@@ -105,7 +106,7 @@ def naive_field(noise, signal, grid):
             for i in range(len(a)):
                 s = i - s_half
                 t = d * (s - k)
-                if abs(t) <= grid.T + 1e-12:
+                if abs(t) <= WINDOW_T + 1e-12:
                     acc += a[i] * float(window(t)) * cmath.exp(2j * s * j * d * d)
             out[ik, il] = cmath.exp(-1j * (d * k) * (d * j)) * acc
     return out
@@ -119,7 +120,7 @@ def direct_sum(source):
 
 
 def test_synthesis_matches_definition():
-    g = make_grid(L=1, delta=0.125, T=1)
+    g = make_grid(L=1, delta=0.125)
     noise = draw_noise(g, sigma=1.0, seed=7)
     sig = model_for(SignalKind.HERMITE1, 2.0)
     expected = naive_field(noise, sig, g)
@@ -131,13 +132,15 @@ def test_synthesis_matches_definition():
 
 def test_fast_path_matches_direct_sum():
     # n=129 is 5 column blocks; n=769 is 25, the last one a single column;
-    # T=2 keeps every bin of the window spectrum, and the non-dyadic
-    # spacing makes the phase arguments inexact
+    # at delta >= 1/4 a block's band is every bin of the window spectrum,
+    # and the non-dyadic spacings make the phase arguments inexact
     for g in (
-        make_grid(L=2, delta=2.0 ** -5, T=6),
-        make_grid(L=3, delta=2.0 ** -7, T=6),
-        make_grid(L=2, delta=2.0 ** -5, T=2),
-        make_grid(L=1.5, delta=0.0125, T=6),
+        make_grid(L=2, delta=2.0 ** -5),
+        make_grid(L=3, delta=2.0 ** -7),
+        make_grid(L=7, delta=0.25),
+        make_grid(L=7, delta=1 / 3),
+        make_grid(L=3, delta=0.5),
+        make_grid(L=1.5, delta=0.0125),
     ):
         f = synthesize_field(draw_noise(g, sigma=1.0, seed=11), ZERO, g)
         slow = direct_sum(f.source)
@@ -152,9 +155,10 @@ def _column_bands(g, nfft, width):
 
 
 def test_plan_band_is_narrow_only_for_a_long_window():
-    # at T=6 the window spectrum is a Gaussian bump of a few dozen bins; at
-    # T=1 the cut window's sidelobes spread it over every bin
-    g = make_grid(L=3, delta=2.0 ** -7, T=6)
+    # the window spans 2*T/delta + 1 samples: 1537 at delta=2^-7, where its
+    # spectrum is a Gaussian bump of a few dozen bins, and 49 at delta=1/4,
+    # where a block's band is every bin
+    g = make_grid(L=3, delta=2.0 ** -7)
     n = g.n_axis
     nfft, base, spec, _, _ = simulate._plan(n, g.t_over_delta, g.delta)
     span = spec.shape[1]
@@ -178,7 +182,7 @@ def test_plan_band_is_narrow_only_for_a_long_window():
         full = scipy.fft.ifft(col, nfft, norm="forward")
         assert np.abs(spec[c] - full[bins] * chirp).max() < 1e-13 * np.abs(full).max()
         assert np.linalg.norm(np.delete(full, bins)) < 1e-14 * np.linalg.norm(full)
-    g1 = make_grid(L=1, delta=2.0 ** -4, T=1)
+    g1 = make_grid(L=1, delta=0.25)
     nfft1, _, spec1, _, _ = simulate._plan(g1.n_axis, g1.t_over_delta, g1.delta)
     assert spec1.shape[1] == nfft1
 
@@ -200,24 +204,27 @@ def _is_5_smooth(k):
 
 def test_plan_convolution_is_short_and_does_not_wrap():
     # the chirp-z convolution of a block's band with the kernel must not
-    # wrap onto the n kept outputs, and at T=6 it is a small fraction of
-    # the inverse FFT it replaces
-    for g in (make_grid(L=3, delta=2.0 ** -6, T=6), make_grid(L=3, delta=2.0 ** -7, T=6),
-              make_grid(L=1.5, delta=0.0125, T=6), make_grid(L=2, delta=2.0 ** -5, T=2)):
+    # wrap onto the n kept outputs, and on fine grids it is a small fraction
+    # of the inverse FFT it replaces; at delta >= 1/4 the band is every bin
+    for g in (make_grid(L=3, delta=2.0 ** -6), make_grid(L=3, delta=2.0 ** -7),
+              make_grid(L=1.5, delta=0.0125), make_grid(L=1, delta=0.25),
+              make_grid(L=7, delta=1 / 3), make_grid(L=1, delta=0.5)):
         n = g.n_axis
         nfft, _, spec, kernel, _ = simulate._plan(n, g.t_over_delta, g.delta)
         k = kernel.size
         assert _is_5_smooth(k)
         assert k >= n + spec.shape[1] - 1
-        if g.T == 6:
+        if g.delta < 0.25:
             assert k < nfft / 2
+        else:
+            assert spec.shape[1] == nfft
 
 
 def test_plan_memory_is_the_band_and_one_block_ramp():
     # the plan holds each block's band of the window spectrum and an
     # in-block phase ramp, nothing that grows like n**2; the block's band
     # is its columns' width plus the bump's shift across the block
-    g = make_grid(L=3, delta=2.0 ** -7, T=6)
+    g = make_grid(L=3, delta=2.0 ** -7)
     n = g.n_axis
     plan = simulate._plan(n, g.t_over_delta, g.delta)
     nfft, span = plan[0], plan[2].shape[1]
@@ -285,7 +292,7 @@ def test_threaded_synthesis_is_bit_identical_to_serial_loop(L, delta, monkeypatc
     # the non-dyadic spacing makes the phase arguments inexact; the
     # all-zero field shows the signed zeros of every product, which a noisy
     # field's nonzero values absorb
-    g = make_grid(L=L, delta=delta, T=6)
+    g = make_grid(L=L, delta=delta)
     cases = [
         (draw_noise(g, sigma=1.0, seed=5), model_for(SignalKind.HERMITE1, 2.0)),
         (zero_noise(g), ZERO),
@@ -302,10 +309,10 @@ def test_threaded_synthesis_is_bit_identical_to_serial_loop(L, delta, monkeypatc
 def test_plan_cache_rotation_keeps_bits():
     # one grid more than the plan cache holds, in rotation, so every
     # synthesis after the first round rebuilds an evicted plan; the grids
-    # share n and pairwise share delta or T, so a plan looked up under an
-    # incomplete key would give a wrong field
-    grids = [make_grid(L=1, delta=2.0 ** -3, T=2), make_grid(L=2, delta=2.0 ** -2, T=2),
-             make_grid(L=1, delta=2.0 ** -3, T=1)]
+    # share n, so a plan looked up under n alone would give a wrong field,
+    # and their blocks' bands are every bin
+    grids = [make_grid(L=1, delta=0.25), make_grid(L=2, delta=0.5),
+             make_grid(L=4 / 3, delta=1 / 3)]
     assert len(grids) == simulate._PLAN_GRIDS + 1
     noises = {g: draw_noise(g, sigma=1.0, seed=2) for g in grids}
     first = {g: serial_column_field(noises[g], ZERO, g).tobytes() for g in grids}
@@ -316,7 +323,7 @@ def test_plan_cache_rotation_keeps_bits():
 def test_zero_noise_gauss_matches_closed_form():
     # pure GAUSS signal: the weighted field is exp(-|z|^2/2) up to the
     # quadrature error of the defining Riemann sum
-    g = make_grid(L=2, delta=2.0 ** -6, T=6)
+    g = make_grid(L=2, delta=2.0 ** -6)
     f = synthesize_field(zero_noise(g), model_for(SignalKind.GAUSS, 1.0), g)
     ax = g.axis()
     zg = ax[:, None] + 1j * ax[None, :]
@@ -328,7 +335,7 @@ def test_zero_noise_gauss_matches_closed_form():
 
 
 def test_zero_noise_hermite_matches_closed_form():
-    g = make_grid(L=2, delta=2.0 ** -6, T=6)
+    g = make_grid(L=2, delta=2.0 ** -6)
     sig = model_for(SignalKind.HERMITE1, 1.0)
     f = synthesize_field(zero_noise(g), sig, g)
     ax = g.axis()
@@ -345,7 +352,7 @@ def test_field_rejects_non_finite_values():
     # the finiteness test looks at the sum first, so it must still catch a
     # NaN that only an imaginary part holds, and an inf/-inf pair (whose sum
     # is NaN), and must accept finite values whose sum overflows
-    g = make_grid(L=1, delta=0.25, T=1)
+    g = make_grid(L=1, delta=0.25)
     n = g.n_axis
     for bad in (complex(0, math.nan), complex(math.inf, 0)):
         v = np.zeros((n, n), dtype=np.complex128)
@@ -363,26 +370,41 @@ def test_field_rejects_non_finite_values():
 
 
 def test_synthesis_rejects_mismatched_noise():
-    g16 = make_grid(L=1, delta=2.0 ** -4, T=1)
-    g8 = make_grid(L=1, delta=2.0 ** -3, T=1)
+    g16 = make_grid(L=1, delta=2.0 ** -4)
+    g8 = make_grid(L=1, delta=2.0 ** -3)
     noise = draw_noise(g8, sigma=1.0, seed=0)
     with pytest.raises(ConfigError):
         synthesize_field(noise, ZERO, g16)
     short = draw_noise(g8, sigma=1.0, seed=0)
-    big = make_grid(L=2, delta=2.0 ** -3, T=1)
+    big = make_grid(L=2, delta=2.0 ** -3)
     with pytest.raises(ConfigError):
         synthesize_field(short, ZERO, big)
 
 
+@pytest.mark.filterwarnings("error")
+def test_synthesis_refuses_samples_that_could_overflow():
+    # finite samples whose transforms could overflow float64 are refused
+    # before the first FFT, whether the signal or the noise makes them large
+    g = make_grid(L=2, delta=2.0 ** -4)
+    for noise, sig in ((zero_noise(g), model_for(SignalKind.GAUSS, 1e308)),
+                       (zero_noise(g), model_for(SignalKind.HERMITE1, 1e308)),
+                       (draw_noise(g, sigma=1e306, seed=0), ZERO)):
+        with pytest.raises(ConfigError, match="could overflow"):
+            synthesize_field(noise, sig, g)
+    noise = draw_noise(g, sigma=1e300, seed=0)
+    f = synthesize_field(noise, model_for(SignalKind.HERMITE1, 1e300), g)
+    assert np.isfinite(f.values).all()
+
+
 def test_synthesis_deterministic():
-    g = make_grid(L=1, delta=2.0 ** -4, T=2)
+    g = make_grid(L=1, delta=2.0 ** -4)
     a = synthesize_field(draw_noise(g, 1.0, 3), ZERO, g).values
     b = synthesize_field(draw_noise(g, 1.0, 3), ZERO, g).values
     assert np.array_equal(a, b)
 
 
 def test_linearity():
-    g = make_grid(L=2, delta=2.0 ** -4, T=2)
+    g = make_grid(L=2, delta=2.0 ** -4)
     noise = draw_noise(g, sigma=1.0, seed=5)
     sig = model_for(SignalKind.HERMITE1, 3.0)
     full = synthesize_field(noise, sig, g).values
@@ -397,7 +419,7 @@ def test_linearity():
 
 
 def test_continuous_matches_grid_values():
-    g = make_grid(L=2.125, delta=2.0 ** -4, T=2)
+    g = make_grid(L=2.125, delta=2.0 ** -4)
     f = synthesize_field(draw_noise(g, 1.0, 9), model_for(SignalKind.GAUSS, 1.0), g)
     scale = np.abs(f.values).max()
     rng = np.random.default_rng(1)
@@ -408,7 +430,7 @@ def test_continuous_matches_grid_values():
 
 
 def test_continuous_outside_domain():
-    g = make_grid(L=1, delta=0.25, T=1)
+    g = make_grid(L=1, delta=0.25)
     f = synthesize_field(draw_noise(g, 1.0, 0), ZERO, g)
     with pytest.raises(ConfigError, match="outside the stored domain"):
         evaluate_continuous(f.source, 1.5 + 0j)
@@ -421,7 +443,7 @@ def test_continuous_outside_domain():
 
 
 def test_continuous_closed_form_off_grid():
-    g = make_grid(L=2, delta=2.0 ** -6, T=6)
+    g = make_grid(L=2, delta=2.0 ** -6)
     src = FieldSource(zero_noise(g), model_for(SignalKind.GAUSS, 1.0), g)
     rng = np.random.default_rng(2)
     for _ in range(25):
@@ -432,8 +454,8 @@ def test_continuous_closed_form_off_grid():
 def test_midpoint_value_inside_refined_envelope():
     # the value halfway between two adjacent grid points must land inside
     # the local spread of a synthesis on a twice finer grid
-    coarse = make_grid(L=2, delta=2.0 ** -5, T=6)
-    fine = make_grid(L=2, delta=2.0 ** -6, T=6)
+    coarse = make_grid(L=2, delta=2.0 ** -5)
+    fine = make_grid(L=2, delta=2.0 ** -6)
     sig = model_for(SignalKind.GAUSS, 1.0)
     src_c = FieldSource(zero_noise(coarse), sig, coarse)
     f_f = synthesize_field(zero_noise(fine), sig, fine)
@@ -453,7 +475,7 @@ def test_midpoint_value_inside_refined_envelope():
 
 
 def _probe_values(signal, seeds, probes, sigma=1.0):
-    g = make_grid(L=2, delta=2.0 ** -4, T=6)
+    g = make_grid(L=2, delta=2.0 ** -4)
     out = np.empty((len(seeds), len(probes)), dtype=np.complex128)
     for i, seed in enumerate(seeds):
         src = FieldSource(draw_noise(g, sigma, seed), signal, g)
@@ -498,7 +520,7 @@ def test_mean_law(kind):
 
 
 def _hermite_source():
-    g = make_grid(L=1, delta=2.0 ** -5, T=6)
+    g = make_grid(L=1, delta=2.0 ** -5)
     return FieldSource(zero_noise(g), model_for(SignalKind.HERMITE1, 1.0), g)
 
 
@@ -543,8 +565,8 @@ def scalar_evaluate(source, z):
     if abs(x) > g.L or abs(y) > g.L:
         raise ConfigError(f"{z} outside the stored domain (halfwidth {g.L})")
     d = source.noise.delta
-    lo = math.ceil((x - g.T) / d - 1e-12)
-    hi = math.floor((x + g.T) / d + 1e-12)
+    lo = math.ceil((x - WINDOW_T) / d - 1e-12)
+    hi = math.floor((x + WINDOW_T) / d + 1e-12)
     s = np.arange(lo, hi + 1)
     a = source.samples[s + source.noise.s_half]
     t = d * s
@@ -571,11 +593,11 @@ def scalar_refine(source, z0, radius, levels):
     return best, best_mag
 
 
-@pytest.mark.parametrize("T, spread", [(6, 0.1), (1, 0.5)], ids=["T6", "T1-wide"])
-def test_lattice_matches_per_point_sum(T, spread):
-    # with a short window the x values' windows overlap only partly, so a
+@pytest.mark.parametrize("spread", [0.1, 1.2], ids=["T6", "wide"])
+def test_lattice_matches_per_point_sum(spread):
+    # with x values 2.4 apart their windows overlap only partly, so a
     # sample summed outside its own point's window would show
-    g = make_grid(L=2, delta=2.0 ** -5, T=T)
+    g = make_grid(L=2, delta=2.0 ** -5)
     src = FieldSource(draw_noise(g, 1.0, 4), model_for(SignalKind.GAUSS, 1.0), g)
     rng = np.random.default_rng(5)
     # off-grid centre, uneven spacing so no point sits on the lattice
@@ -589,20 +611,20 @@ def test_lattice_matches_per_point_sum(T, spread):
     assert abs(evaluate_continuous(src, complex(xs[2], ys[7])) - want[7, 2]) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("L, delta, T, xs, ys", [
-    (1, 0.25, 1, [-1.0, 0.3], [0.45, -1.0]),  # S = 14 samples, below one table
-    (2, 2.0 ** -5, 6, [0.25, 0.3, 0.41], [-0.7, 0.2, 1.9]),  # S = 390 = 6*64 + 6
+@pytest.mark.parametrize("L, delta, xs, ys", [
+    (1, 0.25, [-1.0, 0.3], [0.45, -1.0]),  # S = 54 samples, below one table
+    (2, 2.0 ** -5, [0.25, 0.3, 0.41], [-0.7, 0.2, 1.9]),  # S = 390 = 6*64 + 6
     # |x| = |y| = L, where the phases 2*y*t_s reach 2*L*(L + T) = 80 rad
-    (4, 2.0 ** -7, 6, [-4.0, 0.1, 4.0], [-4.0, 4.0]),
-    (1.5, 0.0125, 6, [-1.5, 0.33, 1.5], [1.5, -0.77, -1.5]),  # inexact spacing
-    (2, 2.0 ** -5, 6, [1.7, -0.2, 0.9, -2.0, 0.55], [0.35]),  # one row, S = 503
-    (2, 2.0 ** -5, 6, [-0.6], [-1.9, -0.3, 0.8, 2.0]),  # one column, S = 384 = 6*64
+    (4, 2.0 ** -7, [-4.0, 0.1, 4.0], [-4.0, 4.0]),
+    (1.5, 0.0125, [-1.5, 0.33, 1.5], [1.5, -0.77, -1.5]),  # inexact spacing
+    (2, 2.0 ** -5, [1.7, -0.2, 0.9, -2.0, 0.55], [0.35]),  # one row, S = 503
+    (2, 2.0 ** -5, [-0.6], [-1.9, -0.3, 0.8, 2.0]),  # one column, S = 384 = 6*64
 ], ids=["S-below-table", "S-not-multiple", "corners", "non-dyadic", "1xn", "nx1"])
-def test_tabled_lattice_matches_per_point_sum(L, delta, T, xs, ys):
+def test_tabled_lattice_matches_per_point_sum(L, delta, xs, ys):
     # the exponentials come from two short tables over the sample lattice;
     # these are the table's edge cases: a partial or single block of samples,
     # the largest phases, and a spacing whose products are inexact
-    g = make_grid(L=L, delta=delta, T=T)
+    g = make_grid(L=L, delta=delta)
     src = FieldSource(draw_noise(g, 1.0, 8), model_for(SignalKind.GAUSS, 1.0), g)
     got = simulate._evaluate_lattice(src, xs, ys)
     want = np.array([[scalar_evaluate(src, complex(x, y)) for x in xs] for y in ys])
@@ -611,7 +633,7 @@ def test_tabled_lattice_matches_per_point_sum(L, delta, T, xs, ys):
 
 
 def test_refine_matches_per_point_search():
-    g = make_grid(L=3, delta=2.0 ** -5, T=6)
+    g = make_grid(L=3, delta=2.0 ** -5)
     radius, levels = 2.0 * g.delta, 4
     checked = 0
     for seed in (0, 1):
@@ -638,7 +660,7 @@ def test_refine_search_square_crossing_domain_raises():
 
 
 def test_cache_round_trip_exact(tmp_path):
-    g = make_grid(L=1.125, delta=2.0 ** -4, T=2)
+    g = make_grid(L=1.125, delta=2.0 ** -4)
     f = synthesize_field(draw_noise(g, 1.5, 21), model_for(SignalKind.GAUSS, 2.0), g)
     p = tmp_path / "f.wfield"
     write_field(f, p)
@@ -657,7 +679,7 @@ def test_cache_round_trip_exact(tmp_path):
 
 
 def test_cache_rewrite_is_byte_identical(tmp_path):
-    g = make_grid(L=1, delta=2.0 ** -4, T=1)
+    g = make_grid(L=1, delta=2.0 ** -4)
     f = synthesize_field(draw_noise(g, 1.0, 1), ZERO, g)
     p1, p2 = tmp_path / "a.wfield", tmp_path / "b.wfield"
     write_field(f, p1)
@@ -668,7 +690,7 @@ def test_cache_rewrite_is_byte_identical(tmp_path):
 def test_cache_of_a_noiseless_field(tmp_path):
     # the header records no seed, so the source read back has zero noise;
     # it must still reproduce the stored values
-    g = make_grid(L=1, delta=2.0 ** -4, T=1)
+    g = make_grid(L=1, delta=2.0 ** -4)
     f = synthesize_field(zero_noise(g), model_for(SignalKind.HERMITE1, 2.0), g)
     p = tmp_path / "f.wfield"
     write_field(f, p)
@@ -682,7 +704,7 @@ def test_cache_of_a_noiseless_field(tmp_path):
 def test_cache_reduced_precision(tmp_path):
     # every cache is written as complex128, but earlier versions could write
     # complex64 ones, and those still read
-    g = make_grid(L=1, delta=2.0 ** -4, T=1)
+    g = make_grid(L=1, delta=2.0 ** -4)
     f = synthesize_field(draw_noise(g, 1.0, 4), ZERO, g)
     full, half = tmp_path / "full.wfield", tmp_path / "half.wfield"
     write_field(f, full)
@@ -697,7 +719,7 @@ def test_cache_reduced_precision(tmp_path):
 
 
 def test_cache_rejects_corruption(tmp_path):
-    g = make_grid(L=1, delta=2.0 ** -4, T=1)
+    g = make_grid(L=1, delta=2.0 ** -4)
     f = synthesize_field(draw_noise(g, 1.0, 4), ZERO, g)
     p = tmp_path / "f.wfield"
     write_field(f, p)

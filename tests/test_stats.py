@@ -208,7 +208,7 @@ def test_variance_benchmark_area_scaling():
 
 
 def test_covariance_probe_matches_numpy():
-    g = make_grid(L=1, delta=0.25, T=1)
+    g = make_grid(L=1, delta=0.25)
     rng = np.random.default_rng(8)
     fields = []
     for _ in range(12):
