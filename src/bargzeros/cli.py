@@ -2,15 +2,16 @@
 
 Four subcommands mirror the experiment pipeline:
 
-* ``simulate``   — draw seeded realizations and cache the weighted fields,
-  whose window half-length T is fixed at 6 (``--T`` accepts only 6);
+* ``simulate``   — draw seeded realizations and cache the weighted fields
+  (``--T`` accepts only 6), replacing a cache only if its header is the
+  one this run would write (:func:`~bargzeros.simulate.cache_header`);
 * ``detect``     — run AMN/MGN/ST over a dyadic resolution ladder built by
   subsampling the cached fields (never by re-simulation);
 * ``stats``      — aggregate intensity and count-error estimators over the
   detection CSVs, refusing any that record a different signal, sigma or T;
 * ``consistency``— match coarse detections against the high-resolution
   proxy and tabulate failure probabilities, refusing a directory whose
-  caches record more than one signal, grid or sigma.
+  cache headers differ in anything but the seed.
 
 Spacings are accepted as exact dyadic expressions (``2^-7``) so that grid
 parameters never pass through decimal rounding.  Every output file carries
@@ -39,7 +40,8 @@ from ._table import write_table
 from .errors import ConfigError, DataError
 from .grid import WINDOW_T, make_grid
 from .signal import parse_signal
-from .simulate import _DTYPE, _read_header, draw_noise, read_field, synthesize_field, write_field
+from .simulate import (cache_header, draw_noise, read_field, read_header, synthesize_field,
+                       write_field)
 
 
 def parse_spacing(text: str) -> float:
@@ -113,11 +115,6 @@ def config_hash(mapping: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _cache_header(path: Path) -> dict:
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)
-
-
 def _refuse_replacing(path: Path, h: str) -> None:
     """Refuse to replace a file whose leading ``# config=`` line is not ``h``'s."""
     if not path.exists():
@@ -130,11 +127,11 @@ def _refuse_replacing(path: Path, h: str) -> None:
                           "write this config to another path")
 
 
-def _refuse_pooling(where, headers, keys) -> None:
-    """Refuse the caches in directory ``where`` if their ``headers`` hold
-    more than one value of a key in ``keys``, which one failure table would
-    pool; a header without the key is not counted."""
-    for key in keys:
+def _refuse_pooling(where, headers) -> None:
+    """Refuse the caches in directory ``where`` if their ``headers`` differ
+    in any key but the seed, since one failure table would pool them; keys
+    are checked in sorted order, and a header without a key is not counted."""
+    for key in sorted({key for h in headers for key in h} - {"seed"}):
         values = sorted({str(h[key]) for h in headers if key in h})
         if len(values) > 1:
             raise ConfigError(f"{where} holds caches of {len(values)} {key}s "
@@ -149,19 +146,14 @@ def cmd_simulate(args) -> int:
     L, delta, T, sigma, seeds, out = args.L, args.delta, args.T, args.sigma, args.seeds, args.out
     grid = make_grid(L=L, delta=delta, T=T)
     model = parse_signal(args.signal, sigma=sigma)
-    settings = {"L": L, "delta": delta, "T": T, "sigma": sigma,
-                "signal": model.descriptor(), "precision": _DTYPE}
-    h = config_hash({"cmd": "simulate", **settings})
+    h = config_hash({"cmd": "simulate", **cache_header(grid, model, sigma, None)})
     token = f"{_signal_token(model)}_d{spacing_token(delta)}"
     paths = [out / f"field_{token}_s{seed}.wfield" for seed in seeds]
-    # a cache name records signal, spacing and seed; its header, every setting
-    for path in paths:
-        if path.exists():
-            header = _cache_header(path)
-            if ({k: header.get(k) for k in settings} != settings
-                    or header.get("n_axis") != grid.n_axis):
-                raise ConfigError(f"{path} was simulated with other settings; "
-                                  "write this config to another directory")
+    # a cache name records signal, spacing and seed; its header, everything
+    for seed, path in zip(seeds, paths):
+        if path.exists() and read_header(path) != cache_header(grid, model, sigma, seed):
+            raise ConfigError(f"{path} was simulated with other settings; "
+                              "write this config to another directory")
     for seed, path in zip(seeds, paths):
         fld = synthesize_field(draw_noise(grid, sigma, seed), model, grid)
         out.mkdir(parents=True, exist_ok=True)
@@ -214,15 +206,13 @@ def cmd_detect(args) -> int:
         field = read_field(path)
         W = target if target is not None else field.grid.L - 1.0
         cfg = {"cmd": "detect", "source": path.name,
-               "header": json.dumps(_cache_header(path), sort_keys=True), "target": W,
+               "header": json.dumps(read_header(path), sort_keys=True), "target": W,
                "methods": ",".join(methods), "levels": ",".join(map(str, levels))}
         h = config_hash(cfg)
-        meta = {"config": h, "source": path.name, "T": WINDOW_T}
-        sig = "x"
-        if field.source is not None:
-            sig = _signal_token(field.source.signal)
-            meta["signal"] = field.source.signal.descriptor()
-            meta["sigma"] = float(field.source.noise.sigma)
+        meta = {"config": h, "source": path.name, "T": WINDOW_T,
+                "signal": field.source.signal.descriptor(),
+                "sigma": float(field.source.noise.sigma)}
+        sig = _signal_token(field.source.signal)
         for (_, name), ps in det.detect_ladder(field, W, levels, methods).items():
             seed = "x" if ps.seed is None else ps.seed
             csv_path = out / f"points_{name}_{sig}_d{spacing_token(ps.delta)}_s{seed}.csv"
@@ -282,8 +272,8 @@ def cmd_consistency(args) -> int:
     if 0 in levels:
         raise ConfigError("consistency levels start at 1 (level 0 is the proxy itself)")
     paths = _iter_fields(fields_dir)
-    headers = {p.name: _cache_header(p) for p in paths}
-    _refuse_pooling(fields_dir, headers.values(), ("signal", "L", "delta", "sigma"))
+    headers = {p.name: read_header(p) for p in paths}
+    _refuse_pooling(fields_dir, headers.values())
     cfg = {"cmd": "consistency", "proxy": proxy_name, "methods": ",".join(methods),
            "levels": ",".join(map(str, levels)), "inputs": json.dumps(headers, sort_keys=True)}
     h = config_hash(cfg)

@@ -45,9 +45,10 @@ is ``nfft``, about ``n + 2*M``, at delta >= 1/4), the in-block phase ramp,
 ``n * _BLOCK_COLS * 16`` bytes, and the chirp z-transform's kernel: about
 ``n * (B + _BLOCK_COLS) * 16`` bytes in all, 2.5 MB at n=1537.
 
-A field cache (:func:`write_field`) is one JSON header line, from which
-:func:`read_field` regenerates the realization, then the complex128
-samples; the complex64 caches of earlier versions are still read.
+A field cache (:func:`write_field`) is one JSON header line, the record
+of the realization that :func:`read_field` regenerates, then the
+complex128 samples (earlier versions' complex64 ones still read).  This
+module alone builds (:func:`cache_header`) and reads the header.
 """
 
 from __future__ import annotations
@@ -126,30 +127,45 @@ def draw_noise(grid: GridSpec, sigma: float, seed: int) -> NoiseDraw:
 
 def zero_noise(grid: GridSpec) -> NoiseDraw:
     """An all-zero noise vector (for synthesising pure-signal fields)."""
-    return NoiseDraw(
-        w=np.zeros(_noise_length(grid), dtype=np.complex128),
-        seed=None,
-        delta=grid.delta,
-        sigma=1.0,
-    )
+    w = np.zeros(_noise_length(grid), dtype=np.complex128)
+    return NoiseDraw(w=w, seed=None, delta=grid.delta, sigma=1.0)
 
 
 @dataclass(frozen=True)
 class FieldSource:
-    """Everything needed to re-evaluate one realization off the grid."""
+    """Everything needed to re-evaluate one realization off the grid; a
+    source whose field could overflow in synthesis is refused."""
 
     noise: NoiseDraw
     signal: SignalModel
     grid: GridSpec
 
+    def __post_init__(self) -> None:
+        g, noise = self.grid, self.noise
+        if noise.delta != g.delta:
+            raise ConfigError(f"noise spacing {noise.delta} does not match grid spacing {g.delta}")
+        if noise.s_half < g.t_over_delta + g.half_n:
+            raise ConfigError("noise vector too short for this grid")
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.abs(self.alpha).sum() * _bands(g.n_axis, g.t_over_delta, g.delta)[-1]
+        if not bound <= np.finfo(np.float64).max / 2:
+            raise ConfigError("signal amplitude or sigma so large that synthesis could overflow")
+
     @cached_property
     def samples(self) -> np.ndarray:
         """``a_s = w_s + delta * f1(delta*s)`` for all stored ``s``."""
         s = np.arange(-self.noise.s_half, self.noise.s_half + 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # synthesize_field refuses inf and nan
+        with np.errstate(over="ignore", invalid="ignore"):  # __post_init__ refuses inf and nan
             a = self.noise.w + self.noise.delta * sample_signal(self.signal, self.noise.delta * s)
         a.setflags(write=False)
         return a
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """The samples the field reads: row ``kk``, ``a[s_half+kk-M : s_half+kk+M+1]``."""
+        g = self.grid
+        lead = self.noise.s_half - g.t_over_delta - g.half_n
+        return self.samples[lead : lead + g.n_axis + 2 * g.t_over_delta]
 
 
 @dataclass(frozen=True)
@@ -193,30 +209,12 @@ def synthesize_field(noise: NoiseDraw, signal: SignalModel, grid: GridSpec) -> W
     Each column is one chirp z-transform of its block's band of the
     samples' spectrum (:func:`_spectral_columns`); the direct sum at the
     grid's points, ``_evaluate_lattice(source, axis, axis).T``, is the
-    reference.
+    reference.  ``FieldSource`` refuses, before the first FFT, samples that
+    could overflow it.
     """
-    if noise.delta != grid.delta:
-        raise ConfigError(f"noise spacing {noise.delta} does not match grid spacing {grid.delta}")
-    if noise.s_half < grid.t_over_delta + grid.half_n:
-        raise ConfigError("noise vector too short for this grid")
-
     source = FieldSource(noise=noise, signal=signal, grid=grid)
-    m_half = grid.t_over_delta
-    n = grid.n_axis
-    # row kk of the field reads a[s_half+kk-M : s_half+kk+M+1]
-    lead = noise.s_half - m_half - grid.half_n
-    alpha = source.samples[lead : lead + n + 2 * m_half]
-    # an FFT's every intermediate is at most its input's L1 norm, so each one of
-    # _spectral_columns is at most |alpha|_1 * |G_ll|_2 * sqrt(K) * max(1, K/nfft), where
-    # |G_ll|_2**2 = nfft * sum(phi**2) (Parseval): refuse samples that could overflow it
-    nfft, _, _, kernel, _ = _plan(n, m_half, grid.delta)
-    phi = window(grid.delta * np.arange(-m_half, m_half + 1))
-    gain = math.sqrt(nfft * kernel.size * np.dot(phi, phi)) * max(1, kernel.size / nfft)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.abs(alpha).sum() * gain <= np.finfo(np.float64).max / 2:
-            raise ConfigError("signal amplitude or sigma so large that synthesis could overflow")
-    return WeightedField(grid=grid, values=_spectral_columns(alpha, m_half, grid.delta, n),
-                         source=source)
+    values = _spectral_columns(source.alpha, grid.t_over_delta, grid.delta, grid.n_axis)
+    return WeightedField(grid=grid, values=values, source=source)
 
 
 #: columns per synthesis block; each worker thread owns one (_BLOCK_COLS,
@@ -291,8 +289,8 @@ def _chirp(q2: np.ndarray, nfft: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_PLAN_GRIDS)
-def _plan(n: int, m_half: int, delta: float):
-    """The arrays of :func:`_spectral_columns` that depend on the grid alone.
+def _bands(n: int, m_half: int, delta: float):
+    """The sizes of :func:`_plan`, taken without its transforms.
 
     Column ``ll = c - half_n``'s window spectrum ``G_ll[k] = sum_q g_ll[q -
     M] * exp(2j*pi*k*q/nfft)``, ``g_ll[m] = phi(delta*m) *
@@ -301,32 +299,48 @@ def _plan(n: int, m_half: int, delta: float):
     grows, so block ``b`` takes the ``span`` bins ``base[b] + j`` mod
     ``nfft`` from its last column's band to its first's, at most every bin.
 
-    Returns ``nfft``; ``base``; ``spec``, whose row ``c`` holds ``G_ll`` on
-    its block's band times the input chirp ``W**(j**2/2)``, ``W =
-    exp(2j*pi/nfft)``; the chirp-z kernel ``fft(W**(-k**2/2)) / nfft`` over
-    ``k = 1 - span .. n - 1``, wrapped into the next 5-smooth length ``K >=
-    n + span - 1``, so the convolution does not wrap; and the phase ramp
-    ``ramp[c, i] = exp(1j*delta**2*c*kk)``, ``kk = i - half_n``, for the
-    in-block columns ``c < _BLOCK_COLS``.  ``spec`` and ``ramp`` take ``n *
-    (span + _BLOCK_COLS) * 16`` bytes.  All are read-only, since every
-    caller on the grid shares them.
+    Returns ``nfft``, ``base``, ``span``, ``K`` (:func:`_plan`) and the overflow ``gain``.
     """
-    half_n = n // 2
-    p = 2 * m_half + 1
-    nfft = _next_fast_len(n + p - 1)
-    d2 = delta * delta
-    m = np.arange(-m_half, m_half + 1)
-    phi = window(delta * m)
+    nfft = _next_fast_len(n + 2 * m_half)
+    phi = window(delta * np.arange(-m_half, m_half + 1))
     width = _band_width(phi, delta, nfft)
-    ll = np.arange(-half_n, half_n + 1)
-    first = (np.rint(ll * (-d2 * nfft / math.pi)).astype(np.int64) - width // 2) % nfft
+    ll = np.arange(-(n // 2), n // 2 + 1)
+    first = (np.rint(ll * (-delta * delta * nfft / math.pi)).astype(np.int64) - width // 2) % nfft
     starts = np.arange(0, n, _BLOCK_COLS)
     base = first[np.minimum(starts + _BLOCK_COLS, n) - 1]
     # at delta >= 1/4 the band is every bin, and a wider one would read bins twice
     span = min(width + int(((first[starts] - base) % nfft).max()), nfft)
+    nconv = _next_fast_len(n + span - 1, real=True)
+    # an FFT's every intermediate is at most its input's L1 norm, so each one is
+    # at most |alpha|_1 * |G_ll|_2 * sqrt(K) * max(1, K/nfft), |G_ll|_2**2 =
+    # nfft * sum(phi**2) (Parseval)
+    gain = math.sqrt(nfft * nconv * np.dot(phi, phi)) * max(1, nconv / nfft)
+    return nfft, base, span, nconv, gain
+
+
+@functools.lru_cache(maxsize=_PLAN_GRIDS)
+def _plan(n: int, m_half: int, delta: float):
+    """The arrays of :func:`_spectral_columns` that depend on the grid alone.
+
+    Returns ``nfft`` and ``base`` (:func:`_bands`); ``spec``, whose row
+    ``c`` holds ``G_ll`` on its block's band times the input chirp
+    ``W**(j**2/2)``, ``W = exp(2j*pi/nfft)``; the chirp-z kernel
+    ``fft(W**(-k**2/2)) / nfft`` over ``k = 1 - span .. n - 1``, wrapped
+    into the next 5-smooth length ``K >= n + span - 1``, so the convolution
+    does not wrap; and the phase ramp ``ramp[c, i] =
+    exp(1j*delta**2*c*kk)``, ``kk = i - half_n``, for the in-block columns
+    ``c < _BLOCK_COLS``.  ``spec`` and ``ramp`` take ``n * (span +
+    _BLOCK_COLS) * 16`` bytes.  All are read-only, since every caller on
+    the grid shares them.
+    """
+    nfft, base, span, nconv, _ = _bands(n, m_half, delta)
+    p = 2 * m_half + 1
+    d2 = delta * delta
+    m = np.arange(-m_half, m_half + 1)
+    phi = window(delta * m)
+    ll = np.arange(-(n // 2), n // 2 + 1)
     chirp = _chirp(np.arange(span) ** 2, nfft)
     k = np.arange(1 - span, n)
-    nconv = _next_fast_len(n + span - 1, real=True)
     kernel = np.zeros(nconv, dtype=np.complex128)
     kernel[k % nconv] = _chirp(-k * k, nfft)
     kernel = np.fft.fft(kernel) / nfft
@@ -339,7 +353,7 @@ def _plan(n: int, m_half: int, delta: float):
     cols = np.arange(_BLOCK_COLS)
     window_ramp = np.exp((2j * d2) * np.outer(cols, m))
     ramp = np.exp((1j * d2) * np.outer(cols, ll))
-    for b, j0 in enumerate(starts):
+    for b, j0 in enumerate(range(0, n, _BLOCK_COLS)):
         j1 = min(j0 + _BLOCK_COLS, n)
         g = buf[: j1 - j0]
         np.multiply(phi * np.exp((2j * d2) * (ll[j0] * m)), window_ramp[: j1 - j0], out=g[:, :p])
@@ -524,32 +538,32 @@ _DTYPE = "complex128"
 _PRECISIONS = ("complex64", _DTYPE)
 
 
+def cache_header(grid: GridSpec, signal: SignalModel, sigma: float, seed: int | None) -> dict:
+    """The header of the cache of realization ``seed`` (None: no noise) of
+    ``signal`` plus noise of level ``sigma`` on ``grid``, as
+    :func:`read_header` reads it back."""
+    return dict(format=_MAGIC, L=grid.L, delta=grid.delta, T=WINDOW_T, sigma=sigma, seed=seed,
+                signal=signal.descriptor(), precision=_DTYPE, n_axis=grid.n_axis)
+
+
 def write_field(field: WeightedField, path) -> None:
-    g = field.grid
+    """Cache ``field``, whose source (its realization) the header records."""
     src = field.source
-    header = {
-        "format": _MAGIC,
-        "L": g.L,
-        "delta": g.delta,
-        "T": WINDOW_T,
-        "sigma": src.noise.sigma if src is not None else None,
-        "seed": field.seed,
-        "signal": src.signal.descriptor() if src is not None else None,
-        "precision": _DTYPE,
-        "n_axis": g.n_axis,
-    }
+    if src is None:
+        raise ConfigError("a field without a source records no realization to cache")
+    header = cache_header(field.grid, src.signal, src.noise.sigma, src.noise.seed)
     # written through the buffer protocol without a bytes copy
     payload = np.ascontiguousarray(field.values, dtype=_DTYPE)
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode())
-        fh.write(b"\n")
+        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         fh.write(payload)
 
 
-def _read_header(fh, path) -> dict:
-    """The JSON header line of a field cache open for binary reading."""
+def read_header(path) -> dict:
+    """The JSON header line of the field cache at ``path``."""
     try:
-        header = json.loads(fh.readline())
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline())
     except ValueError as e:  # bad JSON or bytes that are not UTF-8
         raise DataError(f"{path}: corrupt field cache: {e!r}") from e
     if not isinstance(header, dict) or header.get("format") != _MAGIC:
@@ -558,12 +572,12 @@ def _read_header(fh, path) -> dict:
 
 
 def read_field(path) -> WeightedField:
-    """Load a cached field; regenerates the noise source when the header
-    records a seed (noise draws are reproducible), else returns a field
-    without one."""
+    """Load a cached field and regenerate its realization: the noise of the
+    header's seed, or none for a ``"seed": null`` cache."""
+    header = read_header(path)
     with open(path, "rb") as fh:
-        header = _read_header(fh, path)
-        raw = fh.read()
+        fh.readline()
+        raw = fh.read()  # starts at the payload, so the samples' view is aligned
     try:
         grid = make_grid(L=header["L"], delta=header["delta"], T=header["T"])
         n = header["n_axis"]
@@ -575,17 +589,13 @@ def read_field(path) -> WeightedField:
         if values.size != n * n:
             raise DataError(f"{path}: payload size {values.size} != {n}*{n}")
         values = values.reshape(n, n).astype(np.complex128, copy=False)
-        source = None
-        if header.get("signal") is not None:
-            sig = parse_signal(header["signal"], sigma=header.get("sigma") or 1.0)
-            if header.get("seed") is not None:
-                noise = draw_noise(grid, header["sigma"], header["seed"])
-            else:
-                noise = zero_noise(grid)
-            source = FieldSource(noise=noise, signal=sig, grid=grid)
+        seed, sigma = header["seed"], header["sigma"]
+        noise = zero_noise(grid) if seed is None else draw_noise(grid, sigma, seed)
+        source = FieldSource(noise, parse_signal(header["signal"], sigma=sigma), grid)
+    except ConfigError as e:  # values the grid, signal, noise or source reject
+        raise DataError(f"{path}: {e}") from e
     except (AttributeError, KeyError, TypeError, ValueError) as e:
-        # a missing key, a value of the wrong type, a payload that is not
-        # whole elements, or values the grid or signal reject
-        # (ConfigError is a ValueError)
+        # a missing key, a value of the wrong type (a null signal too), or a
+        # payload that is not whole elements
         raise DataError(f"{path}: corrupt field cache: {e!r}") from e
     return WeightedField(grid=grid, values=values, source=source)

@@ -267,6 +267,10 @@ def test_caches_of_earlier_versions(tmp_path, capsys):
     write_old(margin=0)
     old = read_field(cache)
     assert old.grid == new.grid and old.values.tobytes() == new.values.tobytes()
+    # its header is not this version's, so simulate does not replace it
+    before = cache.read_bytes()
+    assert main([*argv, "--L", "2"]) == 2
+    assert cache.read_bytes() == before
     # the same 65x65 samples as L=1.875 with two rings: the axis count is off
     write_old(L=1.875, margin=2)
     with pytest.raises(DataError, match="axis count 65"):
@@ -507,6 +511,25 @@ def test_consistency_refuses_caches_of_two_signals(tmp_path, capsys):
                  "--out", str(tmp_path / "reports" / "c.csv")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "2 signals (hermite1:A=3.0, zero)" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fields"]
+
+
+def test_consistency_refuses_caches_of_two_precisions(tmp_path, capsys):
+    # a complex64 cache of an earlier version holds other samples than the
+    # complex128 ones: the headers differ in more than the seed
+    fields = tmp_path / "fields"
+    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero",
+                 "--seeds", "0..1", "--out", str(fields)]) == 0
+    cache = fields / "field_zero_A0_d2m4_s1.wfield"
+    line, _, _ = cache.read_bytes().partition(b"\n")
+    header = json.dumps({**json.loads(line), "precision": "complex64"}, sort_keys=True)
+    half = read_field(cache).values.astype("complex64")
+    cache.write_bytes(header.encode() + b"\n" + half.tobytes())
+    assert main(["consistency", "--fields", str(fields), "--levels", "1",
+                 "--out", str(tmp_path / "reports" / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "2 precisions (complex128, complex64)" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fields"]
 
@@ -792,12 +815,15 @@ def test_exit_code_data_errors(tmp_path, capsys):
     # a window half-length other than 6 (an earlier version's, or an edit)
     # is refused before any noise is drawn, and nothing is written
     cache.write_bytes(json.dumps({**meta, "T": 2.0}).encode() + b"\n" + payload)
-    with pytest.raises(DataError, match="T = 2.0"):
+    named = f"{cache}: T = 2.0: the window half-length is fixed at 6.0"
+    with pytest.raises(DataError) as e:
         read_field(cache)
+    assert str(e.value) == named  # a cache of another version, not a corrupt one
     assert main(["detect", "--fields", str(fields), "--out", str(tmp_path / "p")]) == 3
     assert main(["consistency", "--fields", str(fields),
                  "--out", str(tmp_path / "c" / "c.csv")]) == 3
-    assert "T = 2.0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count(named) == 2 and "corrupt" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty", "fields", "latin.cfg"]
     # a negative seed, which no noise draw accepts
     cache.write_bytes(json.dumps({**meta, "seed": -1}).encode() + b"\n" + payload)
@@ -829,6 +855,33 @@ def test_exit_code_data_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "data error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("signal, old, new, named", [
+    ("zero", b'"signal": "zero"', b'"signal": null', "corrupt field cache"),
+    ("hermite1:A=1", b'"hermite1:A=1.0"', b'"hermite1:A=1e+308"',
+     "signal amplitude or sigma so large that synthesis could overflow"),
+], ids=["no-signal", "overflow"])
+def test_caches_whose_realization_does_not_regenerate(tmp_path, capsys, signal, old, new,
+                                                       named):
+    # every cache records a realization: a header with no signal (no version
+    # writes one), or one whose source could overflow, is a data error, and
+    # neither detect nor consistency writes anything
+    fields = tmp_path / "fields"
+    assert main(["simulate", "--L", "2", "--delta", "2^-3", "--signal", signal,
+                 "--seeds", "0", "--out", str(fields)]) == 0
+    (cache,) = fields.iterdir()
+    blob = cache.read_bytes()
+    assert blob.count(old) == 1
+    cache.write_bytes(blob.replace(old, new))
+    with pytest.raises(DataError, match=named):
+        read_field(cache)
+    assert main(["detect", "--fields", str(fields), "--out", str(tmp_path / "p")]) == 3
+    assert main(["consistency", "--fields", str(fields), "--levels", "1",
+                 "--out", str(tmp_path / "c" / "c.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.count(f"data error: {cache}: {named}") == 2 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fields"]
 
 
 # ---------------------------------------------------------------------------

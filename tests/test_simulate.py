@@ -14,6 +14,7 @@ from bargzeros import (
     FieldSource,
     SignalKind,
     SignalModel,
+    WeightedField,
     amn,
     draw_noise,
     evaluate_continuous,
@@ -391,6 +392,9 @@ def test_synthesis_refuses_samples_that_could_overflow():
                        (draw_noise(g, sigma=1e306, seed=0), ZERO)):
         with pytest.raises(ConfigError, match="could overflow"):
             synthesize_field(noise, sig, g)
+        # the source itself is refused, so no evaluation of it reads inf or NaN
+        with pytest.raises(ConfigError, match="could overflow"):
+            FieldSource(noise, sig, g)
     noise = draw_noise(g, sigma=1e300, seed=0)
     f = synthesize_field(noise, model_for(SignalKind.HERMITE1, 1e300), g)
     assert np.isfinite(f.values).all()
@@ -699,6 +703,17 @@ def test_cache_of_a_noiseless_field(tmp_path):
     assert not back.source.noise.w.any()
     scale = np.abs(f.values).max()
     assert np.abs(direct_sum(back.source) - f.values).max() < 1e-13 * scale
+
+
+def test_cache_records_its_realization(tmp_path):
+    # the header records the realization read_field regenerates, so a field
+    # without a source is refused before any file is made
+    g = make_grid(L=1, delta=2.0 ** -4)
+    f = synthesize_field(draw_noise(g, 1.0, 4), ZERO, g)
+    p = tmp_path / "f.wfield"
+    with pytest.raises(ConfigError, match="without a source"):
+        write_field(WeightedField(grid=g, values=f.values), p)
+    assert not p.exists()
 
 
 def test_cache_reduced_precision(tmp_path):
