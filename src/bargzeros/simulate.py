@@ -33,8 +33,11 @@ bins (1620 at n=1537) where the inverse FFT's is about ``n + 2*M``
 :func:`evaluate_continuous` evaluates anywhere.  That sum takes its
 exponentials from two short tables per ``y`` (a few ulp off the direct
 exponential), and the tests check it against the per-point sum to 1e-13
-relative.  The transforms are NumPy's FFTs (the C++ pocketfft, which NumPy
-2.0 and later ships), written in place into the blocks' buffers.
+relative.  :func:`refine_zero`'s nested searches read the same sum as a
+Taylor series about their start, whose moments are formed once per call
+(:func:`_series_magnitudes`).  The transforms are NumPy's FFTs (the C++
+pocketfft, which NumPy 2.0 and later ships), written in place into the
+blocks' buffers.
 Synthesis runs its column blocks on one thread per CPU the process may
 use; its output bits do not depend on the CPU count.
 
@@ -126,9 +129,10 @@ def draw_noise(grid: GridSpec, sigma: float, seed: int) -> NoiseDraw:
 
 
 def zero_noise(grid: GridSpec) -> NoiseDraw:
-    """An all-zero noise vector (for synthesising pure-signal fields)."""
+    """An all-zero noise vector (for synthesising pure-signal fields); its
+    level ``sigma`` is 0, which the cache header of its field records."""
     w = np.zeros(_noise_length(grid), dtype=np.complex128)
-    return NoiseDraw(w=w, seed=None, delta=grid.delta, sigma=1.0)
+    return NoiseDraw(w=w, seed=None, delta=grid.delta, sigma=0.0)
 
 
 @dataclass(frozen=True)
@@ -440,6 +444,15 @@ def _spectral_columns(alpha, m_half, delta, n):
 _TABLE = 64
 
 
+def _check_domain(g: GridSpec, *axes) -> None:
+    for axis in axes:
+        bad = ~(np.abs(axis) <= g.L)  # NaN too
+        if bad.any():
+            raise ConfigError(
+                f"coordinate {axis[bad][0]} outside the stored domain (halfwidth {g.L})"
+            )
+
+
 def _evaluate_lattice(source: FieldSource, xs, ys) -> np.ndarray:
     """The weighted transform at every ``xs[j] + 1j*ys[i]``, as ``out[i, j]``.
 
@@ -456,12 +469,7 @@ def _evaluate_lattice(source: FieldSource, xs, ys) -> np.ndarray:
     g = source.grid
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    for axis in (xs, ys):
-        bad = ~(np.abs(axis) <= g.L)  # NaN too
-        if bad.any():
-            raise ConfigError(
-                f"coordinate {axis[bad][0]} outside the stored domain (halfwidth {g.L})"
-            )
+    _check_domain(g, xs, ys)
     d = source.noise.delta
     # per-x window index ranges, as |t_s - x| <= T with a rounding guard
     lo = np.ceil((xs - WINDOW_T) / d - 1e-12).astype(np.int64)
@@ -490,6 +498,64 @@ def evaluate_continuous(source: FieldSource, z: complex) -> complex:
     return complex(_evaluate_lattice(source, [z.real], [z.imag])[0, 0])
 
 
+#: the largest sup-norm distance from its centre at which
+#: :func:`_series_magnitudes` is used: at distance ``r`` its terms reach
+#: about ``exp(2*r**2)`` of the sum's scale, and its rounding with them
+_SERIES_REACH = 1.0
+
+
+def _series_magnitudes(source: FieldSource, z0: complex, reach: float):
+    """``|V|`` near ``z0``, a point of the stored domain, from one Taylor
+    series: a function of ``(xs, ys)``, all within ``reach`` of ``z0`` in
+    sup norm, that returns ``out[i, j] = |V(xs[j] + 1j*ys[i])|``.
+
+    With ``x = x0 + p``, ``y = y0 + q``, ``zeta = p + 1j*q`` and ``u_s =
+    t_s - x0``, the window factors as ``phi(u_s - p) = phi(u_s) *
+    exp(2*u_s*p - p**2)``, so ``|V(x, y)| = exp(-p**2) * |sum_s b_s *
+    exp(2*u_s*zeta)|`` with ``b_s = a_s * phi(u_s) * exp(2j*y0*t_s)``, and
+    the sum is the power series ``sum_m M_m * zeta**m`` with moments ``M_m
+    = sum_s b_s * (2*u_s)**m / m!``.  The moments are formed once, over the
+    union of the windows within ``reach``; each point then costs a
+    polynomial, cut where the series' remainder is below ``2**-60`` of the
+    sum's scale: 15 terms at delta=2**-7 and ``reach`` 4/3 of ``2*delta``,
+    99 at the largest ``reach``, ``_SERIES_REACH``.  The samples that one
+    ``x``'s window cut drops and another's keeps weigh below
+    ``exp(-36)``.
+    """
+    g = source.grid
+    d, half = source.noise.delta, source.noise.s_half
+    x0, y0 = z0.real, z0.imag
+    # a window past the samples' end belongs to a point the domain refuses
+    lo = max(math.ceil((x0 - reach - WINDOW_T) / d - 1e-12), -half)
+    hi = min(math.floor((x0 + reach + WINDOW_T) / d + 1e-12), half)
+    t = d * np.arange(lo, hi + 1)
+    u = t - x0
+    b = source.samples[lo + half : hi + half + 1] * window(u) * np.exp(2j * y0 * t)
+    # exp's series at |2*u_s*zeta| <= x leaves at most x**n/n! * exp(x)
+    # after n terms
+    x = 2.0 * math.sqrt(2.0) * reach * np.abs(u).max()
+    terms, tail = 1, x * math.exp(x)
+    while tail > 2.0**-60:
+        tail *= x / (terms + 1)
+        terms += 1
+    powers = np.empty((terms, u.size))
+    powers[0] = 1.0
+    for m in range(1, terms):
+        np.multiply(powers[m - 1], (2.0 / m) * u, out=powers[m])
+    moments = (powers @ b.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+
+    def magnitudes(xs, ys) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        _check_domain(g, xs, ys)
+        p, q = xs - x0, ys - y0
+        zeta = (p[None, :] + 1j * q[:, None]).ravel()
+        sums = np.vander(zeta, terms, increasing=True) @ moments
+        return np.exp(-p * p) * np.abs(sums).reshape(ys.size, xs.size)
+
+    return magnitudes
+
+
 def refine_zero(
     source: FieldSource,
     z0: complex,
@@ -499,23 +565,34 @@ def refine_zero(
     """Minimise the weighted magnitude over nested square searches.
 
     Each pass evaluates a 9x9 grid over the square of the current radius
-    centred at the best point so far, as one separable lattice sum, then
-    shrinks the radius fourfold; ``levels`` extra passes follow the
-    initial one.  A pass moves to its first minimum in row-major order
-    (``dy`` outer, ``dx`` inner), and only if that is strictly below the
-    best magnitude so far.  The returned minimum is non-increasing in
-    ``levels`` because every finer grid contains its own centre.
+    centred at the best point so far, then shrinks the radius fourfold;
+    ``levels`` extra passes follow the initial one.  A pass moves to its
+    first minimum in row-major order (``dy`` outer, ``dx`` inner), and only
+    if that is strictly below the best magnitude so far.  The returned
+    minimum is non-increasing in ``levels`` because every finer grid
+    contains its own centre.
+
+    Every pass's grid lies within ``4/3 * radius`` of ``z0``, so up to
+    ``_SERIES_REACH`` of it all the passes read one Taylor series about
+    ``z0`` (:func:`_series_magnitudes`), formed once, in place of a lattice
+    sum per pass; a wider search sums the lattice at every pass.
     """
     if not radius >= source.grid.delta:
         raise ConfigError(f"radius {radius} below grid spacing {source.grid.delta}")
     if levels < 0:
         raise ConfigError("levels must be >= 0")
     best, best_mag = z0, abs(evaluate_continuous(source, z0))
+    reach = 4.0 / 3.0 * radius
+    if reach <= _SERIES_REACH:
+        magnitudes = _series_magnitudes(source, z0, reach)
+    else:
+        def magnitudes(xs, ys):
+            return np.abs(_evaluate_lattice(source, xs, ys))
     r = radius
     for _ in range(levels + 1):
         offs = np.linspace(-r, r, 9)
         xs, ys = best.real + offs, best.imag + offs
-        mags = np.abs(_evaluate_lattice(source, xs, ys))
+        mags = magnitudes(xs, ys)
         i, j = np.unravel_index(np.argmin(mags), mags.shape)
         if mags[i, j] < best_mag:
             best, best_mag = complex(xs[j], ys[i]), float(mags[i, j])
@@ -559,43 +636,59 @@ def write_field(field: WeightedField, path) -> None:
         fh.write(payload)
 
 
-def read_header(path) -> dict:
-    """The JSON header line of the field cache at ``path``."""
+def _parse_header(path, line: bytes) -> dict:
     try:
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline())
+        header = json.loads(line)
     except ValueError as e:  # bad JSON or bytes that are not UTF-8
         raise DataError(f"{path}: corrupt field cache: {e!r}") from e
     if not isinstance(header, dict) or header.get("format") != _MAGIC:
         raise DataError(f"{path}: not a {_MAGIC} cache")
+    if "seed" in header and header["seed"] is None:
+        header["sigma"] = 0.0  # no noise: earlier versions recorded a placeholder 1.0
     return header
+
+
+def read_header(path) -> dict:
+    """The JSON header line of the field cache at ``path``; a cache without
+    noise (``"seed": null``) reads as ``"sigma": 0.0``."""
+    with open(path, "rb") as fh:
+        return _parse_header(path, fh.readline())
 
 
 def read_field(path) -> WeightedField:
     """Load a cached field and regenerate its realization: the noise of the
-    header's seed, or none for a ``"seed": null`` cache."""
-    header = read_header(path)
-    with open(path, "rb") as fh:
-        fh.readline()
-        raw = fh.read()  # starts at the payload, so the samples' view is aligned
+    header's seed, or none for a ``"seed": null`` cache.
+
+    The payload's size is checked against the file's before anything is
+    allocated, and the samples are read straight into a fresh array.
+    """
     try:
-        grid = make_grid(L=header["L"], delta=header["delta"], T=header["T"])
-        n = header["n_axis"]
-        if n != grid.n_axis:
-            raise DataError(f"{path}: header axis count {n} inconsistent with grid")
-        if header["precision"] not in _PRECISIONS:
-            raise DataError(f"{path}: unknown precision {header['precision']!r}")
-        values = np.frombuffer(raw, dtype=header["precision"])
-        if values.size != n * n:
-            raise DataError(f"{path}: payload size {values.size} != {n}*{n}")
-        values = values.reshape(n, n).astype(np.complex128, copy=False)
-        seed, sigma = header["seed"], header["sigma"]
-        noise = zero_noise(grid) if seed is None else draw_noise(grid, sigma, seed)
-        source = FieldSource(noise, parse_signal(header["signal"], sigma=sigma), grid)
+        with open(path, "rb") as fh:
+            header = _parse_header(path, fh.readline())
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            grid = make_grid(L=header["L"], delta=header["delta"], T=header["T"])
+            n, precision = header["n_axis"], header["precision"]
+            if n != grid.n_axis:
+                raise DataError(f"{path}: header axis count {n} inconsistent with grid")
+            if precision not in _PRECISIONS:
+                raise DataError(f"{path}: unknown precision {precision!r}")
+            want = n * n * np.dtype(precision).itemsize
+            if size != want:
+                raise DataError(f"{path}: payload size {size} bytes, not the {want} "
+                                f"of {n}*{n} {precision} samples")
+            values = np.empty((n, n), dtype=precision)
+            if fh.readinto(values) != want:
+                raise DataError(f"{path}: payload size changed while it was read")
+        if header["seed"] is None:
+            noise, signal = zero_noise(grid), parse_signal(header["signal"])
+        else:
+            noise = draw_noise(grid, header["sigma"], header["seed"])
+            signal = parse_signal(header["signal"], sigma=noise.sigma)
+        source = FieldSource(noise, signal, grid)
     except ConfigError as e:  # values the grid, signal, noise or source reject
         raise DataError(f"{path}: {e}") from e
     except (AttributeError, KeyError, TypeError, ValueError) as e:
-        # a missing key, a value of the wrong type (a null signal too), or a
-        # payload that is not whole elements
+        # a missing key or a value of the wrong type (a null signal too)
         raise DataError(f"{path}: corrupt field cache: {e!r}") from e
+    values = values.astype(np.complex128, copy=False)
     return WeightedField(grid=grid, values=values, source=source)

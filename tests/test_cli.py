@@ -416,6 +416,43 @@ def test_stats_refuses_point_sets_of_another_sigma(tmp_path, capsys):
     assert main([*argv, "--sigma", "2"]) == 0
 
 
+def test_noiseless_cache_records_no_noise(tmp_path, capsys):
+    # a cache of a zero_noise field records sigma 0, so stats does not count
+    # its detections as those of noise level 1, and consistency does not pool
+    # it with noisy caches; an earlier version's noiseless cache, which
+    # recorded sigma 1, reads back as sigma 0 too
+    fields, points, out = tmp_path / "fields", tmp_path / "points", tmp_path / "s.csv"
+    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "gauss:A=1",
+                 "--sigma", "1", "--seeds", "0", "--out", str(fields)]) == 0
+    g = bargzeros.make_grid(L=2.0, delta=2.0**-4)
+    model = bargzeros.parse_signal("gauss:A=1")
+    cache = tmp_path / "noiseless" / "field_gauss_A1_d2m4_sx.wfield"
+    cache.parent.mkdir()
+    bargzeros.write_field(
+        bargzeros.synthesize_field(bargzeros.zero_noise(g), model, g), cache)
+    written = cache.read_bytes()
+    assert b'"seed": null' in written and b'"sigma": 0.0' in written
+    earlier = written.replace(b'"sigma": 0.0', b'"sigma": 1.0')
+    for version, blob in enumerate((written, earlier)):
+        cache.write_bytes(blob)
+        assert read_field(cache).source.noise.sigma == 0.0
+        assert main(["detect", "--fields", str(cache.parent), "--methods", "amn",
+                     "--out", str(points)]) == 0
+        assert main(["stats", "--points", str(points), "--signal", "gauss:A=1",
+                     "--sigma", "1", "--boxes", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "holds detections of sigma '0.0', not '1.0'" in err and not out.exists()
+        mixed = tmp_path / f"mixed{version}"
+        mixed.mkdir()
+        for p in (*fields.iterdir(), cache):
+            (mixed / p.name).write_bytes(p.read_bytes())
+        assert main(["consistency", "--fields", str(mixed), "--levels", "1",
+                     "--out", str(tmp_path / "c.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "2 sigmas" in err and "Traceback" not in err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_consistency_refuses_another_configs_file(pipeline, capsys):
     tmp, fields, _ = pipeline
     argv = ["consistency", "--fields", str(fields), "--methods", "amn", "--levels", "1",

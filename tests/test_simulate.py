@@ -651,6 +651,42 @@ def test_refine_matches_per_point_search():
     assert checked >= 4
 
 
+def test_refine_wider_than_the_series_matches_per_point_search():
+    # a search that reaches past _SERIES_REACH sums the lattice at every
+    # pass; at this reach the series' terms would overflow
+    g = make_grid(L=6, delta=2.0 ** -3)
+    radius, levels = 3.5, 1
+    assert 4.0 / 3.0 * radius > simulate._SERIES_REACH
+    f = synthesize_field(draw_noise(g, 1.0, 0), ZERO, g)
+    points = amn(f, 2.0).points[:3]
+    assert points.size == 3
+    for p in points:
+        loc, mag = refine_zero(f.source, complex(p), radius, levels)
+        ref_loc, ref_mag = scalar_refine(f.source, complex(p), radius, levels)
+        assert loc == ref_loc
+        assert abs(mag - ref_mag) <= 1e-9 * ref_mag
+
+
+@pytest.mark.parametrize("signal", [ZERO, model_for(SignalKind.HERMITE1, 100.0)],
+                         ids=["zero", "hermite1-A100"])
+@pytest.mark.parametrize("delta, reach", [(2.0 ** -7, 2.0 ** -6 * 4 / 3),
+                                          (2.0 ** -4, simulate._SERIES_REACH)],
+                         ids=["2delta", "widest"])
+def test_series_magnitudes_match_lattice(signal, delta, reach):
+    # refine_zero's Taylor series about z0 against the lattice sum, on a
+    # grid over the whole square it serves and on a fine one at its corner
+    g = make_grid(L=3, delta=delta)
+    f = synthesize_field(draw_noise(g, 1.0, 5), signal, g)
+    scale = np.abs(f.values).max()
+    for z0 in (0.3 - 0.2j, complex(amn(f, 1.5).points[0])):
+        magnitudes = simulate._series_magnitudes(f.source, z0, reach)
+        for centre, r in ((z0, reach), (z0 + reach * (0.99 - 0.99j), reach / 256)):
+            offs = np.linspace(-r, r, 9)
+            xs, ys = centre.real + offs, centre.imag + offs
+            want = np.abs(simulate._evaluate_lattice(f.source, xs, ys))
+            assert np.abs(magnitudes(xs, ys) - want).max() <= 1e-13 * scale
+
+
 def test_refine_search_square_crossing_domain_raises():
     src = _hermite_source()  # stored domain is [-1, 1]^2
     with pytest.raises(ConfigError, match="outside the stored domain"):
@@ -729,6 +765,7 @@ def test_cache_reduced_precision(tmp_path):
     half.write_bytes(header.encode() + b"\n" + f.values.astype(np.complex64).tobytes())
     back = read_field(half)
     assert back.values.dtype == np.complex128 and back.seed == 4
+    assert np.array_equal(back.values, f.values.astype(np.complex64).astype(np.complex128))
     scale = np.abs(f.values).max()
     assert np.abs(back.values - f.values).max() < 1e-6 * scale
 
@@ -743,10 +780,12 @@ def test_cache_rejects_corruption(tmp_path):
     truncated.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(DataError):
         read_field(truncated)
-    # short by whole elements, so the payload still reads as complex128
-    truncated.write_bytes(blob[:-16])
-    with pytest.raises(DataError, match="payload size"):
-        read_field(truncated)
+    # short by whole elements or by part of one, or with bytes appended:
+    # the file's size is checked before the payload is read
+    for cut in (blob[:-16], blob[:-3], blob + b"\0" * 16, blob + b"\n"):
+        truncated.write_bytes(cut)
+        with pytest.raises(DataError, match="payload size"):
+            read_field(truncated)
     garbage = tmp_path / "garbage.wfield"
     garbage.write_bytes(b"not json\n" + blob)
     with pytest.raises(DataError):
