@@ -253,8 +253,9 @@ def cmd_stats(args) -> int:
     _refuse_replacing(out, h)
 
     rows = []
+    expected: dict = {}  # one signal and sigma: each box's count is integrated once
     for _, sets in sorted(groups.items()):
-        rows += st_mod.summary_rows(sets, model, sigma, boxes)
+        rows += st_mod.summary_rows(sets, model, sigma, boxes, expected)
     out.parent.mkdir(parents=True, exist_ok=True)
     st_mod.write_stats_csv(rows, out, meta={"config": h})
     for r in rows:

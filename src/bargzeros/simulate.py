@@ -31,11 +31,13 @@ bins (1620 at n=1537) where the inverse FFT's is about ``n + 2*M``
 (4620).  Its reference is the direct sum at the grid's points,
 ``_evaluate_lattice(source, axis, axis).T``, the sum that
 :func:`evaluate_continuous` evaluates anywhere.  That sum takes its
-exponentials from two short tables per ``y`` (a few ulp off the direct
-exponential), and the tests check it against the per-point sum to 1e-13
-relative.  :func:`refine_zero`'s nested searches read the same sum as a
-Taylor series about their start, whose moments are formed once per call
-(:func:`_series_magnitudes`).  The transforms are NumPy's FFTs (the C++
+exponentials from two short tables per ``y`` (:func:`_waves`, a few ulp
+off the direct exponential), and the tests check it against the per-point
+sum to 1e-13 relative.  :func:`refine_zero`'s nested searches, their
+start's magnitude included, read the same sum as a Taylor series about
+their start, whose moments are formed once per call with phases from the
+same tables (:func:`_series_magnitudes`), so a short search takes no
+lattice sum at all.  The transforms are NumPy's FFTs (the C++
 pocketfft, which NumPy 2.0 and later ships), written in place into the
 blocks' buffers.
 Synthesis runs its column blocks on one thread per CPU the process may
@@ -59,6 +61,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -438,19 +441,31 @@ def _spectral_columns(alpha, m_half, delta, n):
     return out
 
 
-#: length of the short table of :func:`_evaluate_lattice`: a y's
-#: exponentials over ``S`` samples come from ``ceil(S/_TABLE) + _TABLE`` of
-#: them, 89 instead of 1541 at delta=2**-7, T=6
+#: length of the short table of :func:`_waves`: a y's exponentials over
+#: ``S`` samples come from ``ceil(S/_TABLE) + _TABLE`` of them, 89 instead
+#: of 1541 at delta=2**-7, T=6
 _TABLE = 64
 
 
 def _check_domain(g: GridSpec, *axes) -> None:
     for axis in axes:
-        bad = ~(np.abs(axis) <= g.L)  # NaN too
-        if bad.any():
+        if not np.abs(axis).max(initial=0.0) <= g.L:  # NaN too
+            bad = ~(np.abs(axis) <= g.L)
             raise ConfigError(
                 f"coordinate {axis[bad][0]} outside the stored domain (halfwidth {g.L})"
             )
+
+
+def _waves(theta: np.ndarray, s0: int, size: int) -> np.ndarray:
+    """``out[i, k] = exp(1j*theta[i]*(s0 + k))`` for ``k < size``.
+
+    With ``k = _TABLE*q + r`` each exponential is ``exp(1j*theta*(s0 +
+    _TABLE*q)) * exp(1j*theta*r)``: a product of two short tables per
+    ``theta``, a few ulp off the direct exponential.
+    """
+    coarse = np.exp(1j * np.outer(theta, s0 + _TABLE * np.arange(-(-size // _TABLE))))
+    fine = np.exp(1j * np.outer(theta, np.arange(_TABLE)))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(theta.size, -1)[:, :size]
 
 
 def _evaluate_lattice(source: FieldSource, xs, ys) -> np.ndarray:
@@ -460,11 +475,9 @@ def _evaluate_lattice(source: FieldSource, xs, ys) -> np.ndarray:
     * sum_s [a_s * phi(t_s - x)] * exp(2j*y*t_s)`` with ``t_s = delta*s``:
     one ``(ny, S)`` matrix of exponentials times one ``(S, nx)`` matrix of
     windowed samples (zero outside each ``x``'s window).  The samples lie
-    on a lattice, ``s = s0 + _TABLE*q + r``, so with ``theta = 2*delta*y``
-    each exponential is ``exp(1j*theta*(s0 + _TABLE*q)) *
-    exp(1j*theta*r)``: a product of two short tables per ``y``, a few ulp
-    off the direct exponential.  The tests check this sum against the
-    per-point sum to 1e-13 relative.
+    on a lattice, ``t_s = delta*s``, so with ``theta = 2*delta*y`` the
+    exponentials come from two short tables per ``y`` (:func:`_waves`).
+    The tests check this sum against the per-point sum to 1e-13 relative.
     """
     g = source.grid
     xs = np.asarray(xs, dtype=np.float64)
@@ -482,10 +495,7 @@ def _evaluate_lattice(source: FieldSource, xs, ys) -> np.ndarray:
     for row, first, last in zip(weighted, lo - s0, hi - s0):
         row[:first] = 0.0
         row[last + 1 :] = 0.0
-    theta = 2.0 * d * ys
-    coarse = np.exp(1j * np.outer(theta, s0 + _TABLE * np.arange(-(-size // _TABLE))))
-    fine = np.exp(1j * np.outer(theta, np.arange(_TABLE)))
-    waves = (coarse[:, :, None] * fine[:, None, :]).reshape(ys.size, -1)[:, :size]
+    waves = _waves(2.0 * d * ys, s0, size)
     return np.exp(-1j * np.outer(ys, xs)) * (waves @ weighted.T)
 
 
@@ -507,20 +517,22 @@ _SERIES_REACH = 1.0
 def _series_magnitudes(source: FieldSource, z0: complex, reach: float):
     """``|V|`` near ``z0``, a point of the stored domain, from one Taylor
     series: a function of ``(xs, ys)``, all within ``reach`` of ``z0`` in
-    sup norm, that returns ``out[i, j] = |V(xs[j] + 1j*ys[i])|``.
+    sup norm, that returns ``out[i, j] = |V(xs[j] + 1j*ys[i])|``; its
+    ``centre`` attribute is ``|V(z0)| = |M_0|``.
 
     With ``x = x0 + p``, ``y = y0 + q``, ``zeta = p + 1j*q`` and ``u_s =
     t_s - x0``, the window factors as ``phi(u_s - p) = phi(u_s) *
     exp(2*u_s*p - p**2)``, so ``|V(x, y)| = exp(-p**2) * |sum_s b_s *
     exp(2*u_s*zeta)|`` with ``b_s = a_s * phi(u_s) * exp(2j*y0*t_s)``, and
     the sum is the power series ``sum_m M_m * zeta**m`` with moments ``M_m
-    = sum_s b_s * (2*u_s)**m / m!``.  The moments are formed once, over the
-    union of the windows within ``reach``; each point then costs a
-    polynomial, cut where the series' remainder is below ``2**-60`` of the
-    sum's scale: 15 terms at delta=2**-7 and ``reach`` 4/3 of ``2*delta``,
-    99 at the largest ``reach``, ``_SERIES_REACH``.  The samples that one
-    ``x``'s window cut drops and another's keeps weigh below
-    ``exp(-36)``.
+    = sum_s b_s * (2*u_s)**m / m!``.  The phases ``exp(2j*y0*t_s)`` come
+    from the lattice sum's two short tables (:func:`_waves`).  The moments
+    are formed once, over the union of the windows within ``reach``; each
+    point then costs a polynomial, cut where the series' remainder is below
+    ``2**-60`` of the sum's scale: 15 terms at delta=2**-7 and ``reach``
+    4/3 of ``2*delta``, 99 at the largest ``reach``, ``_SERIES_REACH``.
+    The samples that one ``x``'s window cut drops and another's keeps weigh
+    below ``exp(-36)``.
     """
     g = source.grid
     d, half = source.noise.delta, source.noise.s_half
@@ -528,9 +540,9 @@ def _series_magnitudes(source: FieldSource, z0: complex, reach: float):
     # a window past the samples' end belongs to a point the domain refuses
     lo = max(math.ceil((x0 - reach - WINDOW_T) / d - 1e-12), -half)
     hi = min(math.floor((x0 + reach + WINDOW_T) / d + 1e-12), half)
-    t = d * np.arange(lo, hi + 1)
-    u = t - x0
-    b = source.samples[lo + half : hi + half + 1] * window(u) * np.exp(2j * y0 * t)
+    u = d * np.arange(lo, hi + 1) - x0
+    phase = _waves(np.array([2.0 * d * y0]), lo, u.size)[0]
+    b = source.samples[lo + half : hi + half + 1] * window(u) * phase
     # exp's series at |2*u_s*zeta| <= x leaves at most x**n/n! * exp(x)
     # after n terms
     x = 2.0 * math.sqrt(2.0) * reach * np.abs(u).max()
@@ -550,9 +562,19 @@ def _series_magnitudes(source: FieldSource, z0: complex, reach: float):
         _check_domain(g, xs, ys)
         p, q = xs - x0, ys - y0
         zeta = (p[None, :] + 1j * q[:, None]).ravel()
-        sums = np.vander(zeta, terms, increasing=True) @ moments
-        return np.exp(-p * p) * np.abs(sums).reshape(ys.size, xs.size)
+        # row m is zeta**m: zeta**(n + k) = zeta**(k + 1) * zeta**(n - 1) gives
+        # rows n .. 2n - 2 from the n already there, in about log2(terms) products
+        zp = np.empty((terms, zeta.size), dtype=np.complex128)
+        zp[0] = 1.0
+        zp[1:2] = zeta
+        n = 2
+        while n < terms:
+            k = min(n - 1, terms - n)
+            np.multiply(zp[1 : k + 1], zp[n - 1], out=zp[n : n + k])
+            n += k
+        return np.exp(-p * p) * np.abs(moments @ zp).reshape(ys.size, xs.size)
 
+    magnitudes.centre = abs(complex(moments[0]))
     return magnitudes
 
 
@@ -573,30 +595,36 @@ def refine_zero(
     contains its own centre.
 
     Every pass's grid lies within ``4/3 * radius`` of ``z0``, so up to
-    ``_SERIES_REACH`` of it all the passes read one Taylor series about
-    ``z0`` (:func:`_series_magnitudes`), formed once, in place of a lattice
-    sum per pass; a wider search sums the lattice at every pass.
+    ``_SERIES_REACH`` of it the start's magnitude and all the passes read
+    one Taylor series about ``z0`` (:func:`_series_magnitudes`), formed
+    once, and no lattice sum is taken; a wider search sums the lattice at
+    its start and at every pass.  A pass's offsets are the first pass's
+    times ``4**-k``, the same bits as a grid spread over the shrunk radius.
     """
-    if not radius >= source.grid.delta:
-        raise ConfigError(f"radius {radius} below grid spacing {source.grid.delta}")
-    if levels < 0:
-        raise ConfigError("levels must be >= 0")
-    best, best_mag = z0, abs(evaluate_continuous(source, z0))
+    g = source.grid
+    if not radius >= g.delta:
+        raise ConfigError(f"radius {radius} below grid spacing {g.delta}")
+    if not isinstance(levels, numbers.Integral) or levels < 0:
+        raise ConfigError(f"levels must be an integer >= 0, got {levels!r}")
+    best = complex(z0)
+    _check_domain(g, np.array([best.real, best.imag]))
     reach = 4.0 / 3.0 * radius
     if reach <= _SERIES_REACH:
-        magnitudes = _series_magnitudes(source, z0, reach)
+        magnitudes = _series_magnitudes(source, best, reach)
+        best_mag = magnitudes.centre
     else:
+        best_mag = abs(evaluate_continuous(source, best))
+
         def magnitudes(xs, ys):
             return np.abs(_evaluate_lattice(source, xs, ys))
-    r = radius
+    offs = np.linspace(-radius, radius, 9)
     for _ in range(levels + 1):
-        offs = np.linspace(-r, r, 9)
         xs, ys = best.real + offs, best.imag + offs
         mags = magnitudes(xs, ys)
-        i, j = np.unravel_index(np.argmin(mags), mags.shape)
+        i, j = divmod(int(mags.argmin()), 9)
         if mags[i, j] < best_mag:
             best, best_mag = complex(xs[j], ys[i]), float(mags[i, j])
-        r /= 4.0
+        offs = offs * 0.25  # exact: a power of 2
     return best, best_mag
 
 

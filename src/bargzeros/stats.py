@@ -134,6 +134,7 @@ def summary_rows(
     signal: SignalModel,
     sigma: float,
     boxes: list[float],
+    expected: dict | None = None,
 ) -> list[StatRow]:
     """Intensity and count-error summaries of one method at one spacing.
 
@@ -144,19 +145,28 @@ def summary_rows(
     ``(2*W)**2``, though the closed box holds ``(2*W/delta + 1)**2``
     lattice points, so the intensity reads high by
     ``(1 + delta/(2*W))**2 - 1``.
+
+    ``expected`` holds the counts already integrated for this ``signal``
+    and ``sigma``, by ``(halfwidth, step)``; a count it lacks is integrated
+    and added, so a caller that summarises several methods or spacings with
+    one dict integrates each count once.
     """
     if not point_sets:
         raise ConfigError("need at least one realization")
     method, delta = point_sets[0].method, point_sets[0].delta
     if any((ps.method, ps.delta) != (method, delta) for ps in point_sets):
         raise ConfigError("summary rows need point sets of one method and spacing")
+    expected = {} if expected is None else expected
+    step = min(delta, _DEFAULT_STEP)
     rows = []
     for w in boxes:
         if w <= 0:
             raise ConfigError("halfwidth must be positive")
         area = (2.0 * w) ** 2
         counts = [count_in_box(ps, w) for ps in point_sets]
-        expect = expected_count(signal, sigma, w, step=min(delta, _DEFAULT_STEP))
+        if (w, step) not in expected:
+            expected[w, step] = expected_count(signal, sigma, w, step=step)
+        expect = expected[w, step]
         for name, vals in (("intensity", [c / area for c in counts]),
                            ("count_error", [(c - expect) / area for c in counts])):
             n = len(vals)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import bargzeros
-from bargzeros import detect
+from bargzeros import detect, stats
 from bargzeros import (
     ConfigError,
     DataError,
@@ -332,6 +332,22 @@ def test_stats_over_detections(pipeline, capsys):
     assert len(lines) == 2 + 8
     printed = capsys.readouterr().out
     assert "intensity[AMN]" in printed and "R=3" in printed
+
+
+def test_stats_integrates_each_expected_count_once(pipeline, monkeypatch):
+    # 2 methods x 2 spacings share each box's expected count; a traced run
+    # wraps this module attribute, as here
+    tmp, _, points = pipeline
+    calls = []
+
+    def counted(*args, _count=stats.expected_count, **kwargs):
+        calls.append((args, sorted(kwargs.items())))
+        return _count(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "expected_count", counted)
+    assert main(["stats", "--points", str(points), "--signal", "zero",
+                 "--boxes", "0.5,1", "--out", str(tmp / "stats.csv")]) == 0
+    assert len(calls) == 2 and calls[0] != calls[1]
 
 
 def test_stats_refuses_another_configs_file(pipeline, capsys):

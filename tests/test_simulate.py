@@ -559,6 +559,10 @@ def test_refine_zero_validates_arguments():
         refine_zero(src, 0j, radius=math.nan, levels=1)
     with pytest.raises(ConfigError, match="outside the stored domain"):
         refine_zero(src, complex(math.nan, 0), radius=0.1, levels=1)
+    with pytest.raises(ConfigError):
+        refine_zero(src, 0j, radius=0.1, levels=1.5)
+    with pytest.raises(ConfigError):
+        refine_zero(src, 0j, radius=0.1, levels="2")
 
 
 def scalar_evaluate(source, z):
@@ -685,6 +689,34 @@ def test_series_magnitudes_match_lattice(signal, delta, reach):
             xs, ys = centre.real + offs, centre.imag + offs
             want = np.abs(simulate._evaluate_lattice(f.source, xs, ys))
             assert np.abs(magnitudes(xs, ys) - want).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("signal", [ZERO, model_for(SignalKind.HERMITE1, 100.0)],
+                         ids=["zero", "hermite1-A100"])
+@pytest.mark.parametrize("delta, reach", [(2.0 ** -7, 2.0 ** -6 * 4 / 3),
+                                          (2.0 ** -4, simulate._SERIES_REACH)],
+                         ids=["2delta", "widest"])
+def test_series_centre_matches_lattice(signal, delta, reach):
+    # refine_zero's start magnitude is the series' |M_0|, not a lattice sum
+    g = make_grid(L=3, delta=delta)
+    f = synthesize_field(draw_noise(g, 1.0, 5), signal, g)
+    scale = np.abs(f.values).max()
+    for z0 in (0.3 - 0.2j, complex(amn(f, 1.5).points[0])):
+        centre = simulate._series_magnitudes(f.source, z0, reach).centre
+        assert abs(centre - abs(evaluate_continuous(f.source, z0))) <= 1e-13 * scale
+
+
+def test_refine_within_the_series_reach_takes_no_lattice_sum(monkeypatch):
+    src = _hermite_source()
+    z0 = 0.01 + 0.01j
+    want = refine_zero(src, z0, radius=0.05, levels=3)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("lattice sum taken within the series' reach")
+
+    monkeypatch.setattr(simulate, "_evaluate_lattice", refused)
+    monkeypatch.setattr(simulate, "evaluate_continuous", refused)
+    assert refine_zero(src, z0, radius=0.05, levels=3) == want
 
 
 def test_refine_search_square_crossing_domain_raises():
