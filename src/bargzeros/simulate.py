@@ -20,16 +20,16 @@ with ``M = T/delta`` and ``a_s = w_s + delta*f1(delta*s)``.  Column ``ll``
 of the inner sum correlates the samples with the modulated window
 ``phi(delta*m) * exp(2j*m*ll*delta^2)``, so it is the inverse FFT of the
 samples' spectrum times the window's.  The window's spectrum is a Gaussian
-bump (its time-frequency area is small), so only a band of bins enters the
-product: 69 of 4620 at n=1537, every bin at delta >= 1/3; the bump moves
-with ``ll``, so a block of columns shares one band a few bins wider (70 at
-n=1537, every bin at delta >= 1/4).  Of that inverse FFT's outputs only
-the column's ``n`` are kept, so
-:func:`synthesize_field` evaluates each column as a chirp z-transform
-(Bluestein) of its block's band, whose length is about ``n + B`` for ``B``
-bins (1620 at n=1537) where the inverse FFT's is about ``n + 2*M``
-(4620).  Its reference is the direct sum at the grid's points,
-``_evaluate_lattice(source, axis, axis).T``, the sum that
+bump (its time-frequency area is small) that moves with ``ll``, so one band
+of ``S`` bins holds every column's: 103 at L=3 for delta from 2^-6 to 2^-8,
+every bin at delta >= 1/4.  Of each inverse FFT's outputs only the ``n``
+rows are kept, so :func:`synthesize_field` takes the field as one matrix
+product, the ``(n, S)`` inverse DFT of the band times the samples' spectrum
+on the band times the ``(S, n)`` real window spectra, followed by the
+quadratic phase (:func:`_spectral_columns`).  The product runs on NumPy's
+BLAS and its threads (``OPENBLAS_NUM_THREADS``); the output bits do not
+depend on their number.  Its reference is the direct sum at the grid's
+points, ``_evaluate_lattice(source, axis, axis).T``, the sum that
 :func:`evaluate_continuous` evaluates anywhere.  That sum takes its
 exponentials from two short tables per ``y`` (:func:`_waves`, a few ulp
 off the direct exponential), and the tests check it against the per-point
@@ -37,18 +37,14 @@ sum to 1e-13 relative.  :func:`refine_zero`'s nested searches, their
 start's magnitude included, read the same sum as a Taylor series about
 their start, whose moments are formed once per call with phases from the
 same tables (:func:`_series_magnitudes`), so a short search takes no
-lattice sum at all.  The transforms are NumPy's FFTs (the C++
-pocketfft, which NumPy 2.0 and later ships), written in place into the
-blocks' buffers.
-Synthesis runs its column blocks on one thread per CPU the process may
-use; its output bits do not depend on the CPU count.
+lattice sum at all.  The transforms are NumPy's FFTs (the C++ pocketfft,
+which NumPy 2.0 and later ships).
 
 Everything synthesis needs that depends on the grid alone is built once
-per grid and kept for the last two grids used (the synthesis plan): each
-column's window spectrum on its block's band, ``n * B * 16`` bytes (``B``
-is ``nfft``, about ``n + 2*M``, at delta >= 1/4), the in-block phase ramp,
-``n * _BLOCK_COLS * 16`` bytes, and the chirp z-transform's kernel: about
-``n * (B + _BLOCK_COLS) * 16`` bytes in all, 2.5 MB at n=1537.
+per grid and kept for the last two grids used (the synthesis plan): the
+window spectra on the band, ``8 * n * S`` bytes, and two ramps of one
+chunk of ``_CHUNK_ROWS + 1`` rows, ``16 * 65 * (S + n)`` bytes: 3.0 MB
+in all at n=1537.
 
 A field cache (:func:`write_field`) is one JSON header line, the record
 of the realization that :func:`read_field` regenerates, then the
@@ -63,7 +59,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -154,7 +149,7 @@ class FieldSource:
         if noise.s_half < g.t_over_delta + g.half_n:
             raise ConfigError("noise vector too short for this grid")
         with np.errstate(over="ignore", invalid="ignore"):
-            bound = np.abs(self.alpha).sum() * _bands(g.n_axis, g.t_over_delta, g.delta)[-1]
+            bound = np.abs(self.alpha).sum() * _band(g.n_axis, g.t_over_delta, g.delta)[-1]
         if not bound <= np.finfo(np.float64).max / 2:
             raise ConfigError("signal amplitude or sigma so large that synthesis could overflow")
 
@@ -213,21 +208,25 @@ class WeightedField:
 def synthesize_field(noise: NoiseDraw, signal: SignalModel, grid: GridSpec) -> WeightedField:
     """Synthesize the weighted field for one noise realization.
 
-    Each column is one chirp z-transform of its block's band of the
-    samples' spectrum (:func:`_spectral_columns`); the direct sum at the
-    grid's points, ``_evaluate_lattice(source, axis, axis).T``, is the
-    reference.  ``FieldSource`` refuses, before the first FFT, samples that
-    could overflow it.
+    The field is one matrix product of the samples' spectrum on one band of
+    bins (:func:`_spectral_columns`); the direct sum at the grid's points,
+    ``_evaluate_lattice(source, axis, axis).T``, is the reference.
+    ``FieldSource`` refuses, before the first FFT, samples that could
+    overflow it.
     """
     source = FieldSource(noise=noise, signal=signal, grid=grid)
     values = _spectral_columns(source.alpha, grid.t_over_delta, grid.delta, grid.n_axis)
     return WeightedField(grid=grid, values=values, source=source)
 
 
-#: columns per synthesis block; each worker thread owns one (_BLOCK_COLS,
-#: K) transform buffer and one (_BLOCK_COLS, n) phase buffer, so this
-#: bounds the per-thread working set (1.6 MB at n=1537)
+#: columns per block of :func:`_plan`, two per inverse FFT; its
+#: (_BLOCK_COLS // 2, nfft) buffer is 1.2 MB at n=1537
 _BLOCK_COLS = 32
+
+#: output rows per product of :func:`_spectral_columns`; a chunk of one row
+#: would go to zgemv, whose bits depend on the BLAS thread count, so a
+#: one-row tail joins the chunk before it
+_CHUNK_ROWS = 64
 
 #: grids whose synthesis plan is kept, so a caller alternating between a
 #: fine grid and one other grid rebuilds neither
@@ -237,13 +236,6 @@ _PLAN_GRIDS = 2
 #: bins then move a value by about sqrt(2**-100) ~ 1e-15 of its size, the
 #: order of the rounding already there
 _BAND_TAIL = 2.0**-100
-
-
-def _cpu_budget() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not available on every platform
-        return os.cpu_count() or 1
 
 
 def _band_width(phi: np.ndarray, delta: float, nfft: int) -> int:
@@ -272,15 +264,13 @@ def _band_width(phi: np.ndarray, delta: float, nfft: int) -> int:
     return nfft if fits.size == 0 else min(2 * int(fits[0]) + 1, nfft)
 
 
-def _next_fast_len(target: int, real: bool = False) -> int:
+def _next_fast_len(target: int) -> int:
     """The smallest length ``>= target`` (``target >= 1``) that pocketfft
-    transforms fastest: one whose prime factors are at most 11, or at most
-    5 for ``real=True``."""
-    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
+    transforms fastest: one whose prime factors are at most 11."""
     n = target
     while True:
         k = n
-        for p in primes:
+        for p in (2, 3, 5, 7, 11):
             while k % p == 0:
                 k //= p
         if k == 1:
@@ -288,156 +278,119 @@ def _next_fast_len(target: int, real: bool = False) -> int:
         n += 1
 
 
-def _chirp(q2: np.ndarray, nfft: int) -> np.ndarray:
-    """``exp(1j*pi*q2/nfft)`` for integers ``q2``, reduced mod ``2*nfft``
-    before the float multiply: ``pi*q2/nfft`` itself reaches about 1e4 rad,
-    whose rounding alone would move a value by about 1e-12 of its size."""
-    return np.exp(1j * ((math.pi / nfft) * (q2 % (2 * nfft))))
-
-
 @functools.lru_cache(maxsize=_PLAN_GRIDS)
-def _bands(n: int, m_half: int, delta: float):
+def _band(n: int, m_half: int, delta: float):
     """The sizes of :func:`_plan`, taken without its transforms.
 
-    Column ``ll = c - half_n``'s window spectrum ``G_ll[k] = sum_q g_ll[q -
-    M] * exp(2j*pi*k*q/nfft)``, ``g_ll[m] = phi(delta*m) *
-    exp(2j*delta**2*m*ll)``, is a bump at bin ``-delta**2*ll*nfft/pi`` on a
-    band of ``width`` bins (:func:`_band_width`) that moves down as ``ll``
-    grows, so block ``b`` takes the ``span`` bins ``base[b] + j`` mod
-    ``nfft`` from its last column's band to its first's, at most every bin.
-
-    Returns ``nfft``, ``base``, ``span``, ``K`` (:func:`_plan`) and the overflow ``gain``.
+    Column ``ll``'s window spectrum is a bump at bin ``-delta**2*ll*nfft/pi``
+    on a band of ``width`` bins (:func:`_band_width`) that moves down as
+    ``ll`` grows, so the one band that holds every column's is the ``span``
+    bins ``f + j``, from the last column's band to the first's, at most
+    every bin.  Returns ``nfft``, ``f`` (``0 <= f < nfft``), ``span`` and
+    the overflow ``gain`` of :func:`_spectral_columns`: ``|fft(alpha)|`` is
+    at most ``|alpha|_1`` (an FFT's every intermediate is), each weight at
+    most ``sum(phi) / nfft`` and each entry of ``D`` 1, so every partial sum
+    of the product, its real and imaginary parts together, is at most
+    ``|alpha|_1`` times ``sqrt(2) * span / nfft * sum(phi)``, the ``gain``
+    unless that is below 1.
     """
     nfft = _next_fast_len(n + 2 * m_half)
     phi = window(delta * np.arange(-m_half, m_half + 1))
     width = _band_width(phi, delta, nfft)
-    ll = np.arange(-(n // 2), n // 2 + 1)
-    first = (np.rint(ll * (-delta * delta * nfft / math.pi)).astype(np.int64) - width // 2) % nfft
-    starts = np.arange(0, n, _BLOCK_COLS)
-    base = first[np.minimum(starts + _BLOCK_COLS, n) - 1]
-    # at delta >= 1/4 the band is every bin, and a wider one would read bins twice
-    span = min(width + int(((first[starts] - base) % nfft).max()), nfft)
-    nconv = _next_fast_len(n + span - 1, real=True)
-    # an FFT's every intermediate is at most its input's L1 norm, so each one is
-    # at most |alpha|_1 * |G_ll|_2 * sqrt(K) * max(1, K/nfft), |G_ll|_2**2 =
-    # nfft * sum(phi**2) (Parseval)
-    gain = math.sqrt(nfft * nconv * np.dot(phi, phi)) * max(1, nconv / nfft)
-    return nfft, base, span, nconv, gain
+    # the bump's shift from the centre column to the first (rint is odd)
+    shift = int(np.rint((n // 2) * (delta * delta * nfft / math.pi)))
+    span = min(width + 2 * shift, nfft)
+    f = (-shift - width // 2) % nfft
+    return nfft, f, span, max(1.0, math.sqrt(2.0) * span / nfft * phi.sum())
 
 
 @functools.lru_cache(maxsize=_PLAN_GRIDS)
 def _plan(n: int, m_half: int, delta: float):
     """The arrays of :func:`_spectral_columns` that depend on the grid alone.
 
-    Returns ``nfft`` and ``base`` (:func:`_bands`); ``spec``, whose row
-    ``c`` holds ``G_ll`` on its block's band times the input chirp
-    ``W**(j**2/2)``, ``W = exp(2j*pi/nfft)``; the chirp-z kernel
-    ``fft(W**(-k**2/2)) / nfft`` over ``k = 1 - span .. n - 1``, wrapped
-    into the next 5-smooth length ``K >= n + span - 1``, so the convolution
-    does not wrap; and the phase ramp ``ramp[c, i] =
-    exp(1j*delta**2*c*kk)``, ``kk = i - half_n``, for the in-block columns
-    ``c < _BLOCK_COLS``.  ``spec`` and ``ramp`` take ``n * (span +
-    _BLOCK_COLS) * 16`` bytes.  All are read-only, since every caller on
-    the grid shares them.
+    Returns ``nfft``; the band's bins ``k = f + j`` (:func:`_band`, ``k <
+    2*nfft``); the weights ``W[j, c] = sum_m phi(delta*m) *
+    exp(1j*m*(2*delta**2*ll + 2*pi*k_j/nfft)) / nfft``, ``ll = c -
+    half_n``: column ``ll``'s window spectrum on the band, real because the
+    window is even, ``8 * n * span`` bytes; and, for the ``r <=
+    _CHUNK_ROWS`` rows of a chunk, the table ``tab[r, j] =
+    exp(2j*pi*r*k_j/nfft)`` and the phase ramp ``ramp[r, c] =
+    exp(1j*delta**2*r*ll)``, ``16 * (_CHUNK_ROWS + 1) * (span + n)``
+    bytes: 1.3 MB and 1.7 MB at n=1537.  A block's weights come from
+    inverse FFTs of its modulated windows, each the block's first column
+    times an in-block ramp (a few ulp off the direct exponential, for one
+    exponential per sample of a column instead of one per product).  All
+    are read-only, since every caller on the grid shares them.
     """
-    nfft, base, span, nconv, _ = _bands(n, m_half, delta)
-    p = 2 * m_half + 1
+    nfft, f, span, _ = _band(n, m_half, delta)
     d2 = delta * delta
     m = np.arange(-m_half, m_half + 1)
     phi = window(delta * m)
     ll = np.arange(-(n // 2), n // 2 + 1)
-    chirp = _chirp(np.arange(span) ** 2, nfft)
-    k = np.arange(1 - span, n)
-    kernel = np.zeros(nconv, dtype=np.complex128)
-    kernel[k % nconv] = _chirp(-k * k, nfft)
-    kernel = np.fft.fft(kernel) / nfft
-    spec = np.empty((n, span), dtype=np.complex128)
-    buf = np.empty((_BLOCK_COLS, nfft), dtype=np.complex128)
-    # exp(2j*d2*m*ll) for the columns ll0 + c of a block is the block's first
-    # column times a fixed ramp in c, and so is the phase exp(1j*d2*kk*ll):
-    # a few ulp off the direct exponential, for one exponential per sample
-    # of a column instead of one per product
-    cols = np.arange(_BLOCK_COLS)
-    window_ramp = np.exp((2j * d2) * np.outer(cols, m))
-    ramp = np.exp((1j * d2) * np.outer(cols, ll))
-    for b, j0 in enumerate(range(0, n, _BLOCK_COLS)):
-        j1 = min(j0 + _BLOCK_COLS, n)
-        g = buf[: j1 - j0]
-        np.multiply(phi * np.exp((2j * d2) * (ll[j0] * m)), window_ramp[: j1 - j0], out=g[:, :p])
-        g[:, p:] = 0
-        np.fft.ifft(g, axis=1, norm="forward", out=g)
-        np.multiply(g[:, (base[b] + np.arange(span)) % nfft], chirp, out=spec[j0:j1])
-    for a in (base, spec, kernel, ramp):
+    k = f + np.arange(span)
+    bins = k % nfft
+    weights = np.empty((span, n))
+    # the spectra are real, so columns 2*i and 2*i + 1 of a block share one
+    # transform as its real and imaginary parts
+    cols = np.arange(0, _BLOCK_COLS, 2)[:, None]
+    pairs = np.exp((2j * d2) * (cols * m)) + 1j * np.exp((2j * d2) * ((cols + 1) * m))
+    buf = np.zeros((_BLOCK_COLS // 2, nfft), dtype=np.complex128)
+    for j0 in range(0, n, _BLOCK_COLS):
+        first = phi * np.exp((2j * d2) * (ll[j0] * m))
+        # the window about sample 0: m >= 0 at bins m, m < 0 at bins nfft + m
+        np.multiply(first[m_half:], pairs[:, m_half:], out=buf[:, : m_half + 1])
+        np.multiply(first[:m_half], pairs[:, :m_half], out=buf[:, nfft - m_half :])
+        np.fft.ifft(buf, axis=1, out=buf)
+        both = np.ascontiguousarray(buf[:, bins].T).view(np.float64)
+        weights[:, j0 : j0 + _BLOCK_COLS] = both[:, : n - j0]
+        buf[:, m_half + 1 : nfft - m_half] = 0
+    rows = np.arange(_CHUNK_ROWS + 1)[:, None]
+    tab = np.exp((2j * math.pi / nfft) * (rows * k % nfft))
+    ramp = np.exp((1j * d2) * (rows * ll))
+    for a in (k, weights, tab, ramp):
         a.setflags(write=False)
-    return nfft, base, spec, kernel, ramp
+    return nfft, k, weights, tab, ramp
 
 
 def _spectral_columns(alpha, m_half, delta, n):
-    """The whole field ``exp(1j*d2*kk*ll) * sum_m alpha[i + M + m] * g_ll[m]``.
+    """The whole field ``exp(1j*d2*kk*ll) * sum_m alpha[i + M + m] * g_ll[m]``,
+    ``g_ll[m] = phi(delta*m) * exp(2j*d2*m*ll)``, as one matrix product.
 
     Row ``i`` (``kk = i - half_n``) of column ``ll`` is the correlation of
     ``alpha`` (``n + 2*M`` samples) with the column's modulated window, so
-    with ``A = fft(alpha, nfft)`` the column is ``ifft(A * G_ll)[:n]``;
-    ``nfft >= n + 2*M`` keeps the circular correlation from wrapping.  Only
-    the ``span`` bins ``k_j = f + j`` mod ``nfft`` of its block's band hold
-    ``G_ll`` (:func:`_plan`, ``f = base[b]``), and only ``n`` outputs are
-    kept, so each column is evaluated as a chirp z-transform (Bluestein) of
-    the band rather than as a length-``nfft`` inverse FFT.  ``j*i = (j**2 +
-    i**2 - (i - j)**2) / 2`` turns the column into
+    with ``A = fft(alpha, nfft)`` it is ``sum_k A[k] * G_ll[k] *
+    exp(2j*pi*k*(i + M)/nfft) / nfft`` for the window's spectrum about
+    sample 0, ``G_ll[k] = sum_m g_ll[m] * exp(2j*pi*k*m/nfft)``; ``nfft >=
+    n + 2*M`` keeps the circular correlation from wrapping.  Only the band's
+    bins ``k_j`` hold ``G_ll``, which :func:`_plan` keeps over ``nfft`` as
+    the weights ``W``, so the field is
 
-        y[i] = W**(f*i + i**2/2) * ((x * W**(j**2/2)) conv W**(-k**2/2))[i] / nfft
+        V[i, c] = exp(1j*d2*kk*ll) * sum_j D[i, j] * A[k_j] * W[j, c]
 
-    for ``x_j = A[k_j] * G_ll[k_j]``: one FFT, one product with the plan's
-    kernel and one inverse FFT of length ``K``, about ``n + span``, in
-    place of ``nfft``, about ``n + 2*M``.  The plan holds ``G_ll`` with its
-    input chirp on the band.  The output chirp depends on the block, not
-    the column, so it joins the quadratic phase: that phase is symmetric in
-    ``kk`` and ``ll``, so a block's phase is laid out like its columns are,
-    as rows: the block's first row ``exp(1j*d2*ll0*kk) * W**(f*i +
-    i**2/2)`` times the plan's ramp; the block is then written transposed.
+    with ``D[i, j] = exp(2j*pi*(i + M)*k_j/nfft)``: one product of ``D``
+    (``n x span``) with ``W`` scaled by the band of ``A``, then the
+    quadratic phase.  It is taken in chunks of ``_CHUNK_ROWS`` rows, whose
+    ``D`` rows are the plan's table times one row of exponentials with
+    integer arguments reduced mod ``nfft`` (``2*pi*(i + M)*k/nfft`` itself
+    reaches about 1e4 rad, whose rounding alone would move a value by about
+    1e-12 of its size); each chunk then takes its quadratic phase, the
+    plan's ramp times one row of exponentials, while it is still in cache.
 
-    Column blocks are independent, so they are spread over one thread per
-    available CPU (NumPy and pocketfft release the GIL).  A block's columns
-    go through the same operations, in the same operand order, whichever
-    thread runs it, so the output bits do not depend on the CPU count.
+    The products run on NumPy's BLAS, on its threads; a product of two or
+    more rows sums each element in one order whatever their number, so the
+    output bits do not depend on it.
     """
-    nfft, base, spec, kernel, ramp = _plan(n, m_half, delta)
-    half_n = n // 2
-    span = spec.shape[1]
+    nfft, k, weights, tab, ramp = _plan(n, m_half, delta)
     d2 = delta * delta
-    # two periods, so each block's band (span <= nfft bins from base < nfft) is a slice
-    a_hat = np.tile(np.fft.fft(alpha, nfft), 2)
-    idx = np.arange(-half_n, half_n + 1)
-    rows = np.arange(n)
+    ll = np.arange(-(n // 2), n // 2 + 1)
+    band = weights * np.fft.fft(alpha, nfft)[k % nfft, None]
     out = np.empty((n, n), dtype=np.complex128)
-    starts = range(0, n, _BLOCK_COLS)
-    workers = min(_cpu_budget(), len(starts))
-
-    # allocated here, not in the workers: worker-side allocation measured
-    # about 5 MB more peak memory at n=1537
-    bufs = [np.empty((_BLOCK_COLS, kernel.size), dtype=np.complex128) for _ in range(workers)]
-    phases = [np.empty((_BLOCK_COLS, n), dtype=np.complex128) for _ in range(workers)]
-
-    def run(first_block: int, buf: np.ndarray, phase: np.ndarray) -> None:
-        # every product keeps the operand order of the serial reference in
-        # the tests: NumPy's SIMD complex multiply is not bitwise commutative
-        for j0 in starts[first_block::workers]:
-            j1 = min(j0 + _BLOCK_COLS, n)
-            f = int(base[j0 // _BLOCK_COLS])
-            u = buf[: j1 - j0]
-            np.multiply(a_hat[f : f + span], spec[j0:j1], out=u[:, :span])
-            u[:, span:] = 0
-            np.fft.fft(u, axis=1, out=u)
-            np.multiply(u, kernel, out=u)
-            np.fft.ifft(u, axis=1, out=u)
-            angle = (math.pi / nfft) * (rows * (rows + 2 * f) % (2 * nfft))
-            ph = phase[: j1 - j0]
-            np.multiply(np.exp(1j * (d2 * (idx[j0] * idx) + angle)), ramp[: j1 - j0], out=ph)
-            np.multiply(ph, u[:, :n], out=ph)
-            out[:, j0:j1] = ph.T
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(workers), bufs, phases))  # re-raises a worker's error
+    starts = range(0, n - 1, _CHUNK_ROWS)
+    for r0, r1 in zip(starts, [*starts[1:], n]):
+        d_rows = tab[: r1 - r0] * np.exp((2j * math.pi / nfft) * ((r0 + m_half) * k % nfft))
+        chunk = np.matmul(d_rows, band, out=out[r0:r1])
+        chunk *= ramp[: r1 - r0]
+        chunk *= np.exp((1j * d2 * (r0 - n // 2)) * ll)
     return out
 
 

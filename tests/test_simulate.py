@@ -1,8 +1,13 @@
 """Field synthesis: noise statistics, oracle agreement, continuous evaluation."""
 
 import cmath
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,166 +162,147 @@ def _column_bands(g, nfft, width):
 
 def test_plan_band_is_narrow_only_for_a_long_window():
     # the window spans 2*T/delta + 1 samples: 1537 at delta=2^-7, where its
-    # spectrum is a Gaussian bump of a few dozen bins, and 49 at delta=1/4,
-    # where a block's band is every bin
-    g = make_grid(L=3, delta=2.0 ** -7)
-    n = g.n_axis
-    nfft, base, spec, _, _ = simulate._plan(n, g.t_over_delta, g.delta)
-    span = spec.shape[1]
-    assert spec.shape[0] == n and base.size == -(-n // simulate._BLOCK_COLS)
-    assert span < 0.05 * nfft
-    m = np.arange(-g.t_over_delta, g.t_over_delta + 1)
-    phi = window(g.delta * m)
-    own = _column_bands(g, nfft, simulate._band_width(phi, g.delta, nfft))
-    j = np.arange(span)
-    chirp = np.exp(1j * math.pi * (j * j % (2 * nfft)) / nfft)
-    for c in range(n):
-        bins = (base[c // simulate._BLOCK_COLS] + j) % nfft
-        # every column's own band lies inside its block's band
-        assert np.isin(own[c], bins).all()
-        if c not in (0, 31, 32, g.half_n, n - 1):
-            continue
-        # the block's band holds the column's spectrum, the modulated
-        # window's DFT evaluated directly, on the band's bins, times the
-        # input chirp
-        col = phi * np.exp((2j * g.delta**2) * ((c - g.half_n) * m))
-        full = scipy.fft.ifft(col, nfft, norm="forward")
-        assert np.abs(spec[c] - full[bins] * chirp).max() < 1e-13 * np.abs(full).max()
-        assert np.linalg.norm(np.delete(full, bins)) < 1e-14 * np.linalg.norm(full)
-    g1 = make_grid(L=1, delta=0.25)
-    nfft1, _, spec1, _, _ = simulate._plan(g1.n_axis, g1.t_over_delta, g1.delta)
-    assert spec1.shape[1] == nfft1
+    # spectrum is a Gaussian bump of a few dozen bins that moves with the
+    # column, so one band of about a hundred bins holds every column's; at
+    # delta >= 1/4 the band is every bin
+    for g in (make_grid(L=3, delta=2.0 ** -7), make_grid(L=1, delta=0.25),
+              make_grid(L=7, delta=1 / 3), make_grid(L=3, delta=0.5)):
+        n, m_half = g.n_axis, g.t_over_delta
+        nfft, k, weights, _, _ = simulate._plan(n, m_half, g.delta)
+        bins = k % nfft
+        assert weights.shape == (k.size, n) and weights.dtype == np.float64
+        if g.delta < 0.25:
+            assert k.size < 0.05 * nfft
+        else:
+            assert k.size == nfft
+        assert np.unique(bins).size == k.size
+        m = np.arange(-m_half, m_half + 1)
+        phi = window(g.delta * m)
+        # every column's own band lies inside the band
+        own = _column_bands(g, nfft, simulate._band_width(phi, g.delta, nfft))
+        assert np.isin(own, bins).all()
+        unphase = np.exp(-2j * math.pi * (k * m_half % nfft) / nfft)
+        for c in {0, 1, 31, 32, g.half_n, n - 1} & set(range(n)):
+            # the weights are the column's spectrum, the modulated window's
+            # DFT taken directly, on the band's bins, times the unphase that
+            # makes it real
+            col = phi * np.exp((2j * g.delta**2) * ((c - g.half_n) * m))
+            full = scipy.fft.ifft(col, nfft)
+            assert np.abs(weights[:, c] - full[bins] * unphase).max() < 1e-13 * np.abs(full).max()
+            assert np.linalg.norm(np.delete(full, bins)) < 1e-14 * np.linalg.norm(full)
 
 
 def test_next_fast_len_matches_scipy():
-    # pocketfft's fast lengths: 11-smooth for complex transforms, 5-smooth
-    # for real ones, the same choice as scipy.fft.next_fast_len
-    for real in (False, True):
-        got = [simulate._next_fast_len(t, real=real) for t in range(1, 2**15 + 1)]
-        assert got == [scipy.fft.next_fast_len(t, real=real) for t in range(1, 2**15 + 1)]
+    # pocketfft's fast lengths for complex transforms: 11-smooth, the same
+    # choice as scipy.fft.next_fast_len
+    got = [simulate._next_fast_len(t) for t in range(1, 2**15 + 1)]
+    assert got == [scipy.fft.next_fast_len(t) for t in range(1, 2**15 + 1)]
 
 
-def _is_5_smooth(k):
-    for f in (2, 3, 5):
-        while k % f == 0:
-            k //= f
-    return k == 1
-
-
-def test_plan_convolution_is_short_and_does_not_wrap():
-    # the chirp-z convolution of a block's band with the kernel must not
-    # wrap onto the n kept outputs, and on fine grids it is a small fraction
-    # of the inverse FFT it replaces; at delta >= 1/4 the band is every bin
+def test_plan_table_and_ramp_give_every_row_of_a_chunk():
+    # a chunk's rows of D and of the quadratic phase are the plan's table
+    # and ramp times one row, for every row a chunk can hold (one more than
+    # _CHUNK_ROWS, for a one-row tail that joins the chunk before it), and
+    # the circular correlation behind D does not wrap
     for g in (make_grid(L=3, delta=2.0 ** -6), make_grid(L=3, delta=2.0 ** -7),
               make_grid(L=1.5, delta=0.0125), make_grid(L=1, delta=0.25),
               make_grid(L=7, delta=1 / 3), make_grid(L=1, delta=0.5)):
+        n, m_half = g.n_axis, g.t_over_delta
+        nfft, k, _, tab, ramp = simulate._plan(n, m_half, g.delta)
+        assert nfft >= n + 2 * m_half
+        assert tab.shape == (simulate._CHUNK_ROWS + 1, k.size)
+        assert ramp.shape == (simulate._CHUNK_ROWS + 1, n)
+        r0 = (n - 2) // simulate._CHUNK_ROWS * simulate._CHUNK_ROWS  # the last chunk's first row
+        r = np.arange(simulate._CHUNK_ROWS + 1)[:, None]
+        d_row = np.exp(2j * math.pi * ((r0 + m_half) * k % nfft) / nfft)
+        d_rows = np.exp(2j * math.pi * ((r0 + r + m_half) * k % nfft) / nfft)
+        assert np.abs(tab * d_row - d_rows).max() < 1e-14
+        ll = np.arange(-g.half_n, g.half_n + 1)
+        kk0 = r0 - g.half_n
+        phase = np.exp(1j * g.delta**2 * (kk0 + r) * ll)
+        # the rounding of the phase arguments, up to L**2 rad, bounds this
+        assert np.abs(ramp * np.exp(1j * g.delta**2 * kk0 * ll) - phase).max() < 1e-15 * (1 + g.L**2)
+
+
+def test_plan_memory_is_the_band_and_two_chunk_ramps():
+    # the plan holds the real weights of one band of bins, its bins and two
+    # ramps of one chunk of rows, nothing that grows like n**2; the band is
+    # a column's width plus the bump's shift across the columns, 103 bins
+    # at L=3 for every delta from 2^-6 to 2^-8
+    for delta in (2.0 ** -6, 2.0 ** -7, 2.0 ** -8):
+        g = make_grid(L=3, delta=delta)
         n = g.n_axis
-        nfft, _, spec, kernel, _ = simulate._plan(n, g.t_over_delta, g.delta)
-        k = kernel.size
-        assert _is_5_smooth(k)
-        assert k >= n + spec.shape[1] - 1
-        if g.delta < 0.25:
-            assert k < nfft / 2
-        else:
-            assert spec.shape[1] == nfft
+        plan = simulate._plan(n, g.t_over_delta, g.delta)
+        nfft, span = plan[0], plan[1].size
+        m = np.arange(-g.t_over_delta, g.t_over_delta + 1)
+        width = simulate._band_width(window(g.delta * m), g.delta, nfft)
+        assert span - width <= 2 * math.ceil(g.half_n * g.delta**2 * nfft / math.pi)
+        assert span == 103
+        held = sum(a.nbytes for a in plan if isinstance(a, np.ndarray))
+        assert held == 8 * n * span + 8 * span + 16 * (simulate._CHUNK_ROWS + 1) * (span + n)
 
 
-def test_plan_memory_is_the_band_and_one_block_ramp():
-    # the plan holds each block's band of the window spectrum and an
-    # in-block phase ramp, nothing that grows like n**2; the block's band
-    # is its columns' width plus the bump's shift across the block
-    g = make_grid(L=3, delta=2.0 ** -7)
-    n = g.n_axis
-    plan = simulate._plan(n, g.t_over_delta, g.delta)
-    nfft, span = plan[0], plan[2].shape[1]
-    m = np.arange(-g.t_over_delta, g.t_over_delta + 1)
-    width = simulate._band_width(window(g.delta * m), g.delta, nfft)
-    blk = simulate._BLOCK_COLS
-    assert span - width <= math.ceil(blk * g.delta**2 * nfft / math.pi) + 1
-    held = sum(a.nbytes for a in plan if isinstance(a, np.ndarray))
-    assert held <= 16 * n * (span + 2 * blk)
-
-
-def serial_column_field(noise, signal, grid):
-    # the spectral synthesis one column at a time: the samples' spectrum;
-    # each column's modulated window and quadratic phase (each its block's
-    # first column times the in-block ramp, as in the plan); the window
-    # spectrum on its block's band, from the band of the block's last
-    # column to that of its first, at most every bin; then a chirp
-    # z-transform of the band to the n kept outputs: input chirp, one FFT,
-    # the kernel, one inverse FFT, output chirp.  The threaded synthesis
-    # must reproduce it bit for bit
-    a = FieldSource(noise, signal, grid).samples
-    m_half, n, h = grid.t_over_delta, grid.n_axis, grid.half_n
-    d2 = grid.delta * grid.delta
-    p = 2 * m_half + 1
-    nfft = scipy.fft.next_fast_len(n + p - 1)
-    m = np.arange(-m_half, m_half + 1)
-    phi = window(grid.delta * m)
-    width = simulate._band_width(phi, grid.delta, nfft)
-    lead = noise.s_half - m_half - h
-    a_hat = np.fft.fft(a[lead : lead + n + p - 1], nfft)
-    blk = simulate._BLOCK_COLS
-    idx = np.arange(-h, h + 1)
-    first = [(int(np.rint(ll * (-d2 * nfft / math.pi))) - width // 2) % nfft for ll in idx]
-    base = [first[min(c - c % blk + blk, n) - 1] for c in range(n)]
-    span = min(width + max((first[c] - base[c]) % nfft for c in range(0, n, blk)), nfft)
-    nconv = scipy.fft.next_fast_len(n + span - 1, real=True)
-    k = np.arange(1 - span, n)
-    kernel = np.zeros(nconv, dtype=np.complex128)
-    kernel[k % nconv] = np.exp(1j * ((math.pi / nfft) * (-k * k % (2 * nfft))))
-    kernel = np.fft.fft(kernel) / nfft
-    j = np.arange(span)
-    chirp_in = np.exp(1j * ((math.pi / nfft) * (j * j % (2 * nfft))))
-    rows = np.arange(n)
-    out = np.empty((n, n), dtype=np.complex128)
-    for c in range(n):
-        ll0 = c - h - c % blk
-        g = (phi * np.exp((2j * d2) * (ll0 * m))) * np.exp((2j * d2) * (c % blk * m))
-        spec = np.fft.ifft(g, nfft, norm="forward")
-        bins = (base[c] + j) % nfft
-        u = np.zeros(nconv, dtype=np.complex128)
-        u[:span] = a_hat[bins] * (spec[bins] * chirp_in)
-        conv = np.fft.ifft(np.fft.fft(u) * kernel)
-        chirp_out = (math.pi / nfft) * (rows * (rows + 2 * base[c]) % (2 * nfft))
-        phase = np.exp(1j * (d2 * (ll0 * idx) + chirp_out)) * np.exp((1j * d2) * (c % blk * idx))
-        out[:, c] = phase * conv[:n]
-    return out
+_SYNTH_HASHES = """
+import hashlib, sys
+from bargzeros import (SignalKind, SignalModel, draw_noise, make_grid, model_for,
+                       synthesize_field, zero_noise)
+g = make_grid(L=float(sys.argv[1]), delta=float.fromhex(sys.argv[2]))
+for noise, sig in ((draw_noise(g, 1.0, 5), model_for(SignalKind.HERMITE1, 2.0)),
+                   (zero_noise(g), SignalModel(SignalKind.ZERO))):
+    print(hashlib.sha256(synthesize_field(noise, sig, g).values.tobytes()).hexdigest())
+"""
 
 
 @pytest.mark.parametrize(
     "L, delta",
-    [(3, 2.0 ** -7), (1, 2.0 ** -3), (1.5, 0.0125)],
-    ids=["n769-ragged", "n17-one-block", "n241-non-dyadic"],
+    [(3, 2.0 ** -7), (1, 2.0 ** -3), (1.5, 0.0125), (3, 2.0 ** -6)],
+    ids=["n769-ragged", "n17-one-block", "n241-non-dyadic", "n385-benchmark"],
 )
-def test_threaded_synthesis_is_bit_identical_to_serial_loop(L, delta, monkeypatch):
-    # the non-dyadic spacing makes the phase arguments inexact; the
-    # all-zero field shows the signed zeros of every product, which a noisy
-    # field's nonzero values absorb
+def test_threaded_synthesis_is_bit_identical_to_serial_loop(L, delta):
+    # the products run on the BLAS's threads; a fresh process takes its
+    # thread count from the environment, so one thread runs the loop over
+    # chunks serially, then two, five (more than most runners have) and the
+    # BLAS's default, each against this process's field.  n = 769 and 385
+    # end in a one-row tail that joins the chunk before it (n % 64 == 1; a
+    # one-row product would go to zgemv, whose bits depend on the thread
+    # count), n = 17 is one chunk, n = 241 has a non-dyadic spacing that
+    # makes the phase arguments inexact, and n = 385 is the CLI benchmark's
+    # grid.  The all-zero field shows the signed zeros of every product,
+    # which a noisy field's nonzero values absorb
     g = make_grid(L=L, delta=delta)
-    cases = [
-        (draw_noise(g, sigma=1.0, seed=5), model_for(SignalKind.HERMITE1, 2.0)),
-        (zero_noise(g), ZERO),
+    here = [
+        hashlib.sha256(synthesize_field(noise, sig, g).values.tobytes()).hexdigest()
+        for noise, sig in ((draw_noise(g, 1.0, 5), model_for(SignalKind.HERMITE1, 2.0)),
+                           (zero_noise(g), ZERO))
     ]
-    for noise, sig in cases:
-        ref = serial_column_field(noise, sig, g)
-        # the process's CPU budget, then one worker, then more workers than cores
-        for cpus in (simulate._cpu_budget(), 1, 5):
-            monkeypatch.setattr(simulate, "_cpu_budget", lambda c=cpus: c)
-            got = synthesize_field(noise, sig, g).values
-            assert got.tobytes() == ref.tobytes()
+    src = str(Path(simulate.__file__).parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    base = {key: value for key, value in os.environ.items()
+            if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(path)
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+                    {"OPENBLAS_NUM_THREADS": "5"}, {}):
+        run = subprocess.run([sys.executable, "-c", _SYNTH_HASHES, str(L), float(delta).hex()],
+                             env={**base, **threads}, capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert run.stdout.split() == here, threads
 
 
 def test_plan_cache_rotation_keeps_bits():
     # one grid more than the plan cache holds, in rotation, so every
     # synthesis after the first round rebuilds an evicted plan; the grids
     # share n, so a plan looked up under n alone would give a wrong field,
-    # and their blocks' bands are every bin
+    # and their bands are every bin
     grids = [make_grid(L=1, delta=0.25), make_grid(L=2, delta=0.5),
              make_grid(L=4 / 3, delta=1 / 3)]
     assert len(grids) == simulate._PLAN_GRIDS + 1
     noises = {g: draw_noise(g, sigma=1.0, seed=2) for g in grids}
-    first = {g: serial_column_field(noises[g], ZERO, g).tobytes() for g in grids}
+    first = {}
+    for g in grids:
+        f = synthesize_field(noises[g], ZERO, g)
+        slow = direct_sum(f.source)
+        assert np.abs(f.values - slow).max() < 1e-13 * np.abs(slow).max()
+        first[g] = f.values.tobytes()
     for g in grids * 3:
         assert synthesize_field(noises[g], ZERO, g).values.tobytes() == first[g]
 
@@ -398,6 +384,34 @@ def test_synthesis_refuses_samples_that_could_overflow():
     noise = draw_noise(g, sigma=1e300, seed=0)
     f = synthesize_field(noise, model_for(SignalKind.HERMITE1, 1e300), g)
     assert np.isfinite(f.values).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("L, delta", [(1, 0.5), (2, 2.0 ** -4), (3, 2.0 ** -6)],
+                         ids=["n5", "n65", "n385"])
+def test_largest_accepted_amplitude_synthesizes_finite_values(L, delta):
+    # the overflow bound holds every intermediate of synthesis below half the
+    # float64 maximum, so the largest hermite1 amplitude it accepts, found by
+    # bisection, synthesizes without overflow, and twice that is refused
+    g = make_grid(L=L, delta=delta)
+    noise = zero_noise(g)
+
+    def accepted(a):
+        try:
+            FieldSource(noise, model_for(SignalKind.HERMITE1, a), g)
+        except ConfigError:
+            return False
+        return True
+
+    lo, hi = 1.0, 1e308
+    assert accepted(lo) and not accepted(hi)
+    while hi > lo * (1 + 1e-12):
+        mid = lo * math.sqrt(hi / lo)
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    f = synthesize_field(noise, model_for(SignalKind.HERMITE1, lo), g)
+    assert np.isfinite(f.values).all()
+    with pytest.raises(ConfigError, match="could overflow"):
+        synthesize_field(noise, model_for(SignalKind.HERMITE1, 2 * lo), g)
 
 
 def test_synthesis_deterministic():
