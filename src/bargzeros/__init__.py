@@ -46,7 +46,6 @@ from .detect import (
 from .stats import (
     StatRow,
     count_in_box,
-    covariance_probe,
     expected_count,
     rho1,
     summary_rows,
@@ -101,7 +100,6 @@ __all__ = [
     "write_pointset_csv",
     "StatRow",
     "count_in_box",
-    "covariance_probe",
     "expected_count",
     "rho1",
     "summary_rows",

@@ -240,10 +240,12 @@ def cmd_stats(args) -> int:
     for p in paths:
         meta: dict[str, str] = {}
         ps = det.read_pointset_csv(p, meta=meta)
-        # a point set of an earlier version records no sigma (nor T)
         for key, want in (("signal", model.descriptor()), ("sigma", repr(sigma)),
                           ("T", repr(WINDOW_T))):
-            if meta.get(key, want) != want:
+            if key not in meta:
+                raise DataError(f"{p} records no {key}: a point set of an earlier version, "
+                                f"which this one does not read; detect its cache again")
+            if meta[key] != want:
                 raise ConfigError(f"{p} holds detections of {key} {meta[key]!r}, not {want!r}")
         inputs[p.name] = meta.get("config")
         groups.setdefault((ps.method.value, ps.delta), []).append(ps)

@@ -19,14 +19,18 @@ indices, the stored value is
 with ``M = T/delta`` and ``a_s = w_s + delta*f1(delta*s)``.  Column ``ll``
 of the inner sum correlates the samples with the modulated window
 ``phi(delta*m) * exp(2j*m*ll*delta^2)``, so it is the inverse FFT of the
-samples' spectrum times the window's.  The window's spectrum is a Gaussian
-bump (its time-frequency area is small) that moves with ``ll``, so one band
-of ``S`` bins holds every column's: 103 at L=3 for delta from 2^-6 to 2^-8,
-every bin at delta >= 1/4.  Of each inverse FFT's outputs only the ``n``
-rows are kept, so :func:`synthesize_field` takes the field as one matrix
-product, the ``(n, S)`` inverse DFT of the band times the samples' spectrum
-on the band times the ``(S, n)`` real window spectra, followed by the
-quadratic phase (:func:`_spectral_columns`).  The product runs on NumPy's
+samples' spectrum times the window's.  By Poisson summation the window's
+spectrum at angle ``theta`` is the periodised Gaussian
+``sqrt(2)/delta * sum_i exp(-((theta + 2*pi*i)/(2*delta))^2)``, in closed
+form up to the samples cut at ``|t| > T``, about 2e-17 of its peak at
+delta=2^-8.  It is a bump (the window's time-frequency area is small)
+that moves with ``ll``, so one band of ``S`` bins holds every column's:
+103 at L=3 for delta from 2^-6 to 2^-8, every bin at delta >= 1/4.  Of
+each inverse FFT's outputs only the ``n`` rows are kept, so
+:func:`synthesize_field` takes the field as one matrix product, the
+``(n, S)`` inverse DFT of the band times the samples' spectrum on the
+band times the ``(S, n)`` real window spectra, followed by the quadratic
+phase (:func:`_spectral_columns`).  The product runs on NumPy's
 BLAS and its threads (``OPENBLAS_NUM_THREADS``); the output bits do not
 depend on their number.  Its reference is the direct sum at the grid's
 points, ``_evaluate_lattice(source, axis, axis).T``, the sum that
@@ -48,8 +52,9 @@ in all at n=1537.
 
 A field cache (:func:`write_field`) is one JSON header line, the record
 of the realization that :func:`read_field` regenerates, then the
-complex128 samples (earlier versions' complex64 ones still read).  This
-module alone builds (:func:`cache_header`) and reads the header.
+complex128 samples.  This module alone builds (:func:`cache_header`) and
+reads the header, and refuses the complex64 payloads and the noiseless
+headers with a placeholder sigma that earlier versions wrote.
 """
 
 from __future__ import annotations
@@ -219,10 +224,6 @@ def synthesize_field(noise: NoiseDraw, signal: SignalModel, grid: GridSpec) -> W
     return WeightedField(grid=grid, values=values, source=source)
 
 
-#: columns per block of :func:`_plan`, two per inverse FFT; its
-#: (_BLOCK_COLS // 2, nfft) buffer is 1.2 MB at n=1537
-_BLOCK_COLS = 32
-
 #: output rows per product of :func:`_spectral_columns`; a chunk of one row
 #: would go to zgemv, whose bits depend on the BLAS thread count, so a
 #: one-row tail joins the chunk before it
@@ -242,22 +243,17 @@ def _band_width(phi: np.ndarray, delta: float, nfft: int) -> int:
     """Bins kept per column: the fewest ``2*h + 1`` (at most ``nfft``) whose
     complement holds at most ``_BAND_TAIL`` of any column's energy.
 
-    A column's spectrum samples the window's DTFT ``W(omega)`` at bin steps
-    from an off-grid centre, so a band of ``2*h + 1`` bins drops, on each
-    side, one bin at each distance of at least ``h + 1/2, h + 3/2, ...``.
-    ``|W|`` is at most the untruncated window's DTFT, a periodised Gaussian,
-    plus ``2*phi(T + delta) / sin(omega/2)`` for the samples cut at ``|t| =
-    T`` (Abel summation); both fall with the distance.  A column's energy is
-    ``nfft * sum(phi**2)`` (Parseval).  At delta >= 1/3 the band is every
-    bin.  The bound is analytic because a computed spectrum's
-    rounding floor, about 1e-16 of its peak, lies above the tail it would
-    measure.
+    A column's spectrum is the periodised Gaussian of :func:`_plan` sampled
+    at bin steps from an off-grid centre, so a band of ``2*h + 1`` bins
+    drops, on each side, one bin at each distance of at least ``h + 1/2, h +
+    3/2, ...``, and the Gaussian falls with the distance.  A column's energy
+    is ``nfft * sum(phi**2)`` (Parseval).  At delta >= 1/3 the band is every
+    bin.  The bound is analytic because a computed spectrum's rounding
+    floor, about 1e-16 of its peak, lies above the tail it would measure.
     """
     omega = (2.0 * math.pi / nfft) * (np.arange((nfft + 1) // 2) + 0.5)
     gauss = sum(np.exp(-(((omega + 2.0 * math.pi * j) / (2.0 * delta)) ** 2)) for j in (-1, 0, 1))
-    t_cut = delta * (phi.size // 2 + 1)
-    cut = 2.0 * _WINDOW_NORM * math.exp(-t_cut * t_cut) / np.sin(omega / 2.0)
-    bound = (math.sqrt(2.0) / delta) * gauss + cut
+    bound = (math.sqrt(2.0) / delta) * gauss
     # tail[h]: the bound on the bins outside a band of 2*h + 1
     tail = 2.0 * np.cumsum((bound**2)[::-1])[::-1]
     fits = np.flatnonzero(tail <= _BAND_TAIL * nfft * np.dot(phi, phi))
@@ -280,7 +276,7 @@ def _next_fast_len(target: int) -> int:
 
 @functools.lru_cache(maxsize=_PLAN_GRIDS)
 def _band(n: int, m_half: int, delta: float):
-    """The sizes of :func:`_plan`, taken without its transforms.
+    """The sizes of :func:`_plan`, taken without building it.
 
     Column ``ll``'s window spectrum is a bump at bin ``-delta**2*ll*nfft/pi``
     on a band of ``width`` bins (:func:`_band_width`) that moves down as
@@ -309,44 +305,41 @@ def _plan(n: int, m_half: int, delta: float):
     """The arrays of :func:`_spectral_columns` that depend on the grid alone.
 
     Returns ``nfft``; the band's bins ``k = f + j`` (:func:`_band`, ``k <
-    2*nfft``); the weights ``W[j, c] = sum_m phi(delta*m) *
-    exp(1j*m*(2*delta**2*ll + 2*pi*k_j/nfft)) / nfft``, ``ll = c -
-    half_n``: column ``ll``'s window spectrum on the band, real because the
-    window is even, ``8 * n * span`` bytes; and, for the ``r <=
-    _CHUNK_ROWS`` rows of a chunk, the table ``tab[r, j] =
-    exp(2j*pi*r*k_j/nfft)`` and the phase ramp ``ramp[r, c] =
+    2*nfft``); the weights ``W[j, c]``, column ``ll = c - half_n``'s window
+    spectrum ``sum_m phi(delta*m) * exp(1j*m*theta) / nfft`` at ``theta =
+    2*delta**2*ll + 2*pi*b_j/nfft`` on the band, ``8 * n * span`` bytes;
+    and, for the ``r <= _CHUNK_ROWS`` rows of a chunk, the table ``tab[r,
+    j] = exp(2j*pi*r*k_j/nfft)`` and the phase ramp ``ramp[r, c] =
     exp(1j*delta**2*r*ll)``, ``16 * (_CHUNK_ROWS + 1) * (span + n)``
-    bytes: 1.3 MB and 1.7 MB at n=1537.  A block's weights come from
-    inverse FFTs of its modulated windows, each the block's first column
-    times an in-block ramp (a few ulp off the direct exponential, for one
-    exponential per sample of a column instead of one per product).  All
-    are read-only, since every caller on the grid shares them.
+    bytes: 1.3 MB and 1.7 MB at n=1537.
+
+    The weights are in closed form: by Poisson summation the untruncated
+    window's spectrum is the periodised Gaussian ``sqrt(2)/(delta*nfft) *
+    sum_i exp(-((theta + 2*pi*i)/(2*delta))**2)``, and with ``theta``
+    wrapped into ``[-pi, pi]`` the terms ``i = -1, 0, 1`` hold all of it
+    that a double can (the next are below ``exp(-9*pi**2)`` of the peak at
+    the coarsest spacing, 1/2).  The samples cut at ``|t| > T`` weigh about
+    2e-17 of the peak at delta=2**-8.  Each bin ``b_j`` is the signed
+    integer in ``(-nfft/2, nfft/2]`` before it is scaled, since the
+    Gaussian's slope would turn the rounding of a larger ``theta`` into a
+    relative error of about 1e-13.  A row of weights is built at a time,
+    and all arrays are read-only, since every caller on the grid shares
+    them.
     """
     nfft, f, span, _ = _band(n, m_half, delta)
-    d2 = delta * delta
-    m = np.arange(-m_half, m_half + 1)
-    phi = window(delta * m)
     ll = np.arange(-(n // 2), n // 2 + 1)
     k = f + np.arange(span)
-    bins = k % nfft
+    bins = (k + (nfft - 1) // 2) % nfft - (nfft - 1) // 2
+    slope = (2.0 * delta * delta) * ll
     weights = np.empty((span, n))
-    # the spectra are real, so columns 2*i and 2*i + 1 of a block share one
-    # transform as its real and imaginary parts
-    cols = np.arange(0, _BLOCK_COLS, 2)[:, None]
-    pairs = np.exp((2j * d2) * (cols * m)) + 1j * np.exp((2j * d2) * ((cols + 1) * m))
-    buf = np.zeros((_BLOCK_COLS // 2, nfft), dtype=np.complex128)
-    for j0 in range(0, n, _BLOCK_COLS):
-        first = phi * np.exp((2j * d2) * (ll[j0] * m))
-        # the window about sample 0: m >= 0 at bins m, m < 0 at bins nfft + m
-        np.multiply(first[m_half:], pairs[:, m_half:], out=buf[:, : m_half + 1])
-        np.multiply(first[:m_half], pairs[:, :m_half], out=buf[:, nfft - m_half :])
-        np.fft.ifft(buf, axis=1, out=buf)
-        both = np.ascontiguousarray(buf[:, bins].T).view(np.float64)
-        weights[:, j0 : j0 + _BLOCK_COLS] = both[:, : n - j0]
-        buf[:, m_half + 1 : nfft - m_half] = 0
+    for row, b in zip(weights, bins):
+        theta = slope + (2.0 * math.pi / nfft) * b
+        theta -= (2.0 * math.pi) * np.rint(theta / (2.0 * math.pi))
+        row[:] = sum(np.exp(-(((theta + 2.0 * math.pi * i) / (2.0 * delta)) ** 2)) for i in (-1, 0, 1))
+    weights *= math.sqrt(2.0) / (delta * nfft)
     rows = np.arange(_CHUNK_ROWS + 1)[:, None]
     tab = np.exp((2j * math.pi / nfft) * (rows * k % nfft))
-    ramp = np.exp((1j * d2) * (rows * ll))
+    ramp = np.exp((1j * delta * delta) * (rows * ll))
     for a in (k, weights, tab, ramp):
         a.setflags(write=False)
     return nfft, k, weights, tab, ramp
@@ -547,29 +540,25 @@ def refine_zero(
     minimum is non-increasing in ``levels`` because every finer grid
     contains its own centre.
 
-    Every pass's grid lies within ``4/3 * radius`` of ``z0``, so up to
-    ``_SERIES_REACH`` of it the start's magnitude and all the passes read
-    one Taylor series about ``z0`` (:func:`_series_magnitudes`), formed
-    once, and no lattice sum is taken; a wider search sums the lattice at
-    its start and at every pass.  A pass's offsets are the first pass's
-    times ``4**-k``, the same bits as a grid spread over the shrunk radius.
+    Every pass's grid lies within ``4/3 * radius`` of ``z0``, so the
+    start's magnitude and all the passes read one Taylor series about
+    ``z0`` (:func:`_series_magnitudes`), formed once, and no lattice sum is
+    taken; a radius whose search reaches past ``_SERIES_REACH`` is refused.
+    A pass's offsets are the first pass's times ``4**-k``, the same bits as
+    a grid spread over the shrunk radius.
     """
     g = source.grid
     if not radius >= g.delta:
         raise ConfigError(f"radius {radius} below grid spacing {g.delta}")
+    if not 4.0 / 3.0 * radius <= _SERIES_REACH:
+        raise ConfigError(f"radius {radius} above {0.75 * _SERIES_REACH}, whose search "
+                          f"reaches past the series about its start")
     if not isinstance(levels, numbers.Integral) or levels < 0:
         raise ConfigError(f"levels must be an integer >= 0, got {levels!r}")
     best = complex(z0)
     _check_domain(g, np.array([best.real, best.imag]))
-    reach = 4.0 / 3.0 * radius
-    if reach <= _SERIES_REACH:
-        magnitudes = _series_magnitudes(source, best, reach)
-        best_mag = magnitudes.centre
-    else:
-        best_mag = abs(evaluate_continuous(source, best))
-
-        def magnitudes(xs, ys):
-            return np.abs(_evaluate_lattice(source, xs, ys))
+    magnitudes = _series_magnitudes(source, best, 4.0 / 3.0 * radius)
+    best_mag = magnitudes.centre
     offs = np.linspace(-radius, radius, 9)
     for _ in range(levels + 1):
         xs, ys = best.real + offs, best.imag + offs
@@ -589,11 +578,10 @@ def refine_zero(
 # noise, so a cache round-trip restores continuous re-evaluation too.
 
 _MAGIC = "wfield-v1"
-#: the dtype every cache is written in: a complex64 cache would differ from
-#: the realization its header regenerates by about 1e-7 of its size
+#: the dtype every cache is written and read in: the complex64 caches that
+#: earlier versions could write differ from the realization their header
+#: regenerates by about 1e-7 of its size
 _DTYPE = "complex128"
-#: the dtypes read, since earlier versions could also write complex64
-_PRECISIONS = ("complex64", _DTYPE)
 
 
 def cache_header(grid: GridSpec, signal: SignalModel, sigma: float, seed: int | None) -> dict:
@@ -624,14 +612,16 @@ def _parse_header(path, line: bytes) -> dict:
         raise DataError(f"{path}: corrupt field cache: {e!r}") from e
     if not isinstance(header, dict) or header.get("format") != _MAGIC:
         raise DataError(f"{path}: not a {_MAGIC} cache")
-    if "seed" in header and header["seed"] is None:
-        header["sigma"] = 0.0  # no noise: earlier versions recorded a placeholder 1.0
+    if "seed" in header and header["seed"] is None and header.get("sigma") != 0.0:
+        # a placeholder that would pool the cache with noisy ones of that sigma
+        raise DataError(f"{path}: a cache without noise (\"seed\": null) that records sigma "
+                        f"{header.get('sigma')!r}, as earlier versions did; simulate it again")
     return header
 
 
 def read_header(path) -> dict:
     """The JSON header line of the field cache at ``path``; a cache without
-    noise (``"seed": null``) reads as ``"sigma": 0.0``."""
+    noise (``"seed": null``) must record ``"sigma": 0.0``."""
     with open(path, "rb") as fh:
         return _parse_header(path, fh.readline())
 
@@ -651,13 +641,14 @@ def read_field(path) -> WeightedField:
             n, precision = header["n_axis"], header["precision"]
             if n != grid.n_axis:
                 raise DataError(f"{path}: header axis count {n} inconsistent with grid")
-            if precision not in _PRECISIONS:
-                raise DataError(f"{path}: unknown precision {precision!r}")
-            want = n * n * np.dtype(precision).itemsize
+            if precision != _DTYPE:
+                raise DataError(f"{path}: {precision!r} samples, not {_DTYPE}; the complex64 "
+                                f"caches of earlier versions are not read, simulate them again")
+            want = n * n * np.dtype(_DTYPE).itemsize
             if size != want:
                 raise DataError(f"{path}: payload size {size} bytes, not the {want} "
-                                f"of {n}*{n} {precision} samples")
-            values = np.empty((n, n), dtype=precision)
+                                f"of {n}*{n} {_DTYPE} samples")
+            values = np.empty((n, n), dtype=_DTYPE)
             if fh.readinto(values) != want:
                 raise DataError(f"{path}: payload size changed while it was read")
         if header["seed"] is None:
@@ -671,5 +662,4 @@ def read_field(path) -> WeightedField:
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         # a missing key or a value of the wrong type (a null signal too)
         raise DataError(f"{path}: corrupt field cache: {e!r}") from e
-    values = values.astype(np.complex128, copy=False)
     return WeightedField(grid=grid, values=values, source=source)

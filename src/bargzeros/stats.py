@@ -24,7 +24,6 @@ from ._table import write_records
 from .errors import ConfigError
 from .grid import PointSet
 from .signal import SignalModel, bargmann_closed_form, bargmann_derivative
-from .simulate import WeightedField
 
 #: reference standard deviation of count/area for the pure-noise model on
 #: the box of half-width 6 (obtained by integrating the two-point intensity
@@ -93,21 +92,6 @@ def variance_benchmark(area: float = _OMEGA6_AREA) -> float:
     if area <= 0:
         raise ConfigError("area must be positive")
     return _VAR_BENCHMARK_OMEGA6 * math.sqrt(_OMEGA6_AREA / area)
-
-
-def covariance_probe(fields: list[WeightedField], z: complex, w: complex) -> complex:
-    """Empirical covariance of the weighted field at two grid points
-    across realizations."""
-    if len(fields) < 2:
-        raise ConfigError("covariance needs at least two realizations")
-    zs = np.empty(len(fields), dtype=np.complex128)
-    ws = np.empty(len(fields), dtype=np.complex128)
-    for i, f in enumerate(fields):
-        kz = f.grid.index_of(z)
-        kw = f.grid.index_of(w)
-        zs[i] = f.values[kz]
-        ws[i] = f.values[kw]
-    return complex(np.mean(zs * np.conj(ws)) - np.mean(zs) * np.conj(np.mean(ws)))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from bargzeros import (
     WeightedField,
     amn,
     bargmann_closed_form,
-    covariance_probe,
     detect_ladder,
     draw_noise,
     failure_rate,
@@ -55,6 +54,8 @@ from bargzeros import (
     write_pointset_csv,
     zero_noise,
 )
+
+from conftest import covariance_probe
 
 SIGMA = 1.0
 ZERO = SignalModel(SignalKind.ZERO)

@@ -411,10 +411,16 @@ def test_stats_refuses_point_sets_of_two_Ts(tmp_path, capsys):
     assert "config error" in err and "holds detections of T '2.0', not '6.0'" in err
     assert edited.name in err and "Traceback" not in err
     assert not out.exists()
-    # point sets of an earlier version record no T, and are not checked for it
-    for p in points.glob("*_s[23].csv"):
-        p.write_text("".join(line for line in p.read_text().splitlines(keepends=True)
-                             if not line.startswith(("# T=", "# sigma="))))
+    # a point set of an earlier version records no T or no sigma: a data
+    # error that names the key
+    for key in ("T", "sigma"):
+        edited.write_text("".join(line for line in text.splitlines(keepends=True)
+                                  if not line.startswith(f"# {key}=")))
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and f"records no {key}: a point set of an earlier" in err
+        assert "Traceback" not in err and not out.exists()
+    edited.write_text(text)
     assert main(argv) == 0
     assert "R=4" in capsys.readouterr().out
 
@@ -436,7 +442,7 @@ def test_noiseless_cache_records_no_noise(tmp_path, capsys):
     # a cache of a zero_noise field records sigma 0, so stats does not count
     # its detections as those of noise level 1, and consistency does not pool
     # it with noisy caches; an earlier version's noiseless cache, which
-    # recorded sigma 1, reads back as sigma 0 too
+    # recorded sigma 1, is refused
     fields, points, out = tmp_path / "fields", tmp_path / "points", tmp_path / "s.csv"
     assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "gauss:A=1",
                  "--sigma", "1", "--seeds", "0", "--out", str(fields)]) == 0
@@ -448,25 +454,34 @@ def test_noiseless_cache_records_no_noise(tmp_path, capsys):
         bargzeros.synthesize_field(bargzeros.zero_noise(g), model, g), cache)
     written = cache.read_bytes()
     assert b'"seed": null' in written and b'"sigma": 0.0' in written
+    assert read_field(cache).source.noise.sigma == 0.0
+    assert main(["detect", "--fields", str(cache.parent), "--methods", "amn",
+                 "--out", str(points)]) == 0
+    assert main(["stats", "--points", str(points), "--signal", "gauss:A=1",
+                 "--sigma", "1", "--boxes", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "holds detections of sigma '0.0', not '1.0'" in err and not out.exists()
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    for p in (*fields.iterdir(), cache):
+        (mixed / p.name).write_bytes(p.read_bytes())
+    consistency = ["consistency", "--fields", str(mixed), "--levels", "1",
+                   "--out", str(tmp_path / "c.csv")]
+    assert main(consistency) == 2
+    err = capsys.readouterr().err
+    assert "2 sigmas" in err and "Traceback" not in err
     earlier = written.replace(b'"sigma": 0.0', b'"sigma": 1.0')
-    for version, blob in enumerate((written, earlier)):
-        cache.write_bytes(blob)
-        assert read_field(cache).source.noise.sigma == 0.0
-        assert main(["detect", "--fields", str(cache.parent), "--methods", "amn",
-                     "--out", str(points)]) == 0
-        assert main(["stats", "--points", str(points), "--signal", "gauss:A=1",
-                     "--sigma", "1", "--boxes", "1", "--out", str(out)]) == 2
+    for path in (cache, mixed / cache.name):
+        path.write_bytes(earlier)
+    with pytest.raises(DataError, match="as earlier versions did"):
+        read_field(cache)
+    detect = ["detect", "--fields", str(cache.parent), "--out", str(tmp_path / "p2")]
+    for argv in (detect, consistency):
+        assert main(argv) == 3
         err = capsys.readouterr().err
-        assert "holds detections of sigma '0.0', not '1.0'" in err and not out.exists()
-        mixed = tmp_path / f"mixed{version}"
-        mixed.mkdir()
-        for p in (*fields.iterdir(), cache):
-            (mixed / p.name).write_bytes(p.read_bytes())
-        assert main(["consistency", "--fields", str(mixed), "--levels", "1",
-                     "--out", str(tmp_path / "c.csv")]) == 2
-        err = capsys.readouterr().err
-        assert "2 sigmas" in err and "Traceback" not in err
-    assert not (tmp_path / "c.csv").exists()
+        assert "data error" in err and 'without noise ("seed": null) that records sigma 1.0' in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "p2").exists() and not (tmp_path / "c.csv").exists()
 
 
 def test_consistency_refuses_another_configs_file(pipeline, capsys):
@@ -583,6 +598,11 @@ def test_consistency_refuses_caches_of_two_precisions(tmp_path, capsys):
                  "--out", str(tmp_path / "reports" / "c.csv")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "2 precisions (complex128, complex64)" in err
+    assert "Traceback" not in err
+    # nor does detect read the complex64 one
+    assert main(["detect", "--fields", str(fields), "--out", str(tmp_path / "points")]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "'complex64' samples, not complex128" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fields"]
 

@@ -137,15 +137,17 @@ def test_synthesis_matches_definition():
 
 
 def test_fast_path_matches_direct_sum():
-    # n=129 is 5 column blocks; n=769 is 25, the last one a single column;
-    # at delta >= 1/4 a block's band is every bin of the window spectrum,
-    # and the non-dyadic spacings make the phase arguments inexact
+    # at n=129 and n=769 the band is a few per cent of the bins; at delta
+    # >= 1/4 it is every bin, and at L=10, delta=1/2 the window spectra's
+    # angles reach 10 rad before they are wrapped; the non-dyadic spacings
+    # make the phase arguments inexact
     for g in (
         make_grid(L=2, delta=2.0 ** -5),
         make_grid(L=3, delta=2.0 ** -7),
         make_grid(L=7, delta=0.25),
         make_grid(L=7, delta=1 / 3),
         make_grid(L=3, delta=0.5),
+        make_grid(L=10, delta=0.5),
         make_grid(L=1.5, delta=0.0125),
     ):
         f = synthesize_field(draw_noise(g, sigma=1.0, seed=11), ZERO, g)
@@ -164,9 +166,11 @@ def test_plan_band_is_narrow_only_for_a_long_window():
     # the window spans 2*T/delta + 1 samples: 1537 at delta=2^-7, where its
     # spectrum is a Gaussian bump of a few dozen bins that moves with the
     # column, so one band of about a hundred bins holds every column's; at
-    # delta >= 1/4 the band is every bin
-    for g in (make_grid(L=3, delta=2.0 ** -7), make_grid(L=1, delta=0.25),
-              make_grid(L=7, delta=1 / 3), make_grid(L=3, delta=0.5)):
+    # delta >= 1/4 the band is every bin, and at L=10, delta=1/2 the
+    # closed form's angles wrap around the circle
+    for g in (make_grid(L=3, delta=2.0 ** -7), make_grid(L=3, delta=2.0 ** -8),
+              make_grid(L=1, delta=0.25), make_grid(L=7, delta=1 / 3),
+              make_grid(L=3, delta=0.5), make_grid(L=10, delta=0.5)):
         n, m_half = g.n_axis, g.t_over_delta
         nfft, k, weights, _, _ = simulate._plan(n, m_half, g.delta)
         bins = k % nfft
@@ -182,13 +186,20 @@ def test_plan_band_is_narrow_only_for_a_long_window():
         own = _column_bands(g, nfft, simulate._band_width(phi, g.delta, nfft))
         assert np.isin(own, bins).all()
         unphase = np.exp(-2j * math.pi * (k * m_half % nfft) / nfft)
-        for c in {0, 1, 31, 32, g.half_n, n - 1} & set(range(n)):
-            # the weights are the column's spectrum, the modulated window's
-            # DFT taken directly, on the band's bins, times the unphase that
-            # makes it real
+        for c in (0, 1, g.half_n, n - 2, n - 1):
+            # the weights, in closed form, are the column's spectrum, the
+            # truncated modulated window's DFT taken directly, on the band's
+            # bins, times the unphase that makes it real
             col = phi * np.exp((2j * g.delta**2) * ((c - g.half_n) * m))
             full = scipy.fft.ifft(col, nfft)
-            assert np.abs(weights[:, c] - full[bins] * unphase).max() < 1e-13 * np.abs(full).max()
+            want = full[bins] * unphase
+            assert np.abs(weights[:, c] - want).max() < 1e-13 * np.abs(full).max()
+            if g.delta < 0.25:
+                # and each weight above 1e-3 of the peak to 1e-13 of its own
+                # size: the Gaussian's slope would turn the rounding of an
+                # unsigned bin's angle into several times that
+                big = np.abs(want) > 1e-3 * np.abs(full).max()
+                assert (np.abs(weights[big, c] - want[big]) < 1e-13 * np.abs(want[big])).all()
             assert np.linalg.norm(np.delete(full, bins)) < 1e-14 * np.linalg.norm(full)
 
 
@@ -669,20 +680,21 @@ def test_refine_matches_per_point_search():
     assert checked >= 4
 
 
-def test_refine_wider_than_the_series_matches_per_point_search():
-    # a search that reaches past _SERIES_REACH sums the lattice at every
-    # pass; at this reach the series' terms would overflow
+def test_refine_wider_than_the_series_is_refused():
+    # every pass reads the Taylor series about the start, so a radius whose
+    # search reaches past _SERIES_REACH is refused; the widest one allowed
+    # still matches the per-point search
     g = make_grid(L=6, delta=2.0 ** -3)
-    radius, levels = 3.5, 1
-    assert 4.0 / 3.0 * radius > simulate._SERIES_REACH
     f = synthesize_field(draw_noise(g, 1.0, 0), ZERO, g)
-    points = amn(f, 2.0).points[:3]
-    assert points.size == 3
-    for p in points:
-        loc, mag = refine_zero(f.source, complex(p), radius, levels)
-        ref_loc, ref_mag = scalar_refine(f.source, complex(p), radius, levels)
-        assert loc == ref_loc
-        assert abs(mag - ref_mag) <= 1e-9 * ref_mag
+    p = complex(amn(f, 2.0).points[0])
+    for radius in (0.8, 3.5, math.inf):
+        assert 4.0 / 3.0 * radius > simulate._SERIES_REACH
+        with pytest.raises(ConfigError, match="reaches past the series"):
+            refine_zero(f.source, p, radius, 1)
+    loc, mag = refine_zero(f.source, p, 0.75, 1)
+    ref_loc, ref_mag = scalar_refine(f.source, p, 0.75, 1)
+    assert loc == ref_loc
+    assert abs(mag - ref_mag) <= 1e-9 * ref_mag
 
 
 @pytest.mark.parametrize("signal", [ZERO, model_for(SignalKind.HERMITE1, 100.0)],
@@ -799,8 +811,8 @@ def test_cache_records_its_realization(tmp_path):
 
 
 def test_cache_reduced_precision(tmp_path):
-    # every cache is written as complex128, but earlier versions could write
-    # complex64 ones, and those still read
+    # every cache is written as complex128; the complex64 ones that earlier
+    # versions could write are refused by name
     g = make_grid(L=1, delta=2.0 ** -4)
     f = synthesize_field(draw_noise(g, 1.0, 4), ZERO, g)
     full, half = tmp_path / "full.wfield", tmp_path / "half.wfield"
@@ -809,11 +821,9 @@ def test_cache_reduced_precision(tmp_path):
     assert json.loads(line)["precision"] == "complex128"
     header = json.dumps({**json.loads(line), "precision": "complex64"}, sort_keys=True)
     half.write_bytes(header.encode() + b"\n" + f.values.astype(np.complex64).tobytes())
-    back = read_field(half)
-    assert back.values.dtype == np.complex128 and back.seed == 4
-    assert np.array_equal(back.values, f.values.astype(np.complex64).astype(np.complex128))
-    scale = np.abs(f.values).max()
-    assert np.abs(back.values - f.values).max() < 1e-6 * scale
+    with pytest.raises(DataError, match="'complex64' samples, not complex128; the complex64 "
+                                        "caches of earlier versions are not read"):
+        read_field(half)
 
 
 def test_cache_rejects_corruption(tmp_path):

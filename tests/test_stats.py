@@ -12,7 +12,6 @@ from bargzeros import (
     StatRow,
     WeightedField,
     count_in_box,
-    covariance_probe,
     expected_count,
     make_grid,
     model_for,
@@ -23,6 +22,8 @@ from bargzeros import (
 )
 from bargzeros.grid import PointSet
 from bargzeros.signal import SignalKind, SignalModel
+
+from conftest import covariance_probe
 
 ZERO = SignalModel(SignalKind.ZERO)
 TOL = 1e-10
