@@ -21,7 +21,6 @@ from .signal import (
 )
 from .simulate import (
     FieldSource,
-    NoiseDraw,
     WeightedField,
     draw_noise,
     evaluate_continuous,
@@ -79,7 +78,6 @@ __all__ = [
     "parse_signal",
     "sample_signal",
     "FieldSource",
-    "NoiseDraw",
     "WeightedField",
     "draw_noise",
     "evaluate_continuous",

@@ -4,7 +4,7 @@ Four subcommands mirror the experiment pipeline:
 
 * ``simulate``   — draw seeded realizations and cache the weighted fields
   (``--T`` accepts only 6), replacing a cache only if its header is the
-  one this run would write (:func:`~bargzeros.simulate.cache_header`);
+  one this run would write (:attr:`~bargzeros.simulate.FieldSource.header`);
 * ``detect``     — run AMN/MGN/ST over a dyadic resolution ladder built by
   subsampling the cached fields (never by re-simulation);
 * ``stats``      — aggregate intensity and count-error estimators over the
@@ -40,8 +40,7 @@ from ._table import write_table
 from .errors import ConfigError, DataError
 from .grid import WINDOW_T, make_grid
 from .signal import parse_signal
-from .simulate import (cache_header, draw_noise, read_field, read_header, synthesize_field,
-                       write_field)
+from .simulate import FieldSource, read_field, read_header, synthesize_field, write_field
 
 
 def parse_spacing(text: str) -> float:
@@ -146,16 +145,19 @@ def cmd_simulate(args) -> int:
     L, delta, T, sigma, seeds, out = args.L, args.delta, args.T, args.sigma, args.seeds, args.out
     grid = make_grid(L=L, delta=delta, T=T)
     model = parse_signal(args.signal, sigma=sigma)
-    h = config_hash({"cmd": "simulate", **cache_header(grid, model, sigma, None)})
+    h = config_hash({"cmd": "simulate", **FieldSource(grid, model, sigma, seeds[0]).header,
+                     "seed": None})
     token = f"{_signal_token(model)}_d{spacing_token(delta)}"
     paths = [out / f"field_{token}_s{seed}.wfield" for seed in seeds]
-    # a cache name records signal, spacing and seed; its header, everything
+    # a cache name records signal, spacing and seed; its header, everything.
+    # A source draws its samples when synthesis first reads them, and only
+    # one realization's are held at a time.
     for seed, path in zip(seeds, paths):
-        if path.exists() and read_header(path) != cache_header(grid, model, sigma, seed):
+        if path.exists() and read_header(path) != FieldSource(grid, model, sigma, seed).header:
             raise ConfigError(f"{path} was simulated with other settings; "
                               "write this config to another directory")
     for seed, path in zip(seeds, paths):
-        fld = synthesize_field(draw_noise(grid, sigma, seed), model, grid)
+        fld = synthesize_field(FieldSource(grid, model, sigma, seed), model, grid)
         out.mkdir(parents=True, exist_ok=True)
         write_field(fld, path)
     print(f"wrote {len(paths)} field cache(s) to {out} (config {h})")
@@ -211,7 +213,7 @@ def cmd_detect(args) -> int:
         h = config_hash(cfg)
         meta = {"config": h, "source": path.name, "T": WINDOW_T,
                 "signal": field.source.signal.descriptor(),
-                "sigma": float(field.source.noise.sigma)}
+                "sigma": float(field.source.sigma)}
         sig = _signal_token(field.source.signal)
         for (_, name), ps in det.detect_ladder(field, W, levels, methods).items():
             seed = "x" if ps.seed is None else ps.seed

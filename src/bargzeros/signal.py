@@ -49,12 +49,19 @@ class SignalModel:
 
     @property
     def A(self) -> float:
-        """Peak weighted amplitude of the transform."""
-        if self.kind is SignalKind.ZERO:
-            return 0.0
-        if self.kind is SignalKind.GAUSS:
-            return abs(self.coefficient)
-        return abs(self.coefficient) * math.exp(-0.5)
+        """Peak weighted amplitude of the transform.  For the first Hermite
+        signal, the nearest to ``|c|*exp(-1/2)`` of the amplitudes within 4
+        ulp of it that :func:`intensity_scale` maps back to ``|c|``, when
+        one does (every ``c`` that an amplitude was scaled to), so that
+        :meth:`descriptor` parses back to the same coefficient."""
+        c = abs(self.coefficient)
+        if self.kind is not SignalKind.HERMITE1:
+            return c
+        a = c * math.exp(-0.5)
+        for k in (0, -1, 1, -2, 2, -3, 3, -4, 4):
+            if (a + k * math.ulp(a)) * math.exp(0.5) == c:
+                return a + k * math.ulp(a)
+        return a
 
     def descriptor(self) -> str:
         """Round-trippable string form, e.g. ``"gauss:A=1"``."""

@@ -50,11 +50,13 @@ window spectra on the band, ``8 * n * S`` bytes, and two ramps of one
 chunk of ``_CHUNK_ROWS + 1`` rows, ``16 * 65 * (S + n)`` bytes: 3.0 MB
 in all at n=1537.
 
-A field cache (:func:`write_field`) is one JSON header line, the record
-of the realization that :func:`read_field` regenerates, then the
-complex128 samples.  This module alone builds (:func:`cache_header`) and
-reads the header, and refuses the complex64 payloads and the noiseless
-headers with a placeholder sigma that earlier versions wrote.
+One realization is one :class:`FieldSource`: grid, signal, sigma and
+seed, from which its samples are drawn.  A field cache
+(:func:`write_field`) is one JSON header line, the source's fields
+(:attr:`FieldSource.header`) that :func:`read_field` regenerates it from,
+then the complex128 samples.  This module alone builds and reads the
+header, and refuses the complex64 caches and the noiseless headers with
+a placeholder sigma that earlier versions wrote.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .grid import WINDOW_T, GridSpec, make_grid
-from .signal import SignalModel, parse_signal, sample_signal
+from .signal import SignalKind, SignalModel, parse_signal, sample_signal
 
 _WINDOW_NORM = math.sqrt(2.0 / math.pi)
 
@@ -84,95 +86,71 @@ def window(t):
 
 
 @dataclass(frozen=True)
-class NoiseDraw:
-    """One realization of the discretised complex white noise.
-
-    ``w[i]`` is the sample at time index ``s = i - s_half`` where
-    ``s_half = (len(w) - 1) // 2``; the vector covers every index the
-    synthesis of a field with the originating grid can touch.
-    """
-
-    w: np.ndarray
-    seed: int | None
-    delta: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=np.complex128)
-        if w.ndim != 1 or w.size % 2 == 0:
-            raise ConfigError("noise vector must be 1-D with odd length")
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
-
-    @property
-    def s_half(self) -> int:
-        return (self.w.size - 1) // 2
-
-
-def _noise_length(grid: GridSpec) -> int:
-    # columns up to half_n need time samples out to T/delta further
-    return 2 * (grid.t_over_delta + grid.half_n) + 1
-
-
-def draw_noise(grid: GridSpec, sigma: float, seed: int) -> NoiseDraw:
-    """Draw the noise vector for ``grid``; bit-reproducible in ``seed``.
-
-    Per-sample variance is ``sigma^2 * delta * sqrt(pi/2)``, split evenly
-    between the real and imaginary parts.
-    """
-    if not 0 < sigma < math.inf:
-        raise ConfigError(f"sigma must be positive and finite, got {sigma}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    n = _noise_length(grid)
-    rng = np.random.default_rng(seed)
-    scale = sigma * math.sqrt(grid.delta * math.sqrt(math.pi / 2.0) / 2.0)
-    w = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return NoiseDraw(w=w, seed=seed, delta=grid.delta, sigma=sigma)
-
-
-def zero_noise(grid: GridSpec) -> NoiseDraw:
-    """An all-zero noise vector (for synthesising pure-signal fields); its
-    level ``sigma`` is 0, which the cache header of its field records."""
-    w = np.zeros(_noise_length(grid), dtype=np.complex128)
-    return NoiseDraw(w=w, seed=None, delta=grid.delta, sigma=0.0)
-
-
-@dataclass(frozen=True)
 class FieldSource:
-    """Everything needed to re-evaluate one realization off the grid; a
-    source whose field could overflow in synthesis is refused."""
+    """One realization of "signal plus complex white noise" on ``grid``: the
+    noise of level ``sigma`` drawn from ``seed``, or none for ``seed=None``,
+    whose ``sigma`` is 0.  Its fields are the keys of its cache's
+    :attr:`header`; its :attr:`samples` are drawn when first read, and
+    refused then if the field could overflow in synthesis.
+    """
 
-    noise: NoiseDraw
-    signal: SignalModel
     grid: GridSpec
+    signal: SignalModel
+    sigma: float = 0.0
+    seed: int | None = None
 
     def __post_init__(self) -> None:
-        g, noise = self.grid, self.noise
-        if noise.delta != g.delta:
-            raise ConfigError(f"noise spacing {noise.delta} does not match grid spacing {g.delta}")
-        if noise.s_half < g.t_over_delta + g.half_n:
-            raise ConfigError("noise vector too short for this grid")
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = np.abs(self.alpha).sum() * _band(g.n_axis, g.t_over_delta, g.delta)[-1]
-        if not bound <= np.finfo(np.float64).max / 2:
-            raise ConfigError("signal amplitude or sigma so large that synthesis could overflow")
+        if self.seed is None:
+            if self.sigma != 0:
+                raise ConfigError(f"a source without a seed has no noise: sigma must be 0, "
+                                  f"got {self.sigma}")
+        elif not 0 < self.sigma < math.inf:
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
+        elif self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @cached_property
     def samples(self) -> np.ndarray:
-        """``a_s = w_s + delta * f1(delta*s)`` for all stored ``s``."""
-        s = np.arange(-self.noise.s_half, self.noise.s_half + 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # __post_init__ refuses inf and nan
-            a = self.noise.w + self.noise.delta * sample_signal(self.signal, self.noise.delta * s)
+        """``a_s = w_s + delta * f1(delta*s)`` for ``|s| <= T/delta +
+        L/delta``, every sample the field reads: row ``kk`` reads ``a[kk +
+        half_n : kk + half_n + 2*T/delta + 1]``.  The noise ``w_s`` is
+        bit-reproducible in ``seed``, with variance ``sigma^2 * delta *
+        sqrt(pi/2)`` split evenly between the real and imaginary parts.
+        """
+        g = self.grid
+        half = g.t_over_delta + g.half_n
+        with np.errstate(over="ignore", invalid="ignore"):  # the bound refuses inf and nan
+            a = g.delta * sample_signal(self.signal, g.delta * np.arange(-half, half + 1))
+            if self.seed is not None:
+                rng = np.random.default_rng(self.seed)
+                scale = self.sigma * math.sqrt(g.delta * math.sqrt(math.pi / 2.0) / 2.0)
+                a += scale * (rng.standard_normal(a.size) + 1j * rng.standard_normal(a.size))
+            bound = np.abs(a).sum() * _band(g.n_axis, g.t_over_delta, g.delta)[-1]
+        if not bound <= np.finfo(np.float64).max / 2:
+            raise ConfigError("signal amplitude or sigma so large that synthesis could overflow")
         a.setflags(write=False)
         return a
 
     @property
-    def alpha(self) -> np.ndarray:
-        """The samples the field reads: row ``kk``, ``a[s_half+kk-M : s_half+kk+M+1]``."""
+    def header(self) -> dict:
+        """The header of this realization's field cache, as
+        :func:`read_header` reads it back."""
         g = self.grid
-        lead = self.noise.s_half - g.t_over_delta - g.half_n
-        return self.samples[lead : lead + g.n_axis + 2 * g.t_over_delta]
+        return dict(format=_MAGIC, L=g.L, delta=g.delta, T=WINDOW_T, sigma=self.sigma,
+                    seed=self.seed, signal=self.signal.descriptor(), precision=_DTYPE,
+                    n_axis=g.n_axis)
+
+
+def draw_noise(grid: GridSpec, sigma: float, seed: int) -> FieldSource:
+    """The noise of level ``sigma`` drawn from ``seed`` on ``grid``, alone:
+    its source has the zero signal."""
+    return FieldSource(grid, SignalModel(SignalKind.ZERO), sigma, seed)
+
+
+def zero_noise(grid: GridSpec) -> FieldSource:
+    """No noise (for synthesising pure-signal fields): the source of the
+    zero signal with no seed and ``sigma`` 0."""
+    return FieldSource(grid, SignalModel(SignalKind.ZERO))
 
 
 @dataclass(frozen=True)
@@ -207,20 +185,24 @@ class WeightedField:
 
     @property
     def seed(self) -> int | None:
-        return self.source.noise.seed if self.source is not None else None
+        return self.source.seed if self.source is not None else None
 
 
-def synthesize_field(noise: NoiseDraw, signal: SignalModel, grid: GridSpec) -> WeightedField:
-    """Synthesize the weighted field for one noise realization.
+def synthesize_field(noise: FieldSource, signal: SignalModel, grid: GridSpec) -> WeightedField:
+    """Synthesize the weighted field of ``signal`` plus the noise of
+    ``noise``, a source on ``grid``.  The field's source is ``noise`` itself
+    when its signal is ``signal``, so its samples are drawn once, and else
+    the source of ``signal`` with ``noise``'s sigma and seed.
 
     The field is one matrix product of the samples' spectrum on one band of
     bins (:func:`_spectral_columns`); the direct sum at the grid's points,
-    ``_evaluate_lattice(source, axis, axis).T``, is the reference.
-    ``FieldSource`` refuses, before the first FFT, samples that could
-    overflow it.
+    ``_evaluate_lattice(source, axis, axis).T``, is the reference.  Samples
+    that could overflow it are refused before the first FFT.
     """
-    source = FieldSource(noise=noise, signal=signal, grid=grid)
-    values = _spectral_columns(source.alpha, grid.t_over_delta, grid.delta, grid.n_axis)
+    if noise.grid != grid:
+        raise ConfigError(f"noise drawn on {noise.grid}, not on {grid}")
+    source = noise if noise.signal == signal else FieldSource(grid, signal, noise.sigma, noise.seed)
+    values = _spectral_columns(source.samples, grid.t_over_delta, grid.delta, grid.n_axis)
     return WeightedField(grid=grid, values=values, source=source)
 
 
@@ -429,14 +411,14 @@ def _evaluate_lattice(source: FieldSource, xs, ys) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     _check_domain(g, xs, ys)
-    d = source.noise.delta
+    d, half = g.delta, source.samples.size // 2
     # per-x window index ranges, as |t_s - x| <= T with a rounding guard
     lo = np.ceil((xs - WINDOW_T) / d - 1e-12).astype(np.int64)
     hi = np.floor((xs + WINDOW_T) / d + 1e-12).astype(np.int64)
     s0, s1 = lo.min(), hi.max()
     size = s1 - s0 + 1
     t = d * np.arange(s0, s1 + 1)
-    a = source.samples[s0 + source.noise.s_half : s1 + source.noise.s_half + 1]
+    a = source.samples[s0 + half : s1 + half + 1]
     weighted = a * window(t - xs[:, None])
     for row, first, last in zip(weighted, lo - s0, hi - s0):
         row[:first] = 0.0
@@ -481,7 +463,7 @@ def _series_magnitudes(source: FieldSource, z0: complex, reach: float):
     below ``exp(-36)``.
     """
     g = source.grid
-    d, half = source.noise.delta, source.noise.s_half
+    d, half = g.delta, source.samples.size // 2
     x0, y0 = z0.real, z0.imag
     # a window past the samples' end belongs to a point the domain refuses
     lo = max(math.ceil((x0 - reach - WINDOW_T) / d - 1e-12), -half)
@@ -584,24 +566,18 @@ _MAGIC = "wfield-v1"
 _DTYPE = "complex128"
 
 
-def cache_header(grid: GridSpec, signal: SignalModel, sigma: float, seed: int | None) -> dict:
-    """The header of the cache of realization ``seed`` (None: no noise) of
-    ``signal`` plus noise of level ``sigma`` on ``grid``, as
-    :func:`read_header` reads it back."""
-    return dict(format=_MAGIC, L=grid.L, delta=grid.delta, T=WINDOW_T, sigma=sigma, seed=seed,
-                signal=signal.descriptor(), precision=_DTYPE, n_axis=grid.n_axis)
-
-
 def write_field(field: WeightedField, path) -> None:
     """Cache ``field``, whose source (its realization) the header records."""
     src = field.source
     if src is None:
         raise ConfigError("a field without a source records no realization to cache")
-    header = cache_header(field.grid, src.signal, src.noise.sigma, src.noise.seed)
+    if parse_signal(src.signal.descriptor()).coefficient != src.signal.coefficient:
+        raise ConfigError(f"no signal descriptor regenerates the coefficient "
+                          f"{src.signal.coefficient}, so a cache would record another realization")
     # written through the buffer protocol without a bytes copy
     payload = np.ascontiguousarray(field.values, dtype=_DTYPE)
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        fh.write(json.dumps(src.header, sort_keys=True).encode() + b"\n")
         fh.write(payload)
 
 
@@ -616,12 +592,16 @@ def _parse_header(path, line: bytes) -> dict:
         # a placeholder that would pool the cache with noisy ones of that sigma
         raise DataError(f"{path}: a cache without noise (\"seed\": null) that records sigma "
                         f"{header.get('sigma')!r}, as earlier versions did; simulate it again")
+    if header.get("precision") != _DTYPE:
+        raise DataError(f"{path}: {header.get('precision')!r} samples, not {_DTYPE}; the complex64 "
+                        f"caches of earlier versions are not read, simulate them again")
     return header
 
 
 def read_header(path) -> dict:
-    """The JSON header line of the field cache at ``path``; a cache without
-    noise (``"seed": null``) must record ``"sigma": 0.0``."""
+    """The JSON header line of the field cache at ``path``; the cache must
+    hold complex128 samples, and one without noise (``"seed": null``) must
+    record ``"sigma": 0.0``."""
     with open(path, "rb") as fh:
         return _parse_header(path, fh.readline())
 
@@ -638,12 +618,9 @@ def read_field(path) -> WeightedField:
             header = _parse_header(path, fh.readline())
             size = os.fstat(fh.fileno()).st_size - fh.tell()
             grid = make_grid(L=header["L"], delta=header["delta"], T=header["T"])
-            n, precision = header["n_axis"], header["precision"]
+            n = header["n_axis"]
             if n != grid.n_axis:
                 raise DataError(f"{path}: header axis count {n} inconsistent with grid")
-            if precision != _DTYPE:
-                raise DataError(f"{path}: {precision!r} samples, not {_DTYPE}; the complex64 "
-                                f"caches of earlier versions are not read, simulate them again")
             want = n * n * np.dtype(_DTYPE).itemsize
             if size != want:
                 raise DataError(f"{path}: payload size {size} bytes, not the {want} "
@@ -651,13 +628,9 @@ def read_field(path) -> WeightedField:
             values = np.empty((n, n), dtype=_DTYPE)
             if fh.readinto(values) != want:
                 raise DataError(f"{path}: payload size changed while it was read")
-        if header["seed"] is None:
-            noise, signal = zero_noise(grid), parse_signal(header["signal"])
-        else:
-            noise = draw_noise(grid, header["sigma"], header["seed"])
-            signal = parse_signal(header["signal"], sigma=noise.sigma)
-        source = FieldSource(noise, signal, grid)
-    except ConfigError as e:  # values the grid, signal, noise or source reject
+        source = FieldSource(grid, parse_signal(header["signal"]), header["sigma"], header["seed"])
+        source.samples  # drawn here, so a realization that could overflow is data refused
+    except ConfigError as e:  # values the grid, signal or source reject
         raise DataError(f"{path}: {e}") from e
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         # a missing key or a value of the wrong type (a null signal too)

@@ -9,6 +9,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -202,6 +203,20 @@ def _snapshot(*dirs):
     return {p: p.read_bytes() for d in dirs for p in sorted(d.iterdir())}
 
 
+def test_simulate_draws_each_seed_once(tmp_path, monkeypatch):
+    # checking the headers of the caches on disk draws nothing; each cache
+    # written draws its seed once
+    draws = []
+    rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or rng(seed))
+    argv = ["simulate", "--L", "2", "--delta", "2^-4", "--signal", "gauss:A=1",
+            "--seeds", "0..2", "--out", str(tmp_path)]
+    assert main(argv) == 0 and main(argv) == 0
+    assert draws == [0, 1, 2, 0, 1, 2]
+    assert main([*argv, "--sigma", "2"]) == 2
+    assert draws == [0, 1, 2, 0, 1, 2]
+
+
 def test_simulate_refuses_another_configs_cache(tmp_path, capsys):
     # the cache name records signal, spacing and seed, not L or sigma, and
     # the amplitude to six digits: a run with other settings would replace
@@ -244,7 +259,7 @@ def test_simulate_refuses_another_configs_cache(tmp_path, capsys):
     # another config writes its own under that name
     cache.unlink()
     assert simulate(sigma="2") == 0
-    assert read_field(cache).source.noise.sigma == 2.0
+    assert read_field(cache).source.sigma == 2.0
     assert list(_snapshot(fields)) == [cache]
 
 
@@ -438,6 +453,22 @@ def test_stats_refuses_point_sets_of_another_sigma(tmp_path, capsys):
     assert main([*argv, "--sigma", "2"]) == 0
 
 
+def test_stats_reads_the_point_sets_of_its_own_signal(tmp_path):
+    # 901*exp(1/2)*exp(-1/2) is 901.0000000000001, which scales to another
+    # coefficient: a cache recording it regenerated a signal whose point
+    # sets stats refused as another signal's
+    fields, points = tmp_path / "fields", tmp_path / "points"
+    signal = "hermite1:A=901"
+    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", signal,
+                 "--seeds", "0", "--out", str(fields)]) == 0
+    cache = fields / "field_hermite1_A901_d2m4_s0.wfield"
+    assert bargzeros.simulate.read_header(cache)["signal"] == "hermite1:A=901.0"
+    assert main(["detect", "--fields", str(fields), "--methods", "amn",
+                 "--out", str(points)]) == 0
+    assert main(["stats", "--points", str(points), "--signal", signal, "--boxes", "1",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+
+
 def test_noiseless_cache_records_no_noise(tmp_path, capsys):
     # a cache of a zero_noise field records sigma 0, so stats does not count
     # its detections as those of noise level 1, and consistency does not pool
@@ -454,7 +485,7 @@ def test_noiseless_cache_records_no_noise(tmp_path, capsys):
         bargzeros.synthesize_field(bargzeros.zero_noise(g), model, g), cache)
     written = cache.read_bytes()
     assert b'"seed": null' in written and b'"sigma": 0.0' in written
-    assert read_field(cache).source.noise.sigma == 0.0
+    assert read_field(cache).source.sigma == 0.0
     assert main(["detect", "--fields", str(cache.parent), "--methods", "amn",
                  "--out", str(points)]) == 0
     assert main(["stats", "--points", str(points), "--signal", "gauss:A=1",
@@ -585,26 +616,29 @@ def test_consistency_refuses_caches_of_two_signals(tmp_path, capsys):
 
 def test_consistency_refuses_caches_of_two_precisions(tmp_path, capsys):
     # a complex64 cache of an earlier version holds other samples than the
-    # complex128 ones: the headers differ in more than the seed
+    # complex128 ones; its header is refused as data in every command, so
+    # consistency does not get as far as pooling it with the others, and
+    # simulate does not replace it
     fields = tmp_path / "fields"
-    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero",
-                 "--seeds", "0..1", "--out", str(fields)]) == 0
+    argv = ["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero",
+            "--seeds", "0..1", "--out", str(fields)]
+    assert main(argv) == 0
     cache = fields / "field_zero_A0_d2m4_s1.wfield"
     line, _, _ = cache.read_bytes().partition(b"\n")
     header = json.dumps({**json.loads(line), "precision": "complex64"}, sort_keys=True)
     half = read_field(cache).values.astype("complex64")
     cache.write_bytes(header.encode() + b"\n" + half.tobytes())
-    assert main(["consistency", "--fields", str(fields), "--levels", "1",
-                 "--out", str(tmp_path / "reports" / "c.csv")]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "2 precisions (complex128, complex64)" in err
-    assert "Traceback" not in err
-    # nor does detect read the complex64 one
-    assert main(["detect", "--fields", str(fields), "--out", str(tmp_path / "points")]) == 3
-    err = capsys.readouterr().err
-    assert "data error" in err and "'complex64' samples, not complex128" in err
-    assert "Traceback" not in err
+    before = _snapshot(fields)
+    for cmd in (["consistency", "--fields", str(fields), "--levels", "1",
+                 "--out", str(tmp_path / "reports" / "c.csv")],
+                ["detect", "--fields", str(fields), "--out", str(tmp_path / "points")],
+                argv):
+        assert main(cmd) == 3, cmd
+        err = capsys.readouterr().err
+        assert "data error" in err and "'complex64' samples, not complex128" in err
+        assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fields"]
+    assert _snapshot(fields) == before
 
 
 @pytest.mark.parametrize("flag, value, seeds, named", [

@@ -87,12 +87,16 @@ def test_parse_signal_round_trip():
         ("gauss:A=1", SignalKind.GAUSS, 1.0),
         ("hermite1:A=100", SignalKind.HERMITE1, 100.0),
         ("GAUSS:A=2.5", SignalKind.GAUSS, 2.5),
+        # |c|*exp(-1/2) of c = 901*exp(1/2) is 901.0000000000001, whose c is
+        # another: the descriptor names the amplitude that gives c back
+        ("hermite1:A=901", SignalKind.HERMITE1, 901.0),
+        ("hermite1:A=22.32211", SignalKind.HERMITE1, 22.32211),
     ]:
         m = parse_signal(text)
         assert m.kind is kind
         assert m.A == pytest.approx(A, abs=TOL)
         again = parse_signal(m.descriptor())
-        assert again.kind is m.kind and again.A == pytest.approx(m.A, abs=TOL)
+        assert again == m and again.descriptor() == m.descriptor()
 
 
 def test_parse_signal_rejects_garbage():

@@ -7,11 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from bargzeros import (
     ConfigError,
@@ -48,9 +51,10 @@ def test_noise_determinism():
     a = draw_noise(g, sigma=1.0, seed=42)
     b = draw_noise(g, sigma=1.0, seed=42)
     c = draw_noise(g, sigma=1.0, seed=43)
-    assert np.array_equal(a.w, b.w)
-    assert not np.array_equal(a.w, c.w)
-    assert a.w.size == 2 * (g.t_over_delta + g.half_n) + 1
+    # a source of the zero signal: its samples are the noise alone
+    assert np.array_equal(a.samples, b.samples)
+    assert not np.array_equal(a.samples, c.samples)
+    assert a.samples.size == 2 * (g.t_over_delta + g.half_n) + 1
 
 
 def test_noise_variance_monte_carlo():
@@ -59,7 +63,7 @@ def test_noise_variance_monte_carlo():
     g = make_grid(L=2, delta=2.0 ** -4)
     total, count = 0.0, 0
     for seed in range(3900):
-        w = draw_noise(g, sigma=1.0, seed=seed).w
+        w = draw_noise(g, sigma=1.0, seed=seed).samples
         total += float(np.sum(w.real ** 2 + w.imag ** 2))
         count += w.size
     target = 2.0 ** -4 * math.sqrt(math.pi / 2.0)
@@ -70,7 +74,7 @@ def test_noise_sigma_scaling():
     g = make_grid(L=2, delta=2.0 ** -4)
     total, count = 0.0, 0
     for seed in range(600):
-        w = draw_noise(g, sigma=2.0, seed=seed).w
+        w = draw_noise(g, sigma=2.0, seed=seed).samples
         total += float(np.sum(w.real ** 2 + w.imag ** 2))
         count += w.size
     target = 4.0 * 2.0 ** -4 * math.sqrt(math.pi / 2.0)
@@ -80,14 +84,29 @@ def test_noise_sigma_scaling():
 def test_zero_noise_vector():
     g = make_grid(L=1, delta=0.25)
     nd = zero_noise(g)
-    assert nd.seed is None
-    assert not nd.w.any()
+    assert nd.seed is None and nd.sigma == 0.0
+    assert not nd.samples.any()
 
 
 def test_noise_rejects_bad_sigma():
     g = make_grid(L=1, delta=0.25)
     with pytest.raises(ConfigError):
         draw_noise(g, sigma=0.0, seed=1)
+
+
+@pytest.mark.parametrize("sigma, seed", [
+    (1.0, None),  # a seedless source has no noise, so sigma 0
+    (math.nan, None),
+    (0.0, 1), (-1.0, 1), (math.inf, 1), (math.nan, 1),  # a seeded one's is positive, finite
+    (1.0, -1),
+])
+def test_source_rejects_bad_sigma_or_seed(sigma, seed):
+    g = make_grid(L=1, delta=0.25)
+    with pytest.raises(ConfigError):
+        FieldSource(g, ZERO, sigma, seed)
+    if seed is not None:
+        with pytest.raises(ConfigError):
+            draw_noise(g, sigma=sigma, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +119,9 @@ def naive_field(noise, signal, grid):
     # at the conjugated index (k, -j), times exp(-i*x*y)
     d = grid.delta
     h = grid.half_n
-    s_half = noise.s_half
-    a = [
-        noise.w[i] + d * sample_signal(signal, d * (i - s_half))
-        for i in range(noise.w.size)
-    ]
+    w = noise.samples  # the noise alone: noise is a source of the zero signal
+    s_half = w.size // 2
+    a = [w[i] + d * sample_signal(signal, d * (i - s_half)) for i in range(w.size)]
     out = np.empty((grid.n_axis, grid.n_axis), dtype=np.complex128)
     for ik, k in enumerate(range(-h, h + 1)):
         for il, j in enumerate(range(-h, h + 1)):
@@ -370,13 +387,12 @@ def test_field_rejects_non_finite_values():
 def test_synthesis_rejects_mismatched_noise():
     g16 = make_grid(L=1, delta=2.0 ** -4)
     g8 = make_grid(L=1, delta=2.0 ** -3)
-    noise = draw_noise(g8, sigma=1.0, seed=0)
-    with pytest.raises(ConfigError):
-        synthesize_field(noise, ZERO, g16)
-    short = draw_noise(g8, sigma=1.0, seed=0)
     big = make_grid(L=2, delta=2.0 ** -3)
-    with pytest.raises(ConfigError):
-        synthesize_field(short, ZERO, big)
+    # noise of another spacing, and noise of the same spacing on a smaller
+    # or a larger grid, are another grid's
+    for drawn_on, grid in ((g8, g16), (g8, big), (big, g8)):
+        with pytest.raises(ConfigError, match="noise drawn on"):
+            synthesize_field(draw_noise(drawn_on, sigma=1.0, seed=0), ZERO, grid)
 
 
 @pytest.mark.filterwarnings("error")
@@ -389,9 +405,10 @@ def test_synthesis_refuses_samples_that_could_overflow():
                        (draw_noise(g, sigma=1e306, seed=0), ZERO)):
         with pytest.raises(ConfigError, match="could overflow"):
             synthesize_field(noise, sig, g)
-        # the source itself is refused, so no evaluation of it reads inf or NaN
+        # the source's samples are refused, so no evaluation of it reads inf or NaN
+        src = FieldSource(g, sig, noise.sigma, noise.seed)
         with pytest.raises(ConfigError, match="could overflow"):
-            FieldSource(noise, sig, g)
+            evaluate_continuous(src, 0j)
     noise = draw_noise(g, sigma=1e300, seed=0)
     f = synthesize_field(noise, model_for(SignalKind.HERMITE1, 1e300), g)
     assert np.isfinite(f.values).all()
@@ -409,7 +426,7 @@ def test_largest_accepted_amplitude_synthesizes_finite_values(L, delta):
 
     def accepted(a):
         try:
-            FieldSource(noise, model_for(SignalKind.HERMITE1, a), g)
+            FieldSource(g, model_for(SignalKind.HERMITE1, a)).samples
         except ConfigError:
             return False
         return True
@@ -423,6 +440,22 @@ def test_largest_accepted_amplitude_synthesizes_finite_values(L, delta):
     assert np.isfinite(f.values).all()
     with pytest.raises(ConfigError, match="could overflow"):
         synthesize_field(noise, model_for(SignalKind.HERMITE1, 2 * lo), g)
+
+
+def test_synthesis_draws_each_seed_once(monkeypatch):
+    # a source draws its samples when first read and keeps them: synthesis
+    # reads those of the source it is given when the signal is the source's
+    # and draws once for a source of its own otherwise, and evaluation reads
+    # the field's source
+    draws = []
+    rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or rng(seed))
+    g = make_grid(L=1, delta=2.0 ** -4)
+    noise = draw_noise(g, 1.0, 3)
+    for signal in (ZERO, model_for(SignalKind.GAUSS, 1.0)):
+        f = synthesize_field(noise, signal, g)
+        evaluate_continuous(f.source, 0.1j)
+    assert draws == [3, 3]
 
 
 def test_synthesis_deterministic():
@@ -473,7 +506,7 @@ def test_continuous_outside_domain():
 
 def test_continuous_closed_form_off_grid():
     g = make_grid(L=2, delta=2.0 ** -6)
-    src = FieldSource(zero_noise(g), model_for(SignalKind.GAUSS, 1.0), g)
+    src = FieldSource(g, model_for(SignalKind.GAUSS, 1.0))
     rng = np.random.default_rng(2)
     for _ in range(25):
         z = complex(*rng.uniform(-1, 1, 2))
@@ -486,7 +519,7 @@ def test_midpoint_value_inside_refined_envelope():
     coarse = make_grid(L=2, delta=2.0 ** -5)
     fine = make_grid(L=2, delta=2.0 ** -6)
     sig = model_for(SignalKind.GAUSS, 1.0)
-    src_c = FieldSource(zero_noise(coarse), sig, coarse)
+    src_c = FieldSource(coarse, sig)
     f_f = synthesize_field(zero_noise(fine), sig, fine)
     k, l = coarse.index_of(complex(0.5, 0.25))
     z1 = coarse.point_of(k, l)
@@ -507,7 +540,7 @@ def _probe_values(signal, seeds, probes, sigma=1.0):
     g = make_grid(L=2, delta=2.0 ** -4)
     out = np.empty((len(seeds), len(probes)), dtype=np.complex128)
     for i, seed in enumerate(seeds):
-        src = FieldSource(draw_noise(g, sigma, seed), signal, g)
+        src = FieldSource(g, signal, sigma, seed)
         out[i] = [evaluate_continuous(src, z) for z in probes]
     return out
 
@@ -550,7 +583,7 @@ def test_mean_law(kind):
 
 def _hermite_source():
     g = make_grid(L=1, delta=2.0 ** -5)
-    return FieldSource(zero_noise(g), model_for(SignalKind.HERMITE1, 1.0), g)
+    return FieldSource(g, model_for(SignalKind.HERMITE1, 1.0))
 
 
 def test_refine_zero_converges_to_origin():
@@ -597,11 +630,11 @@ def scalar_evaluate(source, z):
     x, y = z.real, z.imag
     if abs(x) > g.L or abs(y) > g.L:
         raise ConfigError(f"{z} outside the stored domain (halfwidth {g.L})")
-    d = source.noise.delta
+    d = g.delta
     lo = math.ceil((x - WINDOW_T) / d - 1e-12)
     hi = math.floor((x + WINDOW_T) / d + 1e-12)
     s = np.arange(lo, hi + 1)
-    a = source.samples[s + source.noise.s_half]
+    a = source.samples[s + source.samples.size // 2]
     t = d * s
     val = np.sum(a * window(t - x) * np.exp(2j * y * t))
     return complex(np.exp(-1j * x * y) * val)
@@ -631,7 +664,7 @@ def test_lattice_matches_per_point_sum(spread):
     # with x values 2.4 apart their windows overlap only partly, so a
     # sample summed outside its own point's window would show
     g = make_grid(L=2, delta=2.0 ** -5)
-    src = FieldSource(draw_noise(g, 1.0, 4), model_for(SignalKind.GAUSS, 1.0), g)
+    src = FieldSource(g, model_for(SignalKind.GAUSS, 1.0), 1.0, 4)
     rng = np.random.default_rng(5)
     # off-grid centre, uneven spacing so no point sits on the lattice
     xs = 0.3 + np.sort(rng.uniform(-spread, spread, 9))
@@ -658,7 +691,7 @@ def test_tabled_lattice_matches_per_point_sum(L, delta, xs, ys):
     # these are the table's edge cases: a partial or single block of samples,
     # the largest phases, and a spacing whose products are inexact
     g = make_grid(L=L, delta=delta)
-    src = FieldSource(draw_noise(g, 1.0, 8), model_for(SignalKind.GAUSS, 1.0), g)
+    src = FieldSource(g, model_for(SignalKind.GAUSS, 1.0), 1.0, 8)
     got = simulate._evaluate_lattice(src, xs, ys)
     want = np.array([[scalar_evaluate(src, complex(x, y)) for x in xs] for y in ys])
     assert got.shape == (len(ys), len(xs))
@@ -770,10 +803,43 @@ def test_cache_round_trip_exact(tmp_path):
     )
     assert back.seed == 21
     assert back.source.signal.descriptor() == f.source.signal.descriptor()
-    assert back.source.noise.sigma == 1.5
+    assert back.source.sigma == 1.5
     # the regenerated source supports continuous evaluation identically
     z = 0.3 + 0.7j
     assert evaluate_continuous(back.source, z) == evaluate_continuous(f.source, z)
+
+
+@hst.composite
+def _realizations(draw):
+    """A source on a grid of at most 65 points per axis: any signal kind,
+    and noise of a seed or none."""
+    delta = draw(hst.sampled_from([0.5, 0.25, 0.2, 0.125, 0.1, 2.0 ** -4]))
+    half_n = draw(hst.integers(math.ceil(1 / delta - 1e-9), 32))
+    g = make_grid(L=half_n * delta, delta=delta)
+    kind = draw(hst.sampled_from(list(SignalKind)))
+    amp = 0.0 if kind is SignalKind.ZERO else draw(hst.floats(1e-3, 1e3))
+    seed = draw(hst.none() | hst.integers(0, 2 ** 63))
+    sigma = 0.0 if seed is None else draw(hst.floats(1e-3, 1e3))
+    return FieldSource(g, model_for(kind, amp), sigma, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(src=_realizations())
+def test_cache_header_records_the_source(src):
+    # the header is the source's record: it reads back as written, and the
+    # source regenerated from it is the same realization
+    f = synthesize_field(src, src.signal, src.grid)
+    assert f.source is src
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "f.wfield"
+        write_field(f, p)
+        assert simulate.read_header(p) == src.header
+        back = read_field(p)
+    record = (back.source.grid, back.source.signal.descriptor(), back.source.sigma,
+              back.source.seed)
+    assert record == (src.grid, src.signal.descriptor(), src.sigma, src.seed)
+    assert back.values.tobytes() == f.values.tobytes()
+    assert back.source.samples.tobytes() == src.samples.tobytes()
 
 
 def test_cache_rewrite_is_byte_identical(tmp_path):
@@ -794,7 +860,7 @@ def test_cache_of_a_noiseless_field(tmp_path):
     write_field(f, p)
     back = read_field(p)
     assert back.seed is None and back.values.tobytes() == f.values.tobytes()
-    assert not back.source.noise.w.any()
+    assert back.source.sigma == 0.0
     scale = np.abs(f.values).max()
     assert np.abs(direct_sum(back.source) - f.values).max() < 1e-13 * scale
 
@@ -808,6 +874,13 @@ def test_cache_records_its_realization(tmp_path):
     with pytest.raises(ConfigError, match="without a source"):
         write_field(WeightedField(grid=g, values=f.values), p)
     assert not p.exists()
+    # a descriptor records the amplitude alone, which regenerates neither a
+    # complex coefficient nor a negative one
+    for c in (1.3 - 0.4j, -1.0):
+        f = synthesize_field(zero_noise(g), SignalModel(SignalKind.GAUSS, c), g)
+        with pytest.raises(ConfigError, match="no signal descriptor regenerates"):
+            write_field(f, p)
+        assert not p.exists()
 
 
 def test_cache_reduced_precision(tmp_path):
