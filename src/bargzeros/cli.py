@@ -233,8 +233,8 @@ def cmd_stats(args) -> int:
     points_dir, sigma, boxes, out = args.points, args.sigma, args.boxes, args.out
     model = parse_signal(args.signal, sigma=sigma)
     # only detect's point sets: reports, this one included, may sit among them
-    paths = sorted(p for p in Path(points_dir).glob("points_*.csv")
-                   if p.resolve() != out.resolve())
+    report = out.resolve()
+    paths = sorted(p for p in Path(points_dir).glob("points_*.csv") if p.resolve() != report)
     if not paths:
         raise DataError(f"no point-set CSVs in {points_dir}")
     groups: dict[tuple[str, float], list] = {}

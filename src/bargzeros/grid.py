@@ -184,12 +184,16 @@ class PointSet:
         np.fill_diagonal(cheb, np.iinfo(np.int64).max)
         return int(cheb.min())
 
-    def restrict(self, halfwidth: float) -> "PointSet":
-        """Points lying in the closed centred box of the given half-width."""
+    def in_box(self, halfwidth: float) -> np.ndarray:
+        """Which points lie in the closed centred box of the given
+        half-width, as an exact index test."""
         w = _int_ratio(self.domain_halfwidth, self.delta, "domain_halfwidth/delta")
         r = _int_ratio(halfwidth, self.delta, "halfwidth/delta")
-        keep = (np.abs(self.kl[:, 0] - w) <= r) & (np.abs(self.kl[:, 1] - w) <= r)
-        return replace(self, kl=self.kl[keep])
+        return (np.abs(self.kl[:, 0] - w) <= r) & (np.abs(self.kl[:, 1] - w) <= r)
+
+    def restrict(self, halfwidth: float) -> "PointSet":
+        """Points lying in the closed centred box of the given half-width."""
+        return replace(self, kl=self.kl[self.in_box(halfwidth)])
 
 
 def subsample(field: "WeightedField") -> "WeightedField":

@@ -18,22 +18,24 @@ indices, the stored value is
 
 with ``M = T/delta`` and ``a_s = w_s + delta*f1(delta*s)``.  Column ``ll``
 of the inner sum correlates the samples with the modulated window
-``phi(delta*m) * exp(2j*m*ll*delta^2)``, so it is the inverse FFT of the
-samples' spectrum times the window's.  By Poisson summation the window's
-spectrum at angle ``theta`` is the periodised Gaussian
-``sqrt(2)/delta * sum_i exp(-((theta + 2*pi*i)/(2*delta))^2)``, in closed
-form up to the samples cut at ``|t| > T``, about 2e-17 of its peak at
-delta=2^-8.  It is a bump (the window's time-frequency area is small)
-that moves with ``ll``, so one band of ``S`` bins holds every column's:
-103 at L=3 for delta from 2^-6 to 2^-8, every bin at delta >= 1/4.  Of
-each inverse FFT's outputs only the ``n`` rows are kept, so
-:func:`synthesize_field` takes the field as one matrix product, the
-``(n, S)`` inverse DFT of the band times the samples' spectrum on the
-band times the ``(S, n)`` real window spectra, followed by the quadratic
-phase (:func:`_spectral_columns`).  The product runs on NumPy's
-BLAS and its threads (``OPENBLAS_NUM_THREADS``); the output bits do not
-depend on their number.  Its reference is the direct sum at the grid's
-points, ``_evaluate_lattice(source, axis, axis).T``, the sum that
+``phi(delta*m) * exp(2j*m*ll*delta^2)``, so over a strip of rows it is the
+inverse FFT of the strip's samples' spectrum times the window's.  By
+Poisson summation the window's spectrum at angle ``theta`` is the
+periodised Gaussian ``sqrt(2)/delta * sum_i exp(-((theta +
+2*pi*i)/(2*delta))^2)``, in closed form up to the samples cut at ``|t| >
+T``, about 2e-17 of its peak at delta=2^-8.  It is a bump (the window's
+time-frequency area is small) that moves with ``ll``, so one band of
+``S`` bins holds the bumps of every column of a half of the columns: 61
+to 66 bins at L=3 for delta from 2^-6 to 2^-8, every bin at delta >= 1/4.
+:func:`synthesize_field` takes the field in strips of 128 rows, each
+reading only its own samples, and per strip and half one matrix product:
+the strip's rows of the band's inverse DFT times the strip's spectrum on
+the band, by the ``(S, n/2)`` real window spectra times the strip's row
+phase, then the rest of the quadratic phase (:func:`_spectral_columns`).
+The products run on NumPy's BLAS and its threads
+(``OPENBLAS_NUM_THREADS``); the output bits do not depend on their
+number.  Its reference is the direct sum at the grid's points,
+``_evaluate_lattice(source, axis, axis).T``, the sum that
 :func:`evaluate_continuous` evaluates anywhere.  That sum takes its
 exponentials from two short tables per ``y`` (:func:`_waves`, a few ulp
 off the direct exponential), and the tests check it against the per-point
@@ -45,10 +47,11 @@ lattice sum at all.  The transforms are NumPy's FFTs (the C++ pocketfft,
 which NumPy 2.0 and later ships).
 
 Everything synthesis needs that depends on the grid alone is built once
-per grid and kept for the last two grids used (the synthesis plan): the
-window spectra on the band, ``8 * n * S`` bytes, and two ramps of one
-chunk of ``_CHUNK_ROWS + 1`` rows, ``16 * 65 * (S + n)`` bytes: 3.0 MB
-in all at n=1537.
+per grid and kept for the last two grids used (the synthesis plan): per
+half, the window spectra on its band, ``8 * S * n/2`` bytes, and the
+band's inverse DFT over the tallest strip's rows, and the quadratic
+phase's ramp over the same rows, ``16 * 129 * n`` bytes at n=1537: 4.2 MB
+in all there.
 
 One realization is one :class:`FieldSource`: grid, signal, sigma and
 seed, from which its samples are drawn.  A field cache
@@ -173,11 +176,14 @@ class WeightedField:
         n = self.grid.n_axis
         if v.shape != (n, n):
             raise ConfigError(f"values shape {v.shape} does not match grid {(n, n)}")
-        # a non-finite element makes the sum inf or NaN, so the elementwise
-        # test runs only on the rare array whose sum is not finite (some
-        # have no non-finite element: the sum of two 1e308 overflows)
+        # a non-finite element makes its column's sum, and so the sum of the
+        # column sums, inf or NaN, so the elementwise test runs only on the
+        # rare array whose sum is not finite (some have no non-finite
+        # element: the sum of two 1e308 overflows); the column sums are one
+        # product with a vector of ones, which reads the array on the BLAS's
+        # threads, in about 2 of the 5 ms that NumPy's sum takes at n=1537
         with np.errstate(over="ignore", invalid="ignore"):
-            total = v.sum()
+            total = (np.ones(n) @ v).sum()
         if not np.isfinite(total) and not np.isfinite(v).all():
             raise DataError("field contains non-finite values")
         v.setflags(write=False)
@@ -206,10 +212,10 @@ def synthesize_field(noise: FieldSource, signal: SignalModel, grid: GridSpec) ->
     return WeightedField(grid=grid, values=values, source=source)
 
 
-#: output rows per product of :func:`_spectral_columns`; a chunk of one row
-#: would go to zgemv, whose bits depend on the BLAS thread count, so a
-#: one-row tail joins the chunk before it
-_CHUNK_ROWS = 64
+#: output rows per strip of :func:`_spectral_columns`, each the transform of
+#: its own samples; a strip of one row would go to zgemv, whose bits depend
+#: on the BLAS thread count, so a one-row tail joins the strip before it
+_STRIP_ROWS = 128
 
 #: grids whose synthesis plan is kept, so a caller alternating between a
 #: fine grid and one other grid rebuilds neither
@@ -256,44 +262,59 @@ def _next_fast_len(target: int) -> int:
         n += 1
 
 
+def _strips(n: int) -> tuple:
+    """The ``(r0, r1)`` row ranges of :func:`_spectral_columns`' strips:
+    ``_STRIP_ROWS`` rows each, the last up to one more."""
+    starts = range(0, n - 1, _STRIP_ROWS)
+    return tuple(zip(starts, [*starts[1:], n]))
+
+
 @functools.lru_cache(maxsize=_PLAN_GRIDS)
 def _band(n: int, m_half: int, delta: float):
     """The sizes of :func:`_plan`, taken without building it.
 
-    Column ``ll``'s window spectrum is a bump at bin ``-delta**2*ll*nfft/pi``
-    on a band of ``width`` bins (:func:`_band_width`) that moves down as
-    ``ll`` grows, so the one band that holds every column's is the ``span``
-    bins ``f + j``, from the last column's band to the first's, at most
-    every bin.  Returns ``nfft``, ``f`` (``0 <= f < nfft``), ``span`` and
-    the overflow ``gain`` of :func:`_spectral_columns`: ``|fft(alpha)|`` is
-    at most ``|alpha|_1`` (an FFT's every intermediate is), each weight at
-    most ``sum(phi) / nfft`` and each entry of ``D`` 1, so every partial sum
-    of the product, its real and imaginary parts together, is at most
-    ``|alpha|_1`` times ``sqrt(2) * span / nfft * sum(phi)``, the ``gain``
-    unless that is below 1.
+    A strip of ``R`` rows reads ``R + 2*M`` samples, so every strip's FFT
+    takes ``nfft``, the fast length for the tallest strip.  Column ``ll``'s
+    window spectrum is a bump at bin ``-delta**2*ll*nfft/pi`` on a band of
+    ``width`` bins (:func:`_band_width`) that moves down as ``ll`` grows, so
+    each half of the columns, ``c0 <= c < c1``, has one band that holds its
+    columns' bands: the ``span`` bins ``f + j``, from its last column's band
+    to its first's, at most every bin (n >= 5, so each half has two columns
+    or more).  Returns ``nfft``, the halves' ``(c0, c1, f, span)`` (``0 <= f
+    < nfft``) and the overflow ``gain`` of :func:`_spectral_columns`:
+    ``|fft(alpha[r0:])|`` is at most ``|alpha|_1`` (an FFT's every
+    intermediate is), each weight at most ``sum(phi) / nfft`` and every
+    phase 1, so every partial sum of a product, its real and imaginary parts
+    together, is at most ``|alpha|_1`` times ``sqrt(2) * span / nfft *
+    sum(phi)`` for the wider half's ``span``, the ``gain`` unless that is
+    below 1.
     """
-    nfft = _next_fast_len(n + 2 * m_half)
+    nfft = _next_fast_len(max(r1 - r0 for r0, r1 in _strips(n)) + 2 * m_half)
     phi = window(delta * np.arange(-m_half, m_half + 1))
     width = _band_width(phi, delta, nfft)
-    # the bump's shift from the centre column to the first (rint is odd)
-    shift = int(np.rint((n // 2) * (delta * delta * nfft / math.pi)))
-    span = min(width + 2 * shift, nfft)
-    f = (-shift - width // 2) % nfft
-    return nfft, f, span, max(1.0, math.sqrt(2.0) * span / nfft * phi.sum())
+    ll = np.arange(-(n // 2), n // 2 + 1)
+    # the first bin of each column's own band
+    first = np.rint(ll * (-delta * delta * nfft / math.pi)).astype(np.int64) - width // 2
+    halves = tuple((c0, c1, int(first[c1 - 1]) % nfft,
+                    min(int(first[c0] - first[c1 - 1]) + width, nfft))
+                   for c0, c1 in ((0, n // 2 + 1), (n // 2 + 1, n)))
+    span = max(h[3] for h in halves)
+    return nfft, halves, max(1.0, math.sqrt(2.0) * span / nfft * phi.sum())
 
 
 @functools.lru_cache(maxsize=_PLAN_GRIDS)
 def _plan(n: int, m_half: int, delta: float):
     """The arrays of :func:`_spectral_columns` that depend on the grid alone.
 
-    Returns ``nfft``; the band's bins ``k = f + j`` (:func:`_band`, ``k <
-    2*nfft``); the weights ``W[j, c]``, column ``ll = c - half_n``'s window
-    spectrum ``sum_m phi(delta*m) * exp(1j*m*theta) / nfft`` at ``theta =
-    2*delta**2*ll + 2*pi*b_j/nfft`` on the band, ``8 * n * span`` bytes;
-    and, for the ``r <= _CHUNK_ROWS`` rows of a chunk, the table ``tab[r,
-    j] = exp(2j*pi*r*k_j/nfft)`` and the phase ramp ``ramp[r, c] =
-    exp(1j*delta**2*r*ll)``, ``16 * (_CHUNK_ROWS + 1) * (span + n)``
-    bytes: 1.3 MB and 1.7 MB at n=1537.
+    Returns ``nfft``; for each half of the columns (:func:`_band`) its
+    ``c0``, ``c1``, its band's bins ``k_j = (f + j) % nfft``, the weights
+    ``W[j, c]``, column ``ll = c0 + c - half_n``'s window spectrum ``sum_m
+    phi(delta*m) * exp(1j*m*theta) / nfft`` at ``theta = 2*delta**2*ll +
+    2*pi*b_j/nfft`` on the band, ``8 * span * (c1 - c0)`` bytes, and, for
+    the rows ``r`` of the tallest strip, the table ``tab[r, j] =
+    exp(2j*pi*((r + M)*k_j % nfft)/nfft)``; and the phase ramp ``ramp[r, c]
+    = exp(1j*delta**2*r*ll)`` over the same rows, 16 bytes each: 4.2 MB in
+    all at n=1537, 3.2 MB of it the ramp.
 
     The weights are in closed form: by Poisson summation the untruncated
     window's spectrum is the periodised Gaussian ``sqrt(2)/(delta*nfft) *
@@ -308,64 +329,67 @@ def _plan(n: int, m_half: int, delta: float):
     and all arrays are read-only, since every caller on the grid shares
     them.
     """
-    nfft, f, span, _ = _band(n, m_half, delta)
+    nfft, bands, _ = _band(n, m_half, delta)
+    rows = np.arange(max(r1 - r0 for r0, r1 in _strips(n)))[:, None]
     ll = np.arange(-(n // 2), n // 2 + 1)
-    k = f + np.arange(span)
-    bins = (k + (nfft - 1) // 2) % nfft - (nfft - 1) // 2
-    slope = (2.0 * delta * delta) * ll
-    weights = np.empty((span, n))
-    for row, b in zip(weights, bins):
-        theta = slope + (2.0 * math.pi / nfft) * b
-        theta -= (2.0 * math.pi) * np.rint(theta / (2.0 * math.pi))
-        row[:] = sum(np.exp(-(((theta + 2.0 * math.pi * i) / (2.0 * delta)) ** 2)) for i in (-1, 0, 1))
-    weights *= math.sqrt(2.0) / (delta * nfft)
-    rows = np.arange(_CHUNK_ROWS + 1)[:, None]
-    tab = np.exp((2j * math.pi / nfft) * (rows * k % nfft))
+    halves = []
+    for c0, c1, f, span in bands:
+        k = (f + np.arange(span)) % nfft
+        bins = (k + (nfft - 1) // 2) % nfft - (nfft - 1) // 2
+        slope = (2.0 * delta * delta) * ll[c0:c1]
+        weights = np.empty((span, c1 - c0))
+        for row, b in zip(weights, bins):
+            theta = slope + (2.0 * math.pi / nfft) * b
+            theta -= (2.0 * math.pi) * np.rint(theta / (2.0 * math.pi))
+            row[:] = sum(np.exp(-(((theta + 2.0 * math.pi * i) / (2.0 * delta)) ** 2)) for i in (-1, 0, 1))
+        weights *= math.sqrt(2.0) / (delta * nfft)
+        tab = np.exp((2j * math.pi / nfft) * ((rows + m_half) * k % nfft))
+        for a in (k, weights, tab):
+            a.setflags(write=False)
+        halves.append((c0, c1, k, weights, tab))
     ramp = np.exp((1j * delta * delta) * (rows * ll))
-    for a in (k, weights, tab, ramp):
-        a.setflags(write=False)
-    return nfft, k, weights, tab, ramp
+    ramp.setflags(write=False)
+    return nfft, tuple(halves), ramp
 
 
 def _spectral_columns(alpha, m_half, delta, n):
     """The whole field ``exp(1j*d2*kk*ll) * sum_m alpha[i + M + m] * g_ll[m]``,
-    ``g_ll[m] = phi(delta*m) * exp(2j*d2*m*ll)``, as one matrix product.
+    ``g_ll[m] = phi(delta*m) * exp(2j*d2*m*ll)``, in strips of rows.
 
-    Row ``i`` (``kk = i - half_n``) of column ``ll`` is the correlation of
-    ``alpha`` (``n + 2*M`` samples) with the column's modulated window, so
-    with ``A = fft(alpha, nfft)`` it is ``sum_k A[k] * G_ll[k] *
-    exp(2j*pi*k*(i + M)/nfft) / nfft`` for the window's spectrum about
-    sample 0, ``G_ll[k] = sum_m g_ll[m] * exp(2j*pi*k*m/nfft)``; ``nfft >=
-    n + 2*M`` keeps the circular correlation from wrapping.  Only the band's
-    bins ``k_j`` hold ``G_ll``, which :func:`_plan` keeps over ``nfft`` as
-    the weights ``W``, so the field is
+    Row ``i = r0 + r`` (``kk = i - half_n``) of column ``ll`` is the
+    correlation of the strip's samples ``beta = alpha[r0 : r1 + 2*M]`` with
+    the column's modulated window, so with ``B = fft(beta, nfft)`` it is
+    ``sum_k B[k] * G_ll[k] * exp(2j*pi*k*(r + M)/nfft) / nfft`` for the
+    window's spectrum about sample 0, ``G_ll[k] = sum_m g_ll[m] *
+    exp(2j*pi*k*m/nfft)``; ``nfft >= r1 - r0 + 2*M`` keeps the circular
+    correlation from wrapping.  Only a half's band of bins ``k_j`` holds its
+    columns' ``G_ll``, which :func:`_plan` keeps over ``nfft`` as the real
+    weights ``W``, so the strip is
 
-        V[i, c] = exp(1j*d2*kk*ll) * sum_j D[i, j] * A[k_j] * W[j, c]
+        V[i, c] = ramp[r, c] * sum_j (tab[r, j] * B[k_j]) * (W[j, c] * e[c])
 
-    with ``D[i, j] = exp(2j*pi*(i + M)*k_j/nfft)``: one product of ``D``
-    (``n x span``) with ``W`` scaled by the band of ``A``, then the
-    quadratic phase.  It is taken in chunks of ``_CHUNK_ROWS`` rows, whose
-    ``D`` rows are the plan's table times one row of exponentials with
-    integer arguments reduced mod ``nfft`` (``2*pi*(i + M)*k/nfft`` itself
-    reaches about 1e4 rad, whose rounding alone would move a value by about
-    1e-12 of its size); each chunk then takes its quadratic phase, the
-    plan's ramp times one row of exponentials, while it is still in cache.
+    with the plan's table ``tab[r, j] = exp(2j*pi*(r + M)*k_j/nfft)``, the
+    same for every strip, and the strip's row phase ``e[c] =
+    exp(1j*d2*(r0 - half_n)*ll)``: per half, one product of the table
+    scaled by the band of ``B`` with the weights scaled by the row phase,
+    then the plan's ramp ``exp(1j*d2*r*ll)`` over the strip while it is
+    still in cache.
 
     The products run on NumPy's BLAS, on its threads; a product of two or
     more rows sums each element in one order whatever their number, so the
     output bits do not depend on it.
     """
-    nfft, k, weights, tab, ramp = _plan(n, m_half, delta)
+    nfft, halves, ramp = _plan(n, m_half, delta)
     d2 = delta * delta
     ll = np.arange(-(n // 2), n // 2 + 1)
-    band = weights * np.fft.fft(alpha, nfft)[k % nfft, None]
     out = np.empty((n, n), dtype=np.complex128)
-    starts = range(0, n - 1, _CHUNK_ROWS)
-    for r0, r1 in zip(starts, [*starts[1:], n]):
-        d_rows = tab[: r1 - r0] * np.exp((2j * math.pi / nfft) * ((r0 + m_half) * k % nfft))
-        chunk = np.matmul(d_rows, band, out=out[r0:r1])
-        chunk *= ramp[: r1 - r0]
-        chunk *= np.exp((1j * d2 * (r0 - n // 2)) * ll)
+    for r0, r1 in _strips(n):
+        spectrum = np.fft.fft(alpha[r0 : r1 + 2 * m_half], nfft)
+        phase = np.exp((1j * d2 * (r0 - n // 2)) * ll)
+        strip = out[r0:r1]
+        for c0, c1, k, weights, tab in halves:
+            np.matmul(tab[: r1 - r0] * spectrum[k], weights * phase[c0:c1], out=strip[:, c0:c1])
+        strip *= ramp[: r1 - r0]
     return out
 
 

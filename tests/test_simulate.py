@@ -182,42 +182,44 @@ def _column_bands(g, nfft, width):
 def test_plan_band_is_narrow_only_for_a_long_window():
     # the window spans 2*T/delta + 1 samples: 1537 at delta=2^-7, where its
     # spectrum is a Gaussian bump of a few dozen bins that moves with the
-    # column, so one band of about a hundred bins holds every column's; at
-    # delta >= 1/4 the band is every bin, and at L=10, delta=1/2 the
-    # closed form's angles wrap around the circle
+    # column, so one band of a few dozen bins more holds the bands of every
+    # column of a half; at delta >= 1/4 the band is every bin, and at L=10,
+    # delta=1/2 the closed form's angles wrap around the circle
     for g in (make_grid(L=3, delta=2.0 ** -7), make_grid(L=3, delta=2.0 ** -8),
               make_grid(L=1, delta=0.25), make_grid(L=7, delta=1 / 3),
               make_grid(L=3, delta=0.5), make_grid(L=10, delta=0.5)):
         n, m_half = g.n_axis, g.t_over_delta
-        nfft, k, weights, _, _ = simulate._plan(n, m_half, g.delta)
-        bins = k % nfft
-        assert weights.shape == (k.size, n) and weights.dtype == np.float64
-        if g.delta < 0.25:
-            assert k.size < 0.05 * nfft
-        else:
-            assert k.size == nfft
-        assert np.unique(bins).size == k.size
+        nfft, halves, _ = simulate._plan(n, m_half, g.delta)
         m = np.arange(-m_half, m_half + 1)
         phi = window(g.delta * m)
-        # every column's own band lies inside the band
         own = _column_bands(g, nfft, simulate._band_width(phi, g.delta, nfft))
-        assert np.isin(own, bins).all()
-        unphase = np.exp(-2j * math.pi * (k * m_half % nfft) / nfft)
-        for c in (0, 1, g.half_n, n - 2, n - 1):
-            # the weights, in closed form, are the column's spectrum, the
-            # truncated modulated window's DFT taken directly, on the band's
-            # bins, times the unphase that makes it real
-            col = phi * np.exp((2j * g.delta**2) * ((c - g.half_n) * m))
-            full = scipy.fft.ifft(col, nfft)
-            want = full[bins] * unphase
-            assert np.abs(weights[:, c] - want).max() < 1e-13 * np.abs(full).max()
+        # the halves split the columns in two
+        assert [(c0, c1) for c0, c1, *_ in halves] == [(0, g.half_n + 1), (g.half_n + 1, n)]
+        for c0, c1, k, weights, _ in halves:
+            assert weights.shape == (k.size, c1 - c0) and weights.dtype == np.float64
             if g.delta < 0.25:
-                # and each weight above 1e-3 of the peak to 1e-13 of its own
-                # size: the Gaussian's slope would turn the rounding of an
-                # unsigned bin's angle into several times that
-                big = np.abs(want) > 1e-3 * np.abs(full).max()
-                assert (np.abs(weights[big, c] - want[big]) < 1e-13 * np.abs(want[big])).all()
-            assert np.linalg.norm(np.delete(full, bins)) < 1e-14 * np.linalg.norm(full)
+                assert k.size < 0.05 * nfft
+            else:
+                assert k.size == nfft
+            assert ((0 <= k) & (k < nfft)).all() and np.unique(k).size == k.size
+            # every column's own band lies inside its half's band
+            assert np.isin(own[c0:c1], k).all()
+            unphase = np.exp(-2j * math.pi * (k * m_half % nfft) / nfft)
+            for c in sorted({c0, c0 + 1, g.half_n, c1 - 2, c1 - 1} & set(range(c0, c1))):
+                # the weights, in closed form, are the column's spectrum, the
+                # truncated modulated window's DFT taken directly, on the band's
+                # bins, times the unphase that makes it real
+                col = phi * np.exp((2j * g.delta**2) * ((c - g.half_n) * m))
+                full = scipy.fft.ifft(col, nfft)
+                want = full[k] * unphase
+                assert np.abs(weights[:, c - c0] - want).max() < 1e-13 * np.abs(full).max()
+                if g.delta < 0.25:
+                    # and each weight above 1e-3 of the peak to 1e-13 of its own
+                    # size: the Gaussian's slope would turn the rounding of an
+                    # unsigned bin's angle into several times that
+                    big = np.abs(want) > 1e-3 * np.abs(full).max()
+                    assert (np.abs(weights[big, c - c0] - want[big]) < 1e-13 * np.abs(want[big])).all()
+                assert np.linalg.norm(np.delete(full, k)) < 1e-14 * np.linalg.norm(full)
 
 
 def test_next_fast_len_matches_scipy():
@@ -227,47 +229,92 @@ def test_next_fast_len_matches_scipy():
     assert got == [scipy.fft.next_fast_len(t) for t in range(1, 2**15 + 1)]
 
 
-def test_plan_table_and_ramp_give_every_row_of_a_chunk():
-    # a chunk's rows of D and of the quadratic phase are the plan's table
-    # and ramp times one row, for every row a chunk can hold (one more than
-    # _CHUNK_ROWS, for a one-row tail that joins the chunk before it), and
-    # the circular correlation behind D does not wrap
+def test_plan_table_and_ramp_give_every_row_of_a_strip():
+    # the strips cover the rows, each of _STRIP_ROWS rows but the last, which
+    # holds one more when the rows end in a one-row tail (a one-row product
+    # would go to zgemv, whose bits depend on the thread count); the
+    # circular correlation of the tallest strip's samples does not wrap;
+    # each half's table is the inverse DFT's rows for every strip, and the
+    # ramp times a strip's row phase is its quadratic phase
+    R = simulate._STRIP_ROWS
     for g in (make_grid(L=3, delta=2.0 ** -6), make_grid(L=3, delta=2.0 ** -7),
-              make_grid(L=1.5, delta=0.0125), make_grid(L=1, delta=0.25),
+              make_grid(L=3, delta=2.0 ** -8), make_grid(L=1.5, delta=0.0125),
+              make_grid(L=1, delta=2.0 ** -5), make_grid(L=1, delta=0.25),
               make_grid(L=7, delta=1 / 3), make_grid(L=1, delta=0.5)):
         n, m_half = g.n_axis, g.t_over_delta
-        nfft, k, _, tab, ramp = simulate._plan(n, m_half, g.delta)
-        assert nfft >= n + 2 * m_half
-        assert tab.shape == (simulate._CHUNK_ROWS + 1, k.size)
-        assert ramp.shape == (simulate._CHUNK_ROWS + 1, n)
-        r0 = (n - 2) // simulate._CHUNK_ROWS * simulate._CHUNK_ROWS  # the last chunk's first row
-        r = np.arange(simulate._CHUNK_ROWS + 1)[:, None]
-        d_row = np.exp(2j * math.pi * ((r0 + m_half) * k % nfft) / nfft)
-        d_rows = np.exp(2j * math.pi * ((r0 + r + m_half) * k % nfft) / nfft)
-        assert np.abs(tab * d_row - d_rows).max() < 1e-14
+        strips = simulate._strips(n)
+        assert strips[0][0] == 0 and strips[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(strips, strips[1:]))
+        assert all(r1 - r0 == R for r0, r1 in strips[:-1])
+        assert 2 <= strips[-1][1] - strips[-1][0] <= R + 1
+        rows = max(r1 - r0 for r0, r1 in strips)
+        nfft, halves, ramp = simulate._plan(n, m_half, g.delta)
+        assert nfft >= rows + 2 * m_half
+        assert ramp.shape == (rows, n)
+        r = np.arange(rows)[:, None]
+        for _, _, k, _, tab in halves:
+            assert tab.shape == (rows, k.size)
+            # the angles reach about 1e4 rad, whose rounding in doubles would
+            # move a value by about 1e-12; long doubles leave about 1e-15
+            angle = (2 * np.arccos(np.longdouble(-1))) * ((r + m_half) * k) / nfft
+            want = np.cos(angle).astype(np.float64) + 1j * np.sin(angle).astype(np.float64)
+            assert np.abs(tab - want).max() < 1e-14
         ll = np.arange(-g.half_n, g.half_n + 1)
+        r0, r1 = strips[-1]
         kk0 = r0 - g.half_n
-        phase = np.exp(1j * g.delta**2 * (kk0 + r) * ll)
+        phase = np.exp(1j * g.delta**2 * (kk0 + r[: r1 - r0]) * ll)
         # the rounding of the phase arguments, up to L**2 rad, bounds this
-        assert np.abs(ramp * np.exp(1j * g.delta**2 * kk0 * ll) - phase).max() < 1e-15 * (1 + g.L**2)
+        got = ramp[: r1 - r0] * np.exp(1j * g.delta**2 * kk0 * ll)
+        assert np.abs(got - phase).max() < 1e-15 * (1 + g.L**2)
 
 
-def test_plan_memory_is_the_band_and_two_chunk_ramps():
-    # the plan holds the real weights of one band of bins, its bins and two
-    # ramps of one chunk of rows, nothing that grows like n**2; the band is
-    # a column's width plus the bump's shift across the columns, 103 bins
-    # at L=3 for every delta from 2^-6 to 2^-8
-    for delta in (2.0 ** -6, 2.0 ** -7, 2.0 ** -8):
+def test_plan_memory_is_two_bands_and_one_strip_ramp():
+    # the plan holds, per half of the columns, the real weights of one band
+    # of bins, its bins and its table of one strip's rows, and one ramp of
+    # one strip's rows, nothing that grows like n**2; a half's band is a
+    # column's width plus the bump's shift across the half's columns, a few
+    # dozen bins at L=3 for every delta from 2^-6 to 2^-8, and the plan stays
+    # under 4.2 MB at n=1537
+    for delta, spans in ((2.0 ** -6, [66, 66]), (2.0 ** -7, [62, 62]), (2.0 ** -8, [61, 61])):
         g = make_grid(L=3, delta=delta)
         n = g.n_axis
-        plan = simulate._plan(n, g.t_over_delta, g.delta)
-        nfft, span = plan[0], plan[1].size
+        nfft, halves, ramp = simulate._plan(n, g.t_over_delta, g.delta)
         m = np.arange(-g.t_over_delta, g.t_over_delta + 1)
         width = simulate._band_width(window(g.delta * m), g.delta, nfft)
-        assert span - width <= 2 * math.ceil(g.half_n * g.delta**2 * nfft / math.pi)
-        assert span == 103
-        held = sum(a.nbytes for a in plan if isinstance(a, np.ndarray))
-        assert held == 8 * n * span + 8 * span + 16 * (simulate._CHUNK_ROWS + 1) * (span + n)
+        rows = ramp.shape[0]
+        held = ramp.nbytes
+        assert held == 16 * rows * n
+        for c0, c1, k, weights, tab in halves:
+            assert k.size - width <= math.ceil(g.half_n * g.delta**2 * nfft / math.pi)
+            held += k.nbytes + weights.nbytes + tab.nbytes
+        assert [k.size for _, _, k, _, _ in halves] == spans
+        assert held == 16 * rows * n + sum((8 * (c1 - c0) + 8 + 16 * rows) * k.size
+                                           for c0, c1, k, _, _ in halves)
+        if n == 1537:
+            assert held <= 4.2e6
+
+
+@pytest.mark.parametrize("L, delta", [(3, 2.0 ** -6), (3, 2.0 ** -8), (1.5, 0.0125),
+                                      (1, 2.0 ** -5), (7, 1 / 3)],
+                         ids=["n385-tail", "n1537-tail", "n241-two-strips", "n65-one-strip",
+                              "n43-every-bin"])
+def test_fast_path_matches_direct_sum_at_strip_and_half_edges(L, delta):
+    # each strip takes its own transform and each half of the columns its
+    # own band, so the rows on either side of every strip boundary, the
+    # first and last row of every strip and the first and last column of
+    # each half must agree with the direct sum; n = 385 and 1537 end in a
+    # one-row tail that joins the strip before it, n = 65 is one strip and
+    # at n = 43 each half's band is every bin
+    g = make_grid(L=L, delta=delta)
+    f = synthesize_field(draw_noise(g, sigma=1.0, seed=13), ZERO, g)
+    rows = sorted({r for r0, r1 in simulate._strips(g.n_axis)
+                   for r in (r0 - 1, r0, r0 + 1, r1 - 1) if 0 <= r < g.n_axis})
+    _, halves, _ = simulate._plan(g.n_axis, g.t_over_delta, g.delta)
+    cols = sorted({c for c0, c1, *_ in halves for c in (c0, c1 - 1)})
+    axis = g.axis()
+    slow = simulate._evaluate_lattice(f.source, axis[rows], axis[cols]).T
+    got = f.values[np.ix_(rows, cols)]
+    assert np.abs(got - slow).max() < 1e-13 * np.abs(slow).max()
 
 
 _SYNTH_HASHES = """
@@ -288,12 +335,12 @@ for noise, sig in ((draw_noise(g, 1.0, 5), model_for(SignalKind.HERMITE1, 2.0)),
 )
 def test_threaded_synthesis_is_bit_identical_to_serial_loop(L, delta):
     # the products run on the BLAS's threads; a fresh process takes its
-    # thread count from the environment, so one thread runs the loop over
-    # chunks serially, then two, five (more than most runners have) and the
+    # thread count from the environment, so one thread runs the products
+    # serially, then two, five (more than most runners have) and the
     # BLAS's default, each against this process's field.  n = 769 and 385
-    # end in a one-row tail that joins the chunk before it (n % 64 == 1; a
+    # end in a one-row tail that joins the strip before it (n % 128 == 1; a
     # one-row product would go to zgemv, whose bits depend on the thread
-    # count), n = 17 is one chunk, n = 241 has a non-dyadic spacing that
+    # count), n = 17 is one strip, n = 241 has a non-dyadic spacing that
     # makes the phase arguments inexact, and n = 385 is the CLI benchmark's
     # grid.  The all-zero field shows the signed zeros of every product,
     # which a noisy field's nonzero values absorb
@@ -382,6 +429,24 @@ def test_field_rejects_non_finite_values():
     with np.errstate(over="ignore"):
         assert not np.isfinite(v.sum())
     simulate.WeightedField(grid=g, values=v)
+
+
+def test_field_checks_each_column_sum():
+    # the finiteness test sums the columns first: an inf/-inf pair in one
+    # column makes that column's sum NaN and is refused, and a 1e308 pair in
+    # one column overflows that column's sum but is finite, so is accepted
+    g = make_grid(L=1, delta=0.25)
+    n = g.n_axis
+    v = np.zeros((n, n), dtype=np.complex128)
+    v[0, 2], v[-1, 2] = math.inf, -math.inf
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(v.sum(axis=0)[2])
+    with pytest.raises(DataError):
+        simulate.WeightedField(grid=g, values=v)
+    v[0, 2], v[-1, 2] = 1e308, 1e308
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(v.sum(axis=0)[2])
+    assert simulate.WeightedField(grid=g, values=v).values[0, 2] == 1e308
 
 
 def test_synthesis_rejects_mismatched_noise():
