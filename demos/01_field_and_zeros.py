@@ -9,7 +9,7 @@ sit on zeros.
 import numpy as np
 
 from bargzeros import (
-    METHODS,
+    Method,
     SignalKind,
     SignalModel,
     detect_ladder,
@@ -31,11 +31,11 @@ print(f"synthesized {grid.n_axis}x{grid.n_axis} samples at spacing {DELTA}")
 
 area = (2 * TARGET) ** 2
 print(f"\nexpected number of zeros in the target box: {area / np.pi:.2f}")
-found = detect_ladder(field, TARGET, [0], METHODS)
-for (_, name), pts in found.items():
-    print(f"  {name}: {len(pts.points)} detections")
+found = detect_ladder(field, TARGET, [0], Method)
+for (_, m), pts in found.items():
+    print(f"  {m.value}: {len(pts.points)} detections")
 
-zeros = found[0, "amn"]
+zeros = found[0, Method.AMN]
 print("\nrefining the first five detections (radius 2*delta, 4 passes):")
 print(f"{'detected':>22}  {'refined':>22}  {'|V| after':>10}")
 for p in zeros.points[:5]:

@@ -12,7 +12,7 @@ Takes roughly half a minute.
 import math
 
 from bargzeros import (
-    METHODS,
+    Method,
     SignalKind,
     SignalModel,
     detect_ladder,
@@ -31,19 +31,19 @@ TARGET = 4.0
 grid = make_grid(L=L, delta=DELTA)
 signal = SignalModel(SignalKind.ZERO)
 
-detections = {name: [] for name in METHODS}
+detections = {m: [] for m in Method}
 for seed in range(REALIZATIONS):
     field = synthesize_field(draw_noise(grid, 1.0, seed), signal, grid)
-    for (_, name), pts in detect_ladder(field, TARGET, [0], METHODS).items():
-        detections[name].append(pts)
+    for (_, m), pts in detect_ladder(field, TARGET, [0], Method).items():
+        detections[m].append(pts)
 
 benchmark = variance_benchmark(area=(2 * TARGET) ** 2)
 print(f"R = {REALIZATIONS} realizations, spacing {DELTA}, box half-width {TARGET}")
 print(f"closed form: intensity 1/pi = {1 / math.pi:.5f}, benchmark std = {benchmark:.5f}\n")
 print(f"{'method':>6}  {'mean':>8}  {'bias':>8}  {'std':>8}  {'std/benchmark':>13}")
-for name, sets in detections.items():
+for m, sets in detections.items():
     row = summary_rows(sets, signal, 1.0, [TARGET])[0]  # the intensity row
     print(
-        f"{name:>6}  {row.mean:8.5f}  {row.mean - 1 / math.pi:+8.5f}"
+        f"{m.value:>6}  {row.mean:8.5f}  {row.mean - 1 / math.pi:+8.5f}"
         f"  {row.std:8.5f}  {row.std / benchmark:13.2f}"
     )

@@ -12,7 +12,7 @@ Takes a minute or two.
 """
 
 from bargzeros import (
-    METHODS,
+    Method,
     SignalKind,
     SignalModel,
     aggregate_failure_table,
@@ -34,11 +34,11 @@ signal = SignalModel(SignalKind.ZERO)
 rows = []
 for seed in range(REALIZATIONS):
     field = synthesize_field(draw_noise(grid, 1.0, seed), signal, grid)
-    rows += ladder_rows(field, TARGET, range(1, LEVELS + 1), METHODS, "amn")
+    rows += ladder_rows(field, TARGET, range(1, LEVELS + 1), Method, Method.AMN)
 deltas, methods, table = aggregate_failure_table(rows)
 
 print(f"proxy: amn at spacing {DELTA_HI}, R = {REALIZATIONS} realizations\n")
-print(f"{'spacing':>10}  " + "  ".join(f"{m.lower():>6}" for m in methods))
+print(f"{'spacing':>10}  " + "  ".join(f"{Method[m].value:>6}" for m in methods))
 for d in deltas:
     row = "  ".join(f"{table[(d, m)]:6.3f}" for m in methods)
     print(f"{d:>10}  {row}")

@@ -32,7 +32,6 @@ from .simulate import (
     zero_noise,
 )
 from .detect import (
-    METHODS,
     amn,
     amn_select,
     detect_ladder,
@@ -87,7 +86,6 @@ __all__ = [
     "window",
     "write_field",
     "zero_noise",
-    "METHODS",
     "amn",
     "amn_select",
     "detect_ladder",

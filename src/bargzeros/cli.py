@@ -38,7 +38,7 @@ from . import detect as det
 from . import stats as st_mod
 from ._table import write_table
 from .errors import ConfigError, DataError
-from .grid import WINDOW_T, make_grid
+from .grid import WINDOW_T, Method, make_grid
 from .signal import parse_signal
 from .simulate import FieldSource, read_field, read_header, synthesize_field, write_field
 
@@ -174,6 +174,8 @@ def _iter_fields(fields_dir):
 def _parse_list(text: str, parse, what: str) -> list:
     try:
         out = [parse(tok) for tok in text.split(",") if tok.strip()]
+    except ConfigError:
+        raise
     except ValueError:
         raise ConfigError(f"cannot parse {what} {text!r}") from None
     if not out:
@@ -186,12 +188,17 @@ def _parse_list(text: str, parse, what: str) -> list:
     return out
 
 
-def _parse_methods(text: str) -> list[str]:
-    names = _parse_list(text, lambda tok: tok.strip().lower(), "methods")
-    bad = [n for n in names if n not in det.METHODS]
-    if bad:
-        raise ConfigError(f"unknown method(s) {bad}; choose from {list(det.METHODS)}")
-    return names
+def _parse_method(token: str) -> Method:
+    """A detector by its token, in any case: ``amn``, ``mgn`` or ``st``."""
+    try:
+        return Method(token.strip().lower())
+    except ValueError:
+        raise ConfigError(f"unknown method {token.strip()!r}; choose from "
+                          + ", ".join(m.value for m in Method)) from None
+
+
+def _parse_methods(text: str) -> list[Method]:
+    return _parse_list(text, _parse_method, "methods")
 
 
 def _parse_levels(text: str) -> list[int]:
@@ -209,15 +216,16 @@ def cmd_detect(args) -> int:
         W = target if target is not None else field.grid.L - 1.0
         cfg = {"cmd": "detect", "source": path.name,
                "header": json.dumps(read_header(path), sort_keys=True), "target": W,
-               "methods": ",".join(methods), "levels": ",".join(map(str, levels))}
+               "methods": ",".join(m.value for m in methods),
+               "levels": ",".join(map(str, levels))}
         h = config_hash(cfg)
         meta = {"config": h, "source": path.name, "T": WINDOW_T,
                 "signal": field.source.signal.descriptor(),
                 "sigma": float(field.source.sigma)}
         sig = _signal_token(field.source.signal)
-        for (_, name), ps in det.detect_ladder(field, W, levels, methods).items():
+        for (_, m), ps in det.detect_ladder(field, W, levels, methods).items():
             seed = "x" if ps.seed is None else ps.seed
-            csv_path = out / f"points_{name}_{sig}_d{spacing_token(ps.delta)}_s{seed}.csv"
+            csv_path = out / f"points_{m.value}_{sig}_d{spacing_token(ps.delta)}_s{seed}.csv"
             if csv_path in pending:
                 raise ConfigError(f"two caches of this run would write {csv_path}")
             _refuse_replacing(csv_path, h)
@@ -237,7 +245,7 @@ def cmd_stats(args) -> int:
     paths = sorted(p for p in Path(points_dir).glob("points_*.csv") if p.resolve() != report)
     if not paths:
         raise DataError(f"no point-set CSVs in {points_dir}")
-    groups: dict[tuple[str, float], list] = {}
+    sets = []
     inputs = {}  # each point set's name -> the config that wrote it
     for p in paths:
         meta: dict[str, str] = {}
@@ -250,16 +258,13 @@ def cmd_stats(args) -> int:
             if meta[key] != want:
                 raise ConfigError(f"{p} holds detections of {key} {meta[key]!r}, not {want!r}")
         inputs[p.name] = meta.get("config")
-        groups.setdefault((ps.method.value, ps.delta), []).append(ps)
+        sets.append(ps)
     cfg = {"cmd": "stats", "signal": model.descriptor(), "sigma": sigma,
            "boxes": ",".join(map(str, boxes)), "inputs": json.dumps(inputs, sort_keys=True)}
     h = config_hash(cfg)
     _refuse_replacing(out, h)
 
-    rows = []
-    expected: dict = {}  # one signal and sigma: each box's count is integrated once
-    for _, sets in sorted(groups.items()):
-        rows += st_mod.summary_rows(sets, model, sigma, boxes, expected)
+    rows = st_mod.summary_rows(sets, model, sigma, boxes)
     out.parent.mkdir(parents=True, exist_ok=True)
     st_mod.write_stats_csv(rows, out, meta={"config": h})
     for r in rows:
@@ -270,16 +275,17 @@ def cmd_stats(args) -> int:
 
 
 def cmd_consistency(args) -> int:
-    fields_dir, methods, levels, proxy_name, out = (
+    fields_dir, methods, levels, proxy, out = (
         args.fields, args.methods, args.levels, args.proxy, args.out)
-    if proxy_name not in ("amn", "mgn"):
-        raise ConfigError(f"proxy must be amn or mgn, got {proxy_name!r}")
+    if proxy is Method.ST:
+        raise ConfigError(f"proxy must be amn or mgn, got {proxy.value!r}")
     if 0 in levels:
         raise ConfigError("consistency levels start at 1 (level 0 is the proxy itself)")
     paths = _iter_fields(fields_dir)
     headers = {p.name: read_header(p) for p in paths}
     _refuse_pooling(fields_dir, headers.values())
-    cfg = {"cmd": "consistency", "proxy": proxy_name, "methods": ",".join(methods),
+    cfg = {"cmd": "consistency", "proxy": proxy.value,
+           "methods": ",".join(m.value for m in methods),
            "levels": ",".join(map(str, levels)), "inputs": json.dumps(headers, sort_keys=True)}
     h = config_hash(cfg)
     agg_path = out.with_name(out.stem + "_aggregate" + out.suffix)
@@ -289,7 +295,7 @@ def cmd_consistency(args) -> int:
     rows = []
     for path in paths:
         field = read_field(path)
-        rows += cons.ladder_rows(field, field.grid.L - 1.0, levels, methods, proxy_name)
+        rows += cons.ladder_rows(field, field.grid.L - 1.0, levels, methods, proxy)
     out.parent.mkdir(parents=True, exist_ok=True)
     cons.write_consistency_csv(rows, out, meta={"config": h})
 
@@ -343,7 +349,7 @@ _COMMANDS = {
         "fields": (str, _REQUIRED, "directory of .wfield caches"),
         "methods": (_parse_methods, "amn,mgn,st", "comma list from amn,mgn,st"),
         "levels": (_parse_levels, "1,2,3", "subsampling levels >= 1"),
-        "proxy": (str.lower, "amn", "amn or mgn"),
+        "proxy": (_parse_method, "amn", "amn or mgn"),
         "out": (Path, _REQUIRED, "report CSV; the aggregate table goes next to it"),
     }),
 }

@@ -22,7 +22,7 @@ import numpy as np
 from ._table import write_records
 from .detect import detect_ladder
 from .errors import ConfigError
-from .grid import PointSet
+from .grid import Method, PointSet
 
 
 @dataclass(frozen=True)
@@ -182,21 +182,21 @@ def write_consistency_csv(rows: list[ConsistencyRow], path, meta: dict | None = 
     write_records(path, ConsistencyRow, rows, meta)
 
 
-def ladder_rows(field, target: float, levels, methods, proxy: str) -> list[ConsistencyRow]:
-    """Certify each named detector at each subsampling level against the
-    proxy.
+def ladder_rows(field, target: float, levels, methods, proxy: Method) -> list[ConsistencyRow]:
+    """Certify each detector at each subsampling level against the proxy.
 
     The ``proxy`` detector on ``field`` itself is the ground truth; for
-    every level in ``levels`` (each >= 1) and every name in ``methods``,
-    the detections on the subsampled field are greedily matched against
-    it, one row per (level, method) in that order.
+    every level in ``levels`` (each >= 1) and every :class:`Method` in
+    ``methods``, the detections on the subsampled field are greedily
+    matched against it, one row per (level, method) in that order, tagged
+    with the method's name.
     """
     z_hi = detect_ladder(field, target, [0], [proxy])[0, proxy]
     rows = []
-    for (_, name), z_lo in detect_ladder(field, target, levels, methods).items():
+    for (_, m), z_lo in detect_ladder(field, target, levels, methods).items():
         match = greedy_match(z_hi, z_lo, z_lo.delta)
         rows.append(ConsistencyRow(
-            seed=field.seed, method=name.upper(),
+            seed=field.seed, method=m.name,
             delta_hi=field.grid.delta, delta_lo=z_lo.delta,
             n_hi=len(z_hi), n_lo=len(z_lo),
             certificate=match.certificate,

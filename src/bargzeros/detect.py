@@ -1,6 +1,8 @@
 """Zero-set detectors on weighted-field grids: AMN, MGN, and ST.
 
-All three compare the weighted magnitude ``G = |values|``, taken only of
+Each :class:`~bargzeros.grid.Method` names one of them: its value
+(``"amn"`` for AMN) is the name of the detector's function here.  All three
+compare the weighted magnitude ``G = |values|``, taken only of
 the samples each reads (no field-sized magnitude array is kept):
 
 * AMN selects points whose whole sup-norm ``2*delta`` ring (16 lattice
@@ -197,24 +199,21 @@ def st(field: WeightedField, target_halfwidth: float) -> PointSet:
     return _check_separated(sieve(cands, field), "st")
 
 
-#: the detector names, each that of a function of this module
-METHODS = ("amn", "mgn", "st")
-
-
 def detect_ladder(field: WeightedField, target_halfwidth: float, levels,
-                  methods) -> dict[tuple[int, str], PointSet]:
+                  methods) -> dict[tuple[int, Method], PointSet]:
     """``(level, method) -> PointSet`` for each level in ``levels`` (in the
-    order given) and each name in ``methods``: the detections on the field
-    subsampled ``level`` times (level 0 is the field itself).
+    order given) and each :class:`Method` in ``methods``: the detections on
+    the field subsampled ``level`` times (level 0 is the field itself).
+    No levels give no detections; a negative level is refused.
 
-    Each detector is looked up by name in this module at call time, so a
-    wrapper set on the module attribute sees every call.
+    Each detector is looked up by its method's value in this module at call
+    time, so a wrapper set on the module attribute sees every call.
     """
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise ConfigError(f"unknown method(s) {unknown}; choose from {list(METHODS)}")
-    rungs = ladder(field, max(levels))
-    return {(j, m): globals()[m](rungs[j], target_halfwidth) for j in levels for m in methods}
+    if min(levels, default=0) < 0:
+        raise ConfigError(f"subsampling levels must be >= 0, got {min(levels)}")
+    rungs = ladder(field, max(levels, default=0))
+    return {(j, m): globals()[m.value](rungs[j], target_halfwidth)
+            for j in levels for m in methods}
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +225,9 @@ _CSV_COLUMNS = ["re", "im", "k", "l", "method", "delta", "seed"]
 def write_pointset_csv(ps: PointSet, path, meta: dict | None = None) -> None:
     """Write one point per row; leading comment lines carry the set's
     provenance (so empty sets round-trip too) plus any caller metadata."""
-    own = {"method": ps.method.value, "delta": ps.delta,
+    own = {"method": ps.method.name, "delta": ps.delta,
            "domain_halfwidth": ps.domain_halfwidth, "seed": ps.seed}
-    rows = ((z.real, z.imag, k, l, ps.method.value, ps.delta, ps.seed)
+    rows = ((z.real, z.imag, k, l, ps.method.name, ps.delta, ps.seed)
             for (k, l), z in zip(ps.kl, ps.points))
     write_table(path, _CSV_COLUMNS, rows, meta={**(meta or {}), **own})
 
@@ -258,7 +257,7 @@ def read_pointset_csv(path, meta: dict | None = None) -> PointSet:
     try:
         kl = [(int(rec["k"]), int(rec["l"])) for rec in csv.DictReader(rows)]
         return PointSet(
-            Method(meta["method"]),
+            Method[meta["method"]],
             float(meta["delta"]),
             float(meta["domain_halfwidth"]),
             np.array(kl, dtype=np.int64).reshape(-1, 2),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -122,11 +122,14 @@ def make_grid(L: float, delta: float, T: float = WINDOW_T) -> GridSpec:
 
 
 class Method(enum.Enum):
-    """Provenance tag for a detected point set."""
+    """A zero-set detector.  Its value names the detector's function in
+    :mod:`bargzeros.detect` and is its command-line and file-name token;
+    its name is the tag that point-set CSVs, stats estimators and
+    consistency rows record."""
 
-    AMN = "AMN"
-    MGN = "MGN"
-    ST = "ST"
+    AMN = "amn"
+    MGN = "mgn"
+    ST = "st"
 
 
 @dataclass(frozen=True)
@@ -190,10 +193,6 @@ class PointSet:
         w = _int_ratio(self.domain_halfwidth, self.delta, "domain_halfwidth/delta")
         r = _int_ratio(halfwidth, self.delta, "halfwidth/delta")
         return (np.abs(self.kl[:, 0] - w) <= r) & (np.abs(self.kl[:, 1] - w) <= r)
-
-    def restrict(self, halfwidth: float) -> "PointSet":
-        """Points lying in the closed centred box of the given half-width."""
-        return replace(self, kl=self.kl[self.in_box(halfwidth)])
 
 
 def subsample(field: "WeightedField") -> "WeightedField":

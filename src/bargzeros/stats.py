@@ -118,49 +118,45 @@ def summary_rows(
     signal: SignalModel,
     sigma: float,
     boxes: list[float],
-    expected: dict | None = None,
 ) -> list[StatRow]:
-    """Intensity and count-error summaries of one method at one spacing.
+    """Intensity and count-error summaries per method and spacing.
 
-    Per box, one ``intensity`` row and one ``count_error`` row give the
-    mean, sample std and standard error of the estimators over the point
-    sets; each set is counted once and the expected count is integrated
-    once per box, at step ``min(delta, 1/64)``.  Both divide by
-    ``(2*W)**2``, though the closed box holds ``(2*W/delta + 1)**2``
-    lattice points, so the intensity reads high by
-    ``(1 + delta/(2*W))**2 - 1``.
-
-    ``expected`` holds the counts already integrated for this ``signal``
-    and ``sigma``, by ``(halfwidth, step)``; a count it lacks is integrated
-    and added, so a caller that summarises several methods or spacings with
-    one dict integrates each count once.
+    The point sets are grouped by (method, spacing), in the order of the
+    method's tag, then of the spacing.  Per group and box, one
+    ``intensity`` row and one ``count_error`` row give the mean, sample std
+    and standard error of the estimators over the group's sets; each set is
+    counted once, and each box's expected count is integrated once per
+    quadrature step ``min(delta, 1/64)``.  Both divide by ``(2*W)**2``,
+    though the closed box holds ``(2*W/delta + 1)**2`` lattice points, so
+    the intensity reads high by ``(1 + delta/(2*W))**2 - 1``.
     """
     if not point_sets:
         raise ConfigError("need at least one realization")
-    method, delta = point_sets[0].method, point_sets[0].delta
-    if any((ps.method, ps.delta) != (method, delta) for ps in point_sets):
-        raise ConfigError("summary rows need point sets of one method and spacing")
-    expected = {} if expected is None else expected
-    step = min(delta, _DEFAULT_STEP)
+    groups: dict[tuple[str, float], list[PointSet]] = {}
+    for ps in point_sets:
+        groups.setdefault((ps.method.name, ps.delta), []).append(ps)
+    expected: dict[tuple[float, float], float] = {}  # (box, step) -> expected count
     rows = []
-    for w in boxes:
-        if w <= 0:
-            raise ConfigError("halfwidth must be positive")
-        area = (2.0 * w) ** 2
-        counts = [count_in_box(ps, w) for ps in point_sets]
-        if (w, step) not in expected:
-            expected[w, step] = expected_count(signal, sigma, w, step=step)
-        expect = expected[w, step]
-        for name, vals in (("intensity", [c / area for c in counts]),
-                           ("count_error", [(c - expect) / area for c in counts])):
-            n = len(vals)
-            mean = sum(vals) / n
-            std = math.sqrt(sum((v - mean) ** 2 for v in vals) / (n - 1) if n > 1 else 0.0)
-            rows.append(StatRow(
-                estimator=f"{name}[{method.value}]", signal=signal.descriptor(),
-                A=signal.A, sigma=sigma, delta=delta, halfwidth=w, R=n,
-                mean=mean, std=std, se=std / math.sqrt(n),
-            ))
+    for (tag, delta), sets in sorted(groups.items()):
+        step = min(delta, _DEFAULT_STEP)
+        for w in boxes:
+            if w <= 0:
+                raise ConfigError("halfwidth must be positive")
+            area = (2.0 * w) ** 2
+            counts = [count_in_box(ps, w) for ps in sets]
+            if (w, step) not in expected:
+                expected[w, step] = expected_count(signal, sigma, w, step=step)
+            expect = expected[w, step]
+            for name, vals in (("intensity", [c / area for c in counts]),
+                               ("count_error", [(c - expect) / area for c in counts])):
+                n = len(vals)
+                mean = sum(vals) / n
+                std = math.sqrt(sum((v - mean) ** 2 for v in vals) / (n - 1) if n > 1 else 0.0)
+                rows.append(StatRow(
+                    estimator=f"{name}[{tag}]", signal=signal.descriptor(),
+                    A=signal.A, sigma=sigma, delta=delta, halfwidth=w, R=n,
+                    mean=mean, std=std, se=std / math.sqrt(n),
+                ))
     return rows
 
 

@@ -25,18 +25,17 @@ import pytest
 from scipy.integrate import quad
 
 from bargzeros import (
-    METHODS,
     Method,
     PointSet,
     SignalKind,
     SignalModel,
     StatRow,
     WeightedField,
+    aggregate_failure_table,
     amn,
     bargmann_closed_form,
     detect_ladder,
     draw_noise,
-    failure_rate,
     greedy_match,
     intensity_scale,
     ladder_rows,
@@ -116,11 +115,11 @@ def intensity_runs():
     tolerance.  Shared with the failure-table check below.
     """
     g = make_grid(L=5, delta=2.0**-6)
-    sets = {name: [] for name in METHODS}
+    sets = {m.value: [] for m in Method}
     for seed in range(1000):
         f = synthesize_field(draw_noise(g, SIGMA, seed), ZERO, g)
-        for (_, name), ps in detect_ladder(f, 4.0, [0], METHODS).items():
-            sets[name].append(ps)
+        for (_, m), ps in detect_ladder(f, 4.0, [0], Method).items():
+            sets[m.value].append(ps)
     return sets
 
 
@@ -176,8 +175,8 @@ def test_count_error_consistency(capsys):
         noise = synthesize_field(draw_noise(g, SIGMA, seed), ZERO, g)
         for key in models:
             f = WeightedField(grid=g, values=noise.values + means[key])
-            for (_, name), ps in detect_ladder(f, 3.0, [0], METHODS).items():
-                sets.setdefault((key, name), []).append(ps)
+            for (_, m), ps in detect_ladder(f, 3.0, [0], Method).items():
+                sets.setdefault((key, m.value), []).append(ps)
 
     # the threshold detector misses the deterministic zero of the strong
     # first-Hermite signal, so its count error dwarfs the neighbourhood
@@ -214,7 +213,8 @@ def test_count_error_consistency(capsys):
 
 @pytest.fixture(scope="module")
 def ladder_runs():
-    """Failure rates per (signal, method, coarse spacing) over 200 seeds.
+    """Failure rates per signal tag over 200 seeds, as the aggregate table
+    ``(coarse spacing, method tag) -> rate``.
 
     Each realization is synthesized once at spacing 2^-8 and subsampled
     down the ladder; the fine-grid neighbourhood detections serve as the
@@ -224,38 +224,38 @@ def ladder_runs():
     gauss1 = model_for(SignalKind.GAUSS, 1.0)
     mean_gauss = synthesize_field(zero_noise(g), gauss1, g).values
 
-    bits: dict[tuple, list[int]] = {}
+    rows: dict[str, list] = {"zero": [], "gauss1": []}
     for seed in range(200):
         noise = synthesize_field(draw_noise(g, SIGMA, seed), ZERO, g)
         for tag, vals in (("zero", noise.values), ("gauss1", noise.values + mean_gauss)):
             f_hi = WeightedField(grid=g, values=vals)
-            for r in ladder_rows(f_hi, 2.0, [1, 2, 3], METHODS, "amn"):
-                bits.setdefault((tag, r.method.lower(), r.delta_lo), []).append(r.certificate)
-    return {key: failure_rate(vals) for key, vals in bits.items()}
+            rows[tag] += ladder_rows(f_hi, 2.0, [1, 2, 3], Method, Method.AMN)
+    return {tag: aggregate_failure_table(r)[2] for tag, r in rows.items()}
 
 
 def test_failure_probability_table(ladder_runs, intensity_runs, capsys):
     ladder = (2.0**-5, 2.0**-6, 2.0**-7)  # coarse to fine
+    # (signal tag, method token) -> failure rates, coarse to fine
+    table = {
+        (tag, m.value): [ladder_runs[tag][d, m.name] for d in ladder]
+        for tag in ("zero", "gauss1")
+        for m in Method
+    }
     monotone = all(
-        ladder_runs[(tag, name, ladder[i])] >= ladder_runs[(tag, name, ladder[i + 1])]
+        table[tag, name][i] >= table[tag, name][i + 1]
         for tag in ("zero", "gauss1")
         for name in ("amn", "mgn")
         for i in range(len(ladder) - 1)
     )
-    fine_ok = all(ladder_runs[(tag, "amn", 2.0**-7)] <= 0.05 for tag in ("zero", "gauss1"))
+    fine_ok = all(table[tag, "amn"][-1] <= 0.05 for tag in ("zero", "gauss1"))
 
     target = variance_benchmark(area=64.0)
     st_row = _intensity(intensity_runs["st"][:200])
     st_fails_intensity = not all(_intensity_protocol(st_row, target))
     st_worse = all(
-        ladder_runs[(tag, "st", 2.0**-7)] >= 5.0 * ladder_runs[(tag, "amn", 2.0**-7)]
+        table[tag, "st"][-1] >= 5.0 * table[tag, "amn"][-1]
         for tag in ("zero", "gauss1")
     )
-    table = {
-        (tag, name): [ladder_runs[(tag, name, d)] for d in ladder]
-        for tag in ("zero", "gauss1")
-        for name in METHODS
-    }
     _accept(capsys, 4, "failure-probability table", [
         (monotone, f"failure rates not monotone along the ladder: {table}"),
         (fine_ok, f"amn failure rate above 5% at the finest spacing: {table}"),
@@ -295,19 +295,19 @@ def test_algorithmic_invariants(capsys, tmp_path):
     nonvacuous = 0
     for seed in (3, 11):
         f = synthesize_field(draw_noise(g, SIGMA, seed), ZERO, g)
-        base = detect_ladder(f, 1.5, [0, 1], METHODS)
-        for name in ("amn", "st"):
-            pts = base[0, name].points
+        base = detect_ladder(f, 1.5, [0, 1], Method)
+        for m in (Method.AMN, Method.ST):
+            pts = base[0, m].points
             if len(pts) > 1:
                 d = _sup(pts, pts)
                 np.fill_diagonal(d, np.inf)
-                criteria.append((d.min() >= 5.0 * g.delta - 1e-12, f"{name} output not separated"))
+                criteria.append((d.min() >= 5.0 * g.delta - 1e-12, f"{m.value} output not separated"))
         for c in (1e-3, 1.0, 1e3):
             scaled = WeightedField(grid=g, values=f.values * c)
-            found = detect_ladder(scaled, 1.5, [0], ("amn", "mgn"))
-            for name in ("amn", "mgn"):
-                criteria.append((np.array_equal(found[0, name].kl, base[0, name].kl),
-                                 f"{name} output changed under scaling by {c}"))
+            found = detect_ladder(scaled, 1.5, [0], (Method.AMN, Method.MGN))
+            for m in (Method.AMN, Method.MGN):
+                criteria.append((np.array_equal(found[0, m].kl, base[0, m].kl),
+                                 f"{m.value} output changed under scaling by {c}"))
 
         # sieving a dense candidate set, the box points at or below the 10%
         # magnitude quantile: kept points separated, dropped ones covered
@@ -321,7 +321,7 @@ def test_algorithmic_invariants(capsys, tmp_path):
                          "sieve dropped an uncovered point"))
 
         # greedy certificate is sound for the exact matching oracle
-        hi, lo = base[0, "amn"], base[1, "amn"]
+        hi, lo = base[0, Method.AMN], base[1, Method.AMN]
         match = greedy_match(hi, lo, lo.delta)
         if match.certificate == 0:
             nonvacuous += 1

@@ -19,6 +19,7 @@ from bargzeros import detect, stats
 from bargzeros import (
     ConfigError,
     DataError,
+    Method,
     read_field,
     read_pointset_csv,
     write_pointset_csv,
@@ -681,24 +682,51 @@ def test_consistency_report_and_aggregate(pipeline, capsys):
 def test_cli_detectors_are_looked_up_in_the_detect_module(tmp_path, monkeypatch):
     # a traced run wraps the module attributes bargzeros.detect.amn/mgn/st,
     # so every detector call of the CLI must go through them
-    calls = dict.fromkeys(detect.METHODS, 0)
-    for name in calls:
-        def counted(*args, _detect=getattr(detect, name), _name=name, **kwargs):
-            calls[_name] += 1
+    calls = dict.fromkeys(Method, 0)
+    for m in Method:
+        def counted(*args, _detect=getattr(detect, m.value), _m=m, **kwargs):
+            calls[_m] += 1
             return _detect(*args, **kwargs)
-        monkeypatch.setattr(detect, name, counted)
+        monkeypatch.setattr(detect, m.value, counted)
     fields, points = tmp_path / "fields", tmp_path / "points"
     assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero",
                  "--seeds", "0..1", "--out", str(fields)]) == 0
     assert main(["detect", "--fields", str(fields), "--levels", "0,1",
                  "--out", str(points)]) == 0
     # 2 caches x 2 levels, one CSV per call
-    assert calls == {"amn": 4, "mgn": 4, "st": 4}
+    assert calls == {Method.AMN: 4, Method.MGN: 4, Method.ST: 4}
     assert len(list(points.glob("*.csv"))) == 12
     assert main(["consistency", "--fields", str(fields), "--levels", "1,2",
                  "--out", str(tmp_path / "c.csv")]) == 0
     # 2 caches x 2 levels, plus the amn proxy of each cache
-    assert calls == {"amn": 4 + 6, "mgn": 4 + 4, "st": 4 + 4}
+    assert calls == {Method.AMN: 4 + 6, Method.MGN: 4 + 4, Method.ST: 4 + 4}
+
+
+def test_method_tokens_are_read_in_any_case(tmp_path, capsys):
+    fields = tmp_path / "fields"
+    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero",
+                 "--seeds", "0..1", "--out", str(fields)]) == 0
+    written = {}
+    for run, (methods, proxy) in {"lower": ("amn,mgn,st", "mgn"),
+                                  "mixed": ("AMN,Mgn,st", "MGN")}.items():
+        out = tmp_path / run
+        assert main(["detect", "--fields", str(fields), "--methods", methods, "--levels", "0,1",
+                     "--out", str(out / "points")]) == 0
+        assert main(["consistency", "--fields", str(fields), "--methods", methods,
+                     "--levels", "1", "--proxy", proxy, "--out", str(out / "c.csv")]) == 0
+        written[run] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")}
+    assert len(written["lower"]) == 12 + 2
+    assert written["mixed"] == written["lower"]
+    # sieve is a function of bargzeros.detect, but not a detector
+    assert main(["detect", "--fields", str(fields), "--methods", "amn,sieve",
+                 "--out", str(tmp_path / "neg")]) == 2
+    assert main(["consistency", "--fields", str(fields), "--proxy", "sieve",
+                 "--out", str(tmp_path / "neg" / "c.csv")]) == 2
+    assert not (tmp_path / "neg").exists()
+    err = capsys.readouterr().err
+    assert "methods: unknown method 'sieve'; choose from amn, mgn, st" in err
+    assert "proxy: unknown method 'sieve'; choose from amn, mgn, st" in err
+    assert "Traceback" not in err
 
 
 def test_config_file_with_flag_override(tmp_path):

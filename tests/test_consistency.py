@@ -9,7 +9,6 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from bargzeros import (
-    METHODS,
     ConfigError,
     ConsistencyRow,
     Method,
@@ -229,21 +228,22 @@ def test_ladder_rows_match_per_level_loop():
         want, f_lo = [], field
         for _ in range(2):
             f_lo = subsample(f_lo)
-            for detect in (amn, mgn, st):
+            for method, detect in zip(Method, (amn, mgn, st)):
                 z_lo = detect(f_lo, 1.0)
                 m = greedy_match(proxy, z_lo, f_lo.grid.delta)
                 want.append(ConsistencyRow(
-                    seed, detect.__name__.upper(), g.delta, f_lo.grid.delta, len(proxy),
+                    seed, method.name, g.delta, f_lo.grid.delta, len(proxy),
                     len(z_lo), m.certificate, m.max_distortion,
                 ))
-        assert ladder_rows(field, 1.0, [1, 2], METHODS, "amn") == want
+        assert ladder_rows(field, 1.0, [1, 2], Method, Method.AMN) == want
         # rows follow the levels in the order given
-        assert ladder_rows(field, 1.0, [2, 1], METHODS, "amn") == want[3:] + want[:3]
+        assert ladder_rows(field, 1.0, [2, 1], Method, Method.AMN) == want[3:] + want[:3]
         proxy_sizes.append(len(proxy))
     assert max(proxy_sizes) > 0
-    for methods, proxy in ((["amn", "foo"], "amn"), (["amn"], "AMN")):
-        with pytest.raises(ConfigError, match="unknown method"):
-            ladder_rows(field, 1.0, [1], methods, proxy)
+    # no levels give no rows; a negative one is refused
+    assert ladder_rows(field, 1.0, [], Method, Method.AMN) == []
+    with pytest.raises(ConfigError, match="levels must be >= 0"):
+        ladder_rows(field, 1.0, [1, -1], Method, Method.AMN)
 
 
 # ---------------------------------------------------------------------------

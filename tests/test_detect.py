@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 
+from bargzeros import detect
 from bargzeros import (
-    METHODS,
     ConfigError,
     DataError,
     Method,
@@ -494,15 +494,30 @@ def test_detect_ladder_runs_each_detector_on_each_level():
     g = make_grid(L=2, delta=2.0 ** -5)
     f = synthesize_field(draw_noise(g, 1.0, 5), ZERO_SIGNAL, g)
     rungs = ladder(f, 2)
-    found = detect_ladder(f, 1.0, [2, 0], METHODS)
+    found = detect_ladder(f, 1.0, [2, 0], Method)
     # keys follow the levels in the order given, then the methods
-    want = [((j, d.__name__), d(rungs[j], 1.0)) for j in (2, 0) for d in (amn, mgn, st)]
+    want = [((j, m), d(rungs[j], 1.0))
+            for j in (2, 0) for m, d in zip(Method, (amn, mgn, st))]
     assert list(found) == [key for key, _ in want]
     assert all(_same_pointset(found[key], ps) for key, ps in want)
-    assert list(detect_ladder(f, 1.0, [1], ["st", "amn"])) == [(1, "st"), (1, "amn")]
-    for bad in (["foo"], ["amn", "AMN"], ["sieve"]):
-        with pytest.raises(ConfigError, match="unknown method"):
-            detect_ladder(f, 1.0, [0], bad)
+    assert list(detect_ladder(f, 1.0, [1], [Method.ST, Method.AMN])) == [
+        (1, Method.ST), (1, Method.AMN)]
+    # no levels give no detections; a negative one is refused
+    assert detect_ladder(f, 1.0, [], Method) == {}
+    for levels in ([-1], [0, -2]):
+        with pytest.raises(ConfigError, match="levels must be >= 0"):
+            detect_ladder(f, 1.0, levels, Method)
+
+
+def test_each_method_names_its_detector():
+    # the value is the detector function's name in bargzeros.detect, and
+    # the point set it returns carries the member
+    g = make_grid(L=2, delta=2.0 ** -5)
+    f = synthesize_field(draw_noise(g, 1.0, 5), ZERO_SIGNAL, g)
+    assert [m.value for m in Method] == ["amn", "mgn", "st"]
+    for m in Method:
+        assert getattr(detect, m.value).__name__ == m.value
+        assert getattr(detect, m.value)(f, 1.0).method is m
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +550,17 @@ def test_pointset_csv_round_trip(tmp_path):
     assert len(recs) == len(ps) > 0
     got = [complex(float(r["re"]), float(r["im"])) for r in recs]
     assert got == ps.points.tolist()
+
+
+def test_pointset_csv_round_trip_of_each_method(tmp_path):
+    # the CSV records the member's name, and reading it back gives the member
+    kl = np.array([[4, 4], [8, 2]])
+    for m in Method:
+        ps = PointSet(m, 0.25, 1.0, kl, seed=7)
+        path = tmp_path / f"points_{m.value}.csv"
+        write_pointset_csv(ps, path)
+        assert f"# method={m.name}\n" in path.read_text()
+        assert _same_pointset(read_pointset_csv(path), ps)
 
 
 def test_pointset_csv_round_trip_empty(tmp_path):

@@ -140,10 +140,16 @@ def test_pointset_min_separation():
     assert len(PointSet(Method.ST, 0.25, 2.0, np.zeros((0, 2)))) == 0
 
 
-def test_pointset_restrict():
-    ps = PointSet(Method.MGN, 0.5, 2.0, np.array([[4, 4], [0, 0], [6, 4]]))
-    inner = ps.restrict(1.0)
-    assert inner.points.tolist() == [0j, (1 + 0j)]
+def test_pointset_in_box():
+    # stored order (0, 0), (4, 4), (6, 4), (6, 5): the points -2-2j, 0, 1
+    # and 1+0.5j; the box is closed
+    ps = PointSet(Method.MGN, 0.5, 2.0, np.array([[4, 4], [0, 0], [6, 4], [6, 5]]))
+    assert ps.in_box(1.0).tolist() == [False, True, True, True]
+    assert ps.in_box(0.5).tolist() == [False, True, False, False]
+    assert ps.in_box(0.0).tolist() == [False, True, False, False]
+    assert ps.in_box(2.0).all()
+    with pytest.raises(ConfigError):
+        ps.in_box(0.3)  # not a multiple of the spacing
 
 
 @given(

@@ -188,8 +188,15 @@ def test_summary_rows():
         assert r.se == pytest.approx(r.std / math.sqrt(2), rel=1e-12)
     with pytest.raises(ConfigError):
         summary_rows([], ZERO, 1.0, [1.0])
-    with pytest.raises(ConfigError):  # one method and spacing per summary
-        summary_rows([a, PointSet(Method.MGN, 0.25, 2.0, np.array([[8, 8]]))], ZERO, 1.0, [1.0])
+    # mixed sets are summarised per (method, spacing), in the order of the
+    # method's tag, then of the spacing; each group as if alone
+    st = PointSet(Method.ST, 0.25, 2.0, np.array([[8, 8]]))
+    coarse = PointSet(Method.AMN, 0.5, 2.0, np.array([[4, 4]]))
+    mixed = summary_rows([st, a, coarse, b], ZERO, 1.0, [1.0, 2.0])
+    assert [(r.estimator, r.delta) for r in mixed[::4]] == [
+        ("intensity[AMN]", 0.25), ("intensity[AMN]", 0.5), ("intensity[ST]", 0.25)]
+    assert mixed == (rows + summary_rows([coarse], ZERO, 1.0, [1.0, 2.0])
+                     + summary_rows([st], ZERO, 1.0, [1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
