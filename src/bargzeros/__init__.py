@@ -14,7 +14,6 @@ from .signal import (
     SignalModel,
     bargmann_closed_form,
     bargmann_derivative,
-    intensity_scale,
     model_for,
     parse_signal,
     sample_signal,
@@ -27,7 +26,6 @@ from .simulate import (
     read_field,
     refine_zero,
     synthesize_field,
-    window,
     write_field,
     zero_noise,
 )
@@ -42,7 +40,6 @@ from .detect import (
     write_pointset_csv,
 )
 from .stats import (
-    StatRow,
     count_in_box,
     expected_count,
     rho1,
@@ -51,12 +48,9 @@ from .stats import (
     write_stats_csv,
 )
 from .consistency import (
-    ConsistencyRow,
     aggregate_failure_table,
-    failure_rate,
     greedy_match,
     ladder_rows,
-    wasserstein_within,
     write_consistency_csv,
 )
 
@@ -72,7 +66,6 @@ __all__ = [
     "SignalModel",
     "bargmann_closed_form",
     "bargmann_derivative",
-    "intensity_scale",
     "model_for",
     "parse_signal",
     "sample_signal",
@@ -83,7 +76,6 @@ __all__ = [
     "read_field",
     "refine_zero",
     "synthesize_field",
-    "window",
     "write_field",
     "zero_noise",
     "amn",
@@ -94,19 +86,15 @@ __all__ = [
     "sieve",
     "st",
     "write_pointset_csv",
-    "StatRow",
     "count_in_box",
     "expected_count",
     "rho1",
     "summary_rows",
     "variance_benchmark",
     "write_stats_csv",
-    "ConsistencyRow",
     "aggregate_failure_table",
-    "failure_rate",
     "greedy_match",
     "ladder_rows",
-    "wasserstein_within",
     "write_consistency_csv",
 ]
 

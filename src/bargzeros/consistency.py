@@ -2,15 +2,13 @@
 
 A high-resolution zero set serves as proxy ground truth.  A detection run
 at a coarser spacing ``delta_lo`` is *certified accurate* when a greedy
-matching pairs every proxy zero with a distinct detection within sup-norm
-``2*delta_lo``, and every detection away from a ``2*delta_lo`` boundary
-collar is used by the pairing.  Averaging the certificate bit over
-realizations gives an upper bound for the failure probability of a method
-at that resolution.
-
-``wasserstein_within`` answers the same matched-within-distortion question
-exactly (by maximum bipartite matching, :func:`_saturates`), so it bounds
-the greedy construction from below and serves as its oracle in tests.
+matching, the one certificate, pairs every proxy zero with a distinct
+detection within sup-norm ``2*delta_lo``, and every detection away from a
+``2*delta_lo`` boundary collar is used by the pairing.  Averaging the
+certificate bit over realizations gives an upper bound for the failure
+probability of a method at that resolution.  ``wasserstein_within``
+decides the same question exactly (by maximum bipartite matching); it is
+the oracle of the tests and the benchmark, and is not exported.
 """
 
 from __future__ import annotations
@@ -75,16 +73,6 @@ def greedy_match(z_hi: PointSet, z_lo: PointSet, delta_lo: float) -> MatchResult
     inner = _collar_mask(z_lo, z_lo.domain_halfwidth - 2.0 * delta_lo)
     return MatchResult(certificate=int(missed or not taken[inner].all()),
                        max_distortion=max_dist)
-
-
-def failure_rate(certificates) -> float:
-    """Mean certificate bit over realizations."""
-    certs = list(certificates)
-    if not certs:
-        raise ConfigError("failure_rate needs at least one certificate")
-    if any(c not in (0, 1) for c in certs):
-        raise ConfigError("certificates must be 0/1 bits")
-    return sum(certs) / len(certs)
 
 
 def wasserstein_within(
@@ -206,8 +194,8 @@ def ladder_rows(field, target: float, levels, methods, proxy: Method) -> list[Co
 
 
 def aggregate_failure_table(rows: list[ConsistencyRow]):
-    """Failure probability per (delta_lo, method): Table-style layout with
-    one row per resolution, one column per method."""
+    """Failure rate (mean certificate bit) per (delta_lo, method): one row
+    per resolution, one column per method."""
     deltas = sorted({r.delta_lo for r in rows}, reverse=True)
     methods = sorted({r.method for r in rows})
     table = {}
@@ -215,5 +203,5 @@ def aggregate_failure_table(rows: list[ConsistencyRow]):
         for m in methods:
             certs = [r.certificate for r in rows if r.delta_lo == d and r.method == m]
             if certs:
-                table[(d, m)] = failure_rate(certs)
+                table[(d, m)] = sum(certs) / len(certs)
     return deltas, methods, table

@@ -209,6 +209,7 @@ def detect_ladder(field: WeightedField, target_halfwidth: float, levels,
     Each detector is looked up by its method's value in this module at call
     time, so a wrapper set on the module attribute sees every call.
     """
+    levels, methods = tuple(levels), tuple(methods)  # each is read more than once
     if min(levels, default=0) < 0:
         raise ConfigError(f"subsampling levels must be >= 0, got {min(levels)}")
     rungs = ladder(field, max(levels, default=0))

@@ -150,7 +150,7 @@ class PointSet:
     delta: float
     domain_halfwidth: float
     kl: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
-    points: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.complex128))
+    points: np.ndarray = field(init=False)  # the coordinates of ``kl``
     seed: int | None = None
 
     def __post_init__(self) -> None:

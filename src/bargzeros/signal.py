@@ -4,7 +4,7 @@ Each signal kind is a pair: a time-domain sampler ``f1(t)`` and the entire
 function ``F1(zeta)`` it maps to under the Bargmann transform, together
 with the derivative of ``F1`` (needed by the Kac-Rice intensity).  The
 peak weighted amplitude ``A = sup_zeta exp(-|zeta|^2/2)|F1(zeta)|``
-parameterises signal strength; ``intensity_scale`` inverts it.
+parameterises signal strength; ``model_for`` inverts it.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class SignalModel:
     def A(self) -> float:
         """Peak weighted amplitude of the transform.  For the first Hermite
         signal, the nearest to ``|c|*exp(-1/2)`` of the amplitudes within 4
-        ulp of it that :func:`intensity_scale` maps back to ``|c|``, when
-        one does (every ``c`` that an amplitude was scaled to), so that
+        ulp of it that :func:`model_for` scales back to coefficient ``|c|``,
+        when one does (every ``c`` that an amplitude was scaled to), so that
         :meth:`descriptor` parses back to the same coefficient."""
         c = abs(self.coefficient)
         if self.kind is not SignalKind.HERMITE1:
@@ -104,27 +104,20 @@ def sample_signal(model: SignalModel, t):
     return out if np.ndim(out) else complex(out)
 
 
-def intensity_scale(kind: SignalKind, A: float) -> complex:
-    """Coefficient giving peak weighted amplitude ``A`` (chosen real >= 0).
-
-    For the first Hermite signal the weighted amplitude ``r*exp(-r^2/2)``
-    peaks at ``r = 1`` with value ``exp(-1/2)``, hence the ``exp(1/2)``
-    factor.
-    """
+def model_for(kind: SignalKind, A: float, sigma: float = 1.0) -> SignalModel:
+    """Signal model of the given kind scaled to peak weighted amplitude ``A``
+    by a real coefficient ``>= 0``.  The first Hermite signal's weighted
+    amplitude ``r*exp(-r^2/2)`` peaks at ``r = 1`` with value ``exp(-1/2)``,
+    hence its ``exp(1/2)`` factor."""
     if A < 0:
         raise ConfigError(f"A must be non-negative, got {A}")
-    if kind is SignalKind.ZERO:
-        if A > 0:
-            raise ConfigError("the zero signal cannot be scaled to positive amplitude")
-        return 0j
-    if kind is SignalKind.GAUSS:
-        return complex(A)
-    return complex(A * math.exp(0.5))
-
-
-def model_for(kind: SignalKind, A: float, sigma: float = 1.0) -> SignalModel:
-    """Signal model of the given kind scaled to peak amplitude ``A``."""
-    return SignalModel(kind=kind, coefficient=intensity_scale(kind, A), sigma=sigma)
+    if kind is SignalKind.ZERO and A > 0:
+        raise ConfigError("the zero signal cannot be scaled to positive amplitude")
+    if kind is SignalKind.HERMITE1:
+        coefficient = complex(A * math.exp(0.5))
+    else:
+        coefficient = complex(A) if kind is SignalKind.GAUSS else 0j
+    return SignalModel(kind=kind, coefficient=coefficient, sigma=sigma)
 
 
 _DESCRIPTOR_RE = re.compile(r"^(?P<kind>[a-z0-9]+)(?::A=(?P<A>[^:]+))?$", re.IGNORECASE)

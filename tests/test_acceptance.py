@@ -29,7 +29,6 @@ from bargzeros import (
     PointSet,
     SignalKind,
     SignalModel,
-    StatRow,
     WeightedField,
     aggregate_failure_table,
     amn,
@@ -37,7 +36,6 @@ from bargzeros import (
     detect_ladder,
     draw_noise,
     greedy_match,
-    intensity_scale,
     ladder_rows,
     make_grid,
     model_for,
@@ -48,11 +46,12 @@ from bargzeros import (
     summary_rows,
     synthesize_field,
     variance_benchmark,
-    wasserstein_within,
     write_field,
     write_pointset_csv,
     zero_noise,
 )
+from bargzeros.consistency import wasserstein_within
+from bargzeros.stats import StatRow
 
 from conftest import covariance_probe
 
@@ -380,8 +379,8 @@ def test_closed_form_identities(capsys):
             pair_err = max(pair_err, abs(got - transform_by_quadrature(model, z)))
 
     # peak weighted amplitude of the first Hermite mode sits at exp(-1/2)
-    scale_err = abs(intensity_scale(SignalKind.HERMITE1, 1.0) - math.exp(0.5))
-    gauss_scale_err = abs(intensity_scale(SignalKind.GAUSS, 1.0) - 1.0)
+    scale_err = abs(model_for(SignalKind.HERMITE1, 1.0).coefficient - math.exp(0.5))
+    gauss_scale_err = abs(model_for(SignalKind.GAUSS, 1.0).coefficient - 1.0)
 
     _accept(capsys, 7, "closed-form identities", [
         (flat, "pure-noise intensity is not 1/pi"),

@@ -47,6 +47,21 @@ def test_import_loads_no_scipy():
     assert run.stdout.strip() == "[]"
 
 
+def test_namespace_leaves_out_test_only_names():
+    # names that only the tests read are not exported from the package: the
+    # matching oracle and the row and window helpers stay in their modules
+    assert len(bargzeros.__all__) == len(set(bargzeros.__all__))
+    assert all(hasattr(bargzeros, name) for name in bargzeros.__all__)
+    for module, name in (("consistency", "wasserstein_within"), ("stats", "StatRow"),
+                         ("consistency", "ConsistencyRow"), ("simulate", "window")):
+        assert name not in bargzeros.__all__
+        assert hasattr(getattr(bargzeros, module), name)
+    for gone in ("failure_rate", "intensity_scale"):
+        assert not hasattr(bargzeros, gone)
+        assert not any(hasattr(getattr(bargzeros, m), gone)
+                       for m in ("consistency", "signal"))
+
+
 # ---------------------------------------------------------------------------
 # argument parsing units
 

@@ -10,14 +10,13 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from bargzeros import (
     ConfigError,
-    ConsistencyRow,
     Method,
     SignalKind,
     SignalModel,
     aggregate_failure_table,
     amn,
+    detect_ladder,
     draw_noise,
-    failure_rate,
     greedy_match,
     ladder_rows,
     make_grid,
@@ -25,10 +24,10 @@ from bargzeros import (
     st,
     subsample,
     synthesize_field,
-    wasserstein_within,
     write_consistency_csv,
 )
 from bargzeros import consistency
+from bargzeros.consistency import ConsistencyRow, wasserstein_within
 from bargzeros.grid import PointSet
 
 D = 0.25  # low-resolution spacing used by the hand traces
@@ -120,16 +119,6 @@ def test_certificate_extra_detection_straddles_collar():
 def test_certificate_unmatched_proxy_zero():
     m = greedy_match(pts(0, 1.0), pts(0), D)
     assert m.certificate == 1
-
-
-def test_failure_rate():
-    assert failure_rate([0, 0, 0, 1]) == 0.25
-    assert failure_rate([0] * 10) == 0.0
-    assert failure_rate(np.array([1, 1])) == 1.0
-    with pytest.raises(ConfigError):
-        failure_rate([])
-    with pytest.raises(ConfigError):
-        failure_rate([0, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +225,7 @@ def test_ladder_rows_match_per_level_loop():
                     len(z_lo), m.certificate, m.max_distortion,
                 ))
         assert ladder_rows(field, 1.0, [1, 2], Method, Method.AMN) == want
+        assert ladder_rows(field, 1.0, iter([1, 2]), iter(Method), Method.AMN) == want
         # rows follow the levels in the order given
         assert ladder_rows(field, 1.0, [2, 1], Method, Method.AMN) == want[3:] + want[:3]
         proxy_sizes.append(len(proxy))
@@ -244,6 +234,55 @@ def test_ladder_rows_match_per_level_loop():
     assert ladder_rows(field, 1.0, [], Method, Method.AMN) == []
     with pytest.raises(ConfigError, match="levels must be >= 0"):
         ladder_rows(field, 1.0, [1, -1], Method, Method.AMN)
+
+
+def _sup(a, b):
+    return np.maximum(np.abs(a.real[:, None] - b.real), np.abs(a.imag[:, None] - b.imag))
+
+
+def _exact_within(z_hi, z_lo, bound):
+    """Exact decision, by SciPy's maximum matching on the threshold graph:
+    some matching within ``bound`` saturates the proxy zeros and some
+    saturates the detections inside the ``2*delta_lo`` collar (so, by
+    Mendelsohn-Dulmage, one matching does both)."""
+    adj = _sup(z_hi.points, z_lo.points) <= bound
+    inner = z_lo.in_box(z_lo.domain_halfwidth - 2.0 * z_lo.delta)
+    return _saturates_by_scipy(adj, True) and _saturates_by_scipy(adj[:, inner], False)
+
+
+def test_greedy_certificate_is_the_exact_decision_on_ladder_rows():
+    # pure-noise ladders with many greedy failures: on each row the greedy
+    # certificate is the exact decision, and on certified rows the largest
+    # matched distance is the bottleneck distance, the least bound at which
+    # the exact decision holds (bisected over the pairwise distances)
+    g = make_grid(L=3, delta=2.0**-5)
+    levels, target = [1, 2, 3], 2.0
+    counts = [0, 0]
+    for seed in range(60):
+        field = synthesize_field(draw_noise(g, 1.0, seed), SignalModel(SignalKind.ZERO), g)
+        found = detect_ladder(field, target, [0, *levels], Method)
+        z_hi = found.pop((0, Method.AMN))
+        rows = ladder_rows(field, target, levels, Method, Method.AMN)
+        assert [(r.delta_lo, r.method) for r in rows] == [
+            (2.0**j * g.delta, m.name) for j in levels for m in Method]
+        for row, z_lo in zip(rows, (found[j, m] for j in levels for m in Method)):
+            exact = _exact_within(z_hi, z_lo, 2.0 * z_lo.delta)
+            assert row.certificate == int(not exact)
+            counts[row.certificate] += 1
+            if row.certificate == 0:
+                dists = np.unique(_sup(z_hi.points, z_lo.points))
+                dists = dists[dists <= 2.0 * z_lo.delta]
+                lo, hi = 0, len(dists) - 1  # _exact_within holds at dists[hi]
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if _exact_within(z_hi, z_lo, dists[mid]):
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                bottleneck = dists[lo] if len(dists) and len(z_hi) else 0.0
+                assert row.max_distortion == bottleneck
+    # both outcomes are exercised, failures by the hundred
+    assert counts[0] > 300 and counts[1] > 100
 
 
 # ---------------------------------------------------------------------------

@@ -500,6 +500,11 @@ def test_detect_ladder_runs_each_detector_on_each_level():
             for j in (2, 0) for m, d in zip(Method, (amn, mgn, st))]
     assert list(found) == [key for key, _ in want]
     assert all(_same_pointset(found[key], ps) for key, ps in want)
+    # levels are read for their bounds and then walked, and methods once per
+    # level, so one-shot iterators must give what lists give
+    once = detect_ladder(f, 1.0, iter([2, 0]), iter(Method))
+    assert list(once) == list(found)
+    assert all(_same_pointset(once[key], ps) for key, ps in found.items())
     assert list(detect_ladder(f, 1.0, [1], [Method.ST, Method.AMN])) == [
         (1, Method.ST), (1, Method.AMN)]
     # no levels give no detections; a negative one is refused

@@ -1,5 +1,7 @@
 """Grid geometry, index arithmetic, and subsampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as hst
@@ -132,6 +134,15 @@ def test_pointset_sorted_and_bounded():
     assert ps.points[0] == complex(-1, -1)
     with pytest.raises(ConfigError):
         PointSet(Method.AMN, 0.25, 1.0, np.array([[9, 0]]))  # outside box
+
+
+def test_pointset_points_follow_the_indices():
+    # the coordinates are derived from kl, so they cannot be passed in
+    with pytest.raises(TypeError):
+        PointSet(Method.AMN, 0.25, 1.0, [[1, 2]], points=[99 + 99j])
+    ps = PointSet(Method.AMN, 0.25, 1.0, [[1, 2]])
+    assert ps.points.tolist() == [-0.75 - 0.5j]
+    assert replace(ps, kl=[[0, 0]]).points.tolist() == [-1 - 1j]
 
 
 def test_pointset_min_separation():

@@ -10,7 +10,6 @@ from bargzeros import (
     SignalKind,
     bargmann_closed_form,
     bargmann_derivative,
-    intensity_scale,
     model_for,
     parse_signal,
     sample_signal,
@@ -37,15 +36,15 @@ def test_closed_form_scales_with_coefficient():
     assert bargmann_derivative(SignalModel(SignalKind.GAUSS, 3.0), z) == 0
 
 
-def test_intensity_scale():
-    assert intensity_scale(SignalKind.GAUSS, 1.0) == 1.0
-    assert intensity_scale(SignalKind.GAUSS, 100.0) == 100.0
-    assert abs(intensity_scale(SignalKind.HERMITE1, 1.0) - math.exp(0.5)) < TOL
-    assert intensity_scale(SignalKind.ZERO, 0.0) == 0
+def test_model_for_coefficient():
+    assert model_for(SignalKind.GAUSS, 1.0).coefficient == 1.0
+    assert model_for(SignalKind.GAUSS, 100.0).coefficient == 100.0
+    assert abs(model_for(SignalKind.HERMITE1, 1.0).coefficient - math.exp(0.5)) < TOL
+    assert model_for(SignalKind.ZERO, 0.0).coefficient == 0
     with pytest.raises(ConfigError):
-        intensity_scale(SignalKind.ZERO, 1.0)
+        model_for(SignalKind.ZERO, 1.0)
     with pytest.raises(ConfigError):
-        intensity_scale(SignalKind.GAUSS, -2.0)
+        model_for(SignalKind.GAUSS, -2.0)
 
 
 def test_amplitude_invariant():

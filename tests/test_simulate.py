@@ -32,12 +32,12 @@ from bargzeros import (
     refine_zero,
     sample_signal,
     synthesize_field,
-    window,
     write_field,
     zero_noise,
 )
 from bargzeros import simulate
 from bargzeros.grid import WINDOW_T
+from bargzeros.simulate import window
 
 ZERO = SignalModel(SignalKind.ZERO)
 

@@ -9,7 +9,6 @@ from scipy.integrate import dblquad
 from bargzeros import (
     ConfigError,
     Method,
-    StatRow,
     WeightedField,
     count_in_box,
     expected_count,
@@ -22,6 +21,7 @@ from bargzeros import (
 )
 from bargzeros.grid import PointSet
 from bargzeros.signal import SignalKind, SignalModel
+from bargzeros.stats import StatRow
 
 from conftest import covariance_probe
 
