@@ -16,7 +16,6 @@ from .signal import (
     bargmann_derivative,
     model_for,
     parse_signal,
-    sample_signal,
 )
 from .simulate import (
     FieldSource,
@@ -68,7 +67,6 @@ __all__ = [
     "bargmann_derivative",
     "model_for",
     "parse_signal",
-    "sample_signal",
     "FieldSource",
     "WeightedField",
     "draw_noise",

@@ -301,12 +301,12 @@ def cmd_consistency(args) -> int:
 
     deltas, names, table = cons.aggregate_failure_table(rows)
     write_table(agg_path, ["delta", *names],
-                ([d, *(f"{table.get((d, m), float('nan')):.4f}" for m in names)] for d in deltas),
+                ([d, *(table[d, m] for m in names)] for d in deltas),
                 meta={"config": h})
     print("failure probability p(delta, method):")
     print("  delta      " + "  ".join(f"{m:>6s}" for m in names))
     for d in deltas:
-        cells = "  ".join(f"{table.get((d, m), float('nan')):6.3f}" for m in names)
+        cells = "  ".join(f"{table[d, m]:6.3f}" for m in names)
         print(f"  {d:<9g}  {cells}")
     print(f"wrote {out} and {agg_path}")
     return 0

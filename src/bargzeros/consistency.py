@@ -8,7 +8,8 @@ detection within sup-norm ``2*delta_lo``, and every detection away from a
 certificate bit over realizations gives an upper bound for the failure
 probability of a method at that resolution.  ``wasserstein_within``
 decides the same question exactly (by maximum bipartite matching); it is
-the oracle of the tests and the benchmark, and is not exported.
+the oracle of the tests and the benchmark, and is not exported.  Both read
+one threshold graph and take the collar from ``PointSet.in_box``.
 """
 
 from __future__ import annotations
@@ -35,16 +36,17 @@ class MatchResult:
     max_distortion: float
 
 
-def _sup_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise sup-norm distances between two complex vectors."""
-    dre = np.abs(a.real[:, None] - b.real[None, :])
-    dim = np.abs(a.imag[:, None] - b.imag[None, :])
-    return np.maximum(dre, dim)
+#: slack of the one distance test, so that lattice points exactly a bound
+#: apart are within it at any spacing, dyadic or not
+_SLACK = 1e-12
 
 
-def _collar_mask(ps: PointSet, halfwidth: float) -> np.ndarray:
-    pts = ps.points
-    return np.maximum(np.abs(pts.real), np.abs(pts.imag)) <= halfwidth + 1e-12
+def _threshold_graph(u: PointSet, v: PointSet, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise sup-norm distances from ``u``'s points to ``v``'s, and the
+    biadjacency matrix of the pairs within ``bound``."""
+    a, b = u.points, v.points
+    dist = np.maximum(np.abs(a.real[:, None] - b.real), np.abs(a.imag[:, None] - b.imag))
+    return dist, dist <= bound + _SLACK
 
 
 def greedy_match(z_hi: PointSet, z_lo: PointSet, delta_lo: float) -> MatchResult:
@@ -53,15 +55,16 @@ def greedy_match(z_hi: PointSet, z_lo: PointSet, delta_lo: float) -> MatchResult
     Proxy points are processed in their stored (row-major) order; each
     takes the sup-norm-closest still-unmatched detection in range, ties
     resolved by the detections' stored order.  Deterministic by
-    construction.
+    construction.  ``2*delta_lo`` must be a multiple of ``z_lo.delta``.
     """
     if z_hi.domain_halfwidth != z_lo.domain_halfwidth:
         raise ConfigError("matched sets must share the same target box")
+    dist, adj = _threshold_graph(z_hi, z_lo, 2.0 * delta_lo)
     taken = np.zeros(len(z_lo), dtype=bool)
     missed = False
     max_dist = 0.0
-    for row in _sup_dist(z_hi.points, z_lo.points):
-        cand = np.flatnonzero(~taken & (row <= 2.0 * delta_lo))
+    for row, near in zip(dist, adj):
+        cand = np.flatnonzero(~taken & near)
         if cand.size == 0:
             missed = True
             continue
@@ -70,9 +73,8 @@ def greedy_match(z_hi: PointSet, z_lo: PointSet, delta_lo: float) -> MatchResult
         max_dist = max(max_dist, float(row[j]))
     # certified: every proxy zero matched, every detection inside the
     # collar used by the pairing
-    inner = _collar_mask(z_lo, z_lo.domain_halfwidth - 2.0 * delta_lo)
-    return MatchResult(certificate=int(missed or not taken[inner].all()),
-                       max_distortion=max_dist)
+    inner = z_lo.in_box(z_lo.domain_halfwidth - 2.0 * delta_lo)
+    return MatchResult(int(missed or not taken[inner].all()), max_dist)
 
 
 def wasserstein_within(
@@ -84,7 +86,7 @@ def wasserstein_within(
 ) -> int:
     """Decide whether an injective map ``u -> v`` with sup-norm distortion
     at most ``bound`` exists whose image covers ``V`` inside the collar box
-    ``Omega_{L - theta}``.
+    ``Omega_{L - theta}``, where ``L - theta`` must be a multiple of ``v_set.delta``.
 
     Two maximum-matching checks on the threshold graph suffice: one
     matching saturating ``U`` and one saturating the collar part of ``V``
@@ -92,20 +94,9 @@ def wasserstein_within(
     (Mendelsohn-Dulmage), so existence is equivalent to both checks
     passing.  Returns 1 when such a map exists, 0 otherwise.
     """
-    u = u_set.points
-    v = v_set.points
-    inner = _collar_mask(v_set, L - theta)
-    if len(u) == 0:
-        return int(not inner.any())
-    if len(v) == 0:
-        return 0
-    adj = _sup_dist(u, v) <= bound + 1e-12
-    if not _saturates(adj, rows=True):
-        return 0
-    adj_inner = adj[:, inner]
-    if adj_inner.shape[1] == 0:
-        return 1
-    return int(_saturates(adj_inner, rows=False))
+    _, adj = _threshold_graph(u_set, v_set, bound)
+    inner = v_set.in_box(L - theta)
+    return int(_saturates(adj, rows=True) and _saturates(adj[:, inner], rows=False))
 
 
 def _saturates(adj: np.ndarray, rows: bool) -> bool:

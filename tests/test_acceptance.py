@@ -41,7 +41,6 @@ from bargzeros import (
     model_for,
     refine_zero,
     rho1,
-    sample_signal,
     sieve,
     summary_rows,
     synthesize_field,
@@ -51,6 +50,7 @@ from bargzeros import (
     zero_noise,
 )
 from bargzeros.consistency import wasserstein_within
+from bargzeros.signal import sample_signal
 from bargzeros.stats import StatRow
 
 from conftest import covariance_probe

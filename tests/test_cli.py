@@ -1,5 +1,6 @@
 """Command-line driver: parsing units, pipeline smoke, exit codes."""
 
+import csv
 import json
 import os
 import re
@@ -49,11 +50,13 @@ def test_import_loads_no_scipy():
 
 def test_namespace_leaves_out_test_only_names():
     # names that only the tests read are not exported from the package: the
-    # matching oracle and the row and window helpers stay in their modules
+    # matching oracle, the row and window helpers and the signal sampler
+    # stay in their modules
     assert len(bargzeros.__all__) == len(set(bargzeros.__all__))
     assert all(hasattr(bargzeros, name) for name in bargzeros.__all__)
     for module, name in (("consistency", "wasserstein_within"), ("stats", "StatRow"),
-                         ("consistency", "ConsistencyRow"), ("simulate", "window")):
+                         ("consistency", "ConsistencyRow"), ("simulate", "window"),
+                         ("signal", "sample_signal")):
         assert name not in bargzeros.__all__
         assert hasattr(getattr(bargzeros, module), name)
     for gone in ("failure_rate", "intensity_scale"):
@@ -692,6 +695,19 @@ def test_consistency_report_and_aggregate(pipeline, capsys):
     agg_lines = agg.read_text().splitlines()
     assert agg_lines[1] == "delta,AMN"
     assert "failure probability" in capsys.readouterr().out
+    # every method at two levels: each aggregate cell is a float that reads
+    # back as the mean of its (delta_lo, method) certificates (1/3 included)
+    out = tmp / "reports" / "all.csv"
+    assert main(["consistency", "--fields", str(fields), "--methods", "amn,mgn,st",
+                 "--levels", "1,2", "--proxy", "amn", "--out", str(out)]) == 0
+    certs = {}
+    for rec in csv.DictReader(out.read_text().splitlines()[1:]):
+        certs.setdefault((float(rec["delta_lo"]), rec["method"]), []).append(
+            int(rec["certificate"]))
+    agg = list(csv.DictReader(out.with_name("all_aggregate.csv").read_text().splitlines()[1:]))
+    cells = {(float(rec["delta"]), m): float(rec[m]) for rec in agg for m in ("AMN", "MGN", "ST")}
+    assert cells.keys() == certs.keys() and len(cells) == 6
+    assert all(cells[k] == sum(c) / len(c) for k, c in certs.items())
 
 
 def test_cli_detectors_are_looked_up_in_the_detect_module(tmp_path, monkeypatch):

@@ -286,6 +286,61 @@ def test_greedy_certificate_is_the_exact_decision_on_ladder_rows():
 
 
 # ---------------------------------------------------------------------------
+# a non-dyadic spacing
+
+
+def test_certificate_at_a_non_dyadic_spacing():
+    # the two points are exactly 2*delta_lo = 0.1 apart, but their float
+    # distance is 0.10000000000000009: the certificate and its oracle read
+    # one threshold graph, so both keep the pair
+    hi = PointSet(Method.AMN, 0.025, 1.2, [[0, 48]])
+    lo = PointSet(Method.AMN, 0.05, 1.2, [[2, 24]])
+    assert abs(hi.points[0] - lo.points[0]) == 0.10000000000000009
+    assert greedy_match(hi, lo, 0.05).certificate == 0
+    assert wasserstein_within(hi, lo, 1.2, 0.1, 0.1) == 1
+    # an unused detection on the collar box's edge (index 46, at 1.1) is
+    # inside it, and one a step further out is in the collar
+    for k, cert in ((46, 1), (47, 0)):
+        extra = PointSet(Method.AMN, 0.05, 1.2, [[2, 24], [k, 24]])
+        assert greedy_match(hi, extra, 0.05).certificate == cert
+        assert wasserstein_within(hi, extra, 1.2, 0.1, 0.1) == 1 - cert
+
+
+def _exact_in_fine_units(z_hi, z_lo, level):
+    """The exact decision in integer units of the proxy's spacing: a pair
+    is within ``2*delta_lo`` when its index distance is at most
+    ``2 * 2**level``, and the collar is ``in_box``."""
+    s = 2**level
+    dk = np.abs(z_hi.kl[:, 0, None] - s * z_lo.kl[:, 0])
+    dl = np.abs(z_hi.kl[:, 1, None] - s * z_lo.kl[:, 1])
+    adj = np.maximum(dk, dl) <= 2 * s
+    inner = z_lo.in_box(z_lo.domain_halfwidth - 2.0 * z_lo.delta)
+    return _saturates_by_scipy(adj, True) and _saturates_by_scipy(adj[:, inner], False)
+
+
+def test_greedy_certificate_is_the_exact_decision_at_a_non_dyadic_spacing():
+    # delta_0 = 0.025 is not a power of two, so lattice distances are not
+    # exact floats: on every ladder row the certificate is the exact
+    # decision made in integer fine-lattice units
+    g = make_grid(L=2.4, delta=0.025)
+    levels, target = [1, 2, 3], 1.2
+    counts = [0, 0]
+    for seed in range(100):
+        field = synthesize_field(draw_noise(g, 1.0, seed), SignalModel(SignalKind.ZERO), g)
+        found = detect_ladder(field, target, [0, *levels], Method)
+        z_hi = found.pop((0, Method.AMN))
+        rows = ladder_rows(field, target, levels, Method, Method.AMN)
+        keys = [(j, m) for j in levels for m in Method]
+        assert [(r.delta_lo, r.method) for r in rows] == [
+            (found[k].delta, k[1].name) for k in keys]
+        for row, (j, m) in zip(rows, keys):
+            exact = _exact_in_fine_units(z_hi, found[j, m], j)
+            assert row.certificate == int(not exact)
+            counts[row.certificate] += 1
+    assert counts[0] > 800 and counts[1] > 40
+
+
+# ---------------------------------------------------------------------------
 # reports
 
 

@@ -12,9 +12,8 @@ from bargzeros import (
     bargmann_derivative,
     model_for,
     parse_signal,
-    sample_signal,
 )
-from bargzeros.signal import SignalModel
+from bargzeros.signal import SignalModel, sample_signal
 
 TOL = 1e-10
 

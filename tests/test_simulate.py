@@ -30,13 +30,13 @@ from bargzeros import (
     model_for,
     read_field,
     refine_zero,
-    sample_signal,
     synthesize_field,
     write_field,
     zero_noise,
 )
 from bargzeros import simulate
 from bargzeros.grid import WINDOW_T
+from bargzeros.signal import sample_signal
 from bargzeros.simulate import window
 
 ZERO = SignalModel(SignalKind.ZERO)
