@@ -47,10 +47,10 @@ def parse_spacing(text: str) -> float:
     """Parse a grid spacing: ``2^-7``, ``2**-7``, or a plain decimal."""
     text = text.strip()
     m = re.fullmatch(r"2\s*(?:\^|\*\*)\s*\(?(-?\d+)\)?", text)
-    if m:
-        return 2.0 ** int(m.group(1))
     try:
-        return float(text)
+        return 2.0 ** int(m.group(1)) if m else float(text)
+    except OverflowError:
+        raise ConfigError(f"spacing {text!r} overflows a float") from None
     except ValueError:
         raise ConfigError(f"cannot parse spacing {text!r}") from None
 

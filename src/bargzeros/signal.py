@@ -2,9 +2,11 @@
 
 Each signal kind is a pair: a time-domain sampler ``f1(t)`` and the entire
 function ``F1(zeta)`` it maps to under the Bargmann transform, together
-with the derivative of ``F1`` (needed by the Kac-Rice intensity).  The
-peak weighted amplitude ``A = sup_zeta exp(-|zeta|^2/2)|F1(zeta)|``
-parameterises signal strength; ``model_for`` inverts it.
+with the derivative of ``F1`` (needed by the Kac-Rice intensity).  A signal
+is its kind and its peak weighted amplitude
+``A = sup_zeta exp(-|zeta|^2/2)|F1(zeta)|``, and its descriptor records the
+``A`` given.  No phase is stored: ``exp(-i*phi)*F0`` has the law of the
+Gaussian entire function ``F0``, so a phase changes no zero statistic.
 """
 
 from __future__ import annotations
@@ -26,45 +28,41 @@ class SignalKind(enum.Enum):
     HERMITE1 = "hermite1"
 
 
+#: each kind's coefficient at ``A = 1``; the first Hermite signal's weighted
+#: amplitude ``r*exp(-r^2/2)`` peaks at ``r = 1`` with value ``exp(-1/2)``
+_UNIT_COEFFICIENT = {SignalKind.ZERO: 0.0, SignalKind.GAUSS: 1.0,
+                     SignalKind.HERMITE1: math.exp(0.5)}
+
+
 @dataclass(frozen=True)
 class SignalModel:
-    """A deterministic component: kind, complex coefficient, noise level.
-
-    The coefficient multiplies both the time-domain sample and the
-    transform, so the pair stays consistent under rescaling.
-    """
+    """A deterministic component: kind, peak weighted amplitude ``A >= 0``
+    (0 for the zero kind) and noise level."""
 
     kind: SignalKind
-    coefficient: complex = 1.0
+    A: float = 0.0
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0 < self.sigma < math.inf:
             raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.kind is SignalKind.ZERO and self.coefficient != 0:
-            object.__setattr__(self, "coefficient", 0j)
-        object.__setattr__(self, "coefficient", complex(self.coefficient))
+        object.__setattr__(self, "A", float(self.A))  # the descriptor is a float's repr
+        if self.A < 0:
+            raise ConfigError(f"A must be non-negative, got {self.A}")
+        if self.kind is SignalKind.ZERO and self.A > 0:
+            raise ConfigError("the zero signal cannot be scaled to positive amplitude")
         if not cmath.isfinite(self.coefficient):
             raise ConfigError(f"signal coefficient must be finite, got {self.coefficient}")
 
     @property
-    def A(self) -> float:
-        """Peak weighted amplitude of the transform.  For the first Hermite
-        signal, the nearest to ``|c|*exp(-1/2)`` of the amplitudes within 4
-        ulp of it that :func:`model_for` scales back to coefficient ``|c|``,
-        when one does (every ``c`` that an amplitude was scaled to), so that
-        :meth:`descriptor` parses back to the same coefficient."""
-        c = abs(self.coefficient)
-        if self.kind is not SignalKind.HERMITE1:
-            return c
-        a = c * math.exp(-0.5)
-        for k in (0, -1, 1, -2, 2, -3, 3, -4, 4):
-            if (a + k * math.ulp(a)) * math.exp(0.5) == c:
-                return a + k * math.ulp(a)
-        return a
+    def coefficient(self) -> complex:
+        """The factor of the kind's unit signal in both the time-domain
+        sample and the transform: ``A`` for gauss, ``A*exp(1/2)`` for
+        hermite1, 0 for zero."""
+        return complex(self.A * _UNIT_COEFFICIENT[self.kind])
 
     def descriptor(self) -> str:
-        """Round-trippable string form, e.g. ``"gauss:A=1"``."""
+        """Round-trippable string form, e.g. ``"gauss:A=1.0"``."""
         if self.kind is SignalKind.ZERO:
             return "zero"
         return f"{self.kind.value}:A={self.A!r}"
@@ -105,19 +103,8 @@ def sample_signal(model: SignalModel, t):
 
 
 def model_for(kind: SignalKind, A: float, sigma: float = 1.0) -> SignalModel:
-    """Signal model of the given kind scaled to peak weighted amplitude ``A``
-    by a real coefficient ``>= 0``.  The first Hermite signal's weighted
-    amplitude ``r*exp(-r^2/2)`` peaks at ``r = 1`` with value ``exp(-1/2)``,
-    hence its ``exp(1/2)`` factor."""
-    if A < 0:
-        raise ConfigError(f"A must be non-negative, got {A}")
-    if kind is SignalKind.ZERO and A > 0:
-        raise ConfigError("the zero signal cannot be scaled to positive amplitude")
-    if kind is SignalKind.HERMITE1:
-        coefficient = complex(A * math.exp(0.5))
-    else:
-        coefficient = complex(A) if kind is SignalKind.GAUSS else 0j
-    return SignalModel(kind=kind, coefficient=coefficient, sigma=sigma)
+    """Signal model of the given kind at peak weighted amplitude ``A``."""
+    return SignalModel(kind, A, sigma)
 
 
 _DESCRIPTOR_RE = re.compile(r"^(?P<kind>[a-z0-9]+)(?::A=(?P<A>[^:]+))?$", re.IGNORECASE)
@@ -134,14 +121,10 @@ def parse_signal(text: str, sigma: float = 1.0) -> SignalModel:
     except ValueError:
         raise ConfigError(f"unknown signal kind {m.group('kind')!r}") from None
     a_text = m.group("A")
-    if kind is SignalKind.ZERO:
-        if a_text is not None and float(a_text) != 0:
-            raise ConfigError("signal 'zero' takes no amplitude")
-        return SignalModel(kind=kind, coefficient=0j, sigma=sigma)
-    if a_text is None:
+    if a_text is None and kind is not SignalKind.ZERO:
         raise ConfigError(f"signal {kind.value!r} needs an amplitude, e.g. '{kind.value}:A=1'")
     try:
-        amp = float(a_text)
+        amp = 0.0 if a_text is None else float(a_text)
     except ValueError:
         raise ConfigError(f"bad amplitude {a_text!r}") from None
-    return model_for(kind, amp, sigma=sigma)
+    return SignalModel(kind, amp, sigma)

@@ -595,9 +595,6 @@ def write_field(field: WeightedField, path) -> None:
     src = field.source
     if src is None:
         raise ConfigError("a field without a source records no realization to cache")
-    if parse_signal(src.signal.descriptor()).coefficient != src.signal.coefficient:
-        raise ConfigError(f"no signal descriptor regenerates the coefficient "
-                          f"{src.signal.coefficient}, so a cache would record another realization")
     # written through the buffer protocol without a bytes copy
     payload = np.ascontiguousarray(field.values, dtype=_DTYPE)
     with open(path, "wb") as fh:

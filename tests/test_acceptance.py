@@ -358,10 +358,11 @@ def test_closed_form_identities(capsys):
     gauss1 = model_for(SignalKind.GAUSS, 1.0)
     gauss_dip = abs(rho1(gauss1, SIGMA, 0j) - math.exp(-1.0) / math.pi)
 
-    # first Hermite with coefficient c: (1 + |c|^2)/pi at the origin
-    c = 0.7 - 0.3j
-    herm = SignalModel(SignalKind.HERMITE1, c)
-    herm_peak = abs(rho1(herm, SIGMA, 0j) - (1.0 + abs(c) ** 2) / math.pi)
+    # first Hermite with coefficient of modulus |c| = |0.7 - 0.3j|, amplitude
+    # |c|*exp(-1/2): (1 + |c|^2)/pi at the origin
+    c = abs(0.7 - 0.3j)
+    herm = SignalModel(SignalKind.HERMITE1, c * math.exp(-0.5))
+    herm_peak = abs(rho1(herm, SIGMA, 0j) - (1.0 + c ** 2) / math.pi)
 
     # closed-form transforms against the defining integral
     def transform_by_quadrature(model: SignalModel, z: complex) -> complex:
@@ -373,7 +374,7 @@ def test_closed_form_identities(capsys):
         return math.sqrt(2.0 / math.pi) * np.exp(-z * z / 2.0) * complex(re, im)
 
     pair_err = 0.0
-    for model in (ZERO, SignalModel(SignalKind.GAUSS, 1.3 - 0.4j), herm):
+    for model in (ZERO, SignalModel(SignalKind.GAUSS, abs(1.3 - 0.4j)), herm):
         for z in (0j, 0.5 + 0j, -0.3 + 0.7j, 1.2 - 0.9j):
             got = bargmann_closed_form(model, z)
             pair_err = max(pair_err, abs(got - transform_by_quadrature(model, z)))

@@ -76,6 +76,8 @@ def test_parse_spacing():
     assert parse_spacing("0.25") == 0.25
     with pytest.raises(ConfigError):
         parse_spacing("two^minus six")
+    with pytest.raises(ConfigError, match="overflows a float"):
+        parse_spacing("2^5000")
 
 
 def test_spacing_token():
@@ -473,9 +475,9 @@ def test_stats_refuses_point_sets_of_another_sigma(tmp_path, capsys):
 
 
 def test_stats_reads_the_point_sets_of_its_own_signal(tmp_path):
-    # 901*exp(1/2)*exp(-1/2) is 901.0000000000001, which scales to another
-    # coefficient: a cache recording it regenerated a signal whose point
-    # sets stats refused as another signal's
+    # 901*exp(1/2)*exp(-1/2) is 901.0000000000001: a cache records the
+    # amplitude given, not one recovered from the coefficient, so stats
+    # reads the point sets of its signal as its own
     fields, points = tmp_path / "fields", tmp_path / "points"
     signal = "hermite1:A=901"
     assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", signal,
@@ -486,6 +488,25 @@ def test_stats_reads_the_point_sets_of_its_own_signal(tmp_path):
                  "--out", str(points)]) == 0
     assert main(["stats", "--points", str(points), "--signal", signal, "--boxes", "1",
                  "--out", str(tmp_path / "s.csv")]) == 0
+
+
+def test_records_are_the_amplitude_given(tmp_path):
+    # 5*exp(1/2)*exp(-1/2) is 5.000000000000001; the cache header, the
+    # point-set meta and the stats rows record the 5.0 given
+    fields, points, out = tmp_path / "fields", tmp_path / "points", tmp_path / "s.csv"
+    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "hermite1:A=5",
+                 "--seeds", "0", "--out", str(fields)]) == 0
+    (cache,) = fields.iterdir()
+    assert bargzeros.simulate.read_header(cache)["signal"] == "hermite1:A=5.0"
+    assert main(["detect", "--fields", str(fields), "--methods", "amn",
+                 "--out", str(points)]) == 0
+    meta = {}
+    read_pointset_csv(points / "points_amn_hermite1_A5_d2m4_s0.csv", meta=meta)
+    assert meta["signal"] == "hermite1:A=5.0"
+    assert main(["stats", "--points", str(points), "--signal", "hermite1:A=5",
+                 "--boxes", "1", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert rows and all((r["signal"], r["A"]) == ("hermite1:A=5.0", "5.0") for r in rows)
 
 
 def test_noiseless_cache_records_no_noise(tmp_path, capsys):
@@ -860,18 +881,19 @@ def test_exit_code_config_errors(tmp_path, capsys):
         assert main(["simulate", "--config", str(cfg), "--delta", "2^-4",
                      "--signal", "zero", "--seeds", "0", "--out", str(tmp_path / "x")]) == 2
     for flags in (["--L", "2", "--delta", "2^-x"], ["--L", "2", "--delta", "nan"],
+                  ["--L", "2", "--delta", "2^5000"],
                   ["--L", "nan", "--delta", "2^-4"], ["--L", "inf", "--delta", "2^-4"],
                   ["--L", "2", "--delta", "2^-4", "--sigma", "nan"]):
         assert main(["simulate", *flags, "--signal", "zero", "--seeds", "0",
                      "--out", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x").exists()
-    # a signal amplitude that is not finite, whose coefficient overflows
-    # (A * e^1/2 for hermite1), or whose field could overflow inside
-    # synthesis is refused before the directory is created, with no
+    # a signal amplitude that is no number or not finite, whose coefficient
+    # overflows (A * e^1/2 for hermite1), or whose field could overflow
+    # inside synthesis is refused before the directory is created, with no
     # RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for signal in ("gauss:A=nan", "gauss:A=inf", "hermite1:A=1.1e308",
+        for signal in ("zero:A=abc", "gauss:A=nan", "gauss:A=inf", "hermite1:A=1.1e308",
                        "gauss:A=1e308", "hermite1:A=1e308"):
             assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", signal,
                          "--seeds", "0", "--out", str(tmp_path / "x")]) == 2
@@ -900,9 +922,11 @@ def test_exit_code_config_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "p")]) == 2
     assert main(["detect", "--fields", str(tmp_path / "f"), "--levels", ",",
                  "--out", str(tmp_path / "p")]) == 2
-    # a box halfwidth that is not a number
+    # a box halfwidth or a signal amplitude that is not a number
     assert main(["stats", "--points", str(tmp_path / "f"), "--signal", "zero",
                  "--boxes", "1,x", "--out", str(tmp_path / "s.csv")]) == 2
+    assert main(["stats", "--points", str(tmp_path / "f"), "--signal", "zero:A=x",
+                 "--out", str(tmp_path / "s.csv")]) == 2
     # a subsampling ladder deeper than the grid allows
     fields = tmp_path / "fields"
     assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero",
@@ -949,6 +973,8 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert "proxy must be amn or mgn, got 'st'" in err
     assert "key 'L' is already set on line 1" in err
     assert "signal coefficient must be finite, got (inf+0j)" in err
+    assert "bad amplitude 'abc'" in err and "bad amplitude 'x'" in err
+    assert "delta: spacing '2^5000' overflows a float" in err
     assert "T = 2.0: the window half-length is fixed at 6.0" in err
     assert "signal amplitude or sigma so large that synthesis could overflow" in err
     assert "Traceback" not in err

@@ -1,17 +1,26 @@
 """Signal models: closed-form transforms, scaling, parsing."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from bargzeros import (
     ConfigError,
     SignalKind,
     bargmann_closed_form,
     bargmann_derivative,
+    make_grid,
     model_for,
     parse_signal,
+    read_field,
+    synthesize_field,
+    write_field,
+    zero_noise,
 )
 from bargzeros.signal import SignalModel, sample_signal
 
@@ -19,8 +28,8 @@ TOL = 1e-10
 
 
 def test_closed_form_pairs():
-    gauss = SignalModel(SignalKind.GAUSS, coefficient=1.0)
-    herm = SignalModel(SignalKind.HERMITE1, coefficient=1.0)
+    gauss = SignalModel(SignalKind.GAUSS, A=1.0)
+    herm = SignalModel(SignalKind.HERMITE1, A=math.exp(-0.5))
     zero = SignalModel(SignalKind.ZERO)
     assert abs(bargmann_closed_form(gauss, 3 - 2j) - 1.0) < TOL
     assert abs(bargmann_closed_form(herm, 2 + 1j) - (2 + 1j)) < TOL
@@ -28,10 +37,11 @@ def test_closed_form_pairs():
 
 
 def test_closed_form_scales_with_coefficient():
-    herm = SignalModel(SignalKind.HERMITE1, coefficient=2j)
+    # coefficient 2: amplitude 2*exp(-1/2)
+    herm = SignalModel(SignalKind.HERMITE1, 2 * math.exp(-0.5))
     z = 1.5 - 0.5j
-    assert abs(bargmann_closed_form(herm, z) - 2j * z) < TOL
-    assert abs(bargmann_derivative(herm, z) - 2j) < TOL
+    assert abs(bargmann_closed_form(herm, z) - 2 * z) < TOL
+    assert abs(bargmann_derivative(herm, z) - 2) < TOL
     assert bargmann_derivative(SignalModel(SignalKind.GAUSS, 3.0), z) == 0
 
 
@@ -42,13 +52,13 @@ def test_model_for_coefficient():
     assert model_for(SignalKind.ZERO, 0.0).coefficient == 0
     with pytest.raises(ConfigError):
         model_for(SignalKind.ZERO, 1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="A must be non-negative, got -2.0"):
         model_for(SignalKind.GAUSS, -2.0)
 
 
 def test_amplitude_invariant():
-    assert model_for(SignalKind.HERMITE1, 7.5).A == pytest.approx(7.5, abs=TOL)
-    assert model_for(SignalKind.GAUSS, 0.25).A == pytest.approx(0.25, abs=TOL)
+    assert model_for(SignalKind.HERMITE1, 7.5).A == 7.5
+    assert model_for(SignalKind.GAUSS, 0.25).A == 0.25
     assert SignalModel(SignalKind.ZERO).A == 0.0
 
 
@@ -67,16 +77,21 @@ def test_time_samples():
     herm1 = SignalModel(SignalKind.HERMITE1, 1.0)
     assert abs(sample_signal(gauss, 0.0) - 1.0) < TOL
     assert sample_signal(herm1, 0.0) == 0
-    c = math.exp(0.5)
+    # coefficient exp(1/2): 2t*exp(-t^2)*exp(1/2) is sqrt(2) at t = 1/sqrt(2)
     t = 1.0 / math.sqrt(2.0)
-    got = sample_signal(SignalModel(SignalKind.HERMITE1, c), t)
+    got = sample_signal(herm1, t)
     assert abs(got - math.sqrt(2.0)) < TOL
 
 
-def test_zero_kind_forces_zero_coefficient():
-    m = SignalModel(SignalKind.ZERO, coefficient=5.0)
-    assert m.coefficient == 0
+def test_zero_kind_refuses_an_amplitude():
+    m = SignalModel(SignalKind.ZERO)
+    assert m.A == 0 and m.coefficient == 0
     assert sample_signal(m, 1.3) == 0
+    for a in (5.0, math.inf):
+        with pytest.raises(ConfigError, match="zero signal cannot be scaled to positive"):
+            SignalModel(SignalKind.ZERO, a)
+    with pytest.raises(ConfigError, match="signal coefficient must be finite"):
+        SignalModel(SignalKind.ZERO, math.nan)
 
 
 def test_parse_signal_round_trip():
@@ -85,20 +100,22 @@ def test_parse_signal_round_trip():
         ("gauss:A=1", SignalKind.GAUSS, 1.0),
         ("hermite1:A=100", SignalKind.HERMITE1, 100.0),
         ("GAUSS:A=2.5", SignalKind.GAUSS, 2.5),
-        # |c|*exp(-1/2) of c = 901*exp(1/2) is 901.0000000000001, whose c is
-        # another: the descriptor names the amplitude that gives c back
+        # 901*exp(1/2)*exp(-1/2) is 901.0000000000001: the model stores the
+        # amplitude, not a coefficient it would be recovered from
         ("hermite1:A=901", SignalKind.HERMITE1, 901.0),
+        ("hermite1:A=5", SignalKind.HERMITE1, 5.0),
         ("hermite1:A=22.32211", SignalKind.HERMITE1, 22.32211),
     ]:
         m = parse_signal(text)
         assert m.kind is kind
-        assert m.A == pytest.approx(A, abs=TOL)
+        assert m.A == A
         again = parse_signal(m.descriptor())
         assert again == m and again.descriptor() == m.descriptor()
 
 
 def test_parse_signal_rejects_garbage():
-    for bad in ["gauss", "hermite1", "box:A=1", "gauss:A=abc", "zero:A=3"]:
+    for bad in ["gauss", "hermite1", "box:A=1", "gauss:A=abc", "zero:A=3", "zero:A=abc",
+                "gauss:A=-1"]:
         with pytest.raises(ConfigError):
             parse_signal(bad)
     for bad in ["gauss:B=1", "gauss:A=1:A=2", ""]:
@@ -119,7 +136,30 @@ def test_non_finite_coefficient_is_refused():
             parse_signal(bad)
     with pytest.raises(ConfigError, match="finite"):
         model_for(SignalKind.HERMITE1, 1.1e308)
-    for c in (complex(math.inf, 0), complex(1, math.nan)):
+    for a in (math.inf, math.nan):
         with pytest.raises(ConfigError, match="finite"):
-            SignalModel(SignalKind.GAUSS, c)
+            SignalModel(SignalKind.GAUSS, a)
     assert parse_signal("hermite1:A=1e308").coefficient == 1e308 * math.exp(0.5)
+
+
+@settings(deadline=None)
+@given(kind=hst.sampled_from([SignalKind.GAUSS, SignalKind.HERMITE1]),
+       A=hst.floats(min_value=0.0, allow_infinity=False))
+def test_descriptor_records_the_amplitude_given(kind, A):
+    # every finite A >= 0 whose coefficient is finite parses back exactly
+    # from the descriptor of its own repr, and a cache of a field it can be
+    # synthesized at records it
+    if not math.isfinite(A * math.exp(0.5)) and kind is SignalKind.HERMITE1:
+        with pytest.raises(ConfigError, match="signal coefficient must be finite"):
+            parse_signal(f"{kind.value}:A={A!r}")
+        return
+    m = parse_signal(f"{kind.value}:A={A!r}")
+    assert m.A == A and m.descriptor() == f"{kind.value}:A={A!r}"
+    assert m == SignalModel(kind, A) == model_for(kind, A)
+    if A > 1e300:
+        return
+    g = make_grid(L=1, delta=0.5)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "f.wfield"
+        write_field(synthesize_field(zero_noise(g), m, g), path)
+        assert read_field(path).source.signal == m

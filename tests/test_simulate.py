@@ -939,13 +939,6 @@ def test_cache_records_its_realization(tmp_path):
     with pytest.raises(ConfigError, match="without a source"):
         write_field(WeightedField(grid=g, values=f.values), p)
     assert not p.exists()
-    # a descriptor records the amplitude alone, which regenerates neither a
-    # complex coefficient nor a negative one
-    for c in (1.3 - 0.4j, -1.0):
-        f = synthesize_field(zero_noise(g), SignalModel(SignalKind.GAUSS, c), g)
-        with pytest.raises(ConfigError, match="no signal descriptor regenerates"):
-            write_field(f, p)
-        assert not p.exists()
 
 
 def test_cache_reduced_precision(tmp_path):
