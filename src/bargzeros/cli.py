@@ -277,10 +277,7 @@ def cmd_stats(args) -> int:
 def cmd_consistency(args) -> int:
     fields_dir, methods, levels, proxy, out = (
         args.fields, args.methods, args.levels, args.proxy, args.out)
-    if proxy is Method.ST:
-        raise ConfigError(f"proxy must be amn or mgn, got {proxy.value!r}")
-    if 0 in levels:
-        raise ConfigError("consistency levels start at 1 (level 0 is the proxy itself)")
+    cons.check_ladder(levels, proxy)  # before any cache is read
     paths = _iter_fields(fields_dir)
     headers = {p.name: read_header(p) for p in paths}
     _refuse_pooling(fields_dir, headers.values())

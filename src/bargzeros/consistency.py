@@ -161,15 +161,26 @@ def write_consistency_csv(rows: list[ConsistencyRow], path, meta: dict | None = 
     write_records(path, ConsistencyRow, rows, meta)
 
 
+def check_ladder(levels, proxy: Method) -> None:
+    """Refuse the levels and proxy that :func:`ladder_rows` refuses: level
+    0, which would certify the proxy against itself, and the ST proxy."""
+    if proxy is Method.ST:
+        raise ConfigError(f"proxy must be amn or mgn, got {proxy.value!r}")
+    if 0 in levels:
+        raise ConfigError("consistency levels start at 1 (level 0 is the proxy itself)")
+
+
 def ladder_rows(field, target: float, levels, methods, proxy: Method) -> list[ConsistencyRow]:
     """Certify each detector at each subsampling level against the proxy.
 
-    The ``proxy`` detector on ``field`` itself is the ground truth; for
-    every level in ``levels`` (each >= 1) and every :class:`Method` in
-    ``methods``, the detections on the subsampled field are greedily
-    matched against it, one row per (level, method) in that order, tagged
-    with the method's name.
+    The ``proxy`` detector (AMN or MGN) on ``field`` itself is the ground
+    truth; for every level in ``levels`` (each >= 1, none repeated) and
+    every :class:`Method` in ``methods`` (none repeated), the detections on
+    the subsampled field are greedily matched against it, one row per
+    (level, method) in that order, tagged with the method's name.
     """
+    levels = tuple(levels)  # read here and by detect_ladder
+    check_ladder(levels, proxy)
     z_hi = detect_ladder(field, target, [0], [proxy])[0, proxy]
     rows = []
     for (_, m), z_lo in detect_ladder(field, target, levels, methods).items():

@@ -63,9 +63,11 @@ def _target_slices(field: WeightedField, target_halfwidth: float, rings: int):
 def _blocks(V: np.ndarray, lo: int, m: int, pad: int):
     """Row blocks of the ``m x m`` box of ``V`` at ``(lo, lo)``: yields each
     block's first box row and the magnitudes of its samples with ``pad``
-    surrounding rings."""
-    for r0 in range(0, m, _BLOCK_ROWS):
-        r1 = min(r0 + _BLOCK_ROWS, m)
+    surrounding rings.  Blocks are ``_BLOCK_ROWS`` rows, the last up to one
+    more: at L=3 every dyadic box has ``1 (mod 128)`` rows, and a one-row
+    block would repeat a whole block's calls."""
+    starts = range(0, max(m - 1, 1), _BLOCK_ROWS)
+    for r0, r1 in zip(starts, [*starts[1:], m]):
         yield r0, np.abs(V[lo + r0 - pad : lo + r1 + pad, lo - pad : lo + m + pad])
 
 
@@ -204,7 +206,8 @@ def detect_ladder(field: WeightedField, target_halfwidth: float, levels,
     """``(level, method) -> PointSet`` for each level in ``levels`` (in the
     order given) and each :class:`Method` in ``methods``: the detections on
     the field subsampled ``level`` times (level 0 is the field itself).
-    No levels give no detections; a negative level is refused.
+    No levels give no detections; a negative level is refused, and so is a
+    repeated level or method, which would name one point set twice.
 
     Each detector is looked up by its method's value in this module at call
     time, so a wrapper set on the module attribute sees every call.
@@ -212,6 +215,10 @@ def detect_ladder(field: WeightedField, target_halfwidth: float, levels,
     levels, methods = tuple(levels), tuple(methods)  # each is read more than once
     if min(levels, default=0) < 0:
         raise ConfigError(f"subsampling levels must be >= 0, got {min(levels)}")
+    if len(set(levels)) < len(levels):
+        raise ConfigError(f"repeated subsampling level in {list(levels)}")
+    if len(set(methods)) < len(methods):
+        raise ConfigError(f"repeated method in {[m.value for m in methods]}")
     rungs = ladder(field, max(levels, default=0))
     return {(j, m): globals()[m.value](rungs[j], target_halfwidth)
             for j in levels for m in methods}

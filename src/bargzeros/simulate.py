@@ -42,9 +42,12 @@ off the direct exponential), and the tests check it against the per-point
 sum to 1e-13 relative.  :func:`refine_zero`'s nested searches, their
 start's magnitude included, read the same sum as a Taylor series about
 their start, whose moments are formed once per call with phases from the
-same tables (:func:`_series_magnitudes`), so a short search takes no
-lattice sum at all.  The transforms are NumPy's FFTs (the C++ pocketfft,
-which NumPy 2.0 and later ships).
+same tables (:func:`_series_moments`), so a short search takes no
+lattice sum at all.  Every evaluation is refused outside the stored
+domain ``[-L, L]^2``, NaN included (:func:`_check_domain`); the search
+compares its start and the ends of each pass's ascending axes as floats,
+and asks :func:`_check_domain` only for its message.  The transforms are
+NumPy's FFTs (the C++ pocketfft, which NumPy 2.0 and later ships).
 
 Everything synthesis needs that depends on the grid alone is built once
 per grid and kept for the last two grids used (the synthesis plan): per
@@ -460,27 +463,26 @@ def evaluate_continuous(source: FieldSource, z: complex) -> complex:
     return complex(_evaluate_lattice(source, [z.real], [z.imag])[0, 0])
 
 
-#: the largest sup-norm distance from its centre at which
-#: :func:`_series_magnitudes` is used: at distance ``r`` its terms reach
+#: the largest sup-norm distance from its centre at which the series of
+#: :func:`_series_moments` is used: at distance ``r`` its terms reach
 #: about ``exp(2*r**2)`` of the sum's scale, and its rounding with them
 _SERIES_REACH = 1.0
 
 
-def _series_magnitudes(source: FieldSource, z0: complex, reach: float):
-    """``|V|`` near ``z0``, a point of the stored domain, from one Taylor
-    series: a function of ``(xs, ys)``, all within ``reach`` of ``z0`` in
-    sup norm, that returns ``out[i, j] = |V(xs[j] + 1j*ys[i])|``; its
-    ``centre`` attribute is ``|V(z0)| = |M_0|``.
+def _series_moments(source: FieldSource, z0: complex, reach: float) -> np.ndarray:
+    """The moments ``M_m`` of the Taylor series of ``V`` about ``z0``, a
+    point of the stored domain, cut for every point within ``reach`` of
+    ``z0`` in sup norm.
 
     With ``x = x0 + p``, ``y = y0 + q``, ``zeta = p + 1j*q`` and ``u_s =
     t_s - x0``, the window factors as ``phi(u_s - p) = phi(u_s) *
     exp(2*u_s*p - p**2)``, so ``|V(x, y)| = exp(-p**2) * |sum_s b_s *
     exp(2*u_s*zeta)|`` with ``b_s = a_s * phi(u_s) * exp(2j*y0*t_s)``, and
     the sum is the power series ``sum_m M_m * zeta**m`` with moments ``M_m
-    = sum_s b_s * (2*u_s)**m / m!``.  The phases ``exp(2j*y0*t_s)`` come
-    from the lattice sum's two short tables (:func:`_waves`).  The moments
-    are formed once, over the union of the windows within ``reach``; each
-    point then costs a polynomial, cut where the series' remainder is below
+    = sum_s b_s * (2*u_s)**m / m!``; so ``|V(z0)| = |M_0|``.  The phases
+    ``exp(2j*y0*t_s)`` come from the lattice sum's two short tables
+    (:func:`_waves`).  The moments are formed over the union of the windows
+    within ``reach``, and cut where the series' remainder is below
     ``2**-60`` of the sum's scale: 15 terms at delta=2**-7 and ``reach``
     4/3 of ``2*delta``, 99 at the largest ``reach``, ``_SERIES_REACH``.
     The samples that one ``x``'s window cut drops and another's keeps weigh
@@ -496,8 +498,8 @@ def _series_magnitudes(source: FieldSource, z0: complex, reach: float):
     phase = _waves(np.array([2.0 * d * y0]), lo, u.size)[0]
     b = source.samples[lo + half : hi + half + 1] * window(u) * phase
     # exp's series at |2*u_s*zeta| <= x leaves at most x**n/n! * exp(x)
-    # after n terms
-    x = 2.0 * math.sqrt(2.0) * reach * np.abs(u).max()
+    # after n terms; u ascends, so its largest magnitude is at an end
+    x = 2.0 * math.sqrt(2.0) * reach * max(abs(float(u[0])), abs(float(u[-1])))
     terms, tail = 1, x * math.exp(x)
     while tail > 2.0**-60:
         tail *= x / (terms + 1)
@@ -506,28 +508,7 @@ def _series_magnitudes(source: FieldSource, z0: complex, reach: float):
     powers[0] = 1.0
     for m in range(1, terms):
         np.multiply(powers[m - 1], (2.0 / m) * u, out=powers[m])
-    moments = (powers @ b.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
-
-    def magnitudes(xs, ys) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        _check_domain(g, xs, ys)
-        p, q = xs - x0, ys - y0
-        zeta = (p[None, :] + 1j * q[:, None]).ravel()
-        # row m is zeta**m: zeta**(n + k) = zeta**(k + 1) * zeta**(n - 1) gives
-        # rows n .. 2n - 2 from the n already there, in about log2(terms) products
-        zp = np.empty((terms, zeta.size), dtype=np.complex128)
-        zp[0] = 1.0
-        zp[1:2] = zeta
-        n = 2
-        while n < terms:
-            k = min(n - 1, terms - n)
-            np.multiply(zp[1 : k + 1], zp[n - 1], out=zp[n : n + k])
-            n += k
-        return np.exp(-p * p) * np.abs(moments @ zp).reshape(ys.size, xs.size)
-
-    magnitudes.centre = abs(complex(moments[0]))
-    return magnitudes
+    return (powers @ b.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
 
 
 def refine_zero(
@@ -548,10 +529,15 @@ def refine_zero(
 
     Every pass's grid lies within ``4/3 * radius`` of ``z0``, so the
     start's magnitude and all the passes read one Taylor series about
-    ``z0`` (:func:`_series_magnitudes`), formed once, and no lattice sum is
+    ``z0`` (:func:`_series_moments`), formed once, and no lattice sum is
     taken; a radius whose search reaches past ``_SERIES_REACH`` is refused.
     A pass's offsets are the first pass's times ``4**-k``, the same bits as
     a grid spread over the shrunk radius.
+
+    The start, and each pass's grid before it is evaluated, must lie in
+    the stored domain: the start's coordinates and the ends of the grid's
+    ascending axes are compared with ``L`` as floats, which a NaN fails,
+    and :func:`_check_domain` names the first coordinate outside.
     """
     g = source.grid
     if not radius >= g.delta:
@@ -559,16 +545,35 @@ def refine_zero(
     if not 4.0 / 3.0 * radius <= _SERIES_REACH:
         raise ConfigError(f"radius {radius} above {0.75 * _SERIES_REACH}, whose search "
                           f"reaches past the series about its start")
-    if not isinstance(levels, numbers.Integral) or levels < 0:
+    if not isinstance(levels, numbers.Integral) or isinstance(levels, bool) or levels < 0:
         raise ConfigError(f"levels must be an integer >= 0, got {levels!r}")
     best = complex(z0)
-    _check_domain(g, np.array([best.real, best.imag]))
-    magnitudes = _series_magnitudes(source, best, 4.0 / 3.0 * radius)
-    best_mag = magnitudes.centre
+    x0, y0 = best.real, best.imag
+    if not (abs(x0) <= g.L and abs(y0) <= g.L):
+        _check_domain(g, np.array([x0, y0]))
+    moments = _series_moments(source, best, 4.0 / 3.0 * radius)
+    best_mag = abs(complex(moments[0]))
+    # row m is zeta**m, one table for every pass: each pass writes its zeta
+    # into row 1, and zeta**(n + k) = zeta**(k + 1) * zeta**(n - 1) gives rows
+    # n .. 2n - 2 from the n already there, in about log2(terms) products
+    zp = np.empty((moments.size, 81), dtype=np.complex128)
+    zp[0] = 1.0
+    zeta = zp[1].reshape(9, 9)
     offs = np.linspace(-radius, radius, 9)
     for _ in range(levels + 1):
         xs, ys = best.real + offs, best.imag + offs
-        mags = magnitudes(xs, ys)
+        # both ascend, so their ends bound them
+        if not (abs(xs[0]) <= g.L and abs(xs[-1]) <= g.L
+                and abs(ys[0]) <= g.L and abs(ys[-1]) <= g.L):
+            _check_domain(g, xs, ys)
+        p = xs - x0
+        np.add(p, 1j * (ys - y0)[:, None], out=zeta)
+        n = 2
+        while n < moments.size:
+            k = min(n - 1, moments.size - n)
+            np.multiply(zp[1 : k + 1], zp[n - 1], out=zp[n : n + k])
+            n += k
+        mags = np.exp(-p * p) * np.abs(moments @ zp).reshape(9, 9)
         i, j = divmod(int(mags.argmin()), 9)
         if mags[i, j] < best_mag:
             best, best_mag = complex(xs[j], ys[i]), float(mags[i, j])

@@ -77,6 +77,8 @@ def expected_count(
 
 def count_in_box(points: PointSet, halfwidth: float) -> int:
     """Number of points in the closed centred box (exact index test)."""
+    if not halfwidth >= 0:
+        raise ConfigError(f"box halfwidth must be >= 0, got {halfwidth}")
     if halfwidth > points.domain_halfwidth:
         raise ConfigError("box exceeds the point set's domain")
     return int(np.count_nonzero(points.in_box(halfwidth)))

@@ -234,6 +234,21 @@ def test_ladder_rows_match_per_level_loop():
     assert ladder_rows(field, 1.0, [], Method, Method.AMN) == []
     with pytest.raises(ConfigError, match="levels must be >= 0"):
         ladder_rows(field, 1.0, [1, -1], Method, Method.AMN)
+    # level 0 would certify the proxy against its own rung, ST is no proxy,
+    # and a repeated level or method would give its rows twice; the CLI
+    # refuses the first two by the same check before it reads a cache
+    for levels in ([0], [1, 0], iter([2, 0])):
+        with pytest.raises(ConfigError, match=r"levels start at 1 \(level 0 is the proxy"):
+            ladder_rows(field, 1.0, levels, Method, Method.AMN)
+    with pytest.raises(ConfigError, match="proxy must be amn or mgn, got 'st'"):
+        ladder_rows(field, 1.0, [1], Method, Method.ST)
+    with pytest.raises(ConfigError, match="proxy must be amn or mgn, got 'st'"):
+        consistency.check_ladder([1], Method.ST)
+    with pytest.raises(ConfigError, match="repeated subsampling level"):
+        ladder_rows(field, 1.0, [1, 2, 1], Method, Method.AMN)
+    with pytest.raises(ConfigError, match="repeated method"):
+        ladder_rows(field, 1.0, [1], [Method.MGN, Method.MGN], Method.AMN)
+    consistency.check_ladder([1, 2], Method.MGN)  # a proxy and levels it accepts
 
 
 def _sup(a, b):

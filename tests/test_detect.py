@@ -179,13 +179,25 @@ def _assert_matches_offset_loops(field, target):
 
 @pytest.mark.parametrize("seed, signal", [(0, "zero"), (1, "gauss:A=1")])
 def test_blocked_selection_matches_offset_loops_on_ladder(seed, signal):
-    # 513 target rows at level 0, so the last row block holds one row;
-    # every level down to spacing 1/2 is checked
+    # 513 target rows at level 0, so the last row block takes the one row
+    # past 4*128 (and 257, 129 rows at levels 1, 2); every level down to
+    # spacing 1/2 is checked
     g = make_grid(L=3, delta=2.0 ** -7)
     f = synthesize_field(draw_noise(g, 1.0, seed), parse_signal(signal), g)
     assert 2 * g.index_halfwidth(2.0) + 1 == 513
     for fld in ladder(f, 6).values():
         _assert_matches_offset_loops(fld, 2.0)
+
+
+def test_row_blocks_take_a_one_row_tail_into_the_last():
+    # a dyadic box at L=3 has 1 (mod 128) rows: no block of one row is
+    # screened on its own, and every row is in exactly one block
+    V = np.zeros((1100, 1100), dtype=np.complex128)
+    for m, want in ((1, [1]), (2, [2]), (128, [128]), (129, [129]), (130, [128, 2]),
+                    (257, [128, 129]), (1025, [128] * 7 + [129])):
+        blocks = list(detect._blocks(V, 3, m, 2))
+        assert [rows.shape[0] - 4 for _, rows in blocks] == want
+        assert [r0 for r0, _ in blocks] == [128 * i for i in range(len(want))]
 
 
 def test_blocked_selection_on_a_one_point_box():
@@ -512,6 +524,14 @@ def test_detect_ladder_runs_each_detector_on_each_level():
     for levels in ([-1], [0, -2]):
         with pytest.raises(ConfigError, match="levels must be >= 0"):
             detect_ladder(f, 1.0, levels, Method)
+    # a repeated level or method would name one point set twice, which a
+    # dict of them would keep once in silence
+    for levels in ([1, 1], iter([0, 2, 0])):
+        with pytest.raises(ConfigError, match="repeated subsampling level"):
+            detect_ladder(f, 1.0, levels, Method)
+    for methods in ([Method.AMN, Method.AMN], [*Method, Method.ST]):
+        with pytest.raises(ConfigError, match="repeated method"):
+            detect_ladder(f, 1.0, [0], methods)
 
 
 def test_each_method_names_its_detector():

@@ -686,6 +686,10 @@ def test_refine_zero_validates_arguments():
         refine_zero(src, 0j, radius=0.1, levels=1.5)
     with pytest.raises(ConfigError):
         refine_zero(src, 0j, radius=0.1, levels="2")
+    # a bool is an Integral, but True is not a count of passes
+    for flag in (True, False):
+        with pytest.raises(ConfigError, match="levels must be an integer >= 0"):
+            refine_zero(src, 0j, radius=0.1, levels=flag)
 
 
 def scalar_evaluate(source, z):
@@ -802,17 +806,20 @@ def test_refine_wider_than_the_series_is_refused():
                          ids=["2delta", "widest"])
 def test_series_magnitudes_match_lattice(signal, delta, reach):
     # refine_zero's Taylor series about z0 against the lattice sum, on a
-    # grid over the whole square it serves and on a fine one at its corner
+    # grid over the whole square it serves and on a fine one at its corner;
+    # the series is summed here by Horner's rule
     g = make_grid(L=3, delta=delta)
     f = synthesize_field(draw_noise(g, 1.0, 5), signal, g)
     scale = np.abs(f.values).max()
     for z0 in (0.3 - 0.2j, complex(amn(f, 1.5).points[0])):
-        magnitudes = simulate._series_magnitudes(f.source, z0, reach)
+        moments = simulate._series_moments(f.source, z0, reach)
         for centre, r in ((z0, reach), (z0 + reach * (0.99 - 0.99j), reach / 256)):
             offs = np.linspace(-r, r, 9)
             xs, ys = centre.real + offs, centre.imag + offs
+            p, q = xs - z0.real, ys - z0.imag
+            series = np.polynomial.polynomial.polyval(p[None, :] + 1j * q[:, None], moments)
             want = np.abs(simulate._evaluate_lattice(f.source, xs, ys))
-            assert np.abs(magnitudes(xs, ys) - want).max() <= 1e-13 * scale
+            assert np.abs(np.exp(-p * p) * np.abs(series) - want).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("signal", [ZERO, model_for(SignalKind.HERMITE1, 100.0)],
@@ -826,8 +833,116 @@ def test_series_centre_matches_lattice(signal, delta, reach):
     f = synthesize_field(draw_noise(g, 1.0, 5), signal, g)
     scale = np.abs(f.values).max()
     for z0 in (0.3 - 0.2j, complex(amn(f, 1.5).points[0])):
-        centre = simulate._series_magnitudes(f.source, z0, reach).centre
+        centre = abs(complex(simulate._series_moments(f.source, z0, reach)[0]))
         assert abs(centre - abs(evaluate_continuous(f.source, z0))) <= 1e-13 * scale
+
+
+def reference_series_magnitudes(source, z0, reach):
+    """The series evaluator as first written: a closure that checks the
+    domain with array reductions and builds each call's ``zeta`` and power
+    table afresh.  Same operands and operation order as
+    ``simulate._series_moments`` and ``refine_zero``'s passes, so the
+    results agree bit for bit."""
+    g = source.grid
+    d, half = g.delta, source.samples.size // 2
+    x0, y0 = z0.real, z0.imag
+    lo = max(math.ceil((x0 - reach - WINDOW_T) / d - 1e-12), -half)
+    hi = min(math.floor((x0 + reach + WINDOW_T) / d + 1e-12), half)
+    u = d * np.arange(lo, hi + 1) - x0
+    phase = simulate._waves(np.array([2.0 * d * y0]), lo, u.size)[0]
+    b = source.samples[lo + half : hi + half + 1] * window(u) * phase
+    x = 2.0 * math.sqrt(2.0) * reach * np.abs(u).max()
+    terms, tail = 1, x * math.exp(x)
+    while tail > 2.0**-60:
+        tail *= x / (terms + 1)
+        terms += 1
+    powers = np.empty((terms, u.size))
+    powers[0] = 1.0
+    for m in range(1, terms):
+        np.multiply(powers[m - 1], (2.0 / m) * u, out=powers[m])
+    moments = (powers @ b.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+
+    def magnitudes(xs, ys):
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        simulate._check_domain(g, xs, ys)
+        p, q = xs - x0, ys - y0
+        zeta = (p[None, :] + 1j * q[:, None]).ravel()
+        zp = np.empty((terms, zeta.size), dtype=np.complex128)
+        zp[0] = 1.0
+        zp[1:2] = zeta
+        n = 2
+        while n < terms:
+            k = min(n - 1, terms - n)
+            np.multiply(zp[1 : k + 1], zp[n - 1], out=zp[n : n + k])
+            n += k
+        return np.exp(-p * p) * np.abs(moments @ zp).reshape(ys.size, xs.size)
+
+    magnitudes.centre = abs(complex(moments[0]))
+    return magnitudes
+
+
+def reference_refine(source, z0, radius, levels):
+    """``refine_zero``'s nested search as first written, on
+    :func:`reference_series_magnitudes`."""
+    best = complex(z0)
+    simulate._check_domain(source.grid, np.array([best.real, best.imag]))
+    magnitudes = reference_series_magnitudes(source, best, 4.0 / 3.0 * radius)
+    best_mag = magnitudes.centre
+    offs = np.linspace(-radius, radius, 9)
+    for _ in range(levels + 1):
+        xs, ys = best.real + offs, best.imag + offs
+        mags = magnitudes(xs, ys)
+        i, j = divmod(int(mags.argmin()), 9)
+        if mags[i, j] < best_mag:
+            best, best_mag = complex(xs[j], ys[i]), float(mags[i, j])
+        offs = offs * 0.25
+    return best, best_mag
+
+
+@pytest.mark.parametrize("delta", [2.0 ** -7, 2.0 ** -5], ids=["d2m7", "d2m5"])
+def test_refine_is_bit_identical_to_reference(delta):
+    # every AMN detection of three seeds, and the same starts moved off the
+    # lattice (whose few-bit offsets u_s would hide a change in the order
+    # of the series' products), at radius 2*delta and at a radius that is
+    # no dyadic multiple of delta, for levels 0 to 4
+    g = make_grid(L=3, delta=delta)
+    checked = 0
+    for seed in (0, 1, 2):
+        f = synthesize_field(draw_noise(g, 1.0, seed), ZERO, g)
+        for p in amn(f, 2.0).points:
+            for z0 in (complex(p), complex(p) + delta * (0.3 - 0.7j) / math.pi):
+                for radius in (2.0 * delta, 2.3 * delta):
+                    for levels in range(5):
+                        want = reference_refine(f.source, z0, radius, levels)
+                        assert refine_zero(f.source, z0, radius, levels) == want
+                        checked += 1
+    assert checked >= 200
+
+
+def test_refine_domain_messages_match_reference():
+    # a NaN start, starts outside, and on a field whose magnitude falls
+    # outwards (the Gauss signal alone), searches whose first grid ends on
+    # one of the four edges, so that a later pass leaves the domain: the
+    # same refusal, word for word, as the reference
+    g = make_grid(L=1, delta=2.0 ** -5)
+    src = FieldSource(g, model_for(SignalKind.GAUSS, 1.0))
+    radius = 2.0 * g.delta
+    inner = 1.0 - radius
+    along = (-0.8, -0.1, 0.0, 0.45)
+    starts = [complex(math.nan, 0.0), complex(0.2, math.nan), 1.5 + 0.0j, 0.3 - 1.01j]
+    for edge in ([complex(inner, t) for t in along], [complex(-inner, t) for t in along],
+                 [complex(t, inner) for t in along], [complex(t, -inner) for t in along]):
+        starts += edge
+    for z0 in starts:
+        with pytest.raises(ConfigError, match="outside the stored domain") as want:
+            reference_refine(src, z0, radius, 4)
+        with pytest.raises(ConfigError) as got:
+            refine_zero(src, z0, radius, 4)
+        assert str(got.value) == str(want.value)
+    # the first pass alone stays inside
+    assert refine_zero(src, complex(inner, 0.45), radius, 0) == reference_refine(
+        src, complex(inner, 0.45), radius, 0)
 
 
 def test_refine_within_the_series_reach_takes_no_lattice_sum(monkeypatch):

@@ -145,6 +145,12 @@ def test_count_in_box():
     assert count_in_box(ps, 0.25) == 1
     with pytest.raises(ConfigError):
         count_in_box(ps, 3.0)
+    # the box of halfwidth 0 is the centre point alone; a negative one is
+    # no box, though its index test would count nothing in silence
+    assert count_in_box(ps, 0.0) == 1
+    for w in (-0.5, -0.25, math.nan):
+        with pytest.raises(ConfigError, match="box halfwidth must be >= 0"):
+            count_in_box(ps, w)
 
 
 def test_count_in_box_boundary_is_closed():
