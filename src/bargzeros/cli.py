@@ -277,7 +277,7 @@ def cmd_stats(args) -> int:
 def cmd_consistency(args) -> int:
     fields_dir, methods, levels, proxy, out = (
         args.fields, args.methods, args.levels, args.proxy, args.out)
-    cons.check_ladder(levels, proxy)  # before any cache is read
+    cons._check_ladder(levels, proxy)  # before any cache is read
     paths = _iter_fields(fields_dir)
     headers = {p.name: read_header(p) for p in paths}
     _refuse_pooling(fields_dir, headers.values())

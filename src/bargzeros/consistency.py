@@ -161,9 +161,11 @@ def write_consistency_csv(rows: list[ConsistencyRow], path, meta: dict | None = 
     write_records(path, ConsistencyRow, rows, meta)
 
 
-def check_ladder(levels, proxy: Method) -> None:
+def _check_ladder(levels, proxy: Method) -> None:
     """Refuse the levels and proxy that :func:`ladder_rows` refuses: level
-    0, which would certify the proxy against itself, and the ST proxy."""
+    0, which would certify the proxy against itself, and the ST proxy.
+    Apart from :func:`ladder_rows`, only the ``consistency`` command calls
+    it, so that it refuses before it reads a cache."""
     if proxy is Method.ST:
         raise ConfigError(f"proxy must be amn or mgn, got {proxy.value!r}")
     if 0 in levels:
@@ -180,7 +182,7 @@ def ladder_rows(field, target: float, levels, methods, proxy: Method) -> list[Co
     (level, method) in that order, tagged with the method's name.
     """
     levels = tuple(levels)  # read here and by detect_ladder
-    check_ladder(levels, proxy)
+    _check_ladder(levels, proxy)
     z_hi = detect_ladder(field, target, [0], [proxy])[0, proxy]
     rows = []
     for (_, m), z_lo in detect_ladder(field, target, levels, methods).items():

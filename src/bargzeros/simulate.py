@@ -44,9 +44,10 @@ start's magnitude included, read the same sum as a Taylor series about
 their start, whose moments are formed once per call with phases from the
 same tables (:func:`_series_moments`), so a short search takes no
 lattice sum at all.  Every evaluation is refused outside the stored
-domain ``[-L, L]^2``, NaN included (:func:`_check_domain`); the search
-compares its start and the ends of each pass's ascending axes as floats,
-and asks :func:`_check_domain` only for its message.  The transforms are
+domain ``[-L, L]^2``, NaN included.  One scalar test states the domain
+(:func:`_in_domain`): the search applies it to its start and to the ends
+of each pass's ascending axes as floats, and :func:`_check_domain` to an
+array's largest magnitude, and words the refusal.  The transforms are
 NumPy's FFTs (the C++ pocketfft, which NumPy 2.0 and later ships).
 
 Everything synthesis needs that depends on the grid alone is built once
@@ -402,12 +403,22 @@ def _spectral_columns(alpha, m_half, delta, n):
 _TABLE = 64
 
 
+def _in_domain(L: float, *coords) -> bool:
+    """Whether every coordinate lies in the stored domain's ``[-L, L]``;
+    a NaN does not."""
+    for c in coords:  # a loop: all() over a generator adds 1 us a pass
+        if not abs(c) <= L:
+            return False
+    return True
+
+
 def _check_domain(g: GridSpec, *axes) -> None:
+    """Refuse the first coordinate of ``axes`` outside :func:`_in_domain`."""
     for axis in axes:
-        if not np.abs(axis).max(initial=0.0) <= g.L:  # NaN too
-            bad = ~(np.abs(axis) <= g.L)
+        if not _in_domain(g.L, np.abs(axis).max(initial=0.0)):  # NaN propagates
+            bad = next(c for c in axis if not _in_domain(g.L, c))
             raise ConfigError(
-                f"coordinate {axis[bad][0]} outside the stored domain (halfwidth {g.L})"
+                f"coordinate {bad} outside the stored domain (halfwidth {g.L})"
             )
 
 
@@ -536,8 +547,8 @@ def refine_zero(
 
     The start, and each pass's grid before it is evaluated, must lie in
     the stored domain: the start's coordinates and the ends of the grid's
-    ascending axes are compared with ``L`` as floats, which a NaN fails,
-    and :func:`_check_domain` names the first coordinate outside.
+    ascending axes are tested as floats (:func:`_in_domain`, which a NaN
+    fails), and :func:`_check_domain` names the first coordinate outside.
     """
     g = source.grid
     if not radius >= g.delta:
@@ -549,7 +560,7 @@ def refine_zero(
         raise ConfigError(f"levels must be an integer >= 0, got {levels!r}")
     best = complex(z0)
     x0, y0 = best.real, best.imag
-    if not (abs(x0) <= g.L and abs(y0) <= g.L):
+    if not _in_domain(g.L, x0, y0):
         _check_domain(g, np.array([x0, y0]))
     moments = _series_moments(source, best, 4.0 / 3.0 * radius)
     best_mag = abs(complex(moments[0]))
@@ -563,8 +574,7 @@ def refine_zero(
     for _ in range(levels + 1):
         xs, ys = best.real + offs, best.imag + offs
         # both ascend, so their ends bound them
-        if not (abs(xs[0]) <= g.L and abs(xs[-1]) <= g.L
-                and abs(ys[0]) <= g.L and abs(ys[-1]) <= g.L):
+        if not _in_domain(g.L, xs[0], xs[-1], ys[0], ys[-1]):
             _check_domain(g, xs, ys)
         p = xs - x0
         np.add(p, 1j * (ys - y0)[:, None], out=zeta)

@@ -243,12 +243,12 @@ def test_ladder_rows_match_per_level_loop():
     with pytest.raises(ConfigError, match="proxy must be amn or mgn, got 'st'"):
         ladder_rows(field, 1.0, [1], Method, Method.ST)
     with pytest.raises(ConfigError, match="proxy must be amn or mgn, got 'st'"):
-        consistency.check_ladder([1], Method.ST)
+        consistency._check_ladder([1], Method.ST)
     with pytest.raises(ConfigError, match="repeated subsampling level"):
         ladder_rows(field, 1.0, [1, 2, 1], Method, Method.AMN)
     with pytest.raises(ConfigError, match="repeated method"):
         ladder_rows(field, 1.0, [1], [Method.MGN, Method.MGN], Method.AMN)
-    consistency.check_ladder([1, 2], Method.MGN)  # a proxy and levels it accepts
+    consistency._check_ladder([1, 2], Method.MGN)  # a proxy and levels it accepts
 
 
 def _sup(a, b):

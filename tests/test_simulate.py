@@ -799,44 +799,6 @@ def test_refine_wider_than_the_series_is_refused():
     assert abs(mag - ref_mag) <= 1e-9 * ref_mag
 
 
-@pytest.mark.parametrize("signal", [ZERO, model_for(SignalKind.HERMITE1, 100.0)],
-                         ids=["zero", "hermite1-A100"])
-@pytest.mark.parametrize("delta, reach", [(2.0 ** -7, 2.0 ** -6 * 4 / 3),
-                                          (2.0 ** -4, simulate._SERIES_REACH)],
-                         ids=["2delta", "widest"])
-def test_series_magnitudes_match_lattice(signal, delta, reach):
-    # refine_zero's Taylor series about z0 against the lattice sum, on a
-    # grid over the whole square it serves and on a fine one at its corner;
-    # the series is summed here by Horner's rule
-    g = make_grid(L=3, delta=delta)
-    f = synthesize_field(draw_noise(g, 1.0, 5), signal, g)
-    scale = np.abs(f.values).max()
-    for z0 in (0.3 - 0.2j, complex(amn(f, 1.5).points[0])):
-        moments = simulate._series_moments(f.source, z0, reach)
-        for centre, r in ((z0, reach), (z0 + reach * (0.99 - 0.99j), reach / 256)):
-            offs = np.linspace(-r, r, 9)
-            xs, ys = centre.real + offs, centre.imag + offs
-            p, q = xs - z0.real, ys - z0.imag
-            series = np.polynomial.polynomial.polyval(p[None, :] + 1j * q[:, None], moments)
-            want = np.abs(simulate._evaluate_lattice(f.source, xs, ys))
-            assert np.abs(np.exp(-p * p) * np.abs(series) - want).max() <= 1e-13 * scale
-
-
-@pytest.mark.parametrize("signal", [ZERO, model_for(SignalKind.HERMITE1, 100.0)],
-                         ids=["zero", "hermite1-A100"])
-@pytest.mark.parametrize("delta, reach", [(2.0 ** -7, 2.0 ** -6 * 4 / 3),
-                                          (2.0 ** -4, simulate._SERIES_REACH)],
-                         ids=["2delta", "widest"])
-def test_series_centre_matches_lattice(signal, delta, reach):
-    # refine_zero's start magnitude is the series' |M_0|, not a lattice sum
-    g = make_grid(L=3, delta=delta)
-    f = synthesize_field(draw_noise(g, 1.0, 5), signal, g)
-    scale = np.abs(f.values).max()
-    for z0 in (0.3 - 0.2j, complex(amn(f, 1.5).points[0])):
-        centre = abs(complex(simulate._series_moments(f.source, z0, reach)[0]))
-        assert abs(centre - abs(evaluate_continuous(f.source, z0))) <= 1e-13 * scale
-
-
 def reference_series_magnitudes(source, z0, reach):
     """The series evaluator as first written: a closure that checks the
     domain with array reductions and builds each call's ``zeta`` and power
@@ -900,24 +862,76 @@ def reference_refine(source, z0, radius, levels):
     return best, best_mag
 
 
-@pytest.mark.parametrize("delta", [2.0 ** -7, 2.0 ** -5], ids=["d2m7", "d2m5"])
-def test_refine_is_bit_identical_to_reference(delta):
-    # every AMN detection of three seeds, and the same starts moved off the
-    # lattice (whose few-bit offsets u_s would hide a change in the order
-    # of the series' products), at radius 2*delta and at a radius that is
-    # no dyadic multiple of delta, for levels 0 to 4
+@pytest.mark.parametrize("signal", [ZERO, model_for(SignalKind.HERMITE1, 100.0)],
+                         ids=["zero", "hermite1-A100"])
+@pytest.mark.parametrize("delta, reach", [(2.0 ** -7, 2.0 ** -6 * 4 / 3),
+                                          (2.0 ** -4, simulate._SERIES_REACH)],
+                         ids=["2delta", "widest"])
+def test_series_magnitudes_match_lattice(signal, delta, reach):
+    # refine_zero's Taylor series about z0 against the lattice sum, on a
+    # grid over the whole square it serves and on a fine one at its corner:
+    # summed by the power table and product that refine_zero's passes run
+    # (the reference evaluator, bit-identical to them by
+    # test_refine_is_bit_identical_to_reference on these signals and
+    # reaches), and by Horner's rule from _series_moments
+    g = make_grid(L=3, delta=delta)
+    f = synthesize_field(draw_noise(g, 1.0, 5), signal, g)
+    scale = np.abs(f.values).max()
+    for z0 in (0.3 - 0.2j, complex(amn(f, 1.5).points[0])):
+        magnitudes = reference_series_magnitudes(f.source, z0, reach)
+        moments = simulate._series_moments(f.source, z0, reach)
+        for centre, r in ((z0, reach), (z0 + reach * (0.99 - 0.99j), reach / 256)):
+            offs = np.linspace(-r, r, 9)
+            xs, ys = centre.real + offs, centre.imag + offs
+            want = np.abs(simulate._evaluate_lattice(f.source, xs, ys))
+            assert np.abs(magnitudes(xs, ys) - want).max() <= 1e-13 * scale
+            p, q = xs - z0.real, ys - z0.imag
+            series = np.polynomial.polynomial.polyval(p[None, :] + 1j * q[:, None], moments)
+            assert np.abs(np.exp(-p * p) * np.abs(series) - want).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("signal", [ZERO, model_for(SignalKind.HERMITE1, 100.0)],
+                         ids=["zero", "hermite1-A100"])
+@pytest.mark.parametrize("delta, reach", [(2.0 ** -7, 2.0 ** -6 * 4 / 3),
+                                          (2.0 ** -4, simulate._SERIES_REACH)],
+                         ids=["2delta", "widest"])
+def test_series_centre_matches_lattice(signal, delta, reach):
+    # refine_zero's start magnitude is the series' |M_0|, not a lattice sum
+    g = make_grid(L=3, delta=delta)
+    f = synthesize_field(draw_noise(g, 1.0, 5), signal, g)
+    scale = np.abs(f.values).max()
+    for z0 in (0.3 - 0.2j, complex(amn(f, 1.5).points[0])):
+        centre = abs(complex(simulate._series_moments(f.source, z0, reach)[0]))
+        assert abs(centre - abs(evaluate_continuous(f.source, z0))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("signal", [ZERO, model_for(SignalKind.HERMITE1, 100.0)],
+                         ids=["zero", "hermite1-A100"])
+@pytest.mark.parametrize("delta, radii, target", [
+    (2.0 ** -7, (2.0 ** -6, 2.3 * 2.0 ** -7), 2.0),
+    (2.0 ** -5, (2.0 ** -4, 2.3 * 2.0 ** -5), 2.0),
+    # the widest radius, whose search reaches _SERIES_REACH (99 terms);
+    # target 1.5 keeps every pass of the moved starts inside L=3
+    (2.0 ** -4, (0.75,), 1.5),
+], ids=["d2m7", "d2m5", "widest"])
+def test_refine_is_bit_identical_to_reference(signal, delta, radii, target):
+    # every AMN detection of three seeds and a start where no zero is, and
+    # the same starts moved off the lattice (whose few-bit offsets u_s
+    # would hide a change in the order of the series' products), at radius
+    # 2*delta and at a radius that is no dyadic multiple of delta, or at
+    # the widest radius, for levels 0 to 4
     g = make_grid(L=3, delta=delta)
     checked = 0
     for seed in (0, 1, 2):
-        f = synthesize_field(draw_noise(g, 1.0, seed), ZERO, g)
-        for p in amn(f, 2.0).points:
+        f = synthesize_field(draw_noise(g, 1.0, seed), signal, g)
+        for p in [*amn(f, target).points, 0.3 - 0.2j]:
             for z0 in (complex(p), complex(p) + delta * (0.3 - 0.7j) / math.pi):
-                for radius in (2.0 * delta, 2.3 * delta):
+                for radius in radii:
                     for levels in range(5):
                         want = reference_refine(f.source, z0, radius, levels)
                         assert refine_zero(f.source, z0, radius, levels) == want
                         checked += 1
-    assert checked >= 200
+    assert checked >= 20 * len(radii)
 
 
 def test_refine_domain_messages_match_reference():
