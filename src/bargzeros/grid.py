@@ -154,8 +154,8 @@ class PointSet:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ConfigError(f"delta must be positive and finite, got {self.delta}")
         kl = np.asarray(self.kl, dtype=np.int64).reshape(-1, 2)
         w = _int_ratio(self.domain_halfwidth, self.delta, "domain_halfwidth/delta")
         if w < 0:
@@ -164,6 +164,8 @@ class PointSet:
             raise ConfigError("point indices leave the domain box")
         order = np.lexsort((kl[:, 1], kl[:, 0]))
         kl = np.ascontiguousarray(kl[order])
+        if (kl[1:] == kl[:-1]).all(axis=1).any():
+            raise ConfigError("a point is repeated")
         kl.setflags(write=False)
         pts = (-self.domain_halfwidth + self.delta * kl[:, 0]) + 1j * (
             -self.domain_halfwidth + self.delta * kl[:, 1]

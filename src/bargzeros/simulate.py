@@ -50,15 +50,16 @@ of each pass's ascending axes as floats, and :func:`_check_domain` to an
 array's largest magnitude, and words the refusal.  The transforms are
 NumPy's FFTs (the C++ pocketfft, which NumPy 2.0 and later ships).
 
-Everything synthesis needs that depends on the grid alone is built once
-per grid and kept for the last two grids used (the synthesis plan): per
-half, the window spectra on its band, ``8 * S * n/2`` bytes, and the
-band's inverse DFT over the tallest strip's rows, and the quadratic
-phase's ramp over the same rows, ``16 * 129 * n`` bytes at n=1537: 4.2 MB
-in all there.
+Everything synthesis needs that depends on the grid alone, the band
+included, is built once per grid and kept for the last two grids used
+(the synthesis plan, :func:`_plan`): per half, the window spectra on its
+band, ``8 * S * n/2`` bytes, and the band's inverse DFT over the tallest
+strip's rows, and the quadratic phase's ramp over the same rows, ``16 *
+129 * n`` bytes at n=1537: 4.2 MB in all there.
 
 One realization is one :class:`FieldSource`: grid, signal, sigma and
-seed, from which its samples are drawn.  A field cache
+seed, from which its samples are drawn, and refused by a closed-form
+overflow bound that reads no plan.  A field cache
 (:func:`write_field`) is one JSON header line, the source's fields
 (:attr:`FieldSource.header`) that :func:`read_field` regenerates it from,
 then the complex128 samples.  This module alone builds and reads the
@@ -123,6 +124,15 @@ class FieldSource:
         half_n : kk + half_n + 2*T/delta + 1]``.  The noise ``w_s`` is
         bit-reproducible in ``seed``, with variance ``sigma^2 * delta *
         sqrt(pi/2)`` split evenly between the real and imaginary parts.
+
+        They are refused if ``|a|_1 * (2/sqrt(pi) + 2/delta)``, which is at
+        least ``|a|_1 * sqrt(2) * sum(phi)`` (``sum_{|m| <= M}
+        exp(-(delta*m)**2) <= 1 + sqrt(pi)/delta``), exceeds half the float64
+        maximum.  That bounds every partial sum of synthesis's products, real
+        and imaginary parts together (a strip's ``|fft|`` is at most
+        ``|a|_1``, each weight ``sum(phi)/nfft``), and of the lattice sum,
+        and with the factor 2 those of the series, below ``|a|_1 *
+        sqrt(2/pi) * e**2`` within ``_SERIES_REACH``.
         """
         g = self.grid
         half = g.t_over_delta + g.half_n
@@ -132,7 +142,7 @@ class FieldSource:
                 rng = np.random.default_rng(self.seed)
                 scale = self.sigma * math.sqrt(g.delta * math.sqrt(math.pi / 2.0) / 2.0)
                 a += scale * (rng.standard_normal(a.size) + 1j * rng.standard_normal(a.size))
-            bound = np.abs(a).sum() * _band(g.n_axis, g.t_over_delta, g.delta)[-1]
+            bound = np.abs(a).sum() * (2.0 / math.sqrt(math.pi) + 2.0 / g.delta)
         if not bound <= np.finfo(np.float64).max / 2:
             raise ConfigError("signal amplitude or sigma so large that synthesis could overflow")
         a.setflags(write=False)
@@ -212,7 +222,7 @@ def synthesize_field(noise: FieldSource, signal: SignalModel, grid: GridSpec) ->
     if noise.grid != grid:
         raise ConfigError(f"noise drawn on {noise.grid}, not on {grid}")
     source = noise if noise.signal == signal else FieldSource(grid, signal, noise.sigma, noise.seed)
-    values = _spectral_columns(source.samples, grid.t_over_delta, grid.delta, grid.n_axis)
+    values = _spectral_columns(source.samples, grid)
     return WeightedField(grid=grid, values=values, source=source)
 
 
@@ -231,21 +241,28 @@ _PLAN_GRIDS = 2
 _BAND_TAIL = 2.0**-100
 
 
+def _periodised_gauss(theta, delta: float):
+    """``sum_i exp(-((theta + 2*pi*i)/(2*delta))**2)``, ``|i| <= 1``, which
+    times ``sqrt(2)/delta`` is the untruncated window's spectrum at
+    ``theta`` in ``[-pi, pi]`` (Poisson summation) to ``exp(-9*pi**2)`` of
+    its peak at the coarsest spacing, 1/2."""
+    return sum(np.exp(-(((theta + 2.0 * math.pi * i) / (2.0 * delta)) ** 2)) for i in (-1, 0, 1))
+
+
 def _band_width(phi: np.ndarray, delta: float, nfft: int) -> int:
     """Bins kept per column: the fewest ``2*h + 1`` (at most ``nfft``) whose
     complement holds at most ``_BAND_TAIL`` of any column's energy.
 
-    A column's spectrum is the periodised Gaussian of :func:`_plan` sampled
-    at bin steps from an off-grid centre, so a band of ``2*h + 1`` bins
-    drops, on each side, one bin at each distance of at least ``h + 1/2, h +
-    3/2, ...``, and the Gaussian falls with the distance.  A column's energy
-    is ``nfft * sum(phi**2)`` (Parseval).  At delta >= 1/3 the band is every
-    bin.  The bound is analytic because a computed spectrum's rounding
-    floor, about 1e-16 of its peak, lies above the tail it would measure.
+    A column's spectrum (:func:`_periodised_gauss`) is sampled at bin steps
+    from an off-grid centre, so a band of ``2*h + 1`` bins drops, on each
+    side, one bin at each distance of at least ``h + 1/2, h + 3/2, ...``,
+    and the Gaussian falls with the distance.  A column's energy is ``nfft
+    * sum(phi**2)`` (Parseval).  At delta >= 1/3 the band is every bin.  The
+    bound is analytic because a computed spectrum's rounding floor, about
+    1e-16 of its peak, lies above the tail it would measure.
     """
     omega = (2.0 * math.pi / nfft) * (np.arange((nfft + 1) // 2) + 0.5)
-    gauss = sum(np.exp(-(((omega + 2.0 * math.pi * j) / (2.0 * delta)) ** 2)) for j in (-1, 0, 1))
-    bound = (math.sqrt(2.0) / delta) * gauss
+    bound = (math.sqrt(2.0) / delta) * _periodised_gauss(omega, delta)
     # tail[h]: the bound on the bins outside a band of 2*h + 1
     tail = 2.0 * np.cumsum((bound**2)[::-1])[::-1]
     fits = np.flatnonzero(tail <= _BAND_TAIL * nfft * np.dot(phi, phi))
@@ -274,58 +291,30 @@ def _strips(n: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=_PLAN_GRIDS)
-def _band(n: int, m_half: int, delta: float):
-    """The sizes of :func:`_plan`, taken without building it.
+def _plan(grid: GridSpec):
+    """The arrays of :func:`_spectral_columns` that depend on ``grid`` alone.
 
     A strip of ``R`` rows reads ``R + 2*M`` samples, so every strip's FFT
     takes ``nfft``, the fast length for the tallest strip.  Column ``ll``'s
     window spectrum is a bump at bin ``-delta**2*ll*nfft/pi`` on a band of
     ``width`` bins (:func:`_band_width`) that moves down as ``ll`` grows, so
     each half of the columns, ``c0 <= c < c1``, has one band that holds its
-    columns' bands: the ``span`` bins ``f + j``, from its last column's band
+    columns' bands: the ``span`` bins ``k_j``, from its last column's band
     to its first's, at most every bin (n >= 5, so each half has two columns
-    or more).  Returns ``nfft``, the halves' ``(c0, c1, f, span)`` (``0 <= f
-    < nfft``) and the overflow ``gain`` of :func:`_spectral_columns`:
-    ``|fft(alpha[r0:])|`` is at most ``|alpha|_1`` (an FFT's every
-    intermediate is), each weight at most ``sum(phi) / nfft`` and every
-    phase 1, so every partial sum of a product, its real and imaginary parts
-    together, is at most ``|alpha|_1`` times ``sqrt(2) * span / nfft *
-    sum(phi)`` for the wider half's ``span``, the ``gain`` unless that is
-    below 1.
-    """
-    nfft = _next_fast_len(max(r1 - r0 for r0, r1 in _strips(n)) + 2 * m_half)
-    phi = window(delta * np.arange(-m_half, m_half + 1))
-    width = _band_width(phi, delta, nfft)
-    ll = np.arange(-(n // 2), n // 2 + 1)
-    # the first bin of each column's own band
-    first = np.rint(ll * (-delta * delta * nfft / math.pi)).astype(np.int64) - width // 2
-    halves = tuple((c0, c1, int(first[c1 - 1]) % nfft,
-                    min(int(first[c0] - first[c1 - 1]) + width, nfft))
-                   for c0, c1 in ((0, n // 2 + 1), (n // 2 + 1, n)))
-    span = max(h[3] for h in halves)
-    return nfft, halves, max(1.0, math.sqrt(2.0) * span / nfft * phi.sum())
+    or more).
 
+    Returns ``nfft``; for each half its ``c0``, ``c1``, its band's bins
+    ``k_j``, the weights ``W[j, c]``, column ``ll = c0 + c - half_n``'s
+    window spectrum ``sum_m phi(delta*m) * exp(1j*m*theta) / nfft`` at
+    ``theta = 2*delta**2*ll + 2*pi*b_j/nfft`` on the band, ``8 * span * (c1
+    - c0)`` bytes, and, for the rows ``r`` of the tallest strip, the table
+    ``tab[r, j] = exp(2j*pi*((r + M)*k_j % nfft)/nfft)``; and the phase ramp
+    ``ramp[r, c] = exp(1j*delta**2*r*ll)`` over the same rows, 16 bytes
+    each: 4.2 MB in all at n=1537, 3.2 MB of it the ramp.
 
-@functools.lru_cache(maxsize=_PLAN_GRIDS)
-def _plan(n: int, m_half: int, delta: float):
-    """The arrays of :func:`_spectral_columns` that depend on the grid alone.
-
-    Returns ``nfft``; for each half of the columns (:func:`_band`) its
-    ``c0``, ``c1``, its band's bins ``k_j = (f + j) % nfft``, the weights
-    ``W[j, c]``, column ``ll = c0 + c - half_n``'s window spectrum ``sum_m
-    phi(delta*m) * exp(1j*m*theta) / nfft`` at ``theta = 2*delta**2*ll +
-    2*pi*b_j/nfft`` on the band, ``8 * span * (c1 - c0)`` bytes, and, for
-    the rows ``r`` of the tallest strip, the table ``tab[r, j] =
-    exp(2j*pi*((r + M)*k_j % nfft)/nfft)``; and the phase ramp ``ramp[r, c]
-    = exp(1j*delta**2*r*ll)`` over the same rows, 16 bytes each: 4.2 MB in
-    all at n=1537, 3.2 MB of it the ramp.
-
-    The weights are in closed form: by Poisson summation the untruncated
-    window's spectrum is the periodised Gaussian ``sqrt(2)/(delta*nfft) *
-    sum_i exp(-((theta + 2*pi*i)/(2*delta))**2)``, and with ``theta``
-    wrapped into ``[-pi, pi]`` the terms ``i = -1, 0, 1`` hold all of it
-    that a double can (the next are below ``exp(-9*pi**2)`` of the peak at
-    the coarsest spacing, 1/2).  The samples cut at ``|t| > T`` weigh about
+    The weights are in closed form, the periodised Gaussian
+    (:func:`_periodised_gauss`) times ``sqrt(2)/(delta*nfft)`` at ``theta``
+    wrapped into ``[-pi, pi]``.  The samples cut at ``|t| > T`` weigh about
     2e-17 of the peak at delta=2**-8.  Each bin ``b_j`` is the signed
     integer in ``(-nfft/2, nfft/2]`` before it is scaled, since the
     Gaussian's slope would turn the rounding of a larger ``theta`` into a
@@ -333,19 +322,24 @@ def _plan(n: int, m_half: int, delta: float):
     and all arrays are read-only, since every caller on the grid shares
     them.
     """
-    nfft, bands, _ = _band(n, m_half, delta)
+    n, m_half, delta = grid.n_axis, grid.t_over_delta, grid.delta
     rows = np.arange(max(r1 - r0 for r0, r1 in _strips(n)))[:, None]
+    nfft = _next_fast_len(rows.size + 2 * m_half)
+    width = _band_width(window(delta * np.arange(-m_half, m_half + 1)), delta, nfft)
     ll = np.arange(-(n // 2), n // 2 + 1)
+    # the first bin of each column's own band
+    first = np.rint(ll * (-delta * delta * nfft / math.pi)).astype(np.int64) - width // 2
     halves = []
-    for c0, c1, f, span in bands:
-        k = (f + np.arange(span)) % nfft
+    for c0, c1 in ((0, n // 2 + 1), (n // 2 + 1, n)):
+        span = min(int(first[c0] - first[c1 - 1]) + width, nfft)
+        k = (first[c1 - 1] + np.arange(span)) % nfft
         bins = (k + (nfft - 1) // 2) % nfft - (nfft - 1) // 2
         slope = (2.0 * delta * delta) * ll[c0:c1]
         weights = np.empty((span, c1 - c0))
         for row, b in zip(weights, bins):
             theta = slope + (2.0 * math.pi / nfft) * b
             theta -= (2.0 * math.pi) * np.rint(theta / (2.0 * math.pi))
-            row[:] = sum(np.exp(-(((theta + 2.0 * math.pi * i) / (2.0 * delta)) ** 2)) for i in (-1, 0, 1))
+            row[:] = _periodised_gauss(theta, delta)
         weights *= math.sqrt(2.0) / (delta * nfft)
         tab = np.exp((2j * math.pi / nfft) * ((rows + m_half) * k % nfft))
         for a in (k, weights, tab):
@@ -356,7 +350,7 @@ def _plan(n: int, m_half: int, delta: float):
     return nfft, tuple(halves), ramp
 
 
-def _spectral_columns(alpha, m_half, delta, n):
+def _spectral_columns(alpha, grid: GridSpec):
     """The whole field ``exp(1j*d2*kk*ll) * sum_m alpha[i + M + m] * g_ll[m]``,
     ``g_ll[m] = phi(delta*m) * exp(2j*d2*m*ll)``, in strips of rows.
 
@@ -383,8 +377,9 @@ def _spectral_columns(alpha, m_half, delta, n):
     more rows sums each element in one order whatever their number, so the
     output bits do not depend on it.
     """
-    nfft, halves, ramp = _plan(n, m_half, delta)
-    d2 = delta * delta
+    n, m_half = grid.n_axis, grid.t_over_delta
+    nfft, halves, ramp = _plan(grid)
+    d2 = grid.delta * grid.delta
     ll = np.arange(-(n // 2), n // 2 + 1)
     out = np.empty((n, n), dtype=np.complex128)
     for r0, r1 in _strips(n):

@@ -91,8 +91,8 @@ def variance_benchmark(area: float = _OMEGA6_AREA) -> float:
     scaled with the count-variance-proportional-to-area heuristic, which
     callers must validate by Monte Carlo before using as a tolerance.
     """
-    if area <= 0:
-        raise ConfigError("area must be positive")
+    if not 0 < area < math.inf:
+        raise ConfigError(f"area must be positive and finite, got {area}")
     return _VAR_BENCHMARK_OMEGA6 * math.sqrt(_OMEGA6_AREA / area)
 
 

@@ -1166,6 +1166,27 @@ def test_corrupt_pointset_csv_is_refused(tmp_path, clean_inputs, edit):
                    ["stats", "--signal", "zero", "--boxes", "1", "--points"]) in (2, 3)
 
 
+@pytest.mark.parametrize("edit", ["inf-delta", "repeated-row"])
+def test_malformed_pointset_csv_is_refused(tmp_path, clean_inputs, capsys, edit):
+    # a set with no rows at a spacing that is not finite, and a set that
+    # repeats a row, which would count that zero twice, are data errors,
+    # and stats writes no report
+    lines = clean_inputs[1].read_bytes().splitlines(keepends=True)
+    if edit == "inf-delta":
+        meta = [line for line in lines if line.startswith(b"#")]
+        data = b"".join(meta + lines[len(meta) : len(meta) + 1])  # the column names
+        data = data.replace(b"# delta=0.125", b"# delta=inf", 1)
+        named = "delta must be positive and finite"
+    else:
+        data = b"".join(lines + lines[-1:])
+        named = "a point is repeated"
+    assert data != b"".join(lines)
+    assert _run_on(tmp_path, "points_amn.csv", data,
+                   ["stats", "--signal", "zero", "--boxes", "1", "--points"]) == 3
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_corrupt_headers_found_by_fuzzing_are_refused(tmp_path, clean_inputs):
     cache, points = (p.read_bytes() for p in clean_inputs)
     # a precision NumPy would parse as some other dtype string

@@ -1,5 +1,6 @@
 """Grid geometry, index arithmetic, and subsampling."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -134,6 +135,17 @@ def test_pointset_sorted_and_bounded():
     assert ps.points[0] == complex(-1, -1)
     with pytest.raises(ConfigError):
         PointSet(Method.AMN, 0.25, 1.0, np.array([[9, 0]]))  # outside box
+    # an infinite spacing would put an empty set's statistics at delta=inf
+    # and a point at NaN; a repeated point, in whatever order the rows come,
+    # would be counted twice, and a shared coordinate is no repeat
+    for delta in (math.inf, math.nan, 0.0, -0.25):
+        for kl in (np.zeros((0, 2)), [[0, 0]]):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                PointSet(Method.AMN, delta, 1.0, kl)
+    for kl in ([[3, 2], [3, 2]], [[3, 2], [0, 0], [3, 2]], [[0, 0], [3, 1], [3, 2], [3, 2]]):
+        with pytest.raises(ConfigError, match="repeated"):
+            PointSet(Method.AMN, 0.25, 1.0, np.array(kl))
+    assert len(PointSet(Method.AMN, 0.25, 1.0, np.array([[3, 2], [2, 3], [3, 3]]))) == 3
 
 
 def test_pointset_points_follow_the_indices():

@@ -189,7 +189,7 @@ def test_plan_band_is_narrow_only_for_a_long_window():
               make_grid(L=1, delta=0.25), make_grid(L=7, delta=1 / 3),
               make_grid(L=3, delta=0.5), make_grid(L=10, delta=0.5)):
         n, m_half = g.n_axis, g.t_over_delta
-        nfft, halves, _ = simulate._plan(n, m_half, g.delta)
+        nfft, halves, _ = simulate._plan(g)
         m = np.arange(-m_half, m_half + 1)
         phi = window(g.delta * m)
         own = _column_bands(g, nfft, simulate._band_width(phi, g.delta, nfft))
@@ -248,7 +248,7 @@ def test_plan_table_and_ramp_give_every_row_of_a_strip():
         assert all(r1 - r0 == R for r0, r1 in strips[:-1])
         assert 2 <= strips[-1][1] - strips[-1][0] <= R + 1
         rows = max(r1 - r0 for r0, r1 in strips)
-        nfft, halves, ramp = simulate._plan(n, m_half, g.delta)
+        nfft, halves, ramp = simulate._plan(g)
         assert nfft >= rows + 2 * m_half
         assert ramp.shape == (rows, n)
         r = np.arange(rows)[:, None]
@@ -278,7 +278,7 @@ def test_plan_memory_is_two_bands_and_one_strip_ramp():
     for delta, spans in ((2.0 ** -6, [66, 66]), (2.0 ** -7, [62, 62]), (2.0 ** -8, [61, 61])):
         g = make_grid(L=3, delta=delta)
         n = g.n_axis
-        nfft, halves, ramp = simulate._plan(n, g.t_over_delta, g.delta)
+        nfft, halves, ramp = simulate._plan(g)
         m = np.arange(-g.t_over_delta, g.t_over_delta + 1)
         width = simulate._band_width(window(g.delta * m), g.delta, nfft)
         rows = ramp.shape[0]
@@ -309,7 +309,7 @@ def test_fast_path_matches_direct_sum_at_strip_and_half_edges(L, delta):
     f = synthesize_field(draw_noise(g, sigma=1.0, seed=13), ZERO, g)
     rows = sorted({r for r0, r1 in simulate._strips(g.n_axis)
                    for r in (r0 - 1, r0, r0 + 1, r1 - 1) if 0 <= r < g.n_axis})
-    _, halves, _ = simulate._plan(g.n_axis, g.t_over_delta, g.delta)
+    _, halves, _ = simulate._plan(g)
     cols = sorted({c for c0, c1, *_ in halves for c in (c0, c1 - 1)})
     axis = g.axis()
     slow = simulate._evaluate_lattice(f.source, axis[rows], axis[cols]).T
@@ -482,29 +482,43 @@ def test_synthesis_refuses_samples_that_could_overflow():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("L, delta", [(1, 0.5), (2, 2.0 ** -4), (3, 2.0 ** -6)],
                          ids=["n5", "n65", "n385"])
-def test_largest_accepted_amplitude_synthesizes_finite_values(L, delta):
-    # the overflow bound holds every intermediate of synthesis below half the
-    # float64 maximum, so the largest hermite1 amplitude it accepts, found by
-    # bisection, synthesizes without overflow, and twice that is refused
+def test_largest_accepted_amplitude_synthesizes_finite_values(L, delta, tmp_path):
+    # the overflow bound holds every intermediate of every evaluation below
+    # half the float64 maximum, so the largest amplitude it accepts, found
+    # by bisection, synthesizes without overflow, its lattice sum is finite
+    # at the centre, off the grid and at a corner, and so is its series'
+    # widest search, and twice that amplitude is refused; the bound is in
+    # closed form, so drawing and reading a realization build no plan
     g = make_grid(L=L, delta=delta)
     noise = zero_noise(g)
+    for kind in (SignalKind.HERMITE1, SignalKind.GAUSS):
 
-    def accepted(a):
-        try:
-            FieldSource(g, model_for(SignalKind.HERMITE1, a)).samples
-        except ConfigError:
-            return False
-        return True
+        def accepted(a):
+            try:
+                FieldSource(g, model_for(kind, a)).samples
+            except ConfigError:
+                return False
+            return True
 
-    lo, hi = 1.0, 1e308
-    assert accepted(lo) and not accepted(hi)
-    while hi > lo * (1 + 1e-12):
-        mid = lo * math.sqrt(hi / lo)
-        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
-    f = synthesize_field(noise, model_for(SignalKind.HERMITE1, lo), g)
-    assert np.isfinite(f.values).all()
-    with pytest.raises(ConfigError, match="could overflow"):
-        synthesize_field(noise, model_for(SignalKind.HERMITE1, 2 * lo), g)
+        simulate._plan.cache_clear()
+        lo, hi = 1.0, 1e308
+        assert accepted(lo) and not accepted(hi)
+        while hi > lo * (1 + 1e-12):
+            mid = lo * math.sqrt(hi / lo)
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        assert simulate._plan.cache_info().currsize == 0
+        f = synthesize_field(noise, model_for(kind, lo), g)
+        assert np.isfinite(f.values).all()
+        for z in (0j, 0.3 - 0.2j, complex(g.L, -g.L)):
+            assert cmath.isfinite(evaluate_continuous(f.source, z))
+        best, mag = refine_zero(f.source, 0j, 0.75, 3)
+        assert cmath.isfinite(best) and math.isfinite(mag)
+        write_field(f, tmp_path / "f.wfield")
+        simulate._plan.cache_clear()
+        read_field(tmp_path / "f.wfield")
+        assert simulate._plan.cache_info().currsize == 0
+        with pytest.raises(ConfigError, match="could overflow"):
+            synthesize_field(noise, model_for(kind, 2 * lo), g)
 
 
 def test_synthesis_draws_each_seed_once(monkeypatch):

@@ -217,8 +217,9 @@ def test_variance_benchmark_reference_box():
 def test_variance_benchmark_area_scaling():
     assert variance_benchmark(36.0) == pytest.approx(0.01165 * 2.0, rel=1e-12)
     assert variance_benchmark(4 * 144.0) == pytest.approx(0.01165 / 2.0, rel=1e-12)
-    with pytest.raises(ConfigError):
-        variance_benchmark(0.0)
+    for area in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            variance_benchmark(area)
 
 
 def test_covariance_probe_matches_numpy():
