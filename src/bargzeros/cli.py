@@ -8,10 +8,11 @@ Four subcommands mirror the experiment pipeline:
 * ``detect``     — run AMN/MGN/ST over a dyadic resolution ladder built by
   subsampling the cached fields (never by re-simulation);
 * ``stats``      — aggregate intensity and count-error estimators over the
-  detection CSVs, refusing any that record a different signal, sigma or T;
+  detection CSVs, refusing any that record a different signal, sigma or T,
+  and two of one method, spacing and seed;
 * ``consistency``— match coarse detections against the high-resolution
   proxy and tabulate failure probabilities, refusing a directory whose
-  cache headers differ in anything but the seed.
+  cache headers differ in anything but the seed, or repeat a seed.
 
 Spacings are accepted as exact dyadic expressions (``2^-7``) so that grid
 parameters never pass through decimal rounding.  Every output file carries
@@ -138,6 +139,17 @@ def _refuse_pooling(where, headers) -> None:
                               f"give each {key} its own directory")
 
 
+def _refuse_repeats(where, realizations) -> None:
+    """Refuse inputs in directory ``where`` that hold one realization twice,
+    which a report would count twice: ``realizations`` are (file name,
+    realization) pairs."""
+    first: dict[str, str] = {}
+    for name, realization in realizations:
+        if first.setdefault(realization, name) != name:
+            raise ConfigError(f"{first[realization]} and {name} in {where} both hold "
+                              f"{realization}, which would count one realization twice")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -259,6 +271,8 @@ def cmd_stats(args) -> int:
                 raise ConfigError(f"{p} holds detections of {key} {meta[key]!r}, not {want!r}")
         inputs[p.name] = meta.get("config")
         sets.append(ps)
+    _refuse_repeats(points_dir, ((p.name, f"the {ps.method.name} detections at delta "
+                                  f"{ps.delta!r} of seed {ps.seed}") for p, ps in zip(paths, sets)))
     cfg = {"cmd": "stats", "signal": model.descriptor(), "sigma": sigma,
            "boxes": ",".join(map(str, boxes)), "inputs": json.dumps(inputs, sort_keys=True)}
     h = config_hash(cfg)
@@ -281,6 +295,8 @@ def cmd_consistency(args) -> int:
     paths = _iter_fields(fields_dir)
     headers = {p.name: read_header(p) for p in paths}
     _refuse_pooling(fields_dir, headers.values())
+    _refuse_repeats(fields_dir, ((name, f"the cache of seed {h['seed']}")
+                                 for name, h in headers.items() if "seed" in h))
     cfg = {"cmd": "consistency", "proxy": proxy.value,
            "methods": ",".join(m.value for m in methods),
            "levels": ",".join(map(str, levels)), "inputs": json.dumps(headers, sort_keys=True)}

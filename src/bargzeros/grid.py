@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -78,11 +78,6 @@ class GridSpec:
         """Number of stored samples per axis (odd, symmetric about 0)."""
         return 2 * self.half_n + 1
 
-    @property
-    def corner(self) -> float:
-        """Coordinate of the lower-left stored sample on each axis."""
-        return -self.L
-
     def index_halfwidth(self, halfwidth: float) -> int:
         """Half-width of a centred sup-norm box in index units."""
         w = _int_ratio(halfwidth, self.delta, "halfwidth/delta")
@@ -98,20 +93,12 @@ class GridSpec:
 
     def axis(self) -> np.ndarray:
         """Stored sample coordinates along one axis."""
-        return self.corner + self.delta * np.arange(self.n_axis)
+        return -self.L + self.delta * np.arange(self.n_axis)
 
     def point_of(self, k: int, l: int) -> complex:
         if not (0 <= k < self.n_axis and 0 <= l < self.n_axis):
             raise ConfigError(f"index ({k}, {l}) outside grid of {self.n_axis} per axis")
-        return complex(self.corner + k * self.delta, self.corner + l * self.delta)
-
-    def index_of(self, z: complex) -> tuple[int, int]:
-        """Exact inverse of :meth:`point_of`; raises for off-grid points."""
-        k = round((z.real - self.corner) / self.delta)
-        l = round((z.imag - self.corner) / self.delta)
-        if not (0 <= k < self.n_axis and 0 <= l < self.n_axis) or self.point_of(k, l) != z:
-            raise ConfigError(f"{z} is not a stored grid point")
-        return k, l
+        return complex(-self.L + k * self.delta, -self.L + l * self.delta)
 
 
 def make_grid(L: float, delta: float, T: float = WINDOW_T) -> GridSpec:
@@ -132,14 +119,15 @@ class Method(enum.Enum):
     ST = "st"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """A finite set of plane points on a lattice, with provenance.
 
     ``kl`` holds integer indices relative to the lower-left corner of the
     domain box, i.e. point ``i`` is ``(-W + delta*k_i) + 1j*(-W + delta*l_i)``
     with ``W = domain_halfwidth``.  Rows are stored sorted by ``(k, l)`` so
-    that equality, CSV output, and iteration order are deterministic.
+    that CSV output and iteration order are deterministic.  ``==`` is
+    identity: no arrays are compared.  A seed, when recorded, is ``>= 0``.
 
     Separation invariants (sieved outputs are 5*delta separated in sup
     norm) are asserted by the detectors that promise them, not here: the
@@ -156,6 +144,8 @@ class PointSet:
     def __post_init__(self) -> None:
         if not 0 < self.delta < math.inf:
             raise ConfigError(f"delta must be positive and finite, got {self.delta}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         kl = np.asarray(self.kl, dtype=np.int64).reshape(-1, 2)
         w = _int_ratio(self.domain_halfwidth, self.delta, "domain_halfwidth/delta")
         if w < 0:
@@ -204,15 +194,13 @@ def subsample(field: "WeightedField") -> "WeightedField":
     over bit-exactly; nothing is recomputed.  ``L`` stays, so the grid must
     still validate at twice the spacing (``L/delta`` even).
     """
-    from .simulate import WeightedField
-
     g = field.grid
     try:
         sub = GridSpec(L=g.L, delta=2 * g.delta)
     except ConfigError as e:
         raise ConfigError(f"grid not subsamplable: {e}") from e
     values = np.ascontiguousarray(field.values[::2, ::2])
-    return WeightedField(grid=sub, values=values, source=field.source)
+    return replace(field, grid=sub, values=values)
 
 
 def ladder(field: "WeightedField", max_level: int) -> dict[int, "WeightedField"]:

@@ -36,16 +36,13 @@ _UNIT_COEFFICIENT = {SignalKind.ZERO: 0.0, SignalKind.GAUSS: 1.0,
 
 @dataclass(frozen=True)
 class SignalModel:
-    """A deterministic component: kind, peak weighted amplitude ``A >= 0``
-    (0 for the zero kind) and noise level."""
+    """A deterministic component: kind and peak weighted amplitude ``A >= 0``
+    (0 for the zero kind)."""
 
     kind: SignalKind
     A: float = 0.0
-    sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.sigma < math.inf:
-            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
         object.__setattr__(self, "A", float(self.A))  # the descriptor is a float's repr
         if self.A < 0:
             raise ConfigError(f"A must be non-negative, got {self.A}")
@@ -102,9 +99,9 @@ def sample_signal(model: SignalModel, t):
     return out if np.ndim(out) else complex(out)
 
 
-def model_for(kind: SignalKind, A: float, sigma: float = 1.0) -> SignalModel:
+def model_for(kind: SignalKind, A: float) -> SignalModel:
     """Signal model of the given kind at peak weighted amplitude ``A``."""
-    return SignalModel(kind, A, sigma)
+    return SignalModel(kind, A)
 
 
 _DESCRIPTOR_RE = re.compile(r"^(?P<kind>[a-z0-9]+)(?::A=(?P<A>[^:]+))?$", re.IGNORECASE)
@@ -112,7 +109,8 @@ _DESCRIPTOR_RE = re.compile(r"^(?P<kind>[a-z0-9]+)(?::A=(?P<A>[^:]+))?$", re.IGN
 
 def parse_signal(text: str, sigma: float = 1.0) -> SignalModel:
     """Parse a descriptor such as ``"zero"``, ``"gauss:A=1"``,
-    ``"hermite1:A=100"`` into a model."""
+    ``"hermite1:A=100"`` into a model.  ``sigma``, the noise level read
+    with it, is only checked: the model does not keep it."""
     m = _DESCRIPTOR_RE.match(text.strip().lower())
     if not m:
         raise ConfigError(f"cannot parse signal descriptor {text!r}")
@@ -127,4 +125,6 @@ def parse_signal(text: str, sigma: float = 1.0) -> SignalModel:
         amp = 0.0 if a_text is None else float(a_text)
     except ValueError:
         raise ConfigError(f"bad amplitude {a_text!r}") from None
-    return SignalModel(kind, amp, sigma)
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be positive and finite, got {sigma}")
+    return SignalModel(kind, amp)

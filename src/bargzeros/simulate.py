@@ -170,15 +170,15 @@ def zero_noise(grid: GridSpec) -> FieldSource:
     return FieldSource(grid, SignalModel(SignalKind.ZERO))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedField:
     """Samples of the weighted transform on a grid.
 
     ``values[k, l]`` is the weighted value at ``grid.point_of(k, l)``;
-    nothing derived from them is cached.  When ``source`` is present the
-    same realization can be evaluated at arbitrary points
-    (``evaluate_continuous``) and zeros can be refined off-grid
-    (``refine_zero``).
+    nothing derived from them is cached, and ``==`` is identity.  When
+    ``source`` is present the same realization can be evaluated at
+    arbitrary points (``evaluate_continuous``) and zeros can be refined
+    off-grid (``refine_zero``).
     """
 
     grid: GridSpec
@@ -601,10 +601,14 @@ _DTYPE = "complex128"
 
 
 def write_field(field: WeightedField, path) -> None:
-    """Cache ``field``, whose source (its realization) the header records."""
+    """Cache ``field``, whose source (its realization) the header records;
+    the field must be on its source's grid, the one the header names."""
     src = field.source
     if src is None:
         raise ConfigError("a field without a source records no realization to cache")
+    if field.grid != src.grid:
+        raise ConfigError(f"field on {field.grid}, not on its source's grid {src.grid}: "
+                          "its cache could not be read back")
     # written through the buffer protocol without a bytes copy
     payload = np.ascontiguousarray(field.values, dtype=_DTYPE)
     with open(path, "wb") as fh:

@@ -17,13 +17,23 @@ def synthetic_field(grid: GridSpec, F) -> WeightedField:
     return WeightedField(grid=grid, values=values, source=None)
 
 
+def index_of(grid: GridSpec, z: complex) -> tuple[int, int]:
+    """The index pair of the stored point ``z`` of ``grid``, the exact
+    inverse of ``grid.point_of``; raises for off-grid points."""
+    k = round((z.real + grid.L) / grid.delta)
+    l = round((z.imag + grid.L) / grid.delta)
+    if not (0 <= k < grid.n_axis and 0 <= l < grid.n_axis) or grid.point_of(k, l) != z:
+        raise ConfigError(f"{z} is not a stored grid point")
+    return k, l
+
+
 def covariance_probe(fields: list[WeightedField], z: complex, w: complex) -> complex:
     """Empirical covariance of the weighted field at two grid points
     across realizations."""
     if len(fields) < 2:
         raise ConfigError("covariance needs at least two realizations")
-    zs = np.array([f.values[f.grid.index_of(z)] for f in fields])
-    ws = np.array([f.values[f.grid.index_of(w)] for f in fields])
+    zs = np.array([f.values[index_of(f.grid, z)] for f in fields])
+    ws = np.array([f.values[index_of(f.grid, w)] for f in fields])
     return complex(np.mean(zs * np.conj(ws)) - np.mean(zs) * np.conj(np.mean(ws)))
 
 

@@ -408,6 +408,23 @@ def test_stats_refuses_another_configs_file(pipeline, capsys):
     assert out.read_bytes() == report
 
 
+def test_stats_refuses_a_repeated_realization(pipeline, capsys):
+    # a copy of a point set under another name holds the same method,
+    # spacing and seed: pooled, it would count that realization twice (R=4
+    # from 3 seeds); both files are named and no report is written
+    tmp, _, points = pipeline
+    src = points / "points_amn_zero_A0_d2m4_s0.csv"
+    (points / "points_amn_zero_A0_d2m4_s0_copy.csv").write_bytes(src.read_bytes())
+    out = tmp / "stats.csv"
+    assert main(["stats", "--points", str(points), "--signal", "zero", "--boxes", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert ("points_amn_zero_A0_d2m4_s0.csv and points_amn_zero_A0_d2m4_s0_copy.csv" in err
+            and "AMN detections at delta 0.0625 of seed 0" in err)
+    assert not out.exists()
+
+
 def test_stats_report_inside_its_points_directory(pipeline, capsys):
     # neither the report nor a consistency report and its aggregate among
     # the point sets is read back as a point set on the next run
@@ -702,6 +719,24 @@ def test_consistency_refuses_caches_of_two_grids(tmp_path, capsys, flag, value, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fields"]
 
 
+def test_consistency_refuses_a_repeated_seed(tmp_path, capsys):
+    # a copy of a cache under another name is the same realization, whose
+    # rows a failure table would count twice; the headers alone refuse it,
+    # before any payload is read (the copy's is cut short)
+    fields = tmp_path / "fields"
+    assert main(["simulate", "--L", "2", "--delta", "2^-4", "--signal", "zero",
+                 "--seeds", "0..1", "--out", str(fields)]) == 0
+    header = (fields / "field_zero_A0_d2m4_s0.wfield").read_bytes().partition(b"\n")[0]
+    (fields / "field_zero_A0_d2m4_s0_copy.wfield").write_bytes(header + b"\n")
+    assert main(["consistency", "--fields", str(fields), "--levels", "1",
+                 "--out", str(tmp_path / "reports" / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert ("field_zero_A0_d2m4_s0.wfield and field_zero_A0_d2m4_s0_copy.wfield" in err
+            and "the cache of seed 0" in err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fields"]
+
+
 def test_consistency_report_and_aggregate(pipeline, capsys):
     tmp, fields, _ = pipeline
     out = tmp / "reports" / "consistency.csv"
@@ -958,6 +993,10 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert main(["stats", "--points", str(tmp_path / "p"), "--signal", "zero",
                  "--boxes", "1,1.0", "--out", str(tmp_path / "s.csv")]) == 2
     assert not (tmp_path / "s.csv").exists()
+    # a box of halfwidth 0 has no area to divide a count by
+    assert main(["stats", "--points", str(tmp_path / "p"), "--signal", "zero",
+                 "--boxes", "0", "--out", str(tmp_path / "s.csv")]) == 2
+    assert not (tmp_path / "s.csv").exists()
     err = capsys.readouterr().err
     assert "config error" in err
     assert "not subsamplable" in err
@@ -966,6 +1005,7 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert "repeated entry 1 in levels '1,1'" in err
     assert "subsampling levels must be >= 0" in err
     assert "repeated entry 1.0 in boxes '1,1.0'" in err
+    assert "halfwidth must be positive" in err
     assert "L: could not convert string to float: 'abc'" in err
     assert "unknown key(s) for simulate: margin" in err
     assert "unknown key(s) for simulate: margni, tt" in err
@@ -1166,17 +1206,20 @@ def test_corrupt_pointset_csv_is_refused(tmp_path, clean_inputs, edit):
                    ["stats", "--signal", "zero", "--boxes", "1", "--points"]) in (2, 3)
 
 
-@pytest.mark.parametrize("edit", ["inf-delta", "repeated-row"])
+@pytest.mark.parametrize("edit", ["inf-delta", "repeated-row", "negative-seed"])
 def test_malformed_pointset_csv_is_refused(tmp_path, clean_inputs, capsys, edit):
-    # a set with no rows at a spacing that is not finite, and a set that
-    # repeats a row, which would count that zero twice, are data errors,
-    # and stats writes no report
+    # a set with no rows at a spacing that is not finite, a set that
+    # repeats a row, which would count that zero twice, and a set of a seed
+    # no realization has are data errors, and stats writes no report
     lines = clean_inputs[1].read_bytes().splitlines(keepends=True)
     if edit == "inf-delta":
         meta = [line for line in lines if line.startswith(b"#")]
         data = b"".join(meta + lines[len(meta) : len(meta) + 1])  # the column names
         data = data.replace(b"# delta=0.125", b"# delta=inf", 1)
         named = "delta must be positive and finite"
+    elif edit == "negative-seed":
+        data = b"".join(lines).replace(b"# seed=0\n", b"# seed=-1\n", 1)
+        named = "seed must be >= 0, got -1"
     else:
         data = b"".join(lines + lines[-1:])
         named = "a point is repeated"

@@ -32,7 +32,7 @@ from bargzeros.detect import _margins
 from bargzeros.grid import PointSet, ladder
 from bargzeros.signal import SignalKind, SignalModel, parse_signal
 
-from conftest import synthetic_field
+from conftest import index_of, synthetic_field
 
 ZERO_SIGNAL = SignalModel(SignalKind.ZERO)
 D16 = 2.0 ** -4
@@ -52,7 +52,7 @@ def test_margin_linear_field_at_origin():
     # finite difference: 0.75 * |exp(d^2/2) * d*exp(-d^2/2) - 0| = 0.75 * d
     g = make_grid(L=1, delta=D16)
     f = synthetic_field(g, lambda z: z)
-    k0 = g.index_of(0j)
+    k0 = index_of(g, 0j)
     eta = _margin(f, *k0)
     assert eta == pytest.approx(0.75 * D16, abs=1e-15)
     assert eta == pytest.approx(0.0468, abs=1e-3)
@@ -64,7 +64,7 @@ def test_margin_constant_field_cancellation():
     c = 0.7 - 0.2j
     g = make_grid(L=1, delta=D16)
     f = synthetic_field(g, lambda z: np.full_like(z, c))
-    k0 = g.index_of(0j)
+    k0 = index_of(g, 0j)
     assert _margin(f, *k0) == pytest.approx(abs(c), abs=1e-15)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as hst
 
 from bargzeros import ConfigError, make_grid, subsample
 from bargzeros.grid import GridSpec, Method, PointSet
-from conftest import synthetic_field
+from conftest import index_of, synthetic_field
 
 
 def test_axis_counts():
@@ -23,7 +23,7 @@ def test_point_count_is_odd_and_symmetric():
     g = make_grid(L=2.375, delta=2.0 ** -3)
     assert g.n_axis % 2 == 1
     ax = g.axis()
-    assert ax[0] == -ax[-1] == g.corner
+    assert ax[0] == -ax[-1] == -g.L
     assert ax[g.half_n] == 0.0
 
 
@@ -56,7 +56,7 @@ def test_index_round_trip_everywhere():
     g = make_grid(L=2.0625, delta=2.0 ** -5)
     for k in range(0, g.n_axis, 7):
         for l in range(0, g.n_axis, 11):
-            assert g.index_of(g.point_of(k, l)) == (k, l)
+            assert index_of(g, g.point_of(k, l)) == (k, l)
 
 
 def test_index_halfwidth_rejects_boxes_beyond_the_grid():
@@ -69,9 +69,13 @@ def test_index_halfwidth_rejects_boxes_beyond_the_grid():
 def test_index_of_rejects_off_grid_points():
     g = make_grid(L=1, delta=0.25)
     with pytest.raises(ConfigError):
-        g.index_of(0.1 + 0.1j)
+        index_of(g, 0.1 + 0.1j)
     with pytest.raises(ConfigError):
-        g.index_of(100 + 0j)
+        index_of(g, 100 + 0j)
+    # nor does point_of, its inverse, map an index off the grid
+    for k, l in ((9, 0), (0, 9), (-1, 4), (4, -1)):
+        with pytest.raises(ConfigError, match="outside grid of 9 per axis"):
+            g.point_of(k, l)
 
 
 def test_subsample_index_map():
@@ -100,7 +104,7 @@ def test_subsample_preserves_corner_and_values_bitwise():
     f = WeightedField(grid=g, values=vals)
     s = subsample(f)
     assert s.grid.n_axis == 513 and f.grid.n_axis == 1025
-    assert s.grid.corner == f.grid.corner
+    assert s.grid.L == f.grid.L
     assert s.grid.point_of(0, 0) == f.grid.point_of(0, 0) == complex(-4, -4)
     # identical bit patterns, not merely equal values
     kept = np.ascontiguousarray(f.values[::2, ::2])
@@ -157,6 +161,19 @@ def test_pointset_points_follow_the_indices():
     assert replace(ps, kl=[[0, 0]]).points.tolist() == [-1 - 1j]
 
 
+def test_pointset_and_field_equality_is_identity():
+    # their arrays are not compared: two distinct sets are unequal, even of
+    # one point (an elementwise == would raise), and both can be hashed and
+    # looked up in a list
+    a = PointSet(Method.AMN, 0.25, 1.0, [[1, 2]])
+    b = PointSet(Method.AMN, 0.25, 1.0, [[1, 2]])
+    assert a == a and (a == b) is False and a != b
+    assert a in [b, a] and b not in [a] and len({a, b, a}) == 2
+    f = synthetic_field(make_grid(L=1, delta=0.25), lambda z: z)
+    g = replace(f)
+    assert f == f and (f == g) is False and f in [g, f] and len({f, g}) == 2
+
+
 def test_pointset_min_separation():
     ps = PointSet(Method.ST, 0.25, 2.0, np.array([[0, 0], [5, 0], [5, 6]]))
     assert ps.min_separation() == 5
@@ -185,4 +202,4 @@ def test_round_trip_property(half, exp, seed):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(0, g.n_axis))
     l = int(rng.integers(0, g.n_axis))
-    assert g.index_of(g.point_of(k, l)) == (k, l)
+    assert index_of(g, g.point_of(k, l)) == (k, l)

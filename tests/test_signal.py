@@ -124,8 +124,17 @@ def test_parse_signal_rejects_garbage():
 
 
 def test_sigma_validation():
-    with pytest.raises(ConfigError):
-        SignalModel(SignalKind.GAUSS, 1.0, sigma=0.0)
+    # the parser checks the noise level read with a signal after the
+    # descriptor's syntax and before its amplitude; the model keeps no sigma
+    for sigma in (0.0, -1.0, math.inf, math.nan):
+        for text in ("gauss:A=1", "gauss:A=-1"):
+            with pytest.raises(ConfigError, match="sigma must be positive and finite"):
+                parse_signal(text, sigma=sigma)
+    with pytest.raises(ConfigError, match="bad amplitude"):
+        parse_signal("gauss:A=x", sigma=0.0)
+    assert parse_signal("gauss:A=1", sigma=2.0) == SignalModel(SignalKind.GAUSS, 1.0)
+    with pytest.raises(TypeError):
+        SignalModel(SignalKind.GAUSS, 1.0, sigma=1.0)
 
 
 def test_non_finite_coefficient_is_refused():

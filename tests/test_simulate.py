@@ -30,6 +30,7 @@ from bargzeros import (
     model_for,
     read_field,
     refine_zero,
+    subsample,
     synthesize_field,
     write_field,
     zero_noise,
@@ -38,6 +39,7 @@ from bargzeros import simulate
 from bargzeros.grid import WINDOW_T
 from bargzeros.signal import sample_signal
 from bargzeros.simulate import window
+from conftest import index_of
 
 ZERO = SignalModel(SignalKind.ZERO)
 
@@ -392,7 +394,7 @@ def test_zero_noise_gauss_matches_closed_form():
     inner = (np.abs(zg.real) <= 1.0) & (np.abs(zg.imag) <= 1.0)
     exact = np.exp(-0.5 * np.abs(zg) ** 2)
     assert np.abs(f.values - exact)[inner].max() < 1e-6
-    k0 = g.index_of(0j)
+    k0 = index_of(g, 0j)
     assert abs(abs(f.values[k0]) - 1.0) < 1e-6
 
 
@@ -406,16 +408,20 @@ def test_zero_noise_hermite_matches_closed_form():
     exact = np.exp(-0.5 * np.abs(zg) ** 2) * sig.coefficient * zg
     assert np.abs(f.values - exact)[inner].max() < 1e-6
     # peak weighted amplitude sits on |z| = 1: value 1 for A = 1
-    k1 = g.index_of(1.0 + 0j)
+    k1 = index_of(g, 1.0 + 0j)
     assert abs(abs(f.values[k1]) - 1.0) < 1e-6
 
 
 def test_field_rejects_non_finite_values():
     # the finiteness test looks at the sum first, so it must still catch a
     # NaN that only an imaginary part holds, and an inf/-inf pair (whose sum
-    # is NaN), and must accept finite values whose sum overflows
+    # is NaN), and must accept finite values whose sum overflows; values of
+    # another shape than the grid's are refused before they are scanned
     g = make_grid(L=1, delta=0.25)
     n = g.n_axis
+    for shape in ((n, n + 1), (n - 1, n), (n * n,)):
+        with pytest.raises(ConfigError, match="does not match grid"):
+            simulate.WeightedField(grid=g, values=np.full(shape, math.nan, dtype=np.complex128))
     for bad in (complex(0, math.nan), complex(math.inf, 0)):
         v = np.zeros((n, n), dtype=np.complex128)
         v[n // 2, 1] = bad
@@ -600,13 +606,13 @@ def test_midpoint_value_inside_refined_envelope():
     sig = model_for(SignalKind.GAUSS, 1.0)
     src_c = FieldSource(coarse, sig)
     f_f = synthesize_field(zero_noise(fine), sig, fine)
-    k, l = coarse.index_of(complex(0.5, 0.25))
+    k, l = index_of(coarse, complex(0.5, 0.25))
     z1 = coarse.point_of(k, l)
     z2 = coarse.point_of(k + 1, l)
     mid = (z1 + z2) / 2
     got = abs(evaluate_continuous(src_c, mid))
-    kf, lf = fine.index_of(z1)
-    k2f, _ = fine.index_of(z2)
+    kf, lf = index_of(fine, z1)
+    k2f, _ = index_of(fine, z2)
     local = np.abs(f_f.values[kf : k2f + 1, lf])
     assert local.min() - 1e-9 <= got <= local.max() + 1e-9
 
@@ -1075,12 +1081,16 @@ def test_cache_of_a_noiseless_field(tmp_path):
 
 def test_cache_records_its_realization(tmp_path):
     # the header records the realization read_field regenerates, so a field
-    # without a source is refused before any file is made
+    # without a source is refused before any file is made, and so is a
+    # subsampled field, whose source's header names the fine grid: its
+    # cache would hold a quarter of the samples that header promises
     g = make_grid(L=1, delta=2.0 ** -4)
     f = synthesize_field(draw_noise(g, 1.0, 4), ZERO, g)
     p = tmp_path / "f.wfield"
     with pytest.raises(ConfigError, match="without a source"):
         write_field(WeightedField(grid=g, values=f.values), p)
+    with pytest.raises(ConfigError, match="not on its source's grid"):
+        write_field(subsample(f), p)
     assert not p.exists()
 
 

@@ -23,7 +23,7 @@ from bargzeros.grid import PointSet
 from bargzeros.signal import SignalKind, SignalModel
 from bargzeros.stats import StatRow
 
-from conftest import covariance_probe
+from conftest import covariance_probe, index_of
 
 ZERO = SignalModel(SignalKind.ZERO)
 TOL = 1e-10
@@ -194,6 +194,10 @@ def test_summary_rows():
         assert r.se == pytest.approx(r.std / math.sqrt(2), rel=1e-12)
     with pytest.raises(ConfigError):
         summary_rows([], ZERO, 1.0, [1.0])
+    # a box of halfwidth 0 (or less) has no area to divide a count by
+    for w in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="halfwidth must be positive"):
+            summary_rows([a], ZERO, 1.0, [1.0, w])
     # mixed sets are summarised per (method, spacing), in the order of the
     # method's tag, then of the spacing; each group as if alone
     st = PointSet(Method.ST, 0.25, 2.0, np.array([[8, 8]]))
@@ -230,7 +234,7 @@ def test_covariance_probe_matches_numpy():
         vals = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         fields.append(WeightedField(grid=g, values=vals))
     z, w = 0.25 + 0j, -0.5 + 0.75j
-    kz, kw = g.index_of(z), g.index_of(w)
+    kz, kw = index_of(g, z), index_of(g, w)
     zs = np.array([f.values[kz] for f in fields])
     ws = np.array([f.values[kw] for f in fields])
     want = np.mean(zs * np.conj(ws)) - zs.mean() * np.conj(ws.mean())
